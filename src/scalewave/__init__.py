@@ -32,11 +32,10 @@ from .model import (
 )
 from .functionals import (
     NormSample,
-    spatial_integral,
     to_comparison_frame,
     weighted_energy,
-    weighted_l2,
     weighted_lq,
+    weighted_quadrature,
 )
 from .solver import (
     OUTCOME_BLOWUP,

@@ -344,7 +344,7 @@ def _cmd_odi(args) -> int:
                          f0=cfg["f0"], df0=cfg["df0"])
     dt = cfg["dt"] if cfg["dt"] > 0.0 else None
     solution = solve(problem, dt)
-    check = comparison_check(problem, dt)
+    check = comparison_check(solution)
     payload = _report_header("odi", args.seed)
     payload["problem"] = asdict(problem)
     payload["nu"] = solution.nu
@@ -433,11 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="override one config key (repeatable)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel fan-out degree")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
 
     common(sub.add_parser("simulate", help="one run, norm series to CSV"))
-    common(sub.add_parser("sweep", help="(p, amplitude) sweep to CSV"))
+    sweep_p = sub.add_parser("sweep", help="(p, amplitude) sweep to CSV")
+    common(sweep_p)
+    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel fan-out degree")
     verify_p = sub.add_parser("verify", help="identity/inequality/comparison suites")
     verify_p.add_argument("suite", choices=["identities", "inequalities", "bihari"])
     common(verify_p)

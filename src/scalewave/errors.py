@@ -11,9 +11,9 @@ class RegimeError(ValueError):
 
 
 class WeightOverflowError(ArithmeticError):
-    """The exponential weight would overflow where the integrand is nonzero.
+    """A weighted integral has a quadrature term too large to represent.
 
-    Weighted integrals are only meaningful while the discrete weight stays
-    finite and resolved; the caller must shrink the data support or enlarge
-    the truncation radius.
+    Raised when some term exp(expo)*density has exponent expo + log density
+    above the budget; a large weight alone is harmless where the integrand
+    decays faster.  The data do not lie in the weighted space on this grid.
     """

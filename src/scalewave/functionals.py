@@ -1,12 +1,13 @@
 """Norms, energies, and the averaged comparison functional.
 
 The spatial weight is exp(sigma*W) with W(t,x) = mu1*|x|^2/(2*(1+t)^2), so
-a weighted L2 norm is the plain L2 norm of exp(sigma*W)*f.  Weighted
-integrands are evaluated only where the profile is numerically nonzero; if
-the weight exponent exceeds the overflow budget on that active set a
-WeightOverflowError is raised instead of silently saturating, since the
-weighted theory is only meaningful while the discrete integrals are finite
-and resolved.
+a weighted L2 norm is the plain L2 norm of exp(sigma*W)*f.  Every weighted
+integral goes through one log-domain kernel, ``weighted_quadrature``: each
+quadrature term exp(expo)*density is formed as exp(expo + log density), so
+the weight may be astronomically large wherever the integrand is not.
+Overflow is judged on that combined exponent, never on the weight alone:
+a WeightOverflowError means the weighted integral itself cannot be
+represented, instead of being silently saturated.
 
 The comparison frame rescales the solution by (1+t)^((mu1-1)/2 -
 sqrt(delta)/2); in that frame the mass term drops out and the spatial
@@ -22,14 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeError, WeightOverflowError
-from .grid import RadialGrid, integrate
+from .grid import RadialGrid
 from .model import ModelParams, coefficients, discriminant, weight_exponent
 
-# Nodes with |f| at or below this floor are treated as exact zeros: the
-# weight is never evaluated there, so far-field nodes cannot overflow.
-ACTIVE_FLOOR = 1e-300
-
-# Largest admissible weight exponent on the active set.
+# Largest admissible exponent of a single quadrature term; its exponential,
+# about 1e260, leaves headroom below the float overflow at exp(709) for the
+# weighted sum.
 EXPONENT_BUDGET = 600.0
 
 
@@ -41,41 +40,42 @@ class NormSample:
     values: dict
 
 
-def _guarded_weight(exponents: np.ndarray, mask: np.ndarray, what: str) -> np.ndarray:
-    if np.any(exponents[mask] > EXPONENT_BUDGET):
+def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
+    """Quadrature of exp(expo)*density for a nonnegative nodal density.
+
+    Sums w_i*exp(expo_i + log density_i) over the nodes where the density
+    is nonzero, so a vanishing density never evaluates its weight.  Raises
+    WeightOverflowError when some term's exponent exceeds the budget.  A
+    NaN density propagates into the result instead of being dropped.
+    """
+    density = np.asarray(density, dtype=float)
+    if density.shape != grid.r.shape:
+        raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
+    active = density != 0.0
+    # boolean indexing copies, so the in-place updates leave expo untouched
+    terms = np.asarray(expo, dtype=float)[active]
+    terms += np.log(density[active])
+    peak = terms.max() if terms.size else -math.inf
+    if peak > EXPONENT_BUDGET:
         raise WeightOverflowError(
-            f"weight overflow in {what}: exponent exceeds {EXPONENT_BUDGET:.0f} "
-            "on the support; shrink the data support or r_max"
+            f"weighted integral not representable: a quadrature term has exponent "
+            f"{peak:.4g} > {EXPONENT_BUDGET:.0f}; the data do not decay fast enough "
+            "for the weight on this grid"
         )
-    out = np.zeros_like(exponents)
-    out[mask] = np.exp(exponents[mask])
-    return out
-
-
-def weighted_l2(grid: RadialGrid, values, params: ModelParams, sigma: float, t: float) -> float:
-    """L2 norm of exp(sigma*W(t,.))*f by radial quadrature."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    values = np.asarray(values, dtype=float)
-    mask = np.abs(values) > ACTIVE_FLOOR
-    expo = 2.0 * sigma * weight_exponent(params, t, grid.r**2)
-    weight = _guarded_weight(expo, mask, "weighted_l2")
-    return math.sqrt(max(integrate(grid, weight * values**2), 0.0))
+    return float(grid.quad_weights[active] @ np.exp(terms, out=terms))
 
 
 def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: float, q: float) -> float:
-    """Lq norm of exp(sigma*W(t,.))*f; q = 2 coincides with weighted_l2."""
+    """Lq norm of exp(sigma*W(t,.))*f by radial quadrature."""
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    values = np.asarray(values, dtype=float)
-    mask = np.abs(values) > ACTIVE_FLOOR
+    if t < 0.0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     expo = q * sigma * weight_exponent(params, t, grid.r**2)
-    weight = _guarded_weight(expo, mask, "weighted_lq")
-    return integrate(grid, weight * np.abs(values) ** q) ** (1.0 / q)
+    density = np.abs(np.asarray(values, dtype=float)) ** q
+    return weighted_quadrature(grid, expo, density) ** (1.0 / q)
 
 
 def weighted_energy(grid: RadialGrid, u, u_t, u_r, params: ModelParams, t: float) -> float:
@@ -89,21 +89,16 @@ def weighted_energy(grid: RadialGrid, u, u_t, u_r, params: ModelParams, t: float
     u_r = np.asarray(u_r, dtype=float)
     _, m_sq = coefficients(params, t)
     density = u_t**2 + u_r**2 + m_sq * u**2
-    mask = density > ACTIVE_FLOOR
     expo = 2.0 * weight_exponent(params, t, grid.r**2)
-    weight = _guarded_weight(expo, mask, "weighted_energy")
-    return 0.5 * integrate(grid, weight * density)
+    return 0.5 * weighted_quadrature(grid, expo, density)
 
 
 def weighted_gradient_norm(grid: RadialGrid, u_r, u_t, params: ModelParams, t: float) -> float:
     """L2 norm of exp(W)*(grad u, u_t) as a joint space-time gradient pair."""
     u_r = np.asarray(u_r, dtype=float)
     u_t = np.asarray(u_t, dtype=float)
-    density = u_r**2 + u_t**2
-    mask = density > ACTIVE_FLOOR
     expo = 2.0 * weight_exponent(params, t, grid.r**2)
-    weight = _guarded_weight(expo, mask, "weighted_gradient_norm")
-    return math.sqrt(max(integrate(grid, weight * density), 0.0))
+    return math.sqrt(weighted_quadrature(grid, expo, u_r**2 + u_t**2))
 
 
 def comparison_frame_factor(params: ModelParams, t: float) -> float:
@@ -118,7 +113,3 @@ def to_comparison_frame(values, t: float, params: ModelParams) -> np.ndarray:
     """Rescale solution values into the frame where the mass term drops out."""
     return comparison_frame_factor(params, t) * np.asarray(values, dtype=float)
 
-
-def spatial_integral(grid: RadialGrid, values) -> float:
-    """Signed integral over R^n of a (compactly supported) radial profile."""
-    return integrate(grid, values)

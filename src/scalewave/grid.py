@@ -11,10 +11,10 @@ propagation).  Grids are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +32,7 @@ class RadialGrid:
 
 def surface_measure(n: int) -> float:
     """Area of the unit sphere in R^n: 2*pi^(n/2)/Gamma(n/2)."""
-    return float(2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0))
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:

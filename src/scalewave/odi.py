@@ -228,20 +228,23 @@ def solve(problem: OdiProblem, dt: float | None = None) -> OdiSolution:
                        blowup_time=blowup_time)
 
 
-def comparison_check(problem: OdiProblem, dt: float | None = None,
-                     rel_slack: float = 1e-6) -> CheckReport:
-    """Assert F(t) >= G(t)*(1 - rel_slack) for all samples before min(blow-up, life span)."""
-    sol = solve(problem, dt)
-    limit = sol.life_span if sol.blowup_time is None else min(sol.blowup_time, sol.life_span)
-    mask = sol.t < limit * (1.0 - 1e-12)
-    g = comparison_function(problem, sol.nu, sol.t[mask])
-    f = sol.f[mask]
-    deficit = np.max((g - f) / np.maximum(g, 1e-300))
+def comparison_check(solution: OdiSolution, rel_slack: float = 1e-6) -> CheckReport:
+    """Assert F(t) >= G(t)*(1 - rel_slack) for all samples before min(blow-up, life span).
+
+    Checks the trajectory of an already solved problem (see ``solve``); G is
+    positive, so the deficit is relative to G.
+    """
+    blowup_time = solution.blowup_time
+    limit = solution.life_span if blowup_time is None else min(blowup_time, solution.life_span)
+    mask = solution.t < limit * (1.0 - 1e-12)
+    g = solution.comparison_at(solution.t[mask])
+    f = solution.f[mask]
+    deficit = np.max((g - f) / g)
     notes = [
-        f"nu={sol.nu:.12g}",
-        f"life_span={sol.life_span:.12g}",
+        f"nu={solution.nu:.12g}",
+        f"life_span={solution.life_span:.12g}",
         "trajectory blow-up at "
-        + (f"{sol.blowup_time:.12g}" if sol.blowup_time is not None else "none (horizon reached)"),
+        + (f"{blowup_time:.12g}" if blowup_time is not None else "none (horizon reached)"),
     ]
     return CheckReport(
         check_id="odi-comparison-dominance",

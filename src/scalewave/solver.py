@@ -29,11 +29,10 @@ import numpy as np
 
 from .functionals import (
     NormSample,
-    spatial_integral,
     to_comparison_frame,
     weighted_energy,
     weighted_gradient_norm,
-    weighted_l2,
+    weighted_lq,
 )
 from .grid import RadialGrid, integrate, laplacian_apply, radial_derivative
 from .model import ModelParams, coefficients, discriminant
@@ -209,10 +208,10 @@ def _record(grid: RadialGrid, params: ModelParams, t: float, u: np.ndarray,
         "l2": math.sqrt(max(integrate(grid, u * u), 0.0)),
         "grad_l2": math.sqrt(max(integrate(grid, u_r * u_r), 0.0)),
         "ut_l2": math.sqrt(max(integrate(grid, u_t * u_t), 0.0)),
-        "wl2": weighted_l2(grid, u, params, 1.0, t),
+        "wl2": weighted_lq(grid, u, params, 1.0, t, 2.0),
         "wgrad_l2": weighted_gradient_norm(grid, u_r, u_t, params, t),
         "wenergy": weighted_energy(grid, u, u_t, u_r, params, t),
-        "F": spatial_integral(grid, to_comparison_frame(u, t, params)) if frame_ok else math.nan,
+        "F": integrate(grid, to_comparison_frame(u, t, params)) if frame_ok else math.nan,
     }
     return NormSample(t=t, values=values)
 

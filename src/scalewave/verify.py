@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import WeightOverflowError
+from .functionals import weighted_quadrature
 from .grid import RadialGrid, integrate
 from .model import (
     ModelParams,
@@ -237,8 +238,8 @@ def check_psi_identities(params: ModelParams, times, radii,
 
     worst = 0.0
     for res, scale in ((res_cancel, scale_cancel), (res_lap, scale_lap), (res_dt, scale_dt)):
-        rel = np.where(scale > 0.0, np.abs(res) / np.maximum(scale, 1e-300),
-                       np.where(res == 0.0, 0.0, np.inf))
+        rel = np.divide(np.abs(res), scale, out=np.where(res == 0.0, 0.0, np.inf),
+                        where=scale > 0.0)
         worst = max(worst, float(np.max(rel)))
     return CheckReport(
         check_id="weight-exponent-identities",
@@ -364,9 +365,9 @@ def check_energy_identity(ms: ManufacturedSolution, params: ModelParams,
             notes.append(f"skipped axis point t={t} (removable singularity)")
             continue
         lhs, terms = energy_identity_terms(ms, params, t, r)
-        scale = max(abs(lhs), *(abs(terms[k]) for k in ("t1", "t2", "t4", "t5", "t6")), 1e-300)
-        worst = max(worst, abs(lhs - terms["rhs"]) / scale)
-        worst = max(worst, abs(terms["t3"]) / scale)
+        scale = max(abs(lhs), *(abs(terms[k]) for k in ("t1", "t2", "t4", "t5", "t6")))
+        worst = max(worst, _rel_residual(lhs - terms["rhs"], scale))
+        worst = max(worst, _rel_residual(terms["t3"], scale))
         n_cases += 1
     return CheckReport(
         check_id="energy-rate-identity",
@@ -381,16 +382,6 @@ def check_energy_identity(ms: ManufacturedSolution, params: ModelParams,
 # ---------------------------------------------------------------------------
 # Inequality checks
 # ---------------------------------------------------------------------------
-
-def _weighted_sq(grid: RadialGrid, values: np.ndarray, expo: np.ndarray) -> float:
-    """Quadrature of exp(expo)*values^2 with far-field masking and overflow guard."""
-    mask = np.abs(values) > 1e-300
-    if np.any(expo[mask] > 600.0):
-        raise WeightOverflowError("weight overflow while forming an inequality side")
-    integrand = np.zeros_like(values)
-    integrand[mask] = np.exp(expo[mask]) * values[mask] ** 2
-    return integrate(grid, integrand)
-
 
 def check_weighted_gradient_bound(family: Sequence[RadialProfile], params: ModelParams,
                                   sigmas: Sequence[float], times: Sequence[float],
@@ -414,9 +405,9 @@ def check_weighted_gradient_bound(family: Sequence[RadialProfile], params: Model
                 v = member.value(grid.r)
                 v_r = member.derivative(grid.r)
                 try:
-                    lhs_norm_sq = _weighted_sq(grid, v, expo)
-                    grad_weighted = _weighted_sq(grid, sigma * w_r * v + v_r, expo)
-                    rhs = _weighted_sq(grid, v_r, expo)
+                    lhs_norm_sq = weighted_quadrature(grid, expo, v * v)
+                    grad_weighted = weighted_quadrature(grid, expo, (sigma * w_r * v + v_r) ** 2)
+                    rhs = weighted_quadrature(grid, expo, v_r * v_r)
                 except WeightOverflowError:
                     notes.append(f"skipped member {k} at sigma={sigma}, t={t}: weight overflow")
                     continue
@@ -460,7 +451,7 @@ def check_embeddings(family: Sequence[RadialProfile], params: ModelParams,
     for k, member in enumerate(family):
         f = member.value(grid.r)
         try:
-            wl2 = math.sqrt(max(_weighted_sq(grid, f, expo), 0.0))
+            wl2 = math.sqrt(weighted_quadrature(grid, expo, f * f))
         except WeightOverflowError:
             notes.append(f"skipped member {k}: weight overflow")
             continue
@@ -510,14 +501,9 @@ def gn_ratio_check(family: Sequence[RadialProfile], params: ModelParams,
             dilated = member.dilate(scale)
             v = dilated.value(grid.r)
             v_r = dilated.derivative(grid.r)
-            mask = np.abs(v) > 1e-300
-            if np.any(expo_q[mask] > 600.0):
-                raise WeightOverflowError("weight overflow in ratio protocol")
-            num_integrand = np.zeros_like(v)
-            num_integrand[mask] = np.exp(expo_q[mask]) * np.abs(v[mask]) ** q
-            numerator = integrate(grid, num_integrand) ** (1.0 / q)
+            numerator = weighted_quadrature(grid, expo_q, np.abs(v) ** q) ** (1.0 / q)
             grad_plain = math.sqrt(max(integrate(grid, v_r * v_r), 0.0))
-            grad_weighted = math.sqrt(max(_weighted_sq(grid, v_r, expo_full), 0.0))
+            grad_weighted = math.sqrt(weighted_quadrature(grid, expo_full, v_r * v_r))
             if grad_plain == 0.0 or grad_weighted == 0.0:
                 continue
             denom = scale ** (1.0 - theta) * grad_plain ** (1.0 - sigma) * grad_weighted**sigma

@@ -84,6 +84,15 @@ class TestSimulate:
         )
         assert code == EXIT_DIVERGED
 
+    def test_weighted_columns_finite_beyond_weight_budget(self, tmp_path):
+        # the weight exponent mu1*r^2 alone exceeds the overflow budget on the
+        # default grid, but e^{2W} u0^2 ~ e^{-6.5 r^2} is a finite integrand
+        out = tmp_path / "mu6.csv"
+        assert parse_and_dispatch(["simulate", "--set", "mu1=6", "--out", str(out)]) == EXIT_OK
+        for column in ("wl2", "wgrad_l2", "wenergy"):
+            _, vals = read_series_csv(out, column)
+            assert vals.size > 1 and np.all(np.isfinite(vals))
+
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"t_max": 2.0, "r_max": 10.0, "dr": 0.1,
@@ -185,6 +194,8 @@ class TestErrors:
     def test_usage_error(self):
         assert parse_and_dispatch(["not-a-command"]) == EXIT_USAGE
         assert parse_and_dispatch([]) == EXIT_USAGE
+        # only sweep fans out, so only sweep takes --jobs
+        assert parse_and_dispatch(["info", "--jobs", "2"]) == EXIT_USAGE
 
     def test_unknown_key_rejected(self):
         assert parse_and_dispatch(["info", "--set", "nope=3"]) == EXIT_CONFIG

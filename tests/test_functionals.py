@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from scalewave.errors import RegimeError, WeightOverflowError
 from scalewave.functionals import (
     comparison_frame_factor,
-    spatial_integral,
     to_comparison_frame,
     weighted_energy,
-    weighted_l2,
     weighted_lq,
+    weighted_quadrature,
 )
 from scalewave.grid import integrate, make_radial_grid, radial_derivative
 from scalewave.model import ModelParams
@@ -27,42 +26,65 @@ def grid():
     return make_radial_grid(1, 20.0, 0.005)
 
 
+class TestWeightedQuadrature:
+    def test_log_domain_terms(self):
+        g = make_radial_grid(1, 4.0, 1.0)
+        density = np.array([1.0, 2.0, 0.0, 0.5, 0.0])
+        expo = np.array([0.0, 1.0, 5000.0, -2.0, 0.0])
+        # the huge exponent sits on a zero density and is never exponentiated
+        expected = g.quad_weights @ np.array([1.0, 2.0 * math.e, 0.0, 0.5 * math.exp(-2.0), 0.0])
+        assert weighted_quadrature(g, expo, density) == pytest.approx(expected, rel=1e-15)
+        # only the term exponent counts: 700 - 150 is within the budget
+        tiny = np.array([math.exp(-150.0), 0.0, 0.0, 0.0, 0.0])
+        assert weighted_quadrature(g, np.full(5, 700.0), tiny) == pytest.approx(
+            g.quad_weights[0] * math.exp(550.0), rel=1e-12)
+        with pytest.raises(WeightOverflowError):
+            weighted_quadrature(g, np.full(5, 601.0), np.ones(5))
+        assert math.isnan(weighted_quadrature(g, expo, np.where(density == 2.0, np.nan, density)))
+        with pytest.raises(ValueError):
+            weighted_quadrature(g, expo, np.ones(4))
+
+
 class TestWeightedL2:
     def test_zero(self, grid):
-        assert weighted_l2(grid, np.zeros_like(grid.r), params(), 1.0, 0.0) == 0.0
+        assert weighted_lq(grid, np.zeros_like(grid.r), params(), 1.0, 0.0, 2.0) == 0.0
 
     def test_unweighted_limit(self, grid):
         # mu1 = 0 makes the weight exponent vanish identically
         f = np.exp(-grid.r**2)
         plain = math.sqrt(integrate(grid, f * f))
-        assert weighted_l2(grid, f, params(mu1=0.0), 1.0, 0.0) == pytest.approx(plain, rel=1e-14)
+        assert weighted_lq(grid, f, params(mu1=0.0), 1.0, 0.0, 2.0) == pytest.approx(plain, rel=1e-14)
 
     def test_gaussian_closed_form(self, grid):
-        # mu1=1, sigma=1, t=0: exponent = r^2/2, so the integrand is exp(-r^2)
-        f = np.exp(-grid.r**2)
-        got = weighted_l2(grid, f, params(mu1=1.0), 1.0, 0.0)
-        assert got == pytest.approx(math.pi**0.25, rel=1e-10)
+        # f = exp(-a r^2), sigma=1, t=0: the squared norm is the integral over
+        # the line of exp((mu1 - 2a) r^2), i.e. sqrt(pi/(2a - mu1)).  In the
+        # second case (mu1 = 6, the default data width 0.4) the weight
+        # exponent alone reaches 2400 on this grid, far above the budget,
+        # while every term of the integrand stays below 1.
+        for mu1, a in ((1.0, 1.0), (6.0, 6.25)):
+            got = weighted_lq(grid, np.exp(-a * grid.r**2), params(mu1=mu1), 1.0, 0.0, 2.0)
+            assert got == pytest.approx((math.pi / (2.0 * a - mu1)) ** 0.25, rel=1e-10)
 
     def test_refined_quadrature_oracle(self):
         f_of = lambda r: np.exp(-(r**2))
         p = params(mu1=1.0)
         coarse = make_radial_grid(1, 20.0, 0.01)
         fine = make_radial_grid(1, 20.0, 0.001)
-        a = weighted_l2(coarse, f_of(coarse.r), p, 1.0, 0.0)
-        b = weighted_l2(fine, f_of(fine.r), p, 1.0, 0.0)
+        a = weighted_lq(coarse, f_of(coarse.r), p, 1.0, 0.0, 2.0)
+        b = weighted_lq(fine, f_of(fine.r), p, 1.0, 0.0, 2.0)
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_validation(self, grid):
         with pytest.raises(ValueError):
-            weighted_l2(grid, np.zeros_like(grid.r), params(), 0.0, 0.0)
+            weighted_lq(grid, np.zeros_like(grid.r), params(), 0.0, 0.0, 2.0)
         with pytest.raises(ValueError):
-            weighted_l2(grid, np.zeros_like(grid.r), params(), 1.0, -1.0)
+            weighted_lq(grid, np.zeros_like(grid.r), params(), 1.0, -1.0, 2.0)
 
     def test_overflow_guard(self):
         g = make_radial_grid(1, 60.0, 0.05)
         f = np.exp(-0.01 * g.r**2)  # slowly decaying, nonzero at large r
         with pytest.raises(WeightOverflowError):
-            weighted_l2(g, f, params(mu1=4.0), 1.0, 0.0)
+            weighted_lq(g, f, params(mu1=4.0), 1.0, 0.0, 2.0)
 
     def test_lower_bounds_plain_l2(self, grid):
         # pointwise weight >= 1, so the weighted norm dominates the plain one
@@ -72,17 +94,10 @@ class TestWeightedL2:
             f = rng.uniform(0.2, 3.0) * np.exp(-((grid.r / width) ** 2))
             plain = math.sqrt(integrate(grid, f * f))
             for sigma in (0.25, 1.0):
-                assert weighted_l2(grid, f, params(mu1=2.0), sigma, 1.5) >= plain
+                assert weighted_lq(grid, f, params(mu1=2.0), sigma, 1.5, 2.0) >= plain
 
 
 class TestWeightedLq:
-    def test_q2_matches_weighted_l2(self, grid):
-        f = np.exp(-grid.r**2) * (1.0 + grid.r**2)
-        p = params(mu1=1.0)
-        a = weighted_lq(grid, f, p, 0.5, 2.0, 2.0)
-        b = weighted_l2(grid, f, p, 0.5, 2.0)
-        assert a == pytest.approx(b, rel=1e-13)
-
     def test_zero(self, grid):
         assert weighted_lq(grid, np.zeros_like(grid.r), params(), 1.0, 0.0, 4.0) == 0.0
 
@@ -149,17 +164,17 @@ class TestComparisonFrame:
 
 class TestSpatialIntegral:
     def test_zero(self, grid):
-        assert spatial_integral(grid, np.zeros_like(grid.r)) == 0.0
+        assert integrate(grid, np.zeros_like(grid.r)) == 0.0
 
     def test_gaussian(self, grid):
-        assert spatial_integral(grid, np.exp(-grid.r**2)) == pytest.approx(
+        assert integrate(grid, np.exp(-grid.r**2)) == pytest.approx(
             math.sqrt(math.pi), abs=1e-6
         )
 
     def test_signed_cancellation(self, grid):
         # (1 - 2r^2) e^{-r^2} integrates to zero over the line (n=1 measure)
         f = (1.0 - 2.0 * grid.r**2) * np.exp(-grid.r**2)
-        assert abs(spatial_integral(grid, f)) <= 1e-10
+        assert abs(integrate(grid, f)) <= 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -169,8 +184,8 @@ def test_absolute_homogeneity(scale, sigma):
     g = make_radial_grid(1, 15.0, 0.01)
     f = np.exp(-g.r**2) * (1.0 + g.r)
     p = ModelParams(n=1, mu1=1.0, mu2sq=0.0, p=2.0)
-    base = weighted_l2(g, f, p, sigma, 0.5)
-    assert weighted_l2(g, scale * f, p, sigma, 0.5) == pytest.approx(scale * base, rel=1e-12)
+    base = weighted_lq(g, f, p, sigma, 0.5, 2.0)
+    assert weighted_lq(g, scale * f, p, sigma, 0.5, 2.0) == pytest.approx(scale * base, rel=1e-12)
     base_q = weighted_lq(g, f, p, sigma, 0.5, 3.0)
     assert weighted_lq(g, scale * f, p, sigma, 0.5, 3.0) == pytest.approx(scale * base_q, rel=1e-12)
 
@@ -181,8 +196,8 @@ def test_frame_then_integral_linear_in_u():
     u1 = np.exp(-g.r**2)
     u2 = np.exp(-((g.r - 1.0) ** 2)) + np.exp(-((g.r + 1.0) ** 2))
     t = 2.5
-    lhs = spatial_integral(g, to_comparison_frame(2.0 * u1 + 3.0 * u2, t, p))
-    rhs = 2.0 * spatial_integral(g, to_comparison_frame(u1, t, p)) + 3.0 * spatial_integral(
+    lhs = integrate(g, to_comparison_frame(2.0 * u1 + 3.0 * u2, t, p))
+    rhs = 2.0 * integrate(g, to_comparison_frame(u1, t, p)) + 3.0 * integrate(
         g, to_comparison_frame(u2, t, p)
     )
     assert lhs == pytest.approx(rhs, rel=1e-12)

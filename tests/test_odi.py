@@ -165,19 +165,19 @@ class TestIntegrateOdi:
 
 class TestComparisonCheck:
     def test_standard_case(self):
-        rep = comparison_check(STANDARD)
+        rep = comparison_check(solve(STANDARD))
         assert rep.passed and rep.worst <= 1e-6
 
     def test_source_scaled_up(self):
         prob = OdiProblem(k0=4.0, k1=10.0, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
-        rep = comparison_check(prob)
+        rep = comparison_check(solve(prob))
         assert rep.passed
 
     def test_random_cases(self):
         rng = np.random.default_rng(6)
         for k in range(20):
             prob = random_problem(rng, force_alpha=-2.0 if k % 5 == 0 else None)
-            rep = comparison_check(prob)
+            rep = comparison_check(solve(prob))
             assert rep.passed, (prob, rep.worst, rep.notes)
 
     def test_equality_limit_matches_comparison_function(self):

@@ -202,9 +202,9 @@ class TestEmbeddings:
         p = params(mu1=2.0)
         f = np.exp(-2.0 * grid.r**2)
         l1 = integrate(grid, np.abs(f))
-        from scalewave.functionals import weighted_l2
+        from scalewave.functionals import weighted_lq
 
-        wl2 = weighted_l2(grid, f, p, 1.0, 0.0)
+        wl2 = weighted_lq(grid, f, p, 1.0, 0.0, 2.0)
         const = (math.pi / 2.0) ** 0.25
         assert l1 / (const * wl2) >= 0.99
 
