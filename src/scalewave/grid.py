@@ -68,13 +68,17 @@ def laplacian_apply(grid: RadialGrid, u) -> np.ndarray:
     """Second-order discrete radial Laplacian u_rr + (n-1)/r u_r.
 
     At r = 0 the even extension u(-dr) = u(dr) gives the regularized value
-    n*u_rr(0); at r = r_max the exterior ghost value is 0 (Dirichlet
-    cut-off).
+    n*u_rr(0); beyond the last given node the ghost value is 0.  ``u`` may
+    be a prefix of the nodal values, of any length 2 <= m <= num_nodes.  At
+    m = num_nodes the ghost is the Dirichlet cut-off at r_max; for m smaller
+    and a profile that is 0 beyond the prefix, the last row is the interior
+    formula with u[m] = 0, so the result is the prefix of the full-grid
+    result bit for bit (up to the sign of a zero).
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != grid.r.shape:
-        raise ValueError(f"expected {grid.r.size} nodal values, got shape {u.shape}")
-    n, dr, r = grid.n, grid.dr, grid.r
+    if u.ndim != 1 or not 2 <= u.size <= grid.num_nodes:
+        raise ValueError(f"expected 2 to {grid.num_nodes} nodal values, got shape {u.shape}")
+    n, dr, r = grid.n, grid.dr, grid.r[: u.size]
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
     if n > 1:

@@ -107,6 +107,22 @@ class TestLaplacian:
         assert abs(asym) <= 50.0 * g.dr**2
         assert integrate(g, laplacian_apply(g, u) * u) < 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_prefix_matches_full_grid_bitwise(self, n):
+        # the last row of a prefix is the interior row with a zero ghost
+        g = make_radial_grid(n, 5.0, 0.05)
+        size = g.num_nodes
+        for m in (2, size // 2, size):
+            u = np.where(np.arange(size) < m, 1.5 + np.cos(3.0 * g.r), 0.0)
+            full = laplacian_apply(g, u)
+            assert laplacian_apply(g, u[:m]).tobytes() == full[:m].tobytes()
+
+    def test_prefix_length_checked(self):
+        g = make_radial_grid(1, 1.0, 0.1)
+        for bad in (np.zeros(1), np.zeros(g.num_nodes + 1), np.zeros((2, 2))):
+            with pytest.raises(ValueError):
+                laplacian_apply(g, bad)
+
 
 class TestRadialDerivative:
     def test_even_extension_at_origin(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,47 @@ class TestStep:
                 st = step(st, g, cfg)
             exact = 0.5 * math.sqrt(math.pi) * width * math.erf(2.0 / width)
             assert st.u_curr[0] == pytest.approx(exact, abs=10.0 * dr**2)
+
+
+class TestActiveWindow:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_windowed_steps_match_full_grid_bitwise(self, n, nonlinear):
+        g = make_radial_grid(n, 30.0, 0.05)
+        cfg = RunConfig(params=params(n=n, mu1=2.0, mu2sq=0.5, p=2.5), t_max=10.0,
+                        nonlinear=nonlinear, cfl_safety=0.5)
+        small = lambda r: 0.2 * bump(r)
+        windowed = init_state(g, small, small, cfg)
+        full = dataclasses.replace(windowed, active=g.num_nodes)
+        for _ in range(200):
+            windowed, full = step(windowed, g, cfg), step(full, g, cfg)
+            assert windowed.active < g.num_nodes
+            assert windowed.u_curr.tobytes() == full.u_curr.tobytes()
+            assert not windowed.diverged
+
+    def test_active_grows_by_one_per_step_capped(self):
+        g = make_radial_grid(1, 2.0, 0.05)
+        cfg = RunConfig(params=params(mu1=1.0, p=3.0), t_max=1.0)
+        st = init_state(g, lambda r: bump(6.0 * r), zero, cfg)
+        nonzero = np.flatnonzero((st.u_prev != 0.0) | (st.u_curr != 0.0))
+        assert st.active == nonzero[-1] + 1 < g.num_nodes
+        for _ in range(g.num_nodes):
+            nxt = step(st, g, cfg)
+            assert nxt.active == min(st.active + 1, g.num_nodes)
+            assert not nxt.u_curr[nxt.active:].any() and not nxt.u_prev[nxt.active:].any()
+            st = nxt
+        assert st.active == g.num_nodes
+
+    def test_zero_data_stay_zero(self):
+        g = make_radial_grid(1, 2.0, 0.05)
+        cfg = RunConfig(params=params(mu1=3.0, mu2sq=1.0, p=2.5), t_max=1.0)
+        st = init_state(g, zero, zero, cfg)
+        assert st.active == 0 and detect_blowup(st, 1.0) is None
+        for k in range(g.num_nodes + 5):
+            st = step(st, g, cfg)
+            assert st.active == min(k + 2, g.num_nodes)
+            assert not st.u_curr.any() and not st.diverged
+            assert detect_blowup(st, 1.0) is None
 
 
 class TestDetectBlowup:
