@@ -30,13 +30,7 @@ from .model import (
     shifted_dimension,
     weight_exponent,
 )
-from .functionals import (
-    NormSample,
-    to_comparison_frame,
-    weighted_energy,
-    weighted_lq,
-    weighted_quadrature,
-)
+from .functionals import to_comparison_frame, weighted_lq, weighted_norms, weighted_quadrature
 from .solver import (
     OUTCOME_BLOWUP,
     OUTCOME_COMPLETED,

@@ -177,13 +177,10 @@ def _data_profile(kind: str, amplitude: float, width: float) -> DataProfile:
 
 def write_run_csv(report: RunReport, path) -> None:
     """Serialize the recorded samples with the canonical column set."""
-    lines = [",".join(CSV_COLUMNS)]
-    for sample in report.samples:
-        cells = [format_float(sample.t)]
-        cells += [format_float(sample.values[key]) for key in SAMPLE_KEYS]
-        lines.append(",".join(cells))
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        for row in report.samples.tolist():
+            handle.write(",".join(map(format_float, row)) + "\n")
 
 
 def read_series_csv(path, column: str):
@@ -209,7 +206,7 @@ def _write_json(payload: dict, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _report_header(kind: str, seed: int) -> dict:
+def _report_header(kind: str, seed: int = 0) -> dict:
     return {"kind": kind, "seed": int(seed), "tool": f"scalewave {__version__}"}
 
 
@@ -345,7 +342,7 @@ def _cmd_odi(args) -> int:
     dt = cfg["dt"] if cfg["dt"] > 0.0 else None
     solution = solve(problem, dt)
     check = comparison_check(solution)
-    payload = _report_header("odi", args.seed)
+    payload = _report_header("odi")
     payload["problem"] = asdict(problem)
     payload["nu"] = solution.nu
     payload["life_span"] = solution.life_span
@@ -367,7 +364,7 @@ def _cmd_decay_fit(args) -> int:
         params = _model_params(cfg)
         log_factor = lambda tt: borderline_log_factor(params, tt)
     fit = fit_decay(t, v, (cfg["t_min"], hi), log_factor)
-    payload = _report_header("decay_fit", args.seed)
+    payload = _report_header("decay_fit")
     payload["column"] = cfg["column"]
     payload["fit"] = {
         "exponent": fit.exponent,
@@ -405,7 +402,7 @@ def _cmd_info(args) -> int:
             "log_correction": table.log_correction,
         }
     if args.out:
-        payload = _report_header("info", args.seed)
+        payload = _report_header("info")
         payload["params"] = {"n": params.n, "mu1": params.mu1,
                              "mu2sq": params.mu2sq, "p": params.p}
         payload["delta"] = regime.delta
@@ -433,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="override one config key (repeatable)")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
 
     common(sub.add_parser("simulate", help="one run, norm series to CSV"))
     sweep_p = sub.add_parser("sweep", help="(p, amplitude) sweep to CSV")
@@ -442,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="identity/inequality/comparison suites")
     verify_p.add_argument("suite", choices=["identities", "inequalities", "bihari"])
     common(verify_p)
+    verify_p.add_argument("--seed", type=int, default=0,
+                          help="seed of the sampled test points, recorded in the report")
     common(sub.add_parser("odi", help="blow-up comparison toolkit report"))
     fit_p = sub.add_parser("decay-fit", help="fit a decay exponent from a series CSV")
     fit_p.add_argument("csv", help="input CSV (as written by simulate)")

@@ -9,6 +9,11 @@ Overflow is judged on that combined exponent, never on the weight alone:
 a WeightOverflowError means the weighted integral itself cannot be
 represented, instead of being silently saturated.
 
+The recorder's three weighted quantities, the L2 norm of u, the norm of
+the pair (grad u, u_t) and the energy, all integrate squares against
+exp(2W); ``weighted_norms`` builds that exponent once and runs the three
+quadratures on it.
+
 The comparison frame rescales the solution by (1+t)^((mu1-1)/2 -
 sqrt(delta)/2); in that frame the mass term drops out and the spatial
 integral of the rescaled solution obeys the blow-up comparison inequality
@@ -18,7 +23,6 @@ implemented in the odi module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +34,6 @@ from .model import ModelParams, coefficients, discriminant, weight_exponent
 # about 1e260, leaves headroom below the float overflow at exp(709) for the
 # weighted sum.
 EXPONENT_BUDGET = 600.0
-
-
-@dataclass(frozen=True)
-class NormSample:
-    """One time slice of recorded norms/energies; values keyed by name."""
-
-    t: float
-    values: dict
 
 
 def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
@@ -78,9 +74,11 @@ def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: 
     return weighted_quadrature(grid, expo, density) ** (1.0 / q)
 
 
-def weighted_energy(grid: RadialGrid, u, u_t, u_r, params: ModelParams, t: float) -> float:
-    """(1/2) * integral of exp(2W) * (u_t^2 + |grad u|^2 + m^2(t) u^2).
+def weighted_norms(grid: RadialGrid, u, u_t, u_r, params: ModelParams, t: float):
+    """(wl2, wgrad_l2, wenergy): the recorder's norms under the weight exp(2W).
 
+    wl2 = ||exp(W) u||_2, wgrad_l2 = ||exp(W) (grad u, u_t)||_2 and
+    wenergy = (1/2) * integral of exp(2W) * (u_t^2 + |grad u|^2 + m^2(t) u^2).
     ``u_t`` is expected from the centered two-level difference of the wave
     state, ``u_r`` from the centered radial difference.
     """
@@ -88,17 +86,13 @@ def weighted_energy(grid: RadialGrid, u, u_t, u_r, params: ModelParams, t: float
     u_t = np.asarray(u_t, dtype=float)
     u_r = np.asarray(u_r, dtype=float)
     _, m_sq = coefficients(params, t)
-    density = u_t**2 + u_r**2 + m_sq * u**2
     expo = 2.0 * weight_exponent(params, t, grid.r**2)
-    return 0.5 * weighted_quadrature(grid, expo, density)
-
-
-def weighted_gradient_norm(grid: RadialGrid, u_r, u_t, params: ModelParams, t: float) -> float:
-    """L2 norm of exp(W)*(grad u, u_t) as a joint space-time gradient pair."""
-    u_r = np.asarray(u_r, dtype=float)
-    u_t = np.asarray(u_t, dtype=float)
-    expo = 2.0 * weight_exponent(params, t, grid.r**2)
-    return math.sqrt(weighted_quadrature(grid, expo, u_r**2 + u_t**2))
+    u_sq = u * u
+    grad_sq = u_r * u_r + u_t * u_t
+    wl2 = weighted_quadrature(grid, expo, u_sq) ** (1.0 / 2.0)
+    wgrad_l2 = math.sqrt(weighted_quadrature(grid, expo, grad_sq))
+    wenergy = 0.5 * weighted_quadrature(grid, expo, grad_sq + m_sq * u_sq)
+    return wl2, wgrad_l2, wenergy
 
 
 def comparison_frame_factor(params: ModelParams, t: float) -> float:

@@ -15,8 +15,10 @@ evaluated pointwise at the current level; no inner iteration is needed.
 
 Runs start at an arbitrary initial time s >= 0 (the clock simply starts at
 t = s) and stop at T_max, on divergence, or when the sup-norm blow-up
-detector fires.  One run is strictly sequential; distinct runs share no
-mutable state and may execute in parallel.
+detector fires.  Only a nonlinear run can blow up: a linear run on which
+the detector fires is reported as diverged.  One run is strictly
+sequential; distinct runs share no mutable state and may execute in
+parallel.
 
 Active window: the stencil has three points and 0**p == 0, so a node can
 turn nonzero only next to a nonzero node, and the front of nonzero values
@@ -26,6 +28,10 @@ advances only the first ``active + 1`` nodes, with the same arithmetic in
 the same order as on the whole grid, so results are bit for bit those of
 full-grid stepping while the cost follows the region the data have
 reached.  The recorder still integrates over the whole grid.
+
+Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, and a run
+stacks its rows into one float64 array, so series and CSV columns are
+views of the same numbers.
 """
 
 from __future__ import annotations
@@ -36,13 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import (
-    NormSample,
-    to_comparison_frame,
-    weighted_energy,
-    weighted_gradient_norm,
-    weighted_lq,
-)
+from .functionals import to_comparison_frame, weighted_norms
 from .grid import RadialGrid, integrate, laplacian_apply, radial_derivative
 from .model import ModelParams, coefficients, discriminant
 
@@ -103,18 +103,20 @@ class WaveState:
 
 @dataclass
 class RunReport:
-    """Time series of recorded norms plus the run outcome."""
+    """Time series of recorded norms plus the run outcome.
+
+    ``samples`` is a float64 array with one row per recorded sample and the
+    columns ``t`` then ``SAMPLE_KEYS``.
+    """
 
     config: RunConfig
-    samples: list
+    samples: np.ndarray
     outcome: str
     blowup_time: float | None = None
 
     def series(self, key: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return (times, values) arrays for one recorded quantity."""
-        t = np.array([s.t for s in self.samples])
-        v = np.array([s.values[key] for s in self.samples])
-        return t, v
+        """Return (times, values) column views for one recorded quantity."""
+        return self.samples[:, 0], self.samples[:, 1 + SAMPLE_KEYS.index(key)]
 
 
 def cfl_dt(grid: RadialGrid, cfl_safety: float) -> float:
@@ -228,19 +230,18 @@ def detect_blowup(state: WaveState, threshold: float) -> float | None:
 
 
 def _record(grid: RadialGrid, params: ModelParams, t: float, u: np.ndarray,
-            u_t: np.ndarray, frame_ok: bool) -> NormSample:
+            u_t: np.ndarray, frame_ok: bool) -> tuple[float, ...]:
+    """One sample row: t, then the values of SAMPLE_KEYS."""
     u_r = radial_derivative(grid, u)
-    values = {
-        "sup": float(np.max(np.abs(u))),
-        "l2": math.sqrt(max(integrate(grid, u * u), 0.0)),
-        "grad_l2": math.sqrt(max(integrate(grid, u_r * u_r), 0.0)),
-        "ut_l2": math.sqrt(max(integrate(grid, u_t * u_t), 0.0)),
-        "wl2": weighted_lq(grid, u, params, 1.0, t, 2.0),
-        "wgrad_l2": weighted_gradient_norm(grid, u_r, u_t, params, t),
-        "wenergy": weighted_energy(grid, u, u_t, u_r, params, t),
-        "F": integrate(grid, to_comparison_frame(u, t, params)) if frame_ok else math.nan,
-    }
-    return NormSample(t=t, values=values)
+    return (
+        t,
+        float(np.max(np.abs(u))),
+        math.sqrt(max(integrate(grid, u * u), 0.0)),
+        math.sqrt(max(integrate(grid, u_r * u_r), 0.0)),
+        math.sqrt(max(integrate(grid, u_t * u_t), 0.0)),
+        *weighted_norms(grid, u, u_t, u_r, params, t),
+        integrate(grid, to_comparison_frame(u, t, params)) if frame_ok else math.nan,
+    )
 
 
 def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
@@ -249,7 +250,9 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
     Samples are taken every ``record_every`` steps (plus the initial and
     final levels) with the time derivative from the centered two-level
     difference.  The comparison-frame integral F is recorded as NaN when
-    the discriminant is negative and the frame does not exist.
+    the discriminant is negative and the frame does not exist.  When the
+    blow-up detector fires on a linear run, the outcome is ``diverged``, not
+    ``blowup``: a linear solution cannot blow up, so the scheme is unstable.
     """
     params = config.params
     state = init_state(grid, u0, u1, config)
@@ -257,7 +260,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
     steps = num_steps(grid, config)
     frame_ok = discriminant(params) >= 0.0
 
-    samples = [_record(grid, params, config.s, state.u_prev, _sample_profile(u1, grid.r), frame_ok)]
+    rows = [_record(grid, params, config.s, state.u_prev, _sample_profile(u1, grid.r), frame_ok)]
     outcome = OUTCOME_COMPLETED
     blowup_time = None
 
@@ -269,7 +272,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
                 u_t = (state.u_curr - state.u_prev) / dt
             else:
                 u_t = (nxt.u_curr - state.u_prev) / (2.0 * dt)
-            samples.append(_record(grid, params, state.t, state.u_curr, u_t, frame_ok))
+            rows.append(_record(grid, params, state.t, state.u_curr, u_t, frame_ok))
         if final:
             break
         if nxt.diverged:
@@ -277,9 +280,12 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
             break
         fired = detect_blowup(nxt, config.blowup_threshold)
         if fired is not None:
-            outcome = OUTCOME_BLOWUP
-            blowup_time = fired
+            if config.nonlinear:
+                outcome, blowup_time = OUTCOME_BLOWUP, fired
+            else:
+                outcome = OUTCOME_DIVERGED
             break
         state = nxt
 
-    return RunReport(config=config, samples=samples, outcome=outcome, blowup_time=blowup_time)
+    return RunReport(config=config, samples=np.array(rows, dtype=np.float64), outcome=outcome,
+                     blowup_time=blowup_time)

@@ -10,10 +10,16 @@ from scalewave.analysis import (
     odi_crosscheck,
     sweep,
 )
-from scalewave.functionals import NormSample
 from scalewave.grid import make_radial_grid
 from scalewave.model import ModelParams, borderline_log_factor
-from scalewave.solver import OUTCOME_BLOWUP, OUTCOME_COMPLETED, RunConfig, RunReport, run
+from scalewave.solver import (
+    OUTCOME_BLOWUP,
+    OUTCOME_COMPLETED,
+    SAMPLE_KEYS,
+    RunConfig,
+    RunReport,
+    run,
+)
 
 
 def bump(r):
@@ -22,10 +28,10 @@ def bump(r):
 
 def make_report(t, values_by_key, outcome=OUTCOME_COMPLETED, blowup_time=None, t_max=10.0):
     config = RunConfig(params=ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0), t_max=t_max)
-    samples = [
-        NormSample(t=float(ti), values={k: float(v[i]) for k, v in values_by_key.items()})
-        for i, ti in enumerate(t)
-    ]
+    samples = np.full((len(t), 1 + len(SAMPLE_KEYS)), np.nan)
+    samples[:, 0] = t
+    for key, values in values_by_key.items():
+        samples[:, 1 + SAMPLE_KEYS.index(key)] = values
     return RunReport(config=config, samples=samples, outcome=outcome, blowup_time=blowup_time)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scalewave.cli import (
+    CSV_COLUMNS,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
@@ -13,7 +14,11 @@ from scalewave.cli import (
     format_float,
     parse_and_dispatch,
     read_series_csv,
+    write_run_csv,
 )
+from scalewave.grid import make_radial_grid
+from scalewave.model import ModelParams
+from scalewave.solver import RunConfig, run
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +97,30 @@ class TestSimulate:
         for column in ("wl2", "wgrad_l2", "wenergy"):
             _, vals = read_series_csv(out, column)
             assert vals.size > 1 and np.all(np.isfinite(vals))
+
+    def test_unstable_linear_run_exits_diverged(self, tmp_path, capsys):
+        # default cfl_safety 0.9 is above the n = 3 leapfrog bound
+        out = tmp_path / "n3.csv"
+        code = parse_and_dispatch(
+            ["simulate", "--set", "n=3", "--set", "mu1=6", "--set", "nonlinear=false",
+             "--set", "t_max=20", "--set", "r_max=40", "--out", str(out)]
+        )
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().out == "outcome: diverged\n"
+
+    def test_csv_round_trips_every_series_bitwise(self, tmp_path):
+        g = make_radial_grid(2, 12.0, 0.1)
+        cfg = RunConfig(params=ModelParams(n=2, mu1=3.0, mu2sq=0.5, p=2.5), t_max=2.0,
+                        cfl_safety=0.8, record_every=3)
+        report = run(g, lambda r: np.exp(-((r / 0.6) ** 2)), lambda r: 0.0 * r, cfg)
+        out = tmp_path / "run.csv"
+        write_run_csv(report, out)
+        assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+        for key in CSV_COLUMNS[1:]:
+            t, values = report.series(key)
+            t_csv, values_csv = read_series_csv(out, key)
+            assert np.array_equal(t_csv, t)
+            assert np.array_equal(values_csv, values)
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -196,6 +225,15 @@ class TestErrors:
         assert parse_and_dispatch([]) == EXIT_USAGE
         # only sweep fans out, so only sweep takes --jobs
         assert parse_and_dispatch(["info", "--jobs", "2"]) == EXIT_USAGE
+
+    def test_seed_only_on_verify(self, tmp_path, schema):
+        # only the verify suites draw random test points
+        assert parse_and_dispatch(["simulate", "--seed", "1"]) == EXIT_USAGE
+        for command in (["sweep"], ["odi"], ["info"], ["decay-fit", "x.csv"]):
+            assert parse_and_dispatch(command + ["--seed", "1"]) == EXIT_USAGE
+        out = tmp_path / "odi.json"
+        assert parse_and_dispatch(["odi", "--out", str(out)]) == EXIT_OK
+        assert validate(out, schema)["seed"] == 0
 
     def test_unknown_key_rejected(self):
         assert parse_and_dispatch(["info", "--set", "nope=3"]) == EXIT_CONFIG

@@ -9,12 +9,12 @@ from scalewave.errors import RegimeError, WeightOverflowError
 from scalewave.functionals import (
     comparison_frame_factor,
     to_comparison_frame,
-    weighted_energy,
     weighted_lq,
+    weighted_norms,
     weighted_quadrature,
 )
 from scalewave.grid import integrate, make_radial_grid, radial_derivative
-from scalewave.model import ModelParams
+from scalewave.model import ModelParams, coefficients, weight_exponent
 
 
 def params(n=1, mu1=1.0, mu2sq=0.0, p=2.0):
@@ -117,17 +117,17 @@ class TestWeightedLq:
 class TestWeightedEnergy:
     def test_zero_state(self, grid):
         z = np.zeros_like(grid.r)
-        assert weighted_energy(grid, z, z, z, params(mu2sq=1.0), 0.0) == 0.0
+        assert weighted_norms(grid, z, z, z, params(mu2sq=1.0), 0.0)[2] == 0.0
 
     def test_massless_drops_mass_term(self, grid):
         u = np.exp(-grid.r**2)
         z = np.zeros_like(grid.r)
         u_r = radial_derivative(grid, u)
-        with_mass = weighted_energy(grid, u, z, u_r, params(mu1=1.0, mu2sq=1.0), 0.0)
-        without = weighted_energy(grid, u, z, u_r, params(mu1=1.0, mu2sq=0.0), 0.0)
+        with_mass = weighted_norms(grid, u, z, u_r, params(mu1=1.0, mu2sq=1.0), 0.0)[2]
+        without = weighted_norms(grid, u, z, u_r, params(mu1=1.0, mu2sq=0.0), 0.0)[2]
         assert without < with_mass
         # removing the solution values entirely leaves the gradient part only
-        grad_only = weighted_energy(grid, z, z, u_r, params(mu1=1.0, mu2sq=1.0), 0.0)
+        grad_only = weighted_norms(grid, z, z, u_r, params(mu1=1.0, mu2sq=1.0), 0.0)[2]
         assert grad_only == pytest.approx(without, rel=1e-13)
 
     def test_static_gaussian_refined_oracle(self):
@@ -139,9 +139,28 @@ class TestWeightedEnergy:
             u = np.exp(-g.r**2)
             z = np.zeros_like(g.r)
             u_r = -2.0 * g.r * np.exp(-g.r**2)
-            return weighted_energy(g, u, z, u_r, p, 0.0)
+            return weighted_norms(g, u, z, u_r, p, 0.0)[2]
 
         assert value(coarse) == pytest.approx(value(fine), rel=1e-8)
+
+
+class TestWeightedNorms:
+    def test_one_exponent_matches_separate_quadratures_bitwise(self):
+        # massive n = 2 state at t > 0: each value carries the bits of its own
+        # quadrature with its own weight exponent
+        g = make_radial_grid(2, 12.0, 0.05)
+        p = params(n=2, mu1=3.0, mu2sq=2.0)
+        t = 1.5
+        u = 0.8 * np.exp(-((g.r / 0.5) ** 2))
+        u_t = -1.3 * g.r * np.exp(-((g.r / 0.6) ** 2))
+        u_r = radial_derivative(g, u)
+        wl2, wgrad_l2, wenergy = weighted_norms(g, u, u_t, u_r, p, t)
+        expo = 2.0 * weight_exponent(p, t, g.r**2)
+        m_sq = coefficients(p, t)[1]
+        assert wl2 == weighted_lq(g, u, p, 1.0, t, 2.0)
+        assert wgrad_l2 == math.sqrt(weighted_quadrature(g, expo, u_r**2 + u_t**2))
+        assert wenergy == 0.5 * weighted_quadrature(g, expo, u_t**2 + u_r**2 + m_sq * u**2)
+        assert wenergy > 0.5 * wgrad_l2**2 > 0.0
 
 
 class TestComparisonFrame:

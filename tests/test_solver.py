@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from scalewave.cli import CSV_COLUMNS
+from scalewave.functionals import weighted_lq
 from scalewave.grid import make_radial_grid
 from scalewave.model import ModelParams
 from scalewave.solver import (
     OUTCOME_BLOWUP,
     OUTCOME_COMPLETED,
+    OUTCOME_DIVERGED,
     RunConfig,
     SupportViolationWarning,
     WaveState,
@@ -284,3 +287,40 @@ class TestRun:
         rep = run(g, zero, bump, cfg)
         assert rep.outcome == OUTCOME_COMPLETED
         assert rep.series("l2")[0][0] == 5.0
+
+    def test_samples_are_one_float64_array_in_csv_column_order(self):
+        g = make_radial_grid(1, 20.0, 0.1)
+        cfg = RunConfig(params=params(mu1=2.0, mu2sq=0.2), t_max=3.0, nonlinear=False,
+                        record_every=4)
+        rep = run(g, bump, zero, cfg)
+        assert isinstance(rep.samples, np.ndarray) and rep.samples.dtype == np.float64
+        assert rep.samples.shape == (num_steps(g, cfg) // 4 + 2, len(CSV_COLUMNS))
+        for column, key in enumerate(CSV_COLUMNS[1:], start=1):
+            t, values = rep.series(key)
+            assert np.shares_memory(t, rep.samples) and np.shares_memory(values, rep.samples)
+            assert np.array_equal(t, rep.samples[:, 0])
+            assert np.array_equal(values, rep.samples[:, column])
+
+    def test_recorded_wl2_is_weighted_lq_bitwise(self):
+        # massive nonlinear n = 2 run; the clock starts at s = 1 so the weight
+        # exponent is not that of t = 0 at any sample
+        g = make_radial_grid(2, 15.0, 0.05)
+        p = params(n=2, mu1=3.0, mu2sq=2.0, p=2.5)
+        cfg = RunConfig(params=p, s=1.0, t_max=2.0, cfl_safety=0.8, record_every=5)
+        rep = run(g, bump, bump, cfg)
+        t, wl2 = rep.series("wl2")
+        st = init_state(g, bump, bump, cfg)
+        assert wl2[0] == weighted_lq(g, st.u_prev, p, 1.0, t[0], 2.0)
+        for _ in range(4):
+            st = step(st, g, cfg)
+        assert st.t == t[1]
+        assert wl2[1] == weighted_lq(g, st.u_curr, p, 1.0, t[1], 2.0)
+
+    def test_unstable_linear_run_is_diverged_not_blowup(self):
+        # cfl_safety 0.9 exceeds the leapfrog bound in n = 3 (about 0.816); a
+        # linear solution cannot blow up, so the exploding sup-norm is divergence
+        g = make_radial_grid(3, 40.0, 0.05)
+        cfg = RunConfig(params=params(n=3, mu1=6.0), t_max=20.0, nonlinear=False)
+        rep = run(g, lambda r: np.exp(-((r / 0.4) ** 2)), zero, cfg)
+        assert rep.outcome == OUTCOME_DIVERGED
+        assert rep.blowup_time is None
