@@ -14,6 +14,7 @@ scale.
 
 __version__ = "0.1.0"
 
+from .checks import CheckReport
 from .errors import RegimeError, WeightOverflowError
 from .grid import RadialGrid, integrate, laplacian_apply, make_radial_grid, radial_derivative
 from .model import (
@@ -44,7 +45,7 @@ from .solver import (
     run,
     step,
 )
-from .verify import CheckReport, RadialProfile, bihari_check, standard_family
+from .verify import RadialProfile, bihari_check, standard_family
 from .odi import OdiProblem, OdiSolution, comparison_check, comparison_function, life_span, select_nu
 from .analysis import (
     DecayFit,

@@ -8,11 +8,11 @@ epistemic limit of a desk-scale run.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import CheckReport
 from .grid import RadialGrid
 from .model import ModelParams, discriminant, regime_check, shifted_dimension
 from .odi import OdiProblem, life_span, select_nu
@@ -23,7 +23,6 @@ from .solver import (
     RunReport,
     run,
 )
-from .verify import CheckReport
 
 GLOBAL_LOOKING = "global-looking"
 UNDECIDED = "undecided"
@@ -174,6 +173,8 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
     ]
     if jobs <= 1:
         return [_sweep_one(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_sweep_one, tasks))
 

@@ -28,11 +28,12 @@ Two protocols deserve a note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .checks import CheckReport
 from .errors import WeightOverflowError
 from .functionals import weighted_quadrature
 from .grid import RadialGrid, integrate
@@ -48,36 +49,6 @@ from .model import (
 )
 
 INEQUALITY_MARGIN = 1.01
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one verification check.
-
-    ``worst`` is the largest residual or ratio seen across the cases;
-    ``passed`` holds iff it is within the tolerance.  ``skipped`` marks
-    checks that were not applicable to the inputs at all.
-    """
-
-    check_id: str
-    n_cases: int
-    worst: float
-    tolerance: float
-    passed: bool
-    notes: list = field(default_factory=list)
-    skipped: bool = False
-
-    def to_dict(self) -> dict:
-        worst = float(self.worst)
-        return {
-            "check_id": self.check_id,
-            "n_cases": int(self.n_cases),
-            "worst": worst if math.isfinite(worst) else None,
-            "tolerance": float(self.tolerance),
-            "passed": bool(self.passed),
-            "skipped": bool(self.skipped),
-            "notes": [str(note) for note in self.notes],
-        }
 
 
 @dataclass(frozen=True)
@@ -392,18 +363,18 @@ def check_weighted_gradient_bound(family: Sequence[RadialProfile], params: Model
         sigma*mu1*n*(1+t)^-2 ||e^(sW) v||^2 + ||grad(e^(sW) v)||^2 <= ||e^(sW) grad v||^2.
 
     Each case is evaluated by quadrature with closed-form v and grad v; the
-    pass condition allows the quadrature margin on the ratio.
+    pass condition allows the quadrature margin on the ratio.  Each member
+    is evaluated on the grid once; the values serve every (sigma, t).
     """
     worst = -math.inf
     n_cases = 0
     notes: list[str] = []
+    profiles = [(member.value(grid.r), member.derivative(grid.r)) for member in family]
     for sigma in sigmas:
         for t in times:
             expo = 2.0 * sigma * weight_exponent(params, t, grid.r**2)
             w_r = weight_exponent_dr(params, t, grid.r)
-            for k, member in enumerate(family):
-                v = member.value(grid.r)
-                v_r = member.derivative(grid.r)
+            for k, (v, v_r) in enumerate(profiles):
                 try:
                     lhs_norm_sq = weighted_quadrature(grid, expo, v * v)
                     grad_weighted = weighted_quadrature(grid, expo, (sigma * w_r * v + v_r) ** 2)

@@ -203,3 +203,86 @@ class TestSolve:
         assert sol.blowup_time <= sol.life_span  # dominance forces earlier blow-up
         assert sol.t.size == sol.f.size == sol.df.size
         assert sol.comparison_at(0.0) == pytest.approx(STANDARD.f0)
+
+
+# The RK4 loop as it stood before its coefficients were computed once per
+# distinct time, kept verbatim as the bitwise reference for integrate_odi.
+def _acceleration(problem: OdiProblem, t: float, f: float, df: float) -> float:
+    try:
+        source = problem.k1 * (1.0 + t) ** problem.alpha * abs(f) ** problem.p
+    except OverflowError:
+        # a stage value already left the float range: the step is blowing up
+        source = math.inf
+    return -problem.k0 / (1.0 + t) * df + source
+
+
+def reference_integrate_odi(problem, dt, t_max=None, cutoff=1e12, max_steps=20_000_000):
+    if t_max is None:
+        t_max = 10.0 * life_span(problem, select_nu(problem))
+    ts = [0.0]
+    fs = [problem.f0]
+    dfs = [problem.df0]
+    t, f, df = 0.0, problem.f0, problem.df0
+    blowup_time = None
+    steps = 0
+    while t < t_max and steps < max_steps:
+        steps += 1
+        k1f = df
+        k1d = _acceleration(problem, t, f, df)
+        k2f = df + 0.5 * dt * k1d
+        k2d = _acceleration(problem, t + 0.5 * dt, f + 0.5 * dt * k1f, k2f)
+        k3f = df + 0.5 * dt * k2d
+        k3d = _acceleration(problem, t + 0.5 * dt, f + 0.5 * dt * k2f, k3f)
+        k4f = df + dt * k3d
+        k4d = _acceleration(problem, t + dt, f + dt * k3f, k4f)
+        f = f + dt / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        df = df + dt / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        t = t + dt
+        if not (math.isfinite(f) and math.isfinite(df)) or f > cutoff:
+            blowup_time = t
+            break
+        ts.append(t)
+        fs.append(f)
+        dfs.append(df)
+    return np.array(ts), np.array(fs), np.array(dfs), blowup_time
+
+
+OVERFLOWING = OdiProblem(k0=1.0, k1=1.0, alpha=0.0, p=4.0, f0=1.0, df0=1.0)
+
+
+class TestRk4KernelBitwise:
+    CASES = {
+        "standard": (STANDARD, dict(dt=1e-3)),
+        "alpha=-2": (OdiProblem(k0=1.5, k1=2.0, alpha=-2.0, p=2.5, f0=0.5, df0=0.7), dict(dt=1e-2)),
+        "alpha=0": (OdiProblem(k0=2.0, k1=0.5, alpha=0.0, p=2.0, f0=0.8, df0=0.4), dict(dt=1e-2)),
+        "alpha=-1.3": (OdiProblem(k0=0.7, k1=3.1, alpha=-1.3, p=3.7, f0=0.4, df0=1.9), dict(dt=3e-3)),
+        "k1=0": (OdiProblem(k0=4.0, k1=0.0, alpha=-2.0, p=3.0, f0=1.0, df0=1.0),
+                 dict(dt=1e-2, t_max=20.0)),
+        "t_max cut": (STANDARD, dict(dt=7e-3, t_max=2.5)),
+        "max_steps cut": (STANDARD, dict(dt=1e-3, max_steps=1234)),
+        "overflow exit": (OVERFLOWING, dict(dt=0.01, t_max=10.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_reference_loop_bitwise(self, name):
+        problem, kwargs = self.CASES[name]
+        t, f, df, blow = integrate_odi(problem, **kwargs)
+        t_ref, f_ref, df_ref, blow_ref = reference_integrate_odi(problem, **kwargs)
+        assert t.tobytes() == t_ref.tobytes()
+        assert f.tobytes() == f_ref.tobytes()
+        assert df.tobytes() == df_ref.tobytes()
+        assert blow == blow_ref
+
+    def test_cut_offs_stop_where_documented(self):
+        t, _, _, blow = integrate_odi(STANDARD, dt=7e-3, t_max=2.5)
+        assert blow is None and t[-2] < 2.5 <= t[-1]
+        t, _, _, blow = integrate_odi(STANDARD, dt=1e-3, max_steps=1234)
+        assert blow is None and t.size == 1235
+
+    def test_stage_overflow_ends_the_trajectory_one_step_on(self):
+        # |F|^p overflows inside the step from t = 1.04; nothing of that step is kept
+        t, f, df, blow = integrate_odi(OVERFLOWING, dt=0.01, t_max=10.0)
+        assert t.size == f.size == df.size == 105
+        assert blow == 1.0500000000000007
+        assert blow == t[-1] + 0.01
+

@@ -185,6 +185,32 @@ class TestWeightedGradientBound:
         assert rep.n_cases == 0  # 0 <= 0 carries no ratio information
 
 
+class CountingProfile:
+    """A family member that counts its grid evaluations."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.calls = {"value": 0, "derivative": 0}
+
+    def value(self, r):
+        self.calls["value"] += 1
+        return self.profile.value(r)
+
+    def derivative(self, r):
+        self.calls["derivative"] += 1
+        return self.profile.derivative(r)
+
+
+class TestWeightedGradientBoundEvaluation:
+    def test_each_member_evaluated_once(self, family):
+        grid = make_radial_grid(2, 40.0, 0.05)
+        counted = [CountingProfile(member) for member in family[:4]]
+        args = (params(n=2, mu1=1.0), (0.25, 0.5, 1.0), (0.0, 1.0, 4.0, 9.0), grid)
+        rep = check_weighted_gradient_bound(counted, *args)
+        assert [m.calls for m in counted] == [{"value": 1, "derivative": 1}] * 4
+        assert rep.to_dict() == check_weighted_gradient_bound(family[:4], *args).to_dict()
+        assert rep.n_cases == 4 * 12
+
 class TestEmbeddings:
     def test_family_passes(self, family):
         for n in (1, 2, 3):
