@@ -54,6 +54,5 @@ from .analysis import (
     UNDECIDED,
     classify_run,
     fit_decay,
-    odi_crosscheck,
     sweep,
 )

@@ -27,7 +27,7 @@ from . import __version__
 from .analysis import fit_decay, sweep
 from .errors import RegimeError, WeightOverflowError
 from .grid import make_radial_grid
-from .model import ModelParams, decay_exponents, discriminant, regime_check
+from .model import ModelParams, decay_exponents, regime_check
 from .odi import OdiProblem, comparison_check, solve
 from .solver import OUTCOME_DIVERGED, RunConfig, RunReport, SAMPLE_KEYS, run
 from .verify import (
@@ -119,7 +119,10 @@ def _coerce(key: str, value, target_type):
             value = json.loads(value)
         if not isinstance(value, list):
             raise ConfigError(f"key {key!r}: expected a list, got {value!r}")
-        return [float(v) for v in value]
+        return [_coerce(key, v, float) for v in value]
+    if isinstance(value, bool) or (target_type is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"key {key!r}: expected {target_type.__name__}, got {value!r}")
     try:
         return target_type(value)
     except (TypeError, ValueError) as exc:
@@ -258,17 +261,18 @@ def _cmd_sweep(args) -> int:
             row.outcome,
             format_float(row.blowup_time) if row.blowup_time is not None else "",
             format_float(row.l2_exponent) if row.l2_exponent is not None else "",
-            format_float(row.p_crit) if row.p_crit is not None else "",
-            str(row.global_existence_applicable).lower(),
-            str(row.blowup_range_applicable).lower(),
-            format_float(discriminant(row.params)),
+            format_float(row.regime.p_crit) if row.regime.p_crit is not None else "",
+            str(row.regime.global_existence_applicable).lower(),
+            str(row.regime.blowup_range_applicable).lower(),
+            format_float(row.regime.delta),
         ]
         lines.append(",".join(cells))
     out = args.out or "sweep.csv"
     with open(out, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows -> {out}")
-    return EXIT_OK
+    diverged = any(row.outcome == OUTCOME_DIVERGED for row in rows)
+    return EXIT_DIVERGED if diverged else EXIT_OK
 
 
 def _verify_identities(cfg: dict, seed: int) -> list:

@@ -181,7 +181,7 @@ def test_criterion_04_global_looking_above_critical(grid230):
     t, l2 = report.series("l2")
     fit = fit_decay(t, l2, (20.0, 200.0))
     assert fit.exponent == pytest.approx(-0.5, abs=0.2)
-    assert classify_run(report) == GLOBAL_LOOKING
+    assert classify_run(report)[0] == GLOBAL_LOOKING
     verdict("4 global-looking above critical",
             f"weighted gradient ratio {ratio:.3f}, l2 fit {fit.exponent:.3f}")
 

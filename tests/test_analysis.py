@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+import scalewave.analysis
 from scalewave.analysis import (
-    ClassificationCriteria,
     GLOBAL_LOOKING,
     UNDECIDED,
     classify_run,
     fit_decay,
-    odi_crosscheck,
     sweep,
 )
 from scalewave.grid import make_radial_grid
@@ -15,6 +14,7 @@ from scalewave.model import ModelParams, borderline_log_factor
 from scalewave.solver import (
     OUTCOME_BLOWUP,
     OUTCOME_COMPLETED,
+    OUTCOME_DIVERGED,
     SAMPLE_KEYS,
     RunConfig,
     RunReport,
@@ -63,6 +63,11 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(t, np.ones_like(t), (9.99, 10.0))  # too few samples
 
+    def test_single_distinct_time_rejected(self):
+        t = np.full(8, 5.0)
+        with pytest.raises(ValueError, match="single distinct time"):
+            fit_decay(t, np.linspace(1.0, 0.5, 8), (4.0, 5.5))
+
 
 class TestClassifyRun:
     def test_blowup_report(self):
@@ -70,37 +75,56 @@ class TestClassifyRun:
         ones = np.ones_like(t)
         rep = make_report(t, {"l2": ones, "wgrad_l2": ones},
                           outcome=OUTCOME_BLOWUP, blowup_time=3.0)
-        assert classify_run(rep) == OUTCOME_BLOWUP
+        assert classify_run(rep)[0] == OUTCOME_BLOWUP
 
     def test_zero_data_global_looking(self):
         t = np.linspace(0.0, 10.0, 20)
         zeros = np.zeros_like(t)
         rep = make_report(t, {"l2": zeros, "wgrad_l2": zeros})
-        assert classify_run(rep) == GLOBAL_LOOKING
+        assert classify_run(rep)[0] == GLOBAL_LOOKING
 
     def test_growing_weighted_energy_undecided(self):
         t = np.linspace(0.0, 10.0, 30)
         l2 = (1.0 + t) ** -0.5
         wgrad = 1.0 + 5.0 * t  # factor ~50 growth
         rep = make_report(t, {"l2": l2, "wgrad_l2": wgrad})
-        assert classify_run(rep) == UNDECIDED
+        assert classify_run(rep)[0] == UNDECIDED
 
     def test_decaying_run_global_looking(self):
         t = np.linspace(0.0, 10.0, 50)
         rep = make_report(t, {"l2": (1.0 + t) ** -0.5, "wgrad_l2": np.ones_like(t)})
-        assert classify_run(rep) == GLOBAL_LOOKING
+        assert classify_run(rep)[0] == GLOBAL_LOOKING
 
     def test_growing_l2_undecided(self):
         t = np.linspace(0.0, 10.0, 50)
         rep = make_report(t, {"l2": 1.0 + t, "wgrad_l2": np.ones_like(t)})
-        assert classify_run(rep) == UNDECIDED
+        assert classify_run(rep)[0] == UNDECIDED
 
     def test_custom_bound(self):
         t = np.linspace(0.0, 10.0, 50)
         rep = make_report(t, {"l2": (1.0 + t) ** -0.5, "wgrad_l2": 1.0 + 0.2 * t})
-        assert classify_run(rep) == GLOBAL_LOOKING
-        tight = ClassificationCriteria(energy_growth_bound=1.5)
-        assert classify_run(rep, tight) == UNDECIDED
+        assert classify_run(rep)[0] == GLOBAL_LOOKING
+
+    def test_global_looking_carries_its_fit(self):
+        t = np.linspace(0.0, 10.0, 50)
+        rep = make_report(t, {"l2": (1.0 + t) ** -0.5, "wgrad_l2": np.ones_like(t)})
+        label, fit = classify_run(rep)
+        assert label == GLOBAL_LOOKING
+        assert fit.window == (1.0, 10.0)
+        assert fit.exponent == pytest.approx(-0.5, abs=1e-9)
+        rep = make_report(t, {"l2": 1.0 + t, "wgrad_l2": np.ones_like(t)})
+        assert classify_run(rep) == (UNDECIDED, None)
+
+    def test_diverged_run_keeps_its_outcome(self):
+        t = np.linspace(0.0, 3.0, 10)
+        ones = np.ones_like(t)
+        rep = make_report(t, {"l2": ones, "wgrad_l2": ones}, outcome=OUTCOME_DIVERGED)
+        assert classify_run(rep) == (OUTCOME_DIVERGED, None)
+
+    def test_single_distinct_time_in_window_undecided(self):
+        t = np.array([0.0] + [5.0] * 8)
+        rep = make_report(t, {"l2": np.linspace(1.0, 0.5, 9), "wgrad_l2": np.ones_like(t)})
+        assert classify_run(rep) == (UNDECIDED, None)
 
 
 class TestSweep:
@@ -121,9 +145,9 @@ class TestSweep:
         by_cell = {(r.params.p, r.amplitude): r for r in rows}
         assert by_cell[(1.5, 1.0)].outcome == OUTCOME_BLOWUP
         assert by_cell[(1.5, 1.0)].blowup_time is not None
-        assert all(r.p_crit == pytest.approx(3.0) for r in rows)
-        assert by_cell[(4.0, 1.0)].global_existence_applicable
-        assert by_cell[(1.5, 1.0)].blowup_range_applicable
+        assert all(r.regime.p_crit == pytest.approx(3.0) for r in rows)
+        assert by_cell[(4.0, 1.0)].regime.global_existence_applicable
+        assert by_cell[(1.5, 1.0)].regime.blowup_range_applicable
 
     def test_parallel_matches_serial(self):
         grid = make_radial_grid(1, 12.0, 0.1)
@@ -133,6 +157,23 @@ class TestSweep:
         parallel = sweep(grid, base, [1.5, 2.0], [0.5], cfg, _unit_bump, jobs=2)
         assert [r.outcome for r in serial] == [r.outcome for r in parallel]
         assert [r.blowup_time for r in serial] == [r.blowup_time for r in parallel]
+
+    def test_one_decay_fit_per_cell(self, monkeypatch):
+        calls = []
+        original = scalewave.analysis.fit_decay
+
+        def counting_fit_decay(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scalewave.analysis, "fit_decay", counting_fit_decay)
+        grid = make_radial_grid(1, 12.0, 0.1)
+        base = ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0)
+        cfg = RunConfig(params=base, t_max=8.0, record_every=2)
+        rows = sweep(grid, base, [3.5, 4.5], [0.01, 0.1], cfg, _unit_bump)
+        assert [r.outcome for r in rows] == [GLOBAL_LOOKING] * 4
+        assert all(r.l2_exponent < 0.0 for r in rows)
+        assert calls == [(0.8, 8.0)] * 4
 
 
 def _unit_bump(r):
@@ -147,31 +188,11 @@ def blowup_report():
     return run(grid, _unit_bump, _unit_bump, cfg)
 
 
-class TestOdiCrosscheck:
-    def test_blowup_run_passes(self, blowup_report):
-        rep = odi_crosscheck(blowup_report)
-        assert rep.passed and not rep.skipped
-        assert any("life-span bound" in note for note in rep.notes)
+def test_initial_integral_matches_data_integral(blowup_report):
+    # the comparison frame is the identity at t = 0
+    from scalewave.grid import integrate
 
-    def test_initial_integral_matches_data_integral(self, blowup_report):
-        # the comparison frame is the identity at t = 0
-        from scalewave.grid import integrate
-
-        grid = make_radial_grid(1, 40.0, 0.05)
-        expected = integrate(grid, _unit_bump(grid.r))
-        t, f = blowup_report.series("F")
-        assert f[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_not_applicable_without_blowup(self):
-        t = np.linspace(0.0, 10.0, 30)
-        rep = make_report(t, {"F": np.ones_like(t)})
-        chk = odi_crosscheck(rep)
-        assert chk.skipped and not chk.passed
-
-    def test_not_applicable_zero_mean_data(self):
-        t = np.linspace(0.0, 3.0, 30)
-        f = np.zeros_like(t)
-        rep = make_report(t, {"F": f}, outcome=OUTCOME_BLOWUP, blowup_time=3.0)
-        chk = odi_crosscheck(rep)
-        assert chk.skipped
-        assert any("not applicable" in n for n in chk.notes)
+    grid = make_radial_grid(1, 40.0, 0.05)
+    expected = integrate(grid, _unit_bump(grid.r))
+    t, f = blowup_report.series("F")
+    assert f[0] == pytest.approx(expected, rel=1e-12)

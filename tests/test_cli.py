@@ -161,6 +161,19 @@ class TestSweep:
         assert parse_and_dispatch(args + ["--jobs", "2", "--out", str(fanout)]) == EXIT_OK
         assert serial.read_bytes() == fanout.read_bytes()
 
+    def test_diverged_cell_labelled_and_exits_diverged(self, tmp_path):
+        # default cfl_safety 0.9 is above the n = 3 leapfrog bound
+        out = tmp_path / "n3.csv"
+        code = parse_and_dispatch(
+            ["sweep", "--set", "n=3", "--set", "mu1=6", "--set", "nonlinear=false",
+             "--set", "t_max=20", "--set", "r_max=40", "--set", "p_values=[2]",
+             "--set", "amplitudes=[1]", "--out", str(out)]
+        )
+        assert code == EXIT_DIVERGED
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[2:5] == ["diverged", "", ""]
+
 
 class TestVerifyCli:
     def test_bihari_suite_json(self, tmp_path, schema):
@@ -218,6 +231,15 @@ class TestDecayFit:
         payload = validate(out, schema)
         assert payload["fit"]["exponent"] == pytest.approx(-1.5, abs=1e-9)
 
+    def test_single_distinct_time_in_window_is_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "flat.csv"
+        csv.write_text("t,l2\n" + "5,1\n" * 8)
+        code = parse_and_dispatch(
+            ["decay-fit", str(csv), "--set", "t_min=4", "--set", "t_max=5.5"]
+        )
+        assert code == EXIT_CONFIG
+        assert "single distinct time" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_usage_error(self):
@@ -245,6 +267,22 @@ class TestErrors:
         out = tmp_path / "x.csv"
         code = parse_and_dispatch(["simulate", "--set", "p=0.5", "--out", str(out)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("entry", [{"n": 2.5}, {"record_every": 2.9}, {"mu1": True},
+                                       {"n": True}, {"p_values": [2.0, False]}])
+    def test_config_file_lossy_value_rejected(self, tmp_path, entry):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(entry))
+        command = "sweep" if "p_values" in entry else "simulate"
+        out = tmp_path / "never.csv"
+        code = parse_and_dispatch([command, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_config_file_integral_float_accepted_for_int_key(self, tmp_path):
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({"n": 1.0, "mu1": 4}))
+        assert parse_and_dispatch(["info", "--config", str(cfg)]) == EXIT_OK
 
     def test_missing_config_file(self):
         assert parse_and_dispatch(["info", "--config", "/nonexistent.json"]) == EXIT_CONFIG
