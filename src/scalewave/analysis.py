@@ -143,18 +143,20 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
           config: RunConfig, u0_profile, u1_profile=None, jobs: int = 1) -> list[SweepRow]:
     """One solver run per (p, amplitude) pair, in deterministic input order.
 
-    With jobs > 1 the rows run in separate processes (profiles must then be
-    picklable top-level callables); results are still collected in input
-    order.
+    With jobs > 1 the rows run in min(jobs, cells) separate processes
+    (profiles must then be picklable top-level callables); results are
+    still collected in input order.
     """
     tasks = [
         (grid, base_params, float(p), float(a), config, u0_profile, u1_profile)
         for p in p_values
         for a in amplitudes
     ]
-    if jobs <= 1:
+    # the fork start method launches every worker at once, needed or not
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_sweep_one(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_one, tasks))

@@ -1,8 +1,9 @@
 """Command-line front end: simulations, sweeps, verification suites, fits.
 
-Configuration is a flat JSON object whose keys are exactly the model/run
-field names (plus grid and data keys, documented in the README); overrides
-come from repeated ``--set key=value`` flags.  Unknown keys are rejected.
+A command's defaults dict is its config schema (run defaults are those of
+``RunConfig``): a key is allowed exactly when it has a default, and a value
+is coerced to that default's type.  A config file is a flat JSON object of
+such keys, overridden by repeated ``--set key=value``; NaN is rejected.
 CSV and JSON outputs are byte-stable for identical inputs: floats are
 written with 17 significant digits, '.' decimal separator and '\\n' line
 endings, and JSON keys are sorted.
@@ -18,7 +19,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,46 +52,21 @@ EXIT_DIVERGED = 3
 
 CSV_COLUMNS = ("t",) + SAMPLE_KEYS
 
-_MODEL_KEYS = {"n": int, "mu1": float, "mu2sq": float, "p": float}
-_RUN_KEYS = {
-    "s": float,
-    "t_max": float,
-    "nonlinear": bool,
-    "cfl_safety": float,
-    "blowup_threshold": float,
-    "record_every": int,
-}
-_GRID_KEYS = {"r_max": float, "dr": float}
-_DATA_KEYS = {
-    "u0_kind": str,
-    "u0_amplitude": float,
-    "u0_width": float,
-    "u1_kind": str,
-    "u1_amplitude": float,
-    "u1_width": float,
-}
-_SWEEP_KEYS = {"p_values": list, "amplitudes": list}
-_ODI_KEYS = {"k0": float, "k1": float, "alpha": float, "p": float, "f0": float,
-             "df0": float, "dt": float}
-_FIT_KEYS = {"column": str, "t_min": float, "t_max": float, "log_corrected": bool,
-             "n": int, "mu1": float, "mu2sq": float, "p": float}
-_VERIFY_KEYS = {"n": int, "mu1": float, "mu2sq": float, "p": float, "sigma": float,
-                "q": float, "r_max": float, "dr": float}
-
+MODEL_DEFAULTS = {"n": 1, "mu1": 4.0, "mu2sq": 0.0, "p": 2.0}
+RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "params"}
 SIMULATE_DEFAULTS = {
-    "n": 1, "mu1": 4.0, "mu2sq": 0.0, "p": 2.0,
-    "s": 0.0, "t_max": 10.0, "nonlinear": True, "cfl_safety": 0.9,
-    "blowup_threshold": 1e8, "record_every": 10,
+    **MODEL_DEFAULTS, **RUN_DEFAULTS,
     "r_max": 30.0, "dr": 0.05,
     # width 0.4 keeps Gaussian data inside the weighted space up to mu1 = 4
     "u0_kind": "gaussian", "u0_amplitude": 1.0, "u0_width": 0.4,
     "u1_kind": "zero", "u1_amplitude": 0.0, "u1_width": 0.4,
 }
+SWEEP_DEFAULTS = {**SIMULATE_DEFAULTS, "p_values": [2.0], "amplitudes": [1.0]}
 ODI_DEFAULTS = {"k0": 4.0, "k1": 1.0, "alpha": -2.0, "p": 3.0, "f0": 1.0,
                 "df0": 1.0, "dt": 0.0}
 FIT_DEFAULTS = {"column": "l2", "t_min": 0.0, "t_max": math.inf,
-                "log_corrected": False, "n": 1, "mu1": 1.0, "mu2sq": 0.0, "p": 2.0}
-VERIFY_DEFAULTS = {"n": 1, "mu1": 1.0, "mu2sq": 0.0, "p": 2.0, "sigma": 0.5,
+                "log_corrected": False, "n": 1, "mu1": 1.0, "mu2sq": 0.0}
+VERIFY_DEFAULTS = {"n": 1, "mu1": 1.0, "mu2sq": 0.0, "sigma": 0.5,
                    "q": 4.0, "r_max": 40.0, "dr": 0.02}
 
 
@@ -124,14 +100,20 @@ def _coerce(key: str, value, target_type):
                                    and not value.is_integer()):
         raise ConfigError(f"key {key!r}: expected {target_type.__name__}, got {value!r}")
     try:
-        return target_type(value)
+        result = target_type(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as {target_type.__name__}") from exc
+    if target_type is float and math.isnan(result):
+        raise ConfigError(f"key {key!r}: {value!r} is not a number")
+    return result
 
 
-def load_config(allowed: dict, defaults: dict, config_path: str | None,
-                overrides: list[str]) -> dict:
-    """Merge defaults, a flat JSON config file and --set overrides; reject unknown keys."""
+def load_config(defaults: dict, config_path: str | None, overrides: list[str]) -> dict:
+    """Merge defaults, a flat JSON config file and --set overrides.
+
+    The defaults are the schema: a key is allowed exactly when it has a
+    default, and a value is coerced to the type of that default.
+    """
     merged = dict(defaults)
     if config_path is not None:
         try:
@@ -141,16 +123,16 @@ def load_config(allowed: dict, defaults: dict, config_path: str | None,
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a flat JSON object")
         for key, value in raw.items():
-            if key not in allowed:
+            if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, value, allowed[key])
+            merged[key] = _coerce(key, value, type(defaults[key]))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        if key not in allowed:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = _coerce(key, value, allowed[key])
+        merged[key] = _coerce(key, value, type(defaults[key]))
     return merged
 
 
@@ -162,6 +144,10 @@ class DataProfile:
     amplitude: float
     width: float
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("zero", "gaussian", "bump"):
+            raise ConfigError(f"unknown data kind {self.kind!r} (expected zero, gaussian or bump)")
+
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == "zero":
@@ -170,12 +156,6 @@ class DataProfile:
             return self.amplitude * np.exp(-((r / self.width) ** 2))
         s = np.clip(r / self.width, 0.0, 1.0)
         return self.amplitude * (1.0 - s**2) ** 3
-
-
-def _data_profile(kind: str, amplitude: float, width: float) -> DataProfile:
-    if kind not in ("zero", "gaussian", "bump"):
-        raise ConfigError(f"unknown data kind {kind!r} (expected zero, gaussian or bump)")
-    return DataProfile(kind=kind, amplitude=amplitude, width=width)
 
 
 def write_run_csv(report: RunReport, path) -> None:
@@ -193,6 +173,8 @@ def read_series_csv(path, column: str):
         rows = [line.strip().split(",") for line in handle if line.strip()]
     if "t" not in header or column not in header:
         raise ConfigError(f"CSV {path} lacks a 't' or {column!r} column")
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigError(f"CSV {path} has a row whose length differs from its header's")
     ti = header.index("t")
     ci = header.index(column)
     t = np.array([float(row[ti]) for row in rows])
@@ -214,25 +196,21 @@ def _report_header(kind: str, seed: int = 0) -> dict:
 
 
 def _model_params(cfg: dict) -> ModelParams:
-    return ModelParams(n=cfg["n"], mu1=cfg["mu1"], mu2sq=cfg["mu2sq"], p=cfg["p"])
+    # verify and decay-fit take no p: none of their checks or fits reads it
+    return ModelParams(n=cfg["n"], mu1=cfg["mu1"], mu2sq=cfg["mu2sq"], p=cfg.get("p", 2.0))
 
 
 def _build_run(cfg: dict):
     params = _model_params(cfg)
     grid = make_radial_grid(cfg["n"], cfg["r_max"], cfg["dr"])
-    config = RunConfig(
-        params=params, s=cfg["s"], t_max=cfg["t_max"], nonlinear=cfg["nonlinear"],
-        cfl_safety=cfg["cfl_safety"], blowup_threshold=cfg["blowup_threshold"],
-        record_every=cfg["record_every"],
-    )
-    u0 = _data_profile(cfg["u0_kind"], cfg["u0_amplitude"], cfg["u0_width"])
-    u1 = _data_profile(cfg["u1_kind"], cfg["u1_amplitude"], cfg["u1_width"])
+    config = RunConfig(params=params, **{k: cfg[k] for k in RUN_DEFAULTS})
+    u0 = DataProfile(cfg["u0_kind"], cfg["u0_amplitude"], cfg["u0_width"])
+    u1 = DataProfile(cfg["u1_kind"], cfg["u1_amplitude"], cfg["u1_width"])
     return grid, config, u0, u1
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config({**_MODEL_KEYS, **_RUN_KEYS, **_GRID_KEYS, **_DATA_KEYS},
-                      SIMULATE_DEFAULTS, args.config, args.set)
+    cfg = load_config(SIMULATE_DEFAULTS, args.config, args.set)
     grid, config, u0, u1 = _build_run(cfg)
     report = run(grid, u0, u1, config)
     out = args.out or "run.csv"
@@ -244,13 +222,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    allowed = {**_MODEL_KEYS, **_RUN_KEYS, **_GRID_KEYS, **_DATA_KEYS, **_SWEEP_KEYS}
-    defaults = {**SIMULATE_DEFAULTS, "p_values": [2.0], "amplitudes": [1.0]}
-    cfg = load_config(allowed, defaults, args.config, args.set)
+    cfg = load_config(SWEEP_DEFAULTS, args.config, args.set)
     grid, config, u0, u1 = _build_run(cfg)
-    zero_u1 = cfg["u1_kind"] == "zero"
     rows = sweep(grid, _model_params(cfg), cfg["p_values"], cfg["amplitudes"], config,
-                 u0, None if zero_u1 else u1, jobs=args.jobs)
+                 u0, None if cfg["u1_kind"] == "zero" else u1, jobs=args.jobs)
     header = ("p,amplitude,outcome,blowup_time,l2_exponent,p_crit,"
               "global_existence_applicable,blowup_range_applicable,delta")
     lines = [header]
@@ -321,7 +296,7 @@ def _verify_bihari(cfg: dict, seed: int) -> list:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(_VERIFY_KEYS, VERIFY_DEFAULTS, args.config, args.set)
+    cfg = load_config(VERIFY_DEFAULTS, args.config, args.set)
     suites = {
         "identities": _verify_identities,
         "inequalities": _verify_inequalities,
@@ -340,7 +315,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_odi(args) -> int:
-    cfg = load_config(_ODI_KEYS, ODI_DEFAULTS, args.config, args.set)
+    cfg = load_config(ODI_DEFAULTS, args.config, args.set)
     problem = OdiProblem(k0=cfg["k0"], k1=cfg["k1"], alpha=cfg["alpha"], p=cfg["p"],
                          f0=cfg["f0"], df0=cfg["df0"])
     dt = cfg["dt"] if cfg["dt"] > 0.0 else None
@@ -359,7 +334,7 @@ def _cmd_odi(args) -> int:
 
 
 def _cmd_decay_fit(args) -> int:
-    cfg = load_config(_FIT_KEYS, FIT_DEFAULTS, args.config, args.set)
+    cfg = load_config(FIT_DEFAULTS, args.config, args.set)
     t, v = read_series_csv(args.csv, cfg["column"])
     hi = cfg["t_max"] if math.isfinite(cfg["t_max"]) else float(t.max())
     log_factor = None
@@ -382,8 +357,7 @@ def _cmd_decay_fit(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    cfg = load_config(_MODEL_KEYS, {"n": 1, "mu1": 4.0, "mu2sq": 0.0, "p": 2.0},
-                      args.config, args.set)
+    cfg = load_config(MODEL_DEFAULTS, args.config, args.set)
     params = _model_params(cfg)
     regime = regime_check(params)
     print(f"n={params.n} mu1={params.mu1} mu2sq={params.mu2sq} p={params.p}")
@@ -421,6 +395,16 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scalewave",
@@ -429,26 +413,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", default=None, help="flat JSON config file")
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="override one config key (repeatable)")
+        return p
 
-    common(sub.add_parser("simulate", help="one run, norm series to CSV"))
-    sweep_p = sub.add_parser("sweep", help="(p, amplitude) sweep to CSV")
-    common(sweep_p)
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel fan-out degree")
-    verify_p = sub.add_parser("verify", help="identity/inequality/comparison suites")
+    command("simulate", _cmd_simulate, "one run, norm series to CSV")
+    command("sweep", _cmd_sweep, "(p, amplitude) sweep to CSV").add_argument(
+        "--jobs", type=_jobs, default=1, help="parallel fan-out degree")
+    verify_p = command("verify", _cmd_verify, "identity/inequality/comparison suites")
     verify_p.add_argument("suite", choices=["identities", "inequalities", "bihari"])
-    common(verify_p)
     verify_p.add_argument("--seed", type=int, default=0,
                           help="seed of the sampled test points, recorded in the report")
-    common(sub.add_parser("odi", help="blow-up comparison toolkit report"))
-    fit_p = sub.add_parser("decay-fit", help="fit a decay exponent from a series CSV")
-    fit_p.add_argument("csv", help="input CSV (as written by simulate)")
-    common(fit_p)
-    common(sub.add_parser("info", help="print regime facts for given parameters"))
+    command("odi", _cmd_odi, "blow-up comparison toolkit report")
+    command("decay-fit", _cmd_decay_fit, "fit a decay exponent from a series CSV").add_argument(
+        "csv", help="input CSV (as written by simulate)")
+    command("info", _cmd_info, "print regime facts for given parameters")
     return parser
 
 
@@ -461,16 +445,8 @@ def parse_and_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    handlers = {
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-        "odi": _cmd_odi,
-        "decay-fit": _cmd_decay_fit,
-        "info": _cmd_info,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, RegimeError, WeightOverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -45,6 +45,8 @@ def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if not r_max > 0.0:
         raise ValueError(f"r_max must be positive, got {r_max}")
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
     if not 0.0 < dr < r_max:
         raise ValueError(f"need 0 < dr < r_max, got dr={dr}, r_max={r_max}")
     num = int(round(r_max / dr)) + 1

@@ -42,9 +42,11 @@ class ModelParams:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"spatial dimension must be a positive integer, got {self.n!r}")
-        if self.mu1 < 0.0:
+        if not all(map(math.isfinite, (self.mu1, self.mu2sq, self.p))):
+            raise ValueError(f"mu1, mu2sq and p must be finite, got {self.mu1, self.mu2sq, self.p}")
+        if not self.mu1 >= 0.0:
             raise ValueError(f"damping coefficient mu1 must be >= 0, got {self.mu1}")
-        if self.mu2sq < 0.0:
+        if not self.mu2sq >= 0.0:
             raise ValueError(f"mass coefficient mu2sq must be >= 0, got {self.mu2sq}")
         if not self.p > 1.0:
             raise ValueError(f"nonlinearity exponent p must be > 1, got {self.p}")

@@ -74,6 +74,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.s < 0.0:
             raise ValueError(f"initial time must be >= 0, got {self.s}")
+        if not math.isfinite(self.t_max):
+            raise ValueError(f"t_max must be finite, got {self.t_max}")
         if not self.t_max > self.s:
             raise ValueError(f"t_max must exceed the initial time, got {self.t_max} <= {self.s}")
         if not 0.0 < self.cfl_safety <= 1.0:

@@ -407,6 +407,8 @@ def check_embeddings(family: Sequence[RadialProfile], params: ModelParams,
     >= 1).  The L1 constant is undefined for mu1 = 0; the check is then
     skipped.
     """
+    if not 0.0 < sigma <= 1.0:
+        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
     if params.mu1 == 0.0:
         return CheckReport(
             check_id="weighted-embeddings",

@@ -294,3 +294,160 @@ def test_log_env_var_accepted(monkeypatch, capsys):
     monkeypatch.setenv("SCALEWAVE_LOG", "not-a-level")  # falls back to error level
     assert parse_and_dispatch(["info", "--set", "mu1=2"]) == EXIT_OK
     capsys.readouterr()
+
+
+# The config schema as it stood when each command declared a separate key ->
+# type table, minus the p that verify and decay-fit never read.  Types now
+# come from each command's defaults, so this copy catches a default whose
+# literal changes a key's type (say "dr": 1 for "dr": 0.05).
+_MODEL = {"n": int, "mu1": float, "mu2sq": float, "p": float}
+_RUN = {"s": float, "t_max": float, "nonlinear": bool, "cfl_safety": float,
+        "blowup_threshold": float, "record_every": int}
+_GRID = {"r_max": float, "dr": float}
+_DATA = {"u0_kind": str, "u0_amplitude": float, "u0_width": float,
+         "u1_kind": str, "u1_amplitude": float, "u1_width": float}
+SCHEMA = {
+    "simulate": {**_MODEL, **_RUN, **_GRID, **_DATA},
+    "sweep": {**_MODEL, **_RUN, **_GRID, **_DATA, "p_values": list, "amplitudes": list},
+    "verify": {"n": int, "mu1": float, "mu2sq": float, "sigma": float, "q": float,
+               "r_max": float, "dr": float},
+    "odi": {"k0": float, "k1": float, "alpha": float, "p": float, "f0": float,
+            "df0": float, "dt": float},
+    "decay-fit": {"column": str, "t_min": float, "t_max": float, "log_corrected": bool,
+                  "n": int, "mu1": float, "mu2sq": float},
+    "info": _MODEL,
+}
+ALL_KEYS = set().union(*SCHEMA.values()) | {"nope"}
+
+
+class TestConfigSchema:
+    @pytest.fixture
+    def command_argv(self, tmp_path):
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,l2\n0,1\n1,0.5\n")
+        out = str(tmp_path / "never")
+        return lambda command: {
+            "verify": ["verify", "identities"],
+            "decay-fit": ["decay-fit", str(csv)],
+        }.get(command, [command]) + ["--out", out]
+
+    @pytest.mark.parametrize("command", sorted(SCHEMA))
+    def test_each_key_parses_as_its_type(self, command, command_argv, capsys):
+        expected = {int: "cannot parse 'abc' as int", float: "cannot parse 'abc' as float",
+                    bool: "cannot parse 'abc' as a boolean", list: "expected a list, got 3"}
+        for key, key_type in SCHEMA[command].items():
+            value = "3" if key_type is list else "abc"
+            code = parse_and_dispatch(command_argv(command) + ["--set", f"{key}={value}"])
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG, key
+            if key_type is str:
+                # any text is a string; the rejection comes later, not from parsing
+                assert f"key {key!r}" not in err, key
+            else:
+                assert f"error: key {key!r}: {expected[key_type]}" in err, key
+
+    @pytest.mark.parametrize("command", sorted(SCHEMA))
+    def test_every_other_key_is_unknown(self, command, command_argv, capsys):
+        for key in sorted(ALL_KEYS - set(SCHEMA[command])):
+            code = parse_and_dispatch(command_argv(command) + ["--set", f"{key}=2"])
+            assert code == EXIT_CONFIG, key
+            assert f"error: unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify", "identities"], ["decay-fit", "x.csv"]])
+    def test_p_is_not_a_key_where_nothing_reads_it(self, argv, capsys):
+        assert parse_and_dispatch(argv + ["--set", "p=7"]) == EXIT_CONFIG
+        assert "unknown config key 'p'" in capsys.readouterr().err
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "t_max=inf"],
+        ["simulate", "--set", "r_max=inf"],
+        ["simulate", "--set", "mu1=nan", "--set", "t_max=2"],
+        ["simulate", "--set", "mu2sq=inf"],
+        ["info", "--set", "mu1=nan"],
+        ["info", "--set", "p=inf"],
+        ["sweep", "--set", "p_values=[2.0, NaN]"],
+        ["sweep", "--set", "p_values=[Infinity]"],
+        ["verify", "inequalities", "--set", "r_max=inf"],
+    ])
+    def test_rejected_as_config_error(self, argv, tmp_path, monkeypatch):
+        # no --out: info then prints to stdout, and the others would write here
+        monkeypatch.chdir(tmp_path)
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_in_config_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"mu1": NaN}')
+        assert parse_and_dispatch(["info", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "key 'mu1': nan is not a number" in capsys.readouterr().err
+
+    def test_decay_fit_accepts_its_infinite_default(self, tmp_path):
+        csv = tmp_path / "series.csv"
+        t = np.linspace(0.0, 20.0, 40)
+        csv.write_text("t,l2\n" + "".join(
+            f"{format_float(ti)},{format_float((1.0 + ti) ** -2.0)}\n" for ti in t))
+        out = tmp_path / "fit.json"
+        argv = ["decay-fit", str(csv), "--set", "t_max=inf", "--out", str(out)]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        assert json.loads(out.read_text())["fit"]["exponent"] == pytest.approx(-2.0)
+
+
+class TestBadInputsExitConfig:
+    @pytest.mark.parametrize("sigma", ["0", "-0.5"])
+    def test_verify_sigma_outside_unit_interval(self, sigma, capsys):
+        argv = ["verify", "inequalities", "--set", f"sigma={sigma}"]
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        assert "sigma must lie in (0, 1]" in capsys.readouterr().err
+
+    def test_decay_fit_short_row(self, tmp_path, capsys):
+        csv = tmp_path / "short.csv"
+        csv.write_text("t,l2\n1,0.5\n2\n")
+        assert parse_and_dispatch(["decay-fit", str(csv)]) == EXIT_CONFIG
+        assert "length differs from its header" in capsys.readouterr().err
+
+
+class TestSweepJobs:
+    ARGS = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",
+            "--set", "t_max=2", "--set", "r_max=8", "--set", "dr=0.1"]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace the process pool by a serial stand-in that records its size."""
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_never_larger_than_the_cell_count(self, pools, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert parse_and_dispatch(self.ARGS + ["--jobs", "64", "--out", str(out)]) == EXIT_OK
+        assert pools == [3]
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_single_cell_runs_without_a_pool(self, pools, tmp_path):
+        argv = self.ARGS[:2] + ["p_values=[2.0]"] + self.ARGS[3:]
+        out = tmp_path / "sweep.csv"
+        assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
+        assert pools == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, pools):
+        assert parse_and_dispatch(self.ARGS + ["--jobs", jobs]) == EXIT_USAGE
+        assert pools == []

@@ -31,6 +31,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_radial_grid(0, 1.0, 0.1)
 
+    def test_infinite_radius_rejected(self):
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            make_radial_grid(1, math.inf, 0.1)
+
     def test_weights_nonnegative_and_ball_volume(self):
         # quadrature of the unit function over the ball of radius r_max
         for n in (1, 2, 3):

@@ -37,6 +37,13 @@ class TestParams:
         with pytest.raises(ValueError):
             ModelParams(n=1, mu1=1.0, mu2sq=0.0, p=1.0)
 
+    @pytest.mark.parametrize("field", ["mu1", "mu2sq", "p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"n": 1, "mu1": 1.0, "mu2sq": 0.0, "p": 2.0, field: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            ModelParams(**kwargs)
+
     def test_delta_property_recomputed(self):
         assert params(mu1=4.0).delta == discriminant(params(mu1=4.0))
 

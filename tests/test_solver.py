@@ -75,6 +75,11 @@ class TestConfig:
             RunConfig(params=params(), record_every=0)
 
 
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            RunConfig(params=params(), t_max=math.inf)
+
+
 class TestInitState:
     def test_zero_data(self):
         g = make_radial_grid(1, 10.0, 0.05)

@@ -239,6 +239,12 @@ class TestEmbeddings:
         rep = check_embeddings(family, params(mu1=0.0), 0.5, 0.0, grid)
         assert rep.skipped and rep.passed
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.5, 1.5])
+    def test_sigma_outside_unit_interval_rejected(self, family, sigma):
+        grid = make_radial_grid(1, 10.0, 0.1)
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            check_embeddings(family, params(mu1=1.0), sigma, 0.0, grid)
+
 
 class TestGnRatio:
     def test_spread_stable_across_times(self, family):
