@@ -145,8 +145,11 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
 
     With jobs > 1 the rows run in min(jobs, cells) separate processes
     (profiles must then be picklable top-level callables); results are
-    still collected in input order.
+    still collected in input order.  A non-finite amplitude is rejected
+    before any cell runs.
     """
+    if not all(math.isfinite(a) for a in amplitudes):
+        raise ValueError(f"sweep amplitudes must be finite, got {list(amplitudes)}")
     tasks = [
         (grid, base_params, float(p), float(a), config, u0_profile, u1_profile)
         for p in p_values

@@ -10,18 +10,22 @@ from dataclasses import dataclass, field
 class CheckReport:
     """Outcome of one verification check.
 
-    ``worst`` is the largest residual or ratio seen across the cases;
-    ``passed`` holds iff it is within the tolerance.  ``skipped`` marks
-    checks that were not applicable to the inputs at all.
+    ``worst`` is the largest residual or ratio seen across the cases.
+    ``skipped`` marks checks that were not applicable to the inputs at
+    all.  The verdict is derived, never stored: see ``passed``.
     """
 
     check_id: str
     n_cases: int
     worst: float
     tolerance: float
-    passed: bool
     notes: list = field(default_factory=list)
     skipped: bool = False
+
+    @property
+    def passed(self) -> bool:
+        """Skipped, or ``worst`` within the tolerance (so a NaN or +inf ``worst`` fails)."""
+        return bool(self.skipped or self.worst <= self.tolerance)
 
     def to_dict(self) -> dict:
         worst = float(self.worst)
@@ -30,7 +34,7 @@ class CheckReport:
             "n_cases": int(self.n_cases),
             "worst": worst if math.isfinite(worst) else None,
             "tolerance": float(self.tolerance),
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "skipped": bool(self.skipped),
             "notes": [str(note) for note in self.notes],
         }

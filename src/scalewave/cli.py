@@ -147,6 +147,10 @@ class DataProfile:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "gaussian", "bump"):
             raise ConfigError(f"unknown data kind {self.kind!r} (expected zero, gaussian or bump)")
+        if not math.isfinite(self.amplitude):
+            raise ConfigError(f"data amplitude must be finite, got {self.amplitude}")
+        if not 0.0 < self.width < math.inf:
+            raise ConfigError(f"data width must be finite and positive, got {self.width}")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -168,9 +172,12 @@ def write_run_csv(report: RunReport, path) -> None:
 
 def read_series_csv(path, column: str):
     """Read (t, column) out of a CSV produced by ``simulate``."""
-    with open(path, "r", newline="") as handle:
-        header = handle.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in handle if line.strip()]
+    try:
+        with open(path, "r", newline="") as handle:
+            header = handle.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in handle if line.strip()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
     if "t" not in header or column not in header:
         raise ConfigError(f"CSV {path} lacks a 't' or {column!r} column")
     if any(len(row) != len(header) for row in rows):

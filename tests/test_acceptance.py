@@ -210,7 +210,7 @@ def test_criterion_06_identity_suite():
                 assert rep.passed and rep.worst <= 1e-12
                 worst_weight = max(worst_weight, rep.worst)
                 pts = list(zip(rng.uniform(0.0, 5.0, 100), rng.uniform(0.1, 3.0, 100)))
-                energy = check_energy_identity(ms, params, pts, tolerance=1e-10)
+                energy = check_energy_identity(ms, params, pts)
                 assert energy.passed and energy.worst <= 1e-10
                 worst_energy = max(worst_energy, energy.worst)
     verdict("6 identity suite",

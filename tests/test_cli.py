@@ -407,6 +407,42 @@ class TestBadInputsExitConfig:
         assert parse_and_dispatch(["decay-fit", str(csv)]) == EXIT_CONFIG
         assert "length differs from its header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["k0=inf", "k1=inf", "alpha=inf", "p=inf", "f0=inf",
+                                         "df0=inf", "dt=inf"])
+    def test_odi_non_finite_input(self, setting, tmp_path, capsys):
+        out = tmp_path / "odi.json"
+        assert parse_and_dispatch(["odi", "--set", setting, "--out", str(out)]) == EXIT_CONFIG
+        name = setting.partition("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+        assert not out.exists()
+
+    def test_decay_fit_missing_csv(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert parse_and_dispatch(["decay-fit", str(missing)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot read CSV {missing}")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "u0_amplitude=inf"],
+        ["simulate", "--set", "u0_amplitude=-inf"],
+        ["simulate", "--set", "u0_width=0"],
+        ["simulate", "--set", "u0_width=inf"],
+        ["simulate", "--set", "u1_kind=gaussian", "--set", "u1_width=-1"],
+        ["sweep", "--set", "amplitudes=[Infinity]"],
+        ["sweep", "--set", "amplitudes=[1.0, -Infinity]"],
+    ])
+    def test_bad_data_rejected_before_any_run(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        import scalewave.analysis
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(scalewave.analysis, "run", no_run)
+        monkeypatch.setattr("scalewave.cli.run", no_run)
+        assert parse_and_dispatch(argv + ["--set", "t_max=2"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepJobs:
     ARGS = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",

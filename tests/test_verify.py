@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from scalewave.checks import CheckReport
 from scalewave.errors import WeightOverflowError
 from scalewave.grid import integrate, make_radial_grid
 from scalewave.model import ModelParams
@@ -36,12 +37,13 @@ class TestRadialProfile:
         fd2 = (prof.value(r + h) - 2.0 * prof.value(r) + prof.value(r - h)) / h**2
         scale1 = np.max(np.abs(fd1))
         scale2 = np.max(np.abs(fd2))
-        assert np.max(np.abs(prof.derivative(r) - fd1)) <= 1e-8 * scale1
-        assert np.max(np.abs(prof.second_derivative(r) - fd2)) <= 1e-4 * scale2
+        _, d1, d2 = prof.jet(r)
+        assert np.max(np.abs(d1 - fd1)) <= 1e-8 * scale1
+        assert np.max(np.abs(d2 - fd2)) <= 1e-4 * scale2
 
     def test_even_at_origin(self):
         prof = RadialProfile(amplitude=2.0, width=0.5, center=1.1, half_degree=0)
-        assert prof.derivative(0.0) == pytest.approx(0.0, abs=1e-14)
+        assert prof.jet(0.0)[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_origin_laplacian_limit(self):
         prof = RadialProfile(amplitude=1.0, width=0.8, center=0.6)
@@ -67,6 +69,94 @@ class TestRadialProfile:
         family = standard_family(seed=11)
         assert len(family) == 50
         assert max(m.support_radius() for m in family) <= 8.0
+
+
+class ReferenceProfile(RadialProfile):
+    """The closed-form derivatives as separate methods, one Gaussian pair per call.
+
+    A verbatim copy of the per-derivative implementation that ``jet``
+    replaced; the jet must reproduce it bit for bit.
+    """
+
+    def _g(self, s):
+        return np.exp(-((s / self.width) ** 2))
+
+    def _g1(self, s):
+        return -2.0 * s / self.width**2 * self._g(s)
+
+    def _g2(self, s):
+        return (-2.0 / self.width**2 + 4.0 * s**2 / self.width**4) * self._g(s)
+
+    def value(self, r):
+        r = np.asarray(r, dtype=float)
+        m = self.half_degree
+        pair = self._g(r - self.center) + self._g(r + self.center)
+        return self.amplitude * r ** (2 * m) * pair
+
+    def derivative(self, r):
+        r = np.asarray(r, dtype=float)
+        m = self.half_degree
+        pair = self._g(r - self.center) + self._g(r + self.center)
+        pair1 = self._g1(r - self.center) + self._g1(r + self.center)
+        out = r ** (2 * m) * pair1
+        if m > 0:
+            out = out + 2 * m * r ** (2 * m - 1) * pair
+        return self.amplitude * out
+
+    def second_derivative(self, r):
+        r = np.asarray(r, dtype=float)
+        m = self.half_degree
+        pair = self._g(r - self.center) + self._g(r + self.center)
+        pair1 = self._g1(r - self.center) + self._g1(r + self.center)
+        pair2 = self._g2(r - self.center) + self._g2(r + self.center)
+        out = r ** (2 * m) * pair2
+        if m > 0:
+            out = out + 4 * m * r ** (2 * m - 1) * pair1
+            out = out + 2 * m * (2 * m - 1) * r ** (2 * m - 2) * pair
+        return self.amplitude * out
+
+
+class TestJetBitwise:
+    POINTS = {
+        "array": np.linspace(0.0, 7.0, 701),
+        "scalar": 1.2345678901234567,
+        "axis": 0.0,
+    }
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    @pytest.mark.parametrize("center", [0.0, 0.37, 1.1])
+    @pytest.mark.parametrize("half_degree", [0, 1, 2, 3, 4])
+    def test_matches_separate_derivatives(self, half_degree, center, point):
+        kwargs = dict(amplitude=1.7, width=0.55, center=center, half_degree=half_degree)
+        ref = ReferenceProfile(**kwargs)
+        r = self.POINTS[point]
+        jet = RadialProfile(**kwargs).jet(r)
+        expected = (ref.value(r), ref.derivative(r), ref.second_derivative(r))
+        for got, want in zip(jet, expected):
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_value_is_the_jets_first_entry(self):
+        prof = RadialProfile(amplitude=0.8, width=0.7, center=0.9, half_degree=3)
+        r = np.linspace(0.0, 7.0, 701)
+        assert prof.value(r).tobytes() == prof.jet(r)[0].tobytes()
+
+
+class TestCheckReportVerdict:
+    def test_passed_follows_worst_and_tolerance(self):
+        assert CheckReport("c", 1, worst=1e-3, tolerance=1e-3).passed
+        assert not CheckReport("c", 1, worst=2e-3, tolerance=1e-3).passed
+        assert CheckReport("c", 1, worst=-math.inf, tolerance=0.0).passed
+
+    def test_non_finite_worst_fails_unless_skipped(self):
+        assert not CheckReport("c", 1, worst=math.inf, tolerance=0.05).passed
+        assert not CheckReport("c", 1, worst=math.nan, tolerance=0.05).passed
+        skipped = CheckReport("c", 0, worst=math.nan, tolerance=1.01, skipped=True)
+        assert skipped.passed and skipped.to_dict()["passed"] is True
+
+    def test_verdict_is_not_a_constructor_field(self):
+        with pytest.raises(TypeError):
+            CheckReport("c", 1, worst=0.0, tolerance=1.0, passed=False)
 
 
 class TestPsiIdentities:
@@ -136,13 +226,13 @@ class TestEnergyIdentity:
         def density(t, r):
             w = weight_exponent(p, t, r * r)
             _, m_sq = coefficients(p, t)
-            return 0.5 * math.exp(2.0 * w) * (
-                ms.u_t(t, r) ** 2 + ms.u_r(t, r) ** 2 + m_sq * ms.u(t, r) ** 2
-            )
+            u, u_t, _, u_r, _, _, _ = ms.partials(t, r, p.n)
+            return 0.5 * math.exp(2.0 * w) * (u_t**2 + u_r**2 + m_sq * u**2)
 
         def flux(t, r):
             w = weight_exponent(p, t, r * r)
-            return math.exp(2.0 * w) * ms.u_t(t, r) * ms.u_r(t, r)
+            _, u_t, _, u_r, _, _, _ = ms.partials(t, r, p.n)
+            return math.exp(2.0 * w) * u_t * u_r
 
         def worst_residual(h):
             worst = 0.0
@@ -190,15 +280,15 @@ class CountingProfile:
 
     def __init__(self, profile):
         self.profile = profile
-        self.calls = {"value": 0, "derivative": 0}
+        self.calls = {"value": 0, "jet": 0}
 
     def value(self, r):
         self.calls["value"] += 1
         return self.profile.value(r)
 
-    def derivative(self, r):
-        self.calls["derivative"] += 1
-        return self.profile.derivative(r)
+    def jet(self, r):
+        self.calls["jet"] += 1
+        return self.profile.jet(r)
 
 
 class TestWeightedGradientBoundEvaluation:
@@ -207,7 +297,7 @@ class TestWeightedGradientBoundEvaluation:
         counted = [CountingProfile(member) for member in family[:4]]
         args = (params(n=2, mu1=1.0), (0.25, 0.5, 1.0), (0.0, 1.0, 4.0, 9.0), grid)
         rep = check_weighted_gradient_bound(counted, *args)
-        assert [m.calls for m in counted] == [{"value": 1, "derivative": 1}] * 4
+        assert [m.calls for m in counted] == [{"value": 0, "jet": 1}] * 4
         assert rep.to_dict() == check_weighted_gradient_bound(family[:4], *args).to_dict()
         assert rep.n_cases == 4 * 12
 
