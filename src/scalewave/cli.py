@@ -457,6 +457,10 @@ def parse_and_dispatch(argv) -> int:
     except (ConfigError, RegimeError, WeightOverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError as exc:
+        # finite but extreme settings that overflow a closed form or a check
+        print(f"error: a value overflowed ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main() -> None:

@@ -29,6 +29,23 @@ the same order as on the whole grid, so results are bit for bit those of
 full-grid stepping while the cost follows the region the data have
 reached.  The recorder still integrates over the whole grid.
 
+Source window: the same idea applied to the source term.  Ahead of the
+light cone the leapfrog precursor leaves a tail of tiny values (down to
+subnormals), and there ``np.power`` leaves its vector path and costs tens
+of times more per element, only to return +0.0.  With c_p = 2**(-1100/p),
+every |u| < c_p has |u|**p <= 2**-1100, 26 binades below the smallest
+subnormal, so its power is exactly +0.0.  ``_power_source`` therefore
+takes the power only on the prefix that ends at the last node where
+|u| < c_p fails (NaN counts as inside) and leaves +0.0 beyond it; the
+forcing still adds the whole array, so every bit, the signs of zeros
+included, is that of the plain power.  For p < 1100/1074, c_p underflows
+to 0 and only zeros are skipped.  ``test_solver`` checks the underflow
+assumption on the running numpy.
+
+One sup pass: ``step`` takes sup |u+| over the window once; it sets the
+divergence flag (np.max propagates NaN) and is carried on the state, so
+``detect_blowup`` does not scan the level again.
+
 Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, and a run
 stacks its rows into one float64 array, so series and CSV columns are
 views of the same numbers.
@@ -91,7 +108,8 @@ class WaveState:
     """Two consecutive solution levels: u_prev at t - dt, u_curr at t.
 
     Nodes at index >= ``active`` are exactly 0 in both levels; ``None``
-    (a hand-built state) means the whole grid may be nonzero.
+    (a hand-built state) means the whole grid may be nonzero.  ``sup`` is
+    max |u_curr| as ``step`` computed it; ``None`` means not yet computed.
     """
 
     t: float
@@ -101,6 +119,7 @@ class WaveState:
     step_index: int
     diverged: bool = False
     active: int | None = None
+    sup: float | None = None
 
 
 @dataclass
@@ -146,6 +165,17 @@ def _sample_profile(profile, r: np.ndarray) -> np.ndarray:
     return values.copy()
 
 
+def _power_source(u: np.ndarray, p: float) -> np.ndarray:
+    """|u|**p, with the power taken only where it can be nonzero (see the module notes)."""
+    src = np.abs(u)
+    below = src < 2.0 ** (-1100.0 / p)  # NaN compares false, so it counts as inside
+    # one past the last node not below c_p (a numpy bool is the byte 0 or 1)
+    end = below.tobytes().rfind(b"\x00") + 1
+    src[end:] = 0.0
+    src[:end] **= p
+    return src
+
+
 def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
     """Sample the data at time s and take the second-order Taylor first step.
 
@@ -177,7 +207,7 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
     b, m_sq = coefficients(params, config.s)
     accel = laplacian_apply(grid, u0v) - b * u1v - m_sq * u0v
     if config.nonlinear:
-        accel = accel + np.abs(u0v) ** params.p
+        accel = accel + _power_source(u0v, params.p)
     u_first = u0v + dt * u1v + 0.5 * dt * dt * accel
     u_first[-1] = 0.0
     nonzero = np.flatnonzero((u0v != 0.0) | (u_first != 0.0))
@@ -188,6 +218,9 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
 
 def step(state: WaveState, grid: RadialGrid, config: RunConfig) -> WaveState:
     """Advance one leapfrog step; non-finite results flag the state as diverged.
+
+    The new state carries ``sup`` = max |u+| over the window, the one pass
+    that both the divergence flag and ``detect_blowup`` read.
 
     Only the first ``active + 1`` nodes (at least 2, at most all) are
     advanced; every node beyond them stays exactly 0 (see the module notes).
@@ -203,7 +236,7 @@ def step(state: WaveState, grid: RadialGrid, config: RunConfig) -> WaveState:
     with np.errstate(over="ignore", invalid="ignore"):
         forcing = laplacian_apply(grid, u_curr) - m_sq * u_curr
         if config.nonlinear:
-            forcing = forcing + np.abs(u_curr) ** params.p
+            forcing = forcing + _power_source(u_curr, params.p)
         u_next[:width] = (
             2.0 * u_curr
             - u_prev
@@ -211,21 +244,27 @@ def step(state: WaveState, grid: RadialGrid, config: RunConfig) -> WaveState:
             + state.dt**2 * forcing
         ) / (1.0 + h)
     u_next[-1] = 0.0
-    diverged = not bool(np.isfinite(u_next[:width]).all())
+    sup = float(np.abs(u_next[:width]).max())
     return WaveState(
         t=state.t + state.dt,
         dt=state.dt,
         u_prev=state.u_curr,
         u_curr=u_next,
         step_index=state.step_index + 1,
-        diverged=diverged,
+        diverged=not math.isfinite(sup),
         active=width,
+        sup=sup,
     )
 
 
 def detect_blowup(state: WaveState, threshold: float) -> float | None:
-    """Current time if the sup-norm exceeds the threshold or is non-finite."""
-    sup = float(np.max(np.abs(state.u_curr[: state.active]), initial=0.0))
+    """Current time if the sup-norm exceeds the threshold or is non-finite.
+
+    Reads the sup that ``step`` carried; a hand-built state's is computed here.
+    """
+    sup = state.sup
+    if sup is None:
+        sup = float(np.max(np.abs(state.u_curr[: state.active]), initial=0.0))
     if not math.isfinite(sup) or sup > threshold:
         return state.t
     return None

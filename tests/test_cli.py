@@ -422,6 +422,19 @@ class TestBadInputsExitConfig:
         assert capsys.readouterr().err.startswith(f"error: cannot read CSV {missing}")
 
     @pytest.mark.parametrize("argv", [
+        ["verify", "identities", "--set", "mu1=150"],
+        ["odi", "--set", "p=1.0000001"],
+        ["odi", "--set", "f0=1e-300"],
+        ["info", "--set", "mu1=1e308"],
+    ])
+    def test_overflow_is_a_config_error(self, argv, tmp_path, monkeypatch, capsys):
+        # finite settings whose closed forms or checks overflow a float
+        monkeypatch.chdir(tmp_path)
+        assert parse_and_dispatch(argv + ["--out", "out.json"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: a value overflowed")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--set", "u0_amplitude=inf"],
         ["simulate", "--set", "u0_amplitude=-inf"],
         ["simulate", "--set", "u0_width=0"],

@@ -6,8 +6,8 @@ import pytest
 
 from scalewave.cli import CSV_COLUMNS
 from scalewave.functionals import weighted_lq
-from scalewave.grid import make_radial_grid
-from scalewave.model import ModelParams
+from scalewave.grid import laplacian_apply, make_radial_grid
+from scalewave.model import ModelParams, coefficients
 from scalewave.solver import (
     OUTCOME_BLOWUP,
     OUTCOME_COMPLETED,
@@ -35,6 +35,61 @@ def bump(r):
 
 def params(n=1, mu1=0.0, mu2sq=0.0, p=2.0):
     return ModelParams(n=n, mu1=mu1, mu2sq=mu2sq, p=p)
+
+
+def gaussian(r):
+    # the global band's data: far out they underflow into a subnormal tail
+    return 0.01 * np.exp(-((r / 0.4) ** 2))
+
+
+def c_p(p):
+    # below this, |u|**p <= 2**-1100 and the source window skips the power
+    return 2.0 ** (-1100.0 / p)
+
+
+def reference_step(state, grid, config):
+    # the windowed step as it was before the source window and the carried sup
+    params = config.params
+    b, m_sq = coefficients(params, state.t)
+    h = 0.5 * b * state.dt
+    size = grid.num_nodes
+    width = size if state.active is None else min(max(state.active + 1, 2), size)
+    u_curr, u_prev = state.u_curr[:width], state.u_prev[:width]
+    u_next = np.zeros_like(state.u_curr)
+    # overflow here means the run is diverging; it is flagged below, not raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcing = laplacian_apply(grid, u_curr) - m_sq * u_curr
+        if config.nonlinear:
+            forcing = forcing + np.abs(u_curr) ** params.p
+        u_next[:width] = (
+            2.0 * u_curr
+            - u_prev
+            + h * u_prev
+            + state.dt**2 * forcing
+        ) / (1.0 + h)
+    u_next[-1] = 0.0
+    diverged = not bool(np.isfinite(u_next[:width]).all())
+    return WaveState(
+        t=state.t + state.dt,
+        dt=state.dt,
+        u_prev=state.u_curr,
+        u_curr=u_next,
+        step_index=state.step_index + 1,
+        diverged=diverged,
+        active=width,
+    )
+
+
+def blowup_states():
+    """Stepped states of a bump run past blow-up until a few steps after it diverged."""
+    g = make_radial_grid(1, 30.0, 0.05)
+    cfg = RunConfig(params=params(mu1=4.0, p=2.0), t_max=20.0)
+    st = init_state(g, bump, bump, cfg)
+    after = 0
+    while after < 3:
+        st = step(st, g, cfg)
+        after += st.diverged
+        yield g, cfg, st
 
 
 class TestTimeStep:
@@ -194,10 +249,74 @@ class TestActiveWindow:
             assert detect_blowup(st, 1.0) is None
 
 
+class TestSourceWindow:
+    @pytest.mark.parametrize("p", [1.01, 1.0242, 1.03, 1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0,
+                                   4.5, 5.0, 7.0, 10.0, 50.0])
+    def test_power_below_c_p_is_positive_zero(self, p):
+        # the platform assumption behind skipping the power: below c_p it is +0.0
+        rng = np.random.default_rng(0)
+        top = c_p(p)
+        x = np.array([0.0, np.nextafter(top, 0.0)])
+        if top > 0.0:
+            x = np.concatenate([x, 2.0 ** rng.uniform(-1074.0, math.log2(top), 20_000)])
+        for powered in (np.power(x, p), x ** p):
+            assert not powered.any() and not np.signbit(powered).any()
+
+    @pytest.mark.parametrize("n, cfl_safety, p", [
+        (1, 0.9, 1.01), (1, 0.9, 1.05), (1, 0.9, 1.1), (1, 0.9, 1.5), (1, 0.9, 2.0),
+        (1, 0.9, 3.5), (1, 0.9, 4.0), (1, 0.9, 4.5), (1, 0.9, 7.0), (3, 0.5, 4.0), (3, 0.5, 2.0),
+    ])
+    def test_global_band_steps_match_reference_bitwise(self, n, cfl_safety, p):
+        g = make_radial_grid(n, 40.0, 0.05)
+        cfg = RunConfig(params=params(n=n, mu1=4.0, p=p), t_max=30.0, cfl_safety=cfl_safety)
+        st = init_state(g, gaussian, zero, cfg)
+        skipped = 0
+        for _ in range(300):
+            st = self.assert_same_step(st, g, cfg)
+            window = np.abs(st.u_curr[: st.active])
+            skipped += int(((window > 0.0) & (window < c_p(p))).any())
+        assert not st.diverged
+        # the steps ran with a tail of nonzero values below c_p (none when c_p is 0)
+        assert (skipped > 0) == (c_p(p) > 0.0)
+
+    def test_blowup_run_matches_reference_bitwise(self):
+        for g, cfg, st in blowup_states():
+            self.assert_same_step(st, g, cfg)
+        assert st.diverged and np.isnan(st.u_curr).any()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["front", "tail", "last", "beyond"])
+    def test_non_finite_states_match_reference_bitwise(self, bad, where):
+        g = make_radial_grid(1, 40.0, 0.05)
+        cfg = RunConfig(params=params(mu1=4.0, p=4.0), t_max=30.0)
+        st = init_state(g, gaussian, zero, cfg)
+        for _ in range(200):
+            st = step(st, g, cfg)
+        window = np.abs(st.u_curr[: st.active])
+        tail = np.flatnonzero((window > 0.0) & (window < c_p(4.0)))
+        index = {"front": 0, "tail": tail[tail.size // 2], "last": st.active - 1,
+                 "beyond": st.active}[where]
+        u = st.u_curr.copy()
+        u[index] = bad
+        st = dataclasses.replace(st, u_curr=u)
+        for _ in range(3):
+            st = self.assert_same_step(st, g, cfg)
+            assert st.diverged
+
+    @staticmethod
+    def assert_same_step(state, g, cfg):
+        new, ref = step(state, g, cfg), reference_step(state, g, cfg)
+        assert new.u_curr.tobytes() == ref.u_curr.tobytes()
+        assert (new.active, new.diverged) == (ref.active, ref.diverged)
+        return new
+
+
 class TestDetectBlowup:
     def make_state(self, values):
         arr = np.asarray(values, dtype=float)
-        return WaveState(t=1.5, dt=0.1, u_prev=arr, u_curr=arr, step_index=3)
+        state = WaveState(t=1.5, dt=0.1, u_prev=arr, u_curr=arr, step_index=3)
+        assert state.sup is None
+        return state
 
     def test_bounded(self):
         assert detect_blowup(self.make_state([0.0, 1.0, 2.0]), 10.0) is None
@@ -207,6 +326,18 @@ class TestDetectBlowup:
 
     def test_non_finite(self):
         assert detect_blowup(self.make_state([0.0, math.nan]), 10.0) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite(self, bad):
+        assert detect_blowup(self.make_state([0.0, bad]), 10.0) == pytest.approx(1.5)
+
+    def test_stepped_state_carries_the_sup(self):
+        for _, _, st in blowup_states():
+            recomputed = dataclasses.replace(st, sup=None)
+            assert st.sup is not None
+            assert np.array_equal(st.sup, np.max(np.abs(st.u_curr)), equal_nan=True)
+            for threshold in (1.0, 1e8, 1e300):
+                assert detect_blowup(st, threshold) == detect_blowup(recomputed, threshold)
 
 
 class TestRun:
