@@ -166,8 +166,9 @@ def write_run_csv(report: RunReport, path) -> None:
     """Serialize the recorded samples with the canonical column set."""
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
-        for row in report.samples.tolist():
-            handle.write(",".join(map(format_float, row)) + "\n")
+        # one row at a time: a whole-array tolist() would hold every float as an object
+        for row in report.samples:
+            handle.write(",".join(map(format_float, row.tolist())) + "\n")
 
 
 def read_series_csv(path, column: str):

@@ -11,8 +11,15 @@ represented, instead of being silently saturated.
 
 The recorder's three weighted quantities, the L2 norm of u, the norm of
 the pair (grad u, u_t) and the energy, all integrate squares against
-exp(2W); ``weighted_norms`` builds that exponent once and runs the three
-quadratures on it.
+exp(2W).  ``norms_of_squares`` takes those squares and that exponent
+from its caller, which forms each once: the solver's recorder on the
+active window only, with the window's prefix of the quadrature weights,
+and ``weighted_norms`` on the whole grid.  Restricting to a prefix keeps
+every bit, because the kernel compresses its arrays to the nonzero
+density nodes before it sums, and beyond the window every density is 0.
+Without mass the energy density equals the gradient density bit for bit
+(as long as u^2 is finite), so the energy reuses that quadrature and a
+massless sample takes two log/exp passes instead of three.
 
 The comparison frame rescales the solution by (1+t)^((mu1-1)/2 -
 sqrt(delta)/2); in that frame the mass term drops out and the spatial
@@ -47,10 +54,25 @@ def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
     density = np.asarray(density, dtype=float)
     if density.shape != grid.r.shape:
         raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
+    return _log_quadrature(grid.quad_weights, expo, density)
+
+
+def _log_quadrature(weights: np.ndarray, expo, density: np.ndarray) -> float:
+    """``weighted_quadrature`` with explicit weights, which may be a prefix of the grid's.
+
+    The terms, and so their sum, depend only on the nonzero density nodes
+    in order; where those form a prefix they are sliced instead of gathered.
+    """
+    expo = np.asarray(expo, dtype=float)
     active = density != 0.0
-    # boolean indexing copies, so the in-place updates leave expo untouched
-    terms = np.asarray(expo, dtype=float)[active]
-    terms += np.log(density[active])
+    # one past the last nonzero node (a numpy bool is the byte 0 or 1)
+    end = active.tobytes().rfind(b"\x01") + 1
+    if np.count_nonzero(active) == end:
+        # the nonzero nodes form a prefix: slices hold exactly what the gathers would
+        weights, expo, density = weights[:end], expo[:end], density[:end]
+    else:
+        weights, expo, density = weights[active], expo[active], density[active]
+    terms = expo + np.log(density)
     peak = terms.max() if terms.size else -math.inf
     if peak > EXPONENT_BUDGET:
         raise WeightOverflowError(
@@ -58,7 +80,7 @@ def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
             f"{peak:.4g} > {EXPONENT_BUDGET:.0f}; the data do not decay fast enough "
             "for the weight on this grid"
         )
-    return float(grid.quad_weights[active] @ np.exp(terms, out=terms))
+    return float(weights @ np.exp(terms, out=terms))
 
 
 def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: float, q: float) -> float:
@@ -85,14 +107,35 @@ def weighted_norms(grid: RadialGrid, u, u_t, u_r, params: ModelParams, t: float)
     u = np.asarray(u, dtype=float)
     u_t = np.asarray(u_t, dtype=float)
     u_r = np.asarray(u_r, dtype=float)
-    _, m_sq = coefficients(params, t)
-    expo = 2.0 * weight_exponent(params, t, grid.r**2)
     u_sq = u * u
     grad_sq = u_r * u_r + u_t * u_t
-    wl2 = weighted_quadrature(grid, expo, u_sq) ** (1.0 / 2.0)
-    wgrad_l2 = math.sqrt(weighted_quadrature(grid, expo, grad_sq))
-    wenergy = 0.5 * weighted_quadrature(grid, expo, grad_sq + m_sq * u_sq)
-    return wl2, wgrad_l2, wenergy
+    for density in (u_sq, grad_sq):
+        if density.shape != grid.r.shape:
+            raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
+    expo = 2.0 * weight_exponent(params, t, grid.r**2)
+    return norms_of_squares(grid.quad_weights, expo, u_sq, grad_sq,
+                            coefficients(params, t)[1], float(u_sq.max()))
+
+
+def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,
+                     grad_sq: np.ndarray, m_sq: float, u_sq_max: float):
+    """``weighted_norms`` from the nodal squares u^2 and u_r^2 + u_t^2.
+
+    All arrays may be one prefix of the grid's (weights, the exponent 2W and
+    the squares) when both squares are 0 beyond it: the quadratures see the
+    same nonzero terms, so the values keep every bit.  ``u_sq_max`` is the
+    largest u^2.  Without mass (m_sq == 0) and with u^2 finite, the energy
+    density grad_sq + 0*u_sq is grad_sq bit for bit, so the energy reuses
+    the gradient quadrature; where u^2 overflows or is NaN, 0*u^2 is NaN and
+    the energy is integrated as written.
+    """
+    wl2 = _log_quadrature(weights, expo, u_sq) ** (1.0 / 2.0)
+    grad_integral = _log_quadrature(weights, expo, grad_sq)
+    if m_sq == 0.0 and math.isfinite(u_sq_max):
+        energy_integral = grad_integral
+    else:
+        energy_integral = _log_quadrature(weights, expo, grad_sq + m_sq * u_sq)
+    return wl2, math.sqrt(grad_integral), 0.5 * energy_integral
 
 
 def comparison_frame_factor(params: ModelParams, t: float) -> float:

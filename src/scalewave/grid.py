@@ -93,10 +93,15 @@ def laplacian_apply(grid: RadialGrid, u) -> np.ndarray:
 
 
 def radial_derivative(grid: RadialGrid, u) -> np.ndarray:
-    """Centered radial derivative; 0 at the origin (even symmetry), ghost 0 outside."""
+    """Centered radial derivative; 0 at the origin (even symmetry), ghost 0 outside.
+
+    As for ``laplacian_apply``, ``u`` may be a prefix of 2 <= m <= num_nodes
+    values; for a profile that is 0 beyond it, the result is the prefix of
+    the full-grid result bit for bit (up to the sign of a zero).
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != grid.r.shape:
-        raise ValueError(f"expected {grid.r.size} nodal values, got shape {u.shape}")
+    if u.ndim != 1 or not 2 <= u.size <= grid.num_nodes:
+        raise ValueError(f"expected 2 to {grid.num_nodes} nodal values, got shape {u.shape}")
     out = np.empty_like(u)
     out[1:-1] = (u[2:] - u[:-2]) / (2.0 * grid.dr)
     out[0] = 0.0

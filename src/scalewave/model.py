@@ -139,7 +139,16 @@ def mass_coefficient_dt(params: ModelParams, t):
 
 def weight_exponent(params: ModelParams, t, r_sq):
     """Gaussian weight exponent mu1*|x|^2/(2*(1+t)^2); accepts arrays."""
-    return params.mu1 * r_sq / (2.0 * (1.0 + t) ** 2)
+    return weight_exponent_from_product(t, params.mu1 * r_sq)
+
+
+def weight_exponent_from_product(t, mu1_r_sq):
+    """``weight_exponent`` from the product mu1*|x|^2, bit for bit.
+
+    A caller that evaluates the weight at many times on one grid forms the
+    product once.
+    """
+    return mu1_r_sq / (2.0 * (1.0 + t) ** 2)
 
 
 def weight_exponent_dt(params: ModelParams, t, r_sq):

@@ -27,7 +27,7 @@ length of the prefix outside which both levels are exactly 0; a step
 advances only the first ``active + 1`` nodes, with the same arithmetic in
 the same order as on the whole grid, so results are bit for bit those of
 full-grid stepping while the cost follows the region the data have
-reached.  The recorder still integrates over the whole grid.
+reached.
 
 Source window: the same idea applied to the source term.  Ahead of the
 light cone the leapfrog precursor leaves a tail of tiny values (down to
@@ -46,9 +46,19 @@ One sup pass: ``step`` takes sup |u+| over the window once; it sets the
 divergence flag (np.max propagates NaN) and is carried on the state, so
 ``detect_blowup`` does not scan the level again.
 
-Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, and a run
-stacks its rows into one float64 array, so series and CSV columns are
-views of the same numbers.
+Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, written
+into one float64 array preallocated for the most rows a run can record,
+so series and CSV columns are views of the same numbers.  A sample is one
+pass over the window w = ``active`` of the step that follows it: beyond w,
+u and u_t are exactly 0, and the radial derivative of the prefix (zero
+ghost) differs from the full-grid one only in the sign of a zero, which is
+only ever squared.  u^2, u_r^2 and u_t^2 are formed once, on the window,
+into rows of a zero-padded full-length buffer.  The plain norms and F dot
+that buffer with the full quadrature weights, because a prefix dot differs
+from the full-length one in the last bit.  The weighted norms integrate
+the window itself (``functionals.norms_of_squares``) with a weight exponent
+built from mu1*r^2, formed once per run; see the functionals module for why
+those keep their bits.
 """
 
 from __future__ import annotations
@@ -59,9 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import to_comparison_frame, weighted_norms
+from .functionals import comparison_frame_factor, norms_of_squares
 from .grid import RadialGrid, integrate, laplacian_apply, radial_derivative
-from .model import ModelParams, coefficients, discriminant
+from .model import ModelParams, coefficients, discriminant, weight_exponent_from_product
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_BLOWUP = "blowup"
@@ -183,14 +193,20 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
     is u0 + dt*u1 + (dt^2/2)*(Lap u0 - b(s) u1 - m^2(s) u0 + [nl] |u0|^p).
     Data must be supported inside r_max - (t_max - s) so the Dirichlet
     cut-off never influences the solution; a violation only warns, since the
-    caller may knowingly accept a graded tail.  The state's ``active`` is one
+    caller may knowingly accept a graded tail.  Without a safe radius
+    (r_max <= t_max - s) the cut-off reaches every node whatever the data,
+    and a ValueError is raised before any step.  The state's ``active`` is one
     past the last node where either level is nonzero.
     """
+    safe_radius = grid.r_max - (config.t_max - config.s)
+    if safe_radius <= 0.0:
+        raise ValueError(
+            f"no safe radius: r_max {grid.r_max:g} <= t_max - s = {config.t_max - config.s:g}, "
+            "so the outer cut-off reaches every node; enlarge r_max or shorten the run"
+        )
     params = config.params
     u0v = _sample_profile(u0, grid.r)
     u1v = _sample_profile(u1, grid.r)
-
-    safe_radius = grid.r_max - (config.t_max - config.s)
     data_mass = np.abs(u0v) + np.abs(u1v)
     total = integrate(grid, data_mass)
     if total > 0.0:
@@ -270,19 +286,44 @@ def detect_blowup(state: WaveState, threshold: float) -> float | None:
     return None
 
 
-def _record(grid: RadialGrid, params: ModelParams, t: float, u: np.ndarray,
-            u_t: np.ndarray, frame_ok: bool) -> tuple[float, ...]:
-    """One sample row: t, then the values of SAMPLE_KEYS."""
-    u_r = radial_derivative(grid, u)
-    return (
-        t,
-        float(np.max(np.abs(u))),
-        math.sqrt(max(integrate(grid, u * u), 0.0)),
-        math.sqrt(max(integrate(grid, u_r * u_r), 0.0)),
-        math.sqrt(max(integrate(grid, u_t * u_t), 0.0)),
-        *weighted_norms(grid, u, u_t, u_r, params, t),
-        integrate(grid, to_comparison_frame(u, t, params)) if frame_ok else math.nan,
-    )
+class _Recorder:
+    """The sample rows of one run, each one pass over the active window (see the module notes)."""
+
+    def __init__(self, grid: RadialGrid, params: ModelParams, frame_ok: bool) -> None:
+        self.grid, self.params, self.frame_ok = grid, params, frame_ok
+        self.mu1_r_sq = params.mu1 * grid.r**2
+        # rows u^2, u_r^2, u_t^2 and the comparison frame; 0 from node ``filled`` on
+        self.padded = np.zeros((4, grid.num_nodes))
+        self.filled = 0
+
+    def __call__(self, t: float, u: np.ndarray, u_t: np.ndarray, w: int) -> tuple[float, ...]:
+        """One sample row: t, then the values of SAMPLE_KEYS; u and u_t are 0 from node w on."""
+        grid, params, padded = self.grid, self.params, self.padded
+        if w < self.filled:
+            padded[:, w:self.filled] = 0.0
+        self.filled = w
+        u, u_t = u[:w], u_t[:w]
+        u_r = radial_derivative(grid, u)
+        u_sq, ur_sq, ut_sq, frame = padded[:, :w]
+        np.multiply(u, u, out=u_sq)
+        np.multiply(u_r, u_r, out=ur_sq)
+        np.multiply(u_t, u_t, out=ut_sq)
+        sup = float(np.max(np.abs(u)))
+        expo = 2.0 * weight_exponent_from_product(t, self.mu1_r_sq[:w])
+        _, m_sq = coefficients(params, t)
+        weighted = norms_of_squares(grid.quad_weights[:w], expo, u_sq, ur_sq + ut_sq, m_sq,
+                                    sup * sup)
+        if self.frame_ok:
+            np.multiply(comparison_frame_factor(params, t), u, out=frame)
+        return (
+            t,
+            sup,
+            math.sqrt(max(integrate(grid, padded[0]), 0.0)),
+            math.sqrt(max(integrate(grid, padded[1]), 0.0)),
+            math.sqrt(max(integrate(grid, padded[2]), 0.0)),
+            *weighted,
+            integrate(grid, padded[3]) if self.frame_ok else math.nan,
+        )
 
 
 def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
@@ -299,9 +340,10 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
     state = init_state(grid, u0, u1, config)
     dt = state.dt
     steps = num_steps(grid, config)
-    frame_ok = discriminant(params) >= 0.0
-
-    rows = [_record(grid, params, config.s, state.u_prev, _sample_profile(u1, grid.r), frame_ok)]
+    record = _Recorder(grid, params, discriminant(params) >= 0.0)
+    samples = np.empty((steps // config.record_every + 2, 1 + len(SAMPLE_KEYS)))
+    samples[0] = record(config.s, state.u_prev, _sample_profile(u1, grid.r), grid.num_nodes)
+    count = 1
     outcome = OUTCOME_COMPLETED
     blowup_time = None
 
@@ -309,11 +351,13 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
         final = state.step_index >= steps
         nxt = step(state, grid, config)
         if state.step_index % config.record_every == 0 or final:
+            w = nxt.active
             if nxt.diverged:
-                u_t = (state.u_curr - state.u_prev) / dt
+                u_t = (state.u_curr[:w] - state.u_prev[:w]) / dt
             else:
-                u_t = (nxt.u_curr - state.u_prev) / (2.0 * dt)
-            rows.append(_record(grid, params, state.t, state.u_curr, u_t, frame_ok))
+                u_t = (nxt.u_curr[:w] - state.u_prev[:w]) / (2.0 * dt)
+            samples[count] = record(state.t, state.u_curr, u_t, w)
+            count += 1
         if final:
             break
         if nxt.diverged:
@@ -328,5 +372,5 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
             break
         state = nxt
 
-    return RunReport(config=config, samples=np.array(rows, dtype=np.float64), outcome=outcome,
+    return RunReport(config=config, samples=samples[:count], outcome=outcome,
                      blowup_time=blowup_time)

@@ -456,6 +456,23 @@ class TestBadInputsExitConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "n=3", "--set", "mu1=5", "--set", "t_max=60"],
+        ["sweep", "--set", "n=3", "--set", "mu1=5", "--set", "cfl_safety=0.5",
+         "--set", "p_values=[1.5,2.5]", "--set", "amplitudes=[0.5,2]", "--set", "t_max=60"],
+    ])
+    def test_no_safe_radius_rejected_before_any_step(self, argv, tmp_path, monkeypatch, capsys):
+        # the default r_max 30 is below t_max: the outer cut-off reaches every node
+        monkeypatch.chdir(tmp_path)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr("scalewave.solver.step", no_step)
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: no safe radius: r_max 30 <= t_max - s = 60")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepJobs:
     ARGS = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",

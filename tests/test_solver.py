@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from scalewave.cli import CSV_COLUMNS
-from scalewave.functionals import weighted_lq
-from scalewave.grid import laplacian_apply, make_radial_grid
-from scalewave.model import ModelParams, coefficients
+from scalewave.errors import WeightOverflowError
+from scalewave.functionals import (
+    EXPONENT_BUDGET,
+    to_comparison_frame,
+    weighted_lq,
+    weighted_quadrature,
+)
+from scalewave.grid import integrate, laplacian_apply, make_radial_grid, radial_derivative
+from scalewave.model import ModelParams, coefficients, discriminant, weight_exponent
 from scalewave.solver import (
     OUTCOME_BLOWUP,
     OUTCOME_COMPLETED,
@@ -15,6 +21,7 @@ from scalewave.solver import (
     RunConfig,
     SupportViolationWarning,
     WaveState,
+    _Recorder,
     cfl_dt,
     detect_blowup,
     effective_dt,
@@ -78,6 +85,66 @@ def reference_step(state, grid, config):
         diverged=diverged,
         active=width,
     )
+
+
+def reference_quadrature(grid, expo, density):
+    # weighted_quadrature as it was before the recorder's active window
+    density = np.asarray(density, dtype=float)
+    if density.shape != grid.r.shape:
+        raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
+    active = density != 0.0
+    # boolean indexing copies, so the in-place updates leave expo untouched
+    terms = np.asarray(expo, dtype=float)[active]
+    terms += np.log(density[active])
+    peak = terms.max() if terms.size else -math.inf
+    if peak > EXPONENT_BUDGET:
+        raise WeightOverflowError(f"exponent {peak:.4g} > {EXPONENT_BUDGET:.0f}")
+    return float(grid.quad_weights[active] @ np.exp(terms, out=terms))
+
+
+def reference_record(grid, params, t, u, u_t, frame_ok):
+    # one sample row as it was recorded before the recorder's active window,
+    # with the three-quadrature weighted_norms of that time inlined
+    u_r = radial_derivative(grid, u)
+    _, m_sq = coefficients(params, t)
+    expo = 2.0 * weight_exponent(params, t, grid.r**2)
+    u_sq = u * u
+    grad_sq = u_r * u_r + u_t * u_t
+    return (
+        t,
+        float(np.max(np.abs(u))),
+        math.sqrt(max(integrate(grid, u * u), 0.0)),
+        math.sqrt(max(integrate(grid, u_r * u_r), 0.0)),
+        math.sqrt(max(integrate(grid, u_t * u_t), 0.0)),
+        reference_quadrature(grid, expo, u_sq) ** (1.0 / 2.0),
+        math.sqrt(reference_quadrature(grid, expo, grad_sq)),
+        0.5 * reference_quadrature(grid, expo, grad_sq + m_sq * u_sq),
+        integrate(grid, to_comparison_frame(u, t, params)) if frame_ok else math.nan,
+    )
+
+
+def reference_samples(grid, u0, u1, config):
+    # the sample loop of run() as it was before the recorder's active window
+    params = config.params
+    state = init_state(grid, u0, u1, config)
+    dt = state.dt
+    steps = num_steps(grid, config)
+    frame_ok = discriminant(params) >= 0.0
+    u1v = np.asarray(u1(grid.r), dtype=float)
+    rows = [reference_record(grid, params, config.s, state.u_prev, u1v, frame_ok)]
+    while True:
+        final = state.step_index >= steps
+        nxt = step(state, grid, config)
+        if state.step_index % config.record_every == 0 or final:
+            if nxt.diverged:
+                u_t = (state.u_curr - state.u_prev) / dt
+            else:
+                u_t = (nxt.u_curr - state.u_prev) / (2.0 * dt)
+            rows.append(reference_record(grid, params, state.t, state.u_curr, u_t, frame_ok))
+        if final or nxt.diverged or detect_blowup(nxt, config.blowup_threshold) is not None:
+            break
+        state = nxt
+    return np.array(rows, dtype=np.float64)
 
 
 def blowup_states():
@@ -166,6 +233,14 @@ class TestInitState:
         cfg = RunConfig(params=params(), t_max=9.0)  # safe radius 1.0 < support 3.0
         with pytest.warns(SupportViolationWarning):
             init_state(g, bump, zero, cfg)
+
+    def test_no_safe_radius_rejected(self):
+        # r_max <= t_max - s: the Dirichlet cut-off reaches every node
+        g = make_radial_grid(1, 10.0, 0.05)
+        for s, t_max in ((0.0, 10.0), (0.0, 60.0), (2.0, 12.0)):
+            cfg = RunConfig(params=params(), s=s, t_max=t_max)
+            with pytest.raises(ValueError, match="no safe radius"):
+                init_state(g, bump, zero, cfg)
 
     def test_initial_time_shifts_clock(self):
         g = make_radial_grid(1, 10.0, 0.05)
@@ -309,6 +384,120 @@ class TestSourceWindow:
         assert new.u_curr.tobytes() == ref.u_curr.tobytes()
         assert (new.active, new.diverged) == (ref.active, ref.diverged)
         return new
+
+
+def unit_gaussian(r):
+    return np.exp(-((r / 0.4) ** 2))
+
+
+def wide(r):
+    # nonzero out to r_max = 30, so the active window is the whole grid from the start
+    return 0.3 * np.exp(-((r / 4.0) ** 2))
+
+
+class TestRecorder:
+    @pytest.mark.parametrize("g, cfg, u0, u1, outcome", [
+        pytest.param(make_radial_grid(1, 30.0, 0.05),
+                     RunConfig(params=params(mu1=4.0), t_max=10.0, nonlinear=False,
+                               record_every=1),
+                     unit_gaussian, zero, OUTCOME_COMPLETED, id="n1-massless-linear"),
+        pytest.param(make_radial_grid(1, 30.0, 0.05),
+                     RunConfig(params=params(mu1=3.0, mu2sq=2.0, p=2.5), t_max=10.0,
+                               record_every=3),
+                     lambda r: 0.5 * bump(r), lambda r: 0.2 * bump(r), OUTCOME_COMPLETED,
+                     id="n1-massive"),
+        pytest.param(make_radial_grid(2, 20.0, 0.05),
+                     RunConfig(params=params(n=2, mu1=3.0, mu2sq=2.0, p=2.5), t_max=8.0,
+                               cfl_safety=0.8, record_every=2),
+                     unit_gaussian, zero, OUTCOME_COMPLETED, id="n2-massive"),
+        pytest.param(make_radial_grid(3, 30.0, 0.05),
+                     RunConfig(params=params(n=3, mu1=5.0), t_max=10.0, cfl_safety=0.5,
+                               record_every=2),
+                     unit_gaussian, zero, OUTCOME_COMPLETED, id="n3-cfl-half"),
+        pytest.param(make_radial_grid(1, 60.0, 0.05),
+                     RunConfig(params=params(mu1=4.0, p=2.0), t_max=20.0, record_every=5),
+                     bump, bump, OUTCOME_BLOWUP, id="bump-blowup"),
+        pytest.param(make_radial_grid(1, 60.0, 0.05),
+                     RunConfig(params=params(mu1=4.0, p=10.0), t_max=20.0, record_every=1,
+                               blowup_threshold=math.inf),
+                     bump, bump, OUTCOME_DIVERGED, id="diverged-non-finite-step"),
+        pytest.param(make_radial_grid(3, 40.0, 0.05),
+                     RunConfig(params=params(n=3, mu1=6.0), t_max=20.0, nonlinear=False,
+                               record_every=1),
+                     unit_gaussian, zero, OUTCOME_DIVERGED, id="diverged-unstable-linear"),
+        pytest.param(make_radial_grid(1, 30.0, 0.05),
+                     RunConfig(params=params(mu1=0.5), t_max=5.0, nonlinear=False, record_every=1),
+                     unit_gaussian, wide, OUTCOME_COMPLETED, id="full-width-u1"),
+    ])
+    def test_samples_match_reference_bitwise(self, g, cfg, u0, u1, outcome):
+        # a diverging run overflows its squares on the way, in both recorders
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = run(g, u0, u1, cfg)
+            want = reference_samples(g, u0, u1, cfg)
+        assert rep.outcome == outcome
+        assert rep.samples.shape == want.shape
+        for got_row, want_row in zip(rep.samples, want):
+            assert got_row.tobytes() == want_row.tobytes()
+
+    def test_narrower_window_after_a_wider_sample(self):
+        # the padding a wide sample filled is cleared for a narrower one
+        g = make_radial_grid(2, 10.0, 0.05)
+        p = params(n=2, mu1=4.0, mu2sq=0.5)
+        record = _Recorder(g, p, True)
+        for w in (g.num_nodes, 40, 80, 20):
+            inside = np.arange(g.num_nodes) < w - 1
+            u = np.where(inside, wide(g.r), 0.0)
+            u_t = np.where(inside, g.r * wide(g.r), 0.0)
+            want = np.array(reference_record(g, p, 0.5, u, u_t, True))
+            assert np.array(record(0.5, u, u_t, w)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pattern", ["prefix", "scattered", "empty", "full", "nan"])
+    def test_quadrature_kernel_matches_reference_bitwise(self, pattern):
+        # a prefix of nonzero nodes is sliced, any other pattern gathered
+        g = make_radial_grid(3, 20.0, 0.05)
+        rng = np.random.default_rng(7)
+        expo = rng.uniform(-50.0, 50.0, g.num_nodes)
+        for _ in range(50):
+            density = rng.uniform(0.0, 2.0, g.num_nodes) ** 9
+            if pattern == "prefix":
+                density[rng.integers(0, g.num_nodes):] = 0.0
+            elif pattern == "scattered":
+                density[rng.random(g.num_nodes) < 0.3] = 0.0
+            elif pattern == "empty":
+                density[:] = 0.0
+            elif pattern == "nan":
+                density[rng.integers(0, g.num_nodes)] = math.nan
+            got = weighted_quadrature(g, expo, density)
+            assert np.float64(got).tobytes() == np.float64(
+                reference_quadrature(g, expo, density)).tobytes()
+
+    @pytest.mark.parametrize("bad", ["nan", "nan_in_u_t", "overflow", "overflow_and_nan"])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_hand_built_massless_states_match_reference_bitwise(self, bad, windowed):
+        # NaN or |u| > 1.4e154 (u^2 overflows): the energy may not reuse the gradient quadrature
+        g = make_radial_grid(1, 10.0, 0.05)
+        p = params(mu1=2.0)
+        w = 61 if windowed else g.num_nodes
+        inside = np.arange(g.num_nodes) < w - 1
+        u = np.where(inside, unit_gaussian(g.r), 0.0)
+        u_t = np.where(inside, -g.r * unit_gaussian(g.r), 0.0)
+        if bad.startswith("overflow"):
+            u[3] = 2e154
+        if bad.endswith("nan"):
+            u[7] = math.nan
+        if bad == "nan_in_u_t":
+            u_t[7] = math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = np.array(reference_record(g, p, 1.25, u, u_t, True))
+            except WeightOverflowError:
+                assert bad == "overflow"
+                with pytest.raises(WeightOverflowError):
+                    _Recorder(g, p, True)(1.25, u, u_t, w)
+                return
+            got = np.array(_Recorder(g, p, True)(1.25, u, u_t, w))
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[6:8]).all()
 
 
 class TestDetectBlowup:
