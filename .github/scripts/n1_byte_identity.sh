@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Run a fixed list of n = 1 commands against two source trees and require
+# byte-identical output files, stdout and exit codes.
+#
+# Usage: n1_byte_identity.sh BASE_TREE HEAD_TREE WORK_DIR
+#
+# Each tree is a checkout whose src/ holds the scalewave package; the
+# commands run with PYTHONPATH pointing at that src/.  Only n = 1 is
+# covered: it is the dimension whose outputs every change so far has kept
+# bit for bit, while n >= 2 outputs may change on purpose.
+set -euo pipefail
+
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+work=$3
+
+# One command per line, in order; later commands may read earlier outputs.
+commands() {
+    # the README examples (simulate, decay-fit, sweep)
+    sw simulate --set t_max=50 --set r_max=60 --set dr=0.05 \
+        --set u0_width=0.4 --set nonlinear=false --set record_every=5 --out run.csv
+    sw decay-fit run.csv --set column=l2 --set t_min=5 --out fit.json
+    sw sweep --set "p_values=[1.5,2,2.5]" --set "amplitudes=[1.0]" \
+        --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
+        --set r_max=230 --set t_max=200 --out sweep.csv
+    # a nonlinear global-band run recording every step
+    sw simulate --set p=4 --set u0_amplitude=0.01 --set t_max=60 --set r_max=80 \
+        --set record_every=1 --out global.csv
+    # a blow-up-band sweep
+    sw sweep --set "p_values=[1.5,2,2.5]" --set "amplitudes=[0.4,0.9]" \
+        --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
+        --set r_max=80 --set t_max=60 --set record_every=25 --out blowup.csv
+}
+
+run_tree() {
+    local tree=$1 dir=$2 index=0
+    mkdir -p "$dir"
+    sw() {
+        index=$((index + 1))
+        local code=0
+        (cd "$dir" && PYTHONPATH="$tree/src" python -m scalewave.cli "$@") \
+            > "$dir/stdout-$index.txt" || code=$?
+        echo "$code" > "$dir/exit-$index.txt"
+        # commands print the paths they wrote; only the name may differ between trees
+        sed -i "s|$dir|<out>|g" "$dir/stdout-$index.txt"
+    }
+    commands
+}
+
+rm -rf "$work"
+run_tree "$base" "$work/base"
+run_tree "$head" "$work/head"
+
+status=0
+if ! diff <(cd "$work/base" && ls) <(cd "$work/head" && ls); then
+    echo "the two trees wrote different sets of files"
+    status=1
+fi
+for file in "$work"/base/*; do
+    name=$(basename "$file")
+    if [ -e "$work/head/$name" ] && ! cmp "$file" "$work/head/$name"; then
+        status=1
+    fi
+done
+if [ "$status" -eq 0 ]; then
+    echo "n = 1 byte identity: $(ls "$work/base" | wc -l) files identical"
+fi
+exit "$status"

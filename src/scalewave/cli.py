@@ -27,10 +27,10 @@ import numpy as np
 from . import __version__
 from .analysis import fit_decay, sweep
 from .errors import RegimeError, WeightOverflowError
-from .grid import make_radial_grid
+from .grid import grid_size, make_radial_grid
 from .model import ModelParams, decay_exponents, regime_check
 from .odi import OdiProblem, comparison_check, solve
-from .solver import OUTCOME_DIVERGED, RunConfig, RunReport, SAMPLE_KEYS, run
+from .solver import OUTCOME_DIVERGED, RunConfig, RunReport, SAMPLE_KEYS, check_run_size, run
 from .verify import (
     bihari_check,
     check_dissipativity_signs,
@@ -210,8 +210,10 @@ def _model_params(cfg: dict) -> ModelParams:
 
 def _build_run(cfg: dict):
     params = _model_params(cfg)
-    grid = make_radial_grid(cfg["n"], cfg["r_max"], cfg["dr"])
+    num_nodes, spacing = grid_size(cfg["n"], cfg["r_max"], cfg["dr"])
     config = RunConfig(params=params, **{k: cfg[k] for k in RUN_DEFAULTS})
+    check_run_size(num_nodes, spacing, config)
+    grid = make_radial_grid(cfg["n"], cfg["r_max"], cfg["dr"])
     u0 = DataProfile(cfg["u0_kind"], cfg["u0_amplitude"], cfg["u0_width"])
     u1 = DataProfile(cfg["u1_kind"], cfg["u1_amplitude"], cfg["u1_width"])
     return grid, config, u0, u1

@@ -5,9 +5,13 @@ a weighted L2 norm is the plain L2 norm of exp(sigma*W)*f.  Every weighted
 integral goes through one log-domain kernel, ``weighted_quadrature``: each
 quadrature term exp(expo)*density is formed as exp(expo + log density), so
 the weight may be astronomically large wherever the integrand is not.
-Overflow is judged on that combined exponent, never on the weight alone:
-a WeightOverflowError means the weighted integral itself cannot be
-represented, instead of being silently saturated.
+Overflow is judged on that combined exponent, never on the weight alone.
+Past a budget, a term is summed relative to the largest one and scaled
+back, so the recorder of a growing run records a weighted norm up to the
+float range and +inf beyond it, and never aborts the run;
+``weighted_quadrature`` instead raises WeightOverflowError there, because
+its callers (the verify suites) test data that must lie in the weighted
+space.
 
 The recorder's three weighted quantities, the L2 norm of u, the norm of
 the pair (grad u, u_t) and the energy, all integrate squares against
@@ -54,14 +58,29 @@ def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
     density = np.asarray(density, dtype=float)
     if density.shape != grid.r.shape:
         raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
-    return _log_quadrature(grid.quad_weights, expo, density)
+    value, peak = _log_quadrature(grid.quad_weights, expo, density)
+    check_term_exponent(peak)
+    return value
 
 
-def _log_quadrature(weights: np.ndarray, expo, density: np.ndarray) -> float:
-    """``weighted_quadrature`` with explicit weights, which may be a prefix of the grid's.
+def check_term_exponent(peak: float) -> None:
+    """Raise WeightOverflowError when a quadrature term's exponent exceeds the budget."""
+    if peak > EXPONENT_BUDGET:
+        raise WeightOverflowError(
+            f"weighted integral not representable: a quadrature term has exponent "
+            f"{peak:.4g} > {EXPONENT_BUDGET:.0f}; the data do not decay fast enough "
+            "for the weight on this grid"
+        )
 
-    The terms, and so their sum, depend only on the nonzero density nodes
-    in order; where those form a prefix they are sliced instead of gathered.
+
+def _log_quadrature(weights: np.ndarray, expo, density: np.ndarray) -> tuple[float, float]:
+    """(quadrature, largest term exponent) of ``weighted_quadrature`` with explicit weights.
+
+    The weights may be a prefix of the grid's.  The terms, and so their
+    sum, depend only on the nonzero density nodes in order; where those form
+    a prefix they are sliced instead of gathered.  Past the budget the terms
+    are summed relative to the largest and scaled back, so only an integral
+    past the float range overflows, to +inf.
     """
     expo = np.asarray(expo, dtype=float)
     active = density != 0.0
@@ -73,14 +92,18 @@ def _log_quadrature(weights: np.ndarray, expo, density: np.ndarray) -> float:
     else:
         weights, expo, density = weights[active], expo[active], density[active]
     terms = expo + np.log(density)
-    peak = terms.max() if terms.size else -math.inf
-    if peak > EXPONENT_BUDGET:
-        raise WeightOverflowError(
-            f"weighted integral not representable: a quadrature term has exponent "
-            f"{peak:.4g} > {EXPONENT_BUDGET:.0f}; the data do not decay fast enough "
-            "for the weight on this grid"
-        )
-    return float(weights @ np.exp(terms, out=terms))
+    peak = float(terms.max()) if terms.size else -math.inf
+    if not peak > EXPONENT_BUDGET:
+        return float(weights @ np.exp(terms, out=terms)), peak
+    if peak == math.inf:
+        return math.inf, peak
+    terms -= peak
+    scaled = float(weights @ np.exp(terms, out=terms))
+    try:
+        half = math.exp(0.5 * peak)
+    except OverflowError:
+        return (math.inf if scaled > 0.0 else 0.0), peak
+    return scaled * half * half, peak
 
 
 def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: float, q: float) -> float:
@@ -114,28 +137,33 @@ def weighted_norms(grid: RadialGrid, u, u_t, u_r, params: ModelParams, t: float)
             raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
     expo = 2.0 * weight_exponent(params, t, grid.r**2)
     return norms_of_squares(grid.quad_weights, expo, u_sq, grad_sq,
-                            coefficients(params, t)[1], float(u_sq.max()))
+                            coefficients(params, t)[1], float(u_sq.max()))[:3]
 
 
 def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,
                      grad_sq: np.ndarray, m_sq: float, u_sq_max: float):
-    """``weighted_norms`` from the nodal squares u^2 and u_r^2 + u_t^2.
+    """``weighted_norms`` from the nodal squares u^2 and u_r^2 + u_t^2, then the peaks.
 
-    All arrays may be one prefix of the grid's (weights, the exponent 2W and
-    the squares) when both squares are 0 beyond it: the quadratures see the
-    same nonzero terms, so the values keep every bit.  ``u_sq_max`` is the
-    largest u^2.  Without mass (m_sq == 0) and with u^2 finite, the energy
-    density grad_sq + 0*u_sq is grad_sq bit for bit, so the energy reuses
-    the gradient quadrature; where u^2 overflows or is NaN, 0*u^2 is NaN and
-    the energy is integrated as written.
+    The fourth value holds the largest term exponent of each quadrature
+    taken, in order, for a caller that must reject data outside the
+    weighted space; past the budget the norms are still formed, +inf where
+    they overflow.  All arrays may be one prefix of the grid's (weights, the
+    exponent 2W and the squares) when both squares are 0 beyond it: the
+    quadratures see the same nonzero terms, so the values keep every bit.
+    ``u_sq_max`` is the largest u^2.  Without mass (m_sq == 0) and with u^2
+    finite, the energy density grad_sq + 0*u_sq is grad_sq bit for bit, so
+    the energy reuses the gradient quadrature; where u^2 overflows or is
+    NaN, 0*u^2 is NaN and the energy is integrated as written.
     """
-    wl2 = _log_quadrature(weights, expo, u_sq) ** (1.0 / 2.0)
-    grad_integral = _log_quadrature(weights, expo, grad_sq)
+    u_integral, u_peak = _log_quadrature(weights, expo, u_sq)
+    grad_integral, grad_peak = _log_quadrature(weights, expo, grad_sq)
+    peaks = (u_peak, grad_peak)
     if m_sq == 0.0 and math.isfinite(u_sq_max):
         energy_integral = grad_integral
     else:
-        energy_integral = _log_quadrature(weights, expo, grad_sq + m_sq * u_sq)
-    return wl2, math.sqrt(grad_integral), 0.5 * energy_integral
+        energy_integral, energy_peak = _log_quadrature(weights, expo, grad_sq + m_sq * u_sq)
+        peaks += (energy_peak,)
+    return u_integral ** (1.0 / 2.0), math.sqrt(grad_integral), 0.5 * energy_integral, peaks
 
 
 def comparison_frame_factor(params: ModelParams, t: float) -> float:

@@ -35,12 +35,8 @@ def surface_measure(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
-    """Uniform radial mesh on [0, r_max] with trapezoidal quadrature weights.
-
-    The requested spacing is snapped minimally so that the last node sits
-    exactly on r_max.
-    """
+def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float]:
+    """(node count, snapped spacing) of ``make_radial_grid(n, r_max, dr)``, allocating nothing."""
     if int(n) != n or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if not r_max > 0.0:
@@ -50,7 +46,16 @@ def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
     if not 0.0 < dr < r_max:
         raise ValueError(f"need 0 < dr < r_max, got dr={dr}, r_max={r_max}")
     num = int(round(r_max / dr)) + 1
-    spacing = r_max / (num - 1)
+    return num, r_max / (num - 1)
+
+
+def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
+    """Uniform radial mesh on [0, r_max] with trapezoidal quadrature weights.
+
+    The requested spacing is snapped minimally so that the last node sits
+    exactly on r_max.
+    """
+    num, spacing = grid_size(n, r_max, dr)
     r = spacing * np.arange(num)
     weights = surface_measure(int(n)) * r ** (n - 1) * spacing
     weights[0] *= 0.5
@@ -80,16 +85,42 @@ def laplacian_apply(grid: RadialGrid, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or not 2 <= u.size <= grid.num_nodes:
         raise ValueError(f"expected 2 to {grid.num_nodes} nodal values, got shape {u.shape}")
-    n, dr, r = grid.n, grid.dr, grid.r[: u.size]
     out = np.empty_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
-    if n > 1:
-        out[1:-1] += (n - 1) * (u[2:] - u[:-2]) / (2.0 * dr * r[1:-1])
-    out[0] = 2.0 * n * (u[1] - u[0]) / dr**2
-    out[-1] = (-2.0 * u[-1] + u[-2]) / dr**2
-    if n > 1:
-        out[-1] += (n - 1) * (-u[-2]) / (2.0 * dr * r[-1])
+    laplacian_into(grid.n, grid.dr**2, first_order_denominators(grid), u, out, np.empty_like(u))
     return out
+
+
+def first_order_denominators(grid: RadialGrid) -> np.ndarray | None:
+    """The denominators (2*dr)*r of the (n-1)/r u_r term; None in n = 1, which has no such term."""
+    return 2.0 * grid.dr * grid.r if grid.n > 1 else None
+
+
+def laplacian_into(n: int, dr_sq: float, denominators, u: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray) -> None:
+    """``laplacian_apply`` of a prefix ``u`` written into ``out``, from constants formed once.
+
+    ``dr_sq`` is dr**2 and ``denominators`` is ``first_order_denominators(grid)``;
+    ``out`` has the length of ``u`` and ``scratch`` at least that, and
+    neither may overlap ``u``.  Every intermediate is written in place, with
+    the operations, operands and order of the plain expressions, so the
+    values are those of the allocating form bit for bit.
+    """
+    m = u.size
+    inner = out[1:-1]
+    np.multiply(2.0, u[1:-1], out=inner)
+    np.subtract(u[2:], inner, out=inner)
+    np.add(inner, u[:-2], out=inner)
+    np.divide(inner, dr_sq, out=inner)
+    if n > 1:
+        first_order = scratch[: m - 2]
+        np.subtract(u[2:], u[:-2], out=first_order)
+        np.multiply(n - 1, first_order, out=first_order)
+        np.divide(first_order, denominators[1 : m - 1], out=first_order)
+        np.add(inner, first_order, out=inner)
+    out[0] = 2.0 * n * (u[1] - u[0]) / dr_sq
+    out[-1] = (-2.0 * u[-1] + u[-2]) / dr_sq
+    if n > 1:
+        out[-1] += (n - 1) * (-u[-2]) / denominators[m - 1]
 
 
 def radial_derivative(grid: RadialGrid, u) -> np.ndarray:

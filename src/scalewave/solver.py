@@ -22,12 +22,23 @@ parallel.
 
 Active window: the stencil has three points and 0**p == 0, so a node can
 turn nonzero only next to a nonzero node, and the front of nonzero values
-moves at most one node per step.  Each state carries ``active``, the
-length of the prefix outside which both levels are exactly 0; a step
-advances only the first ``active + 1`` nodes, with the same arithmetic in
-the same order as on the whole grid, so results are bit for bit those of
-full-grid stepping while the cost follows the region the data have
-reached.
+moves at most one node per step.  ``active`` is the length of the prefix
+outside which both levels are exactly 0; a step advances only the first
+``active + 1`` nodes, with the same arithmetic in the same order as on the
+whole grid, so results are bit for bit those of full-grid stepping while
+the cost follows the region the data have reached.
+
+One kernel per run: ``leapfrog_kernel`` forms what is constant for a run
+once (dr^2, dt^2, the (2 dr) r denominators for n > 1, c_p below, and the
+scratch arrays) and returns the step, which writes every intermediate in
+place with the operations, operands and order of the plain expressions,
+so it keeps their bits.  ``run`` drives it over three level buffers (u-,
+u, u+) that rotate, with t, the window and the step index as plain
+values: no state object and no fresh level per step.  The window never
+shrinks, and a buffer only ever holds values written at a width no larger
+than the current one, so every level is exactly 0 beyond the window as a
+fresh level would be.  ``step`` is the public one-step form of the same
+kernel on a ``WaveState``.
 
 Source window: the same idea applied to the source term.  Ahead of the
 light cone the leapfrog precursor leaves a tail of tiny values (down to
@@ -42,9 +53,9 @@ included, is that of the plain power.  For p < 1100/1074, c_p underflows
 to 0 and only zeros are skipped.  ``test_solver`` checks the underflow
 assumption on the running numpy.
 
-One sup pass: ``step`` takes sup |u+| over the window once; it sets the
-divergence flag (np.max propagates NaN) and is carried on the state, so
-``detect_blowup`` does not scan the level again.
+One sup pass: the step takes sup |u+| over the window once; it decides
+divergence (np.max propagates NaN) and the blow-up rule, which ``run`` and
+``detect_blowup`` share, so no level is scanned again.
 
 Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, written
 into one float64 array preallocated for the most rows a run can record,
@@ -69,8 +80,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import comparison_frame_factor, norms_of_squares
-from .grid import RadialGrid, integrate, laplacian_apply, radial_derivative
+from .functionals import check_term_exponent, comparison_frame_factor, norms_of_squares
+from .grid import (
+    RadialGrid,
+    first_order_denominators,
+    integrate,
+    laplacian_apply,
+    laplacian_into,
+    radial_derivative,
+)
 from .model import ModelParams, coefficients, discriminant, weight_exponent_from_product
 
 OUTCOME_COMPLETED = "completed"
@@ -159,8 +177,38 @@ def cfl_dt(grid: RadialGrid, cfl_safety: float) -> float:
 
 def num_steps(grid: RadialGrid, config: RunConfig) -> int:
     """Number of steps so that an integer count of steps lands exactly on t_max."""
-    cap = cfl_dt(grid, config.cfl_safety)
+    return _steps_at(grid.dr, config)
+
+
+def _steps_at(dr: float, config: RunConfig) -> int:
+    cap = config.cfl_safety * dr
     return max(1, math.ceil((config.t_max - config.s) / cap - 1e-9))
+
+
+#: Most bytes one run may preallocate; ``check_run_size`` rejects a larger run.
+RUN_BYTES_BUDGET = 4 * 2**30
+
+# float64 arrays of the grid's length that one run holds: the grid's radii and
+# weights, three levels, the step kernel's three scratch arrays, and the
+# recorder's mu1*r^2 and four padded squares
+_ARRAYS_PER_RUN = 2 + 3 + 3 + 5
+
+
+def check_run_size(num_nodes: int, dr: float, config: RunConfig) -> None:
+    """Raise ValueError, before anything is allocated, for a run past RUN_BYTES_BUDGET.
+
+    ``num_nodes`` and ``dr`` are those of the grid (``grid.grid_size``).  The
+    estimate counts the run's node arrays, the kernel's boolean scratch and
+    the preallocated sample rows.
+    """
+    rows = _steps_at(dr, config) // config.record_every + 2
+    need = 8 * (_ARRAYS_PER_RUN * num_nodes + rows * (1 + len(SAMPLE_KEYS))) + num_nodes
+    if need > RUN_BYTES_BUDGET:
+        raise ValueError(
+            f"run too large: {num_nodes} nodes and {rows} sample rows would preallocate "
+            f"{need / 2**30:.4g} GiB, over the {RUN_BYTES_BUDGET / 2**30:g} GiB budget; "
+            "coarsen dr, shorten r_max or t_max, or raise record_every"
+        )
 
 
 def effective_dt(grid: RadialGrid, config: RunConfig) -> float:
@@ -175,15 +223,24 @@ def _sample_profile(profile, r: np.ndarray) -> np.ndarray:
     return values.copy()
 
 
-def _power_source(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|**p, with the power taken only where it can be nonzero (see the module notes)."""
-    src = np.abs(u)
-    below = src < 2.0 ** (-1100.0 / p)  # NaN compares false, so it counts as inside
+def _source_cutoff(p: float) -> float:
+    """c_p: every |u| below it has |u|**p exactly +0.0 (see the module notes)."""
+    return 2.0 ** (-1100.0 / p)
+
+
+def _power_source(u: np.ndarray, p: float, c_p: float, out: np.ndarray,
+                  below: np.ndarray) -> np.ndarray:
+    """|u|**p into ``out``, the power taken only where it can be nonzero (see the module notes).
+
+    ``out`` and the boolean ``below`` have the length of ``u``.
+    """
+    np.abs(u, out=out)
+    np.less(out, c_p, out=below)  # NaN compares false, so it counts as inside
     # one past the last node not below c_p (a numpy bool is the byte 0 or 1)
     end = below.tobytes().rfind(b"\x00") + 1
-    src[end:] = 0.0
-    src[:end] **= p
-    return src
+    out[end:] = 0.0
+    out[:end] **= p
+    return out
 
 
 def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
@@ -223,7 +280,8 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
     b, m_sq = coefficients(params, config.s)
     accel = laplacian_apply(grid, u0v) - b * u1v - m_sq * u0v
     if config.nonlinear:
-        accel = accel + _power_source(u0v, params.p)
+        accel = accel + _power_source(u0v, params.p, _source_cutoff(params.p),
+                                      np.empty_like(u0v), np.empty(u0v.shape, dtype=bool))
     u_first = u0v + dt * u1v + 0.5 * dt * dt * accel
     u_first[-1] = 0.0
     nonzero = np.flatnonzero((u0v != 0.0) | (u_first != 0.0))
@@ -232,35 +290,65 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
                      active=active)
 
 
+def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
+    """The leapfrog step of one run, with everything constant for the run formed once.
+
+    Returns ``advance(t, u_prev, u_curr, out, active) -> (width, sup)``.  It
+    advances the first ``width = min(max(active + 1, 2), num_nodes)`` nodes
+    of the levels at t - dt and t, writes u+ into ``out[:width]`` and returns
+    ``width`` and sup |u+| over it (NaN or inf once the run diverges).  The
+    three level arrays have the grid's length and must not overlap; ``out``
+    must be 0 from node ``width`` on, which a level written at a width no
+    larger than this one is.  A caller that lets a run diverge calls it
+    under ``np.errstate``, so that overflow is neither raised nor warned.
+    """
+    params, nonlinear = config.params, config.nonlinear
+    n, size, p = grid.n, grid.num_nodes, params.p
+    dr_sq, dt_sq = grid.dr**2, dt**2
+    denominators = first_order_denominators(grid)
+    c_p = _source_cutoff(p)
+    forcing, scratch, source = np.empty((3, size))
+    below = np.empty(size, dtype=bool)
+
+    def advance(t: float, u_prev: np.ndarray, u_curr: np.ndarray, out: np.ndarray,
+                active: int) -> tuple[int, float]:
+        b, m_sq = coefficients(params, t)
+        h = 0.5 * b * dt
+        width = min(max(active + 1, 2), size)
+        u, u_m, f, tmp, u_p = (u_curr[:width], u_prev[:width], forcing[:width],
+                               scratch[:width], out[:width])
+        # forcing = (Lap u - m^2 u) + [nl] |u|^p
+        laplacian_into(n, dr_sq, denominators, u, f, scratch)
+        np.subtract(f, np.multiply(m_sq, u, out=tmp), out=f)
+        if nonlinear:
+            np.add(f, _power_source(u, p, c_p, source[:width], below[:width]), out=f)
+        # u+ = (((2u - u-) + h u-) + dt^2 forcing) / (1 + h)
+        np.multiply(2.0, u, out=u_p)
+        np.subtract(u_p, u_m, out=u_p)
+        np.add(u_p, np.multiply(h, u_m, out=tmp), out=u_p)
+        np.add(u_p, np.multiply(dt_sq, f, out=tmp), out=u_p)
+        np.divide(u_p, 1.0 + h, out=u_p)
+        out[-1] = 0.0
+        return width, float(np.abs(u_p, out=tmp).max())
+
+    return advance
+
+
 def step(state: WaveState, grid: RadialGrid, config: RunConfig) -> WaveState:
     """Advance one leapfrog step; non-finite results flag the state as diverged.
 
+    One call of the run's kernel (``leapfrog_kernel``) into a fresh level.
     The new state carries ``sup`` = max |u+| over the window, the one pass
-    that both the divergence flag and ``detect_blowup`` read.
-
-    Only the first ``active + 1`` nodes (at least 2, at most all) are
-    advanced; every node beyond them stays exactly 0 (see the module notes).
+    that both the divergence flag and ``detect_blowup`` read.  Only the
+    first ``active + 1`` nodes (at least 2, at most all) are advanced; every
+    node beyond them stays exactly 0 (see the module notes).
     """
-    params = config.params
-    b, m_sq = coefficients(params, state.t)
-    h = 0.5 * b * state.dt
-    size = grid.num_nodes
-    width = size if state.active is None else min(max(state.active + 1, 2), size)
-    u_curr, u_prev = state.u_curr[:width], state.u_prev[:width]
     u_next = np.zeros_like(state.u_curr)
+    active = grid.num_nodes if state.active is None else state.active
     # overflow here means the run is diverging; it is flagged below, not raised
     with np.errstate(over="ignore", invalid="ignore"):
-        forcing = laplacian_apply(grid, u_curr) - m_sq * u_curr
-        if config.nonlinear:
-            forcing = forcing + _power_source(u_curr, params.p)
-        u_next[:width] = (
-            2.0 * u_curr
-            - u_prev
-            + h * u_prev
-            + state.dt**2 * forcing
-        ) / (1.0 + h)
-    u_next[-1] = 0.0
-    sup = float(np.abs(u_next[:width]).max())
+        width, sup = leapfrog_kernel(grid, config, state.dt)(
+            state.t, state.u_prev, state.u_curr, u_next, active)
     return WaveState(
         t=state.t + state.dt,
         dt=state.dt,
@@ -273,6 +361,11 @@ def step(state: WaveState, grid: RadialGrid, config: RunConfig) -> WaveState:
     )
 
 
+def _fires(sup: float, threshold: float) -> bool:
+    """The blow-up rule: the sup-norm is non-finite or exceeds the threshold."""
+    return not math.isfinite(sup) or sup > threshold
+
+
 def detect_blowup(state: WaveState, threshold: float) -> float | None:
     """Current time if the sup-norm exceeds the threshold or is non-finite.
 
@@ -281,13 +374,15 @@ def detect_blowup(state: WaveState, threshold: float) -> float | None:
     sup = state.sup
     if sup is None:
         sup = float(np.max(np.abs(state.u_curr[: state.active]), initial=0.0))
-    if not math.isfinite(sup) or sup > threshold:
-        return state.t
-    return None
+    return state.t if _fires(sup, threshold) else None
 
 
 class _Recorder:
-    """The sample rows of one run, each one pass over the active window (see the module notes)."""
+    """The sample rows of one run, each one pass over the active window (see the module notes).
+
+    ``peaks`` holds the largest term exponent of each weighted quadrature of
+    the last sample.
+    """
 
     def __init__(self, grid: RadialGrid, params: ModelParams, frame_ok: bool) -> None:
         self.grid, self.params, self.frame_ok = grid, params, frame_ok
@@ -295,6 +390,7 @@ class _Recorder:
         # rows u^2, u_r^2, u_t^2 and the comparison frame; 0 from node ``filled`` on
         self.padded = np.zeros((4, grid.num_nodes))
         self.filled = 0
+        self.peaks = ()
 
     def __call__(self, t: float, u: np.ndarray, u_t: np.ndarray, w: int) -> tuple[float, ...]:
         """One sample row: t, then the values of SAMPLE_KEYS; u and u_t are 0 from node w on."""
@@ -311,8 +407,8 @@ class _Recorder:
         sup = float(np.max(np.abs(u)))
         expo = 2.0 * weight_exponent_from_product(t, self.mu1_r_sq[:w])
         _, m_sq = coefficients(params, t)
-        weighted = norms_of_squares(grid.quad_weights[:w], expo, u_sq, ur_sq + ut_sq, m_sq,
-                                    sup * sup)
+        wl2, wgrad_l2, wenergy, self.peaks = norms_of_squares(
+            grid.quad_weights[:w], expo, u_sq, ur_sq + ut_sq, m_sq, sup * sup)
         if self.frame_ok:
             np.multiply(comparison_frame_factor(params, t), u, out=frame)
         return (
@@ -321,7 +417,9 @@ class _Recorder:
             math.sqrt(max(integrate(grid, padded[0]), 0.0)),
             math.sqrt(max(integrate(grid, padded[1]), 0.0)),
             math.sqrt(max(integrate(grid, padded[2]), 0.0)),
-            *weighted,
+            wl2,
+            wgrad_l2,
+            wenergy,
             integrate(grid, padded[3]) if self.frame_ok else math.nan,
         )
 
@@ -332,45 +430,61 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
     Samples are taken every ``record_every`` steps (plus the initial and
     final levels) with the time derivative from the centered two-level
     difference.  The comparison-frame integral F is recorded as NaN when
-    the discriminant is negative and the frame does not exist.  When the
+    the discriminant is negative and the frame does not exist.  Data whose
+    weighted norms at t = s have a quadrature term past the exponent budget
+    lie outside the weighted space: WeightOverflowError, before any step.
+    Later samples record a weighted norm that overflows as +inf.  When the
     blow-up detector fires on a linear run, the outcome is ``diverged``, not
     ``blowup``: a linear solution cannot blow up, so the scheme is unstable.
     """
-    params = config.params
-    state = init_state(grid, u0, u1, config)
-    dt = state.dt
-    steps = num_steps(grid, config)
-    record = _Recorder(grid, params, discriminant(params) >= 0.0)
-    samples = np.empty((steps // config.record_every + 2, 1 + len(SAMPLE_KEYS)))
-    samples[0] = record(config.s, state.u_prev, _sample_profile(u1, grid.r), grid.num_nodes)
-    count = 1
-    outcome = OUTCOME_COMPLETED
-    blowup_time = None
+    # overflow means out-of-range data (a config error, below) or a diverging run,
+    # which ends as such; numpy warns of neither
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, every, size = config.params, config.record_every, grid.num_nodes
+        state = init_state(grid, u0, u1, config)
+        dt, t, width = state.dt, state.t, state.active
+        steps = num_steps(grid, config)
+        record = _Recorder(grid, params, discriminant(params) >= 0.0)
+        samples = np.empty((steps // every + 2, 1 + len(SAMPLE_KEYS)))
+        samples[0] = record(config.s, state.u_prev, _sample_profile(u1, grid.r), size)
+        for peak in record.peaks:
+            check_term_exponent(peak)
+        advance = leapfrog_kernel(grid, config, dt)
+        # Three rotating levels: u- at t - dt, u at t and u+.  The initial levels may
+        # hold -0.0 beyond the data, where a stepped level holds +0.0; the first two
+        # steps read them no further than the second step's window, so they are
+        # copied that far and each buffer stays 0 beyond the widths it was written at.
+        reach = max(width + 1, 2) + 1
+        levels = np.zeros((3, size))
+        levels[:2, :reach] = state.u_prev[:reach], state.u_curr[:reach]
+        prev, curr, nxt = levels
+        count = 1
+        outcome = OUTCOME_COMPLETED
+        blowup_time = None
 
-    while True:
-        final = state.step_index >= steps
-        nxt = step(state, grid, config)
-        if state.step_index % config.record_every == 0 or final:
-            w = nxt.active
-            if nxt.diverged:
-                u_t = (state.u_curr[:w] - state.u_prev[:w]) / dt
-            else:
-                u_t = (nxt.u_curr[:w] - state.u_prev[:w]) / (2.0 * dt)
-            samples[count] = record(state.t, state.u_curr, u_t, w)
-            count += 1
-        if final:
-            break
-        if nxt.diverged:
-            outcome = OUTCOME_DIVERGED
-            break
-        fired = detect_blowup(nxt, config.blowup_threshold)
-        if fired is not None:
-            if config.nonlinear:
-                outcome, blowup_time = OUTCOME_BLOWUP, fired
-            else:
+        for index in range(1, steps + 1):
+            width, sup = advance(t, prev, curr, nxt, width)
+            diverged = not math.isfinite(sup)
+            if index % every == 0 or index == steps:
+                if diverged:
+                    u_t = (curr[:width] - prev[:width]) / dt
+                else:
+                    u_t = (nxt[:width] - prev[:width]) / (2.0 * dt)
+                samples[count] = record(t, curr, u_t, width)
+                count += 1
+            if index == steps:
+                break
+            if diverged:
                 outcome = OUTCOME_DIVERGED
-            break
-        state = nxt
+                break
+            t += dt
+            if _fires(sup, config.blowup_threshold):
+                if config.nonlinear:
+                    outcome, blowup_time = OUTCOME_BLOWUP, t
+                else:
+                    outcome = OUTCOME_DIVERGED
+                break
+            prev, curr, nxt = curr, nxt, prev
 
     return RunReport(config=config, samples=samples[:count], outcome=outcome,
                      blowup_time=blowup_time)

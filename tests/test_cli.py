@@ -468,10 +468,76 @@ class TestBadInputsExitConfig:
         def no_step(*args, **kwargs):
             raise AssertionError("a step was taken")
 
-        monkeypatch.setattr("scalewave.solver.step", no_step)
+        monkeypatch.setattr("scalewave.solver.leapfrog_kernel", no_step)
         assert parse_and_dispatch(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: no safe radius: r_max 30 <= t_max - s = 60")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "dr=1e-12", "--set", "t_max=1"],
+        ["simulate", "--set", "t_max=1e9", "--set", "r_max=2e9", "--set", "dr=1e8",
+         "--set", "record_every=1", "--set", "cfl_safety=1e-9"],
+        ["sweep", "--set", "dr=1e-12", "--set", "t_max=1", "--set", "p_values=[2,3]",
+         "--set", "amplitudes=[0.5,1]", "--jobs", "2"],
+    ])
+    def test_oversized_run_rejected_before_any_allocation(self, argv, tmp_path, monkeypatch,
+                                                          capsys):
+        # each asks for far more than 128 TiB: were the check gone, numpy would
+        # raise MemoryError at once instead of touching that memory
+        monkeypatch.chdir(tmp_path)
+        import scalewave.analysis
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a grid or a run was allocated")
+
+        monkeypatch.setattr("scalewave.cli.make_radial_grid", no_allocation)
+        monkeypatch.setattr(scalewave.analysis, "run", no_allocation)
+        monkeypatch.setattr("scalewave.cli.run", no_allocation)
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: run too large: ") and "Traceback" not in err
+        assert " nodes and " in err and " sample rows would preallocate " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        # width-3 Gaussian data at mu1 = 40: e^{2W} u^2 passes e^600 at t = s
+        ["simulate", "--set", "mu1=40", "--set", "u0_width=3"],
+        # u^2 overflows at t = s; numpy's overflow warnings are not printed
+        ["simulate", "--set", "u0_amplitude=1e160"],
+    ])
+    def test_data_outside_the_weighted_space_rejected_before_any_step(self, argv, tmp_path,
+                                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr("scalewave.solver.leapfrog_kernel", no_step)
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: weighted integral not representable: a quadrature term has exponent")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRecorderCannotAbort:
+    BUMP_RUN = ["simulate", "--set", "u0_kind=bump", "--set", "u0_width=3",
+                "--set", "u1_kind=bump", "--set", "u1_width=3", "--set", "u1_amplitude=1",
+                "--set", "t_max=20", "--set", "r_max=60", "--set", "blowup_threshold=1e300",
+                "--set", "record_every=1"]
+
+    @pytest.mark.parametrize("setting", [["--set", "p=3"], ["--set", "mu1=0", "--set", "p=2"]])
+    def test_weighted_overflow_records_inf_and_the_run_ends_diverged(self, setting, tmp_path,
+                                                                      capsys):
+        # past e^600 a weighted term no longer aborts the run: the weighted norms are
+        # recorded up to the float range, then as +inf, and the run ends on its own terms
+        out = tmp_path / "run.csv"
+        assert parse_and_dispatch(self.BUMP_RUN + setting + ["--out", str(out)]) == EXIT_DIVERGED
+        assert capsys.readouterr().out == "outcome: diverged\n"
+        _, wenergy = read_series_csv(out, "wenergy")
+        _, wl2 = read_series_csv(out, "wl2")
+        assert wenergy[np.isfinite(wenergy)].max() > 1e200 and wl2.max() > 1e100
 
 
 class TestSweepJobs:

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from scalewave.errors import RegimeError, WeightOverflowError
 from scalewave.functionals import (
+    EXPONENT_BUDGET,
+    _log_quadrature,
     comparison_frame_factor,
+    norms_of_squares,
     to_comparison_frame,
     weighted_lq,
     weighted_norms,
@@ -43,6 +46,61 @@ class TestWeightedQuadrature:
         assert math.isnan(weighted_quadrature(g, expo, np.where(density == 2.0, np.nan, density)))
         with pytest.raises(ValueError):
             weighted_quadrature(g, expo, np.ones(4))
+
+
+class TestPastTheBudget:
+    """Past the exponent budget the recorder's kernel sums relative to the peak term."""
+
+    @pytest.mark.parametrize("peak", [600.5, 650.0, 700.0, 705.1, 708.0, 900.0])
+    def test_just_past_the_budget_is_the_shifted_sum(self, peak):
+        g = make_radial_grid(3, 6.0, 0.05)
+        rng = np.random.default_rng(11)
+        density = rng.uniform(0.1, 2.0, g.num_nodes)
+        expo = rng.uniform(peak - 40.0, peak - 1.0, g.num_nodes)
+        expo[17] = peak - math.log(density[17])  # node 17 carries the peak term exponent
+        terms = expo + np.log(density)
+        top = float(terms.max())
+        shifted = math.fsum(g.quad_weights * np.exp(terms - top))
+        got, got_peak = _log_quadrature(g.quad_weights, expo, density)
+        assert got_peak == top > EXPONENT_BUDGET
+        if math.log(shifted) + top < 709.7:
+            assert got == pytest.approx(shifted * math.exp(top), rel=1e-13)
+        else:
+            assert got == math.inf
+        with pytest.raises(WeightOverflowError):
+            weighted_quadrature(g, expo, density)
+
+    def test_within_the_budget_is_unchanged(self):
+        g = make_radial_grid(1, 4.0, 1.0)
+        density = np.array([1.0, 2.0, 0.0, 0.5, 0.0])
+        expo = np.array([0.0, 599.0, 5000.0, -2.0, 0.0])
+        terms = expo[density != 0.0] + np.log(density[density != 0.0])
+        want = float(g.quad_weights[density != 0.0] @ np.exp(terms))
+        assert _log_quadrature(g.quad_weights, expo, density)[0] == want
+        assert weighted_quadrature(g, expo, density) == want
+
+    def test_infinite_or_unrepresentable_integral_is_inf(self):
+        g = make_radial_grid(1, 4.0, 1.0)
+        ones = np.ones(5)
+        assert _log_quadrature(g.quad_weights, np.zeros(5), np.array([1.0, math.inf, 0, 0, 0])) \
+            == (math.inf, math.inf)
+        assert _log_quadrature(g.quad_weights, np.full(5, 750.0), ones)[0] == math.inf
+        assert _log_quadrature(g.quad_weights, np.full(5, 1e6), ones)[0] == math.inf
+        # a NaN density is not an overflow: it propagates, as within the budget
+        with np.errstate(over="ignore"):
+            assert math.isnan(_log_quadrature(g.quad_weights, np.full(5, 800.0),
+                                              np.array([1.0, math.nan, 1.0, 0.0, 0.0]))[0])
+
+    def test_norms_report_each_quadrature_peak(self):
+        g = make_radial_grid(1, 4.0, 1.0)
+        expo = np.array([0.0, 700.0, 0.0, 0.0, 0.0])
+        u_sq, grad_sq = np.array([1.0, 1.0, 0, 0, 0]), np.array([0.0, 0.0, 2.0, 0, 0])
+        *_, peaks = norms_of_squares(g.quad_weights, expo, u_sq, grad_sq, 0.0, 1.0)
+        assert peaks == (700.0, math.log(2.0))
+        wl2, _, wenergy, peaks = norms_of_squares(g.quad_weights, expo, u_sq, grad_sq, 0.5, 1.0)
+        assert peaks == (700.0, math.log(2.0), 700.0 + math.log(0.5))
+        assert wl2 == pytest.approx(math.sqrt(g.quad_weights[1] * math.exp(700.0)), rel=1e-13)
+        assert wenergy > 0.0
 
 
 class TestWeightedL2:

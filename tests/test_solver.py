@@ -87,6 +87,68 @@ def reference_step(state, grid, config):
     )
 
 
+def parent_laplacian_apply(grid, u):
+    # grid.laplacian_apply as it was before the per-run step kernel
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or not 2 <= u.size <= grid.num_nodes:
+        raise ValueError(f"expected 2 to {grid.num_nodes} nodal values, got shape {u.shape}")
+    n, dr, r = grid.n, grid.dr, grid.r[: u.size]
+    out = np.empty_like(u)
+    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
+    if n > 1:
+        out[1:-1] += (n - 1) * (u[2:] - u[:-2]) / (2.0 * dr * r[1:-1])
+    out[0] = 2.0 * n * (u[1] - u[0]) / dr**2
+    out[-1] = (-2.0 * u[-1] + u[-2]) / dr**2
+    if n > 1:
+        out[-1] += (n - 1) * (-u[-2]) / (2.0 * dr * r[-1])
+    return out
+
+
+def parent_power_source(u, p):
+    # solver._power_source as it was before the per-run step kernel
+    src = np.abs(u)
+    below = src < 2.0 ** (-1100.0 / p)  # NaN compares false, so it counts as inside
+    # one past the last node not below c_p (a numpy bool is the byte 0 or 1)
+    end = below.tobytes().rfind(b"\x00") + 1
+    src[end:] = 0.0
+    src[:end] **= p
+    return src
+
+
+def parent_step(state, grid, config):
+    # solver.step as it was before the per-run step kernel: the frozen oracle of the run loop
+    params = config.params
+    b, m_sq = coefficients(params, state.t)
+    h = 0.5 * b * state.dt
+    size = grid.num_nodes
+    width = size if state.active is None else min(max(state.active + 1, 2), size)
+    u_curr, u_prev = state.u_curr[:width], state.u_prev[:width]
+    u_next = np.zeros_like(state.u_curr)
+    # overflow here means the run is diverging; it is flagged below, not raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcing = parent_laplacian_apply(grid, u_curr) - m_sq * u_curr
+        if config.nonlinear:
+            forcing = forcing + parent_power_source(u_curr, params.p)
+        u_next[:width] = (
+            2.0 * u_curr
+            - u_prev
+            + h * u_prev
+            + state.dt**2 * forcing
+        ) / (1.0 + h)
+    u_next[-1] = 0.0
+    sup = float(np.abs(u_next[:width]).max())
+    return WaveState(
+        t=state.t + state.dt,
+        dt=state.dt,
+        u_prev=state.u_curr,
+        u_curr=u_next,
+        step_index=state.step_index + 1,
+        diverged=not math.isfinite(sup),
+        active=width,
+        sup=sup,
+    )
+
+
 def reference_quadrature(grid, expo, density):
     # weighted_quadrature as it was before the recorder's active window
     density = np.asarray(density, dtype=float)
@@ -123,8 +185,9 @@ def reference_record(grid, params, t, u, u_t, frame_ok):
     )
 
 
-def reference_samples(grid, u0, u1, config):
-    # the sample loop of run() as it was before the recorder's active window
+def reference_run(grid, u0, u1, config):
+    # (samples, outcome, blowup_time) of the run loop as it was before the
+    # recorder's active window, stepping with parent_step
     params = config.params
     state = init_state(grid, u0, u1, config)
     dt = state.dt
@@ -132,19 +195,33 @@ def reference_samples(grid, u0, u1, config):
     frame_ok = discriminant(params) >= 0.0
     u1v = np.asarray(u1(grid.r), dtype=float)
     rows = [reference_record(grid, params, config.s, state.u_prev, u1v, frame_ok)]
+    outcome, blowup_time = OUTCOME_COMPLETED, None
     while True:
         final = state.step_index >= steps
-        nxt = step(state, grid, config)
+        nxt = parent_step(state, grid, config)
         if state.step_index % config.record_every == 0 or final:
             if nxt.diverged:
                 u_t = (state.u_curr - state.u_prev) / dt
             else:
                 u_t = (nxt.u_curr - state.u_prev) / (2.0 * dt)
             rows.append(reference_record(grid, params, state.t, state.u_curr, u_t, frame_ok))
-        if final or nxt.diverged or detect_blowup(nxt, config.blowup_threshold) is not None:
+        if final:
+            break
+        if nxt.diverged:
+            outcome = OUTCOME_DIVERGED
+            break
+        if nxt.sup > config.blowup_threshold:
+            if config.nonlinear:
+                outcome, blowup_time = OUTCOME_BLOWUP, nxt.t
+            else:
+                outcome = OUTCOME_DIVERGED
             break
         state = nxt
-    return np.array(rows, dtype=np.float64)
+    return np.array(rows, dtype=np.float64), outcome, blowup_time
+
+
+def reference_samples(grid, u0, u1, config):
+    return reference_run(grid, u0, u1, config)[0]
 
 
 def blowup_states():
@@ -491,13 +568,150 @@ class TestRecorder:
             try:
                 want = np.array(reference_record(g, p, 1.25, u, u_t, True))
             except WeightOverflowError:
+                # u^2 overflows: the recorder records the overflowing weighted
+                # norms as +inf (the energy density inf*0 is NaN) instead of aborting
                 assert bad == "overflow"
-                with pytest.raises(WeightOverflowError):
-                    _Recorder(g, p, True)(1.25, u, u_t, w)
+                got = _Recorder(g, p, True)(1.25, u, u_t, w)
+                assert got[5:7] == (math.inf, math.inf) and math.isnan(got[7])
+                assert got[1] == 2e154 and got[2] == math.inf and math.isfinite(got[8])
                 return
             got = np.array(_Recorder(g, p, True)(1.25, u, u_t, w))
         assert got.tobytes() == want.tobytes()
         assert np.isnan(got[6:8]).all()
+
+
+def negative_bump(r):
+    # beyond its support -0.8 * 0.0 is -0.0, where a stepped level holds +0.0
+    return -0.8 * bump(r)
+
+
+class TestRunLoop:
+    """run() against the parent's step and sample loop, bit for bit."""
+
+    @pytest.mark.parametrize("g, cfg, u0, u1, outcome", [
+        pytest.param(make_radial_grid(1, 10.0, 0.05),
+                     RunConfig(params=params(mu1=3.0, mu2sq=1.5), t_max=6.5, nonlinear=False,
+                               cfl_safety=0.5, record_every=1),
+                     bump, zero, OUTCOME_COMPLETED, id="n1-linear-massive-reaches-last-node"),
+        pytest.param(make_radial_grid(1, 30.0, 0.05),
+                     RunConfig(params=params(mu1=4.0, p=3.0), s=1.5, t_max=8.0, record_every=7),
+                     lambda r: 0.5 * unit_gaussian(r), zero, OUTCOME_COMPLETED,
+                     id="n1-nonlinear-s"),
+        pytest.param(make_radial_grid(2, 20.0, 0.05),
+                     RunConfig(params=params(n=2, mu1=3.0, mu2sq=2.0), t_max=8.0,
+                               nonlinear=False, cfl_safety=0.8, record_every=7),
+                     unit_gaussian, zero, OUTCOME_COMPLETED, id="n2-linear-massive"),
+        pytest.param(make_radial_grid(2, 10.0, 0.05),
+                     RunConfig(params=params(n=2, mu1=3.0, mu2sq=2.0, p=2.5), t_max=6.5,
+                               cfl_safety=0.8, record_every=1),
+                     bump, lambda r: 0.2 * bump(r), OUTCOME_COMPLETED,
+                     id="n2-nonlinear-reaches-last-node"),
+        pytest.param(make_radial_grid(3, 20.0, 0.05),
+                     RunConfig(params=params(n=3, mu1=5.0), s=0.5, t_max=8.0, nonlinear=False,
+                               cfl_safety=0.5, record_every=7),
+                     unit_gaussian, zero, OUTCOME_COMPLETED, id="n3-linear-s"),
+        pytest.param(make_radial_grid(3, 20.0, 0.05),
+                     RunConfig(params=params(n=3, mu1=5.0, mu2sq=0.5, p=2.0), t_max=8.0,
+                               cfl_safety=0.5, record_every=1),
+                     negative_bump, negative_bump, OUTCOME_COMPLETED,
+                     id="n3-nonlinear-negative-data"),
+        pytest.param(make_radial_grid(1, 60.0, 0.05),
+                     RunConfig(params=params(mu1=4.0, p=2.0), t_max=20.0, record_every=7),
+                     bump, bump, OUTCOME_BLOWUP, id="blowup"),
+        pytest.param(make_radial_grid(3, 40.0, 0.05),
+                     RunConfig(params=params(n=3, mu1=6.0), t_max=20.0, nonlinear=False,
+                               record_every=7),
+                     unit_gaussian, zero, OUTCOME_DIVERGED, id="linear-stopped-by-detector"),
+        pytest.param(make_radial_grid(1, 60.0, 0.05),
+                     RunConfig(params=params(mu1=4.0, p=10.0), t_max=20.0, record_every=1,
+                               blowup_threshold=math.inf),
+                     bump, bump, OUTCOME_DIVERGED, id="nan-diverged"),
+    ])
+    def test_run_matches_parent_loop_bitwise(self, g, cfg, u0, u1, outcome):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = run(g, u0, u1, cfg)
+            want, want_outcome, want_time = reference_run(g, u0, u1, cfg)
+        assert (rep.outcome, want_outcome) == (outcome, outcome)
+        assert (rep.blowup_time is None) == (want_time is None) == (outcome != OUTCOME_BLOWUP)
+        if want_time is not None:
+            assert np.float64(rep.blowup_time).tobytes() == np.float64(want_time).tobytes()
+        assert rep.samples.tobytes() == want.tobytes()
+
+    def test_window_reaches_last_node(self):
+        g = make_radial_grid(1, 10.0, 0.05)
+        cfg = RunConfig(params=params(mu1=3.0, mu2sq=1.5), t_max=6.5, nonlinear=False,
+                        cfl_safety=0.5, record_every=1)
+        st = init_state(g, bump, zero, cfg)
+        for _ in range(num_steps(g, cfg) - 1):
+            st = step(st, g, cfg)
+        assert st.active == g.num_nodes
+
+    def test_levels_rotate_without_aliasing(self, monkeypatch):
+        # every step reads two levels and writes a third: three distinct buffers in turn
+        import scalewave.solver as solver
+
+        seen = []
+        kernel = solver.leapfrog_kernel
+
+        def checked_kernel(grid, config, dt):
+            advance = kernel(grid, config, dt)
+
+            def checked(t, u_prev, u_curr, out, active):
+                assert not np.shares_memory(out, u_prev) and not np.shares_memory(out, u_curr)
+                assert not np.shares_memory(u_prev, u_curr)
+                seen.append((u_prev.ctypes.data, u_curr.ctypes.data, out.ctypes.data))
+                return advance(t, u_prev, u_curr, out, active)
+
+            return checked
+
+        monkeypatch.setattr(solver, "leapfrog_kernel", checked_kernel)
+        g = make_radial_grid(2, 20.0, 0.05)
+        cfg = RunConfig(params=params(n=2, mu1=3.0, p=2.5), t_max=5.0, record_every=1)
+        rep = run(g, bump, bump, cfg)
+        assert len(seen) == num_steps(g, cfg) and len({frozenset(ids) for ids in seen}) == 1
+        for (prev, curr, out), (prev2, curr2, out2) in zip(seen, seen[1:]):
+            assert (prev2, curr2, out2) == (curr, out, prev)
+        # the levels a sample reads are those of its own step, not a rotated-away one
+        assert rep.samples.tobytes() == reference_samples(g, bump, bump, cfg).tobytes()
+
+    @pytest.mark.parametrize("n, u0, u1", [(3, negative_bump, negative_bump), (1, bump, bump),
+                                           (2, zero, zero)])
+    def test_levels_match_parent_steps_bitwise(self, n, u0, u1, monkeypatch):
+        # every written level, beyond the window too (signs of zeros included), is
+        # the level parent_step writes into a fresh array
+        import scalewave.solver as solver
+
+        levels = []
+        kernel = solver.leapfrog_kernel
+
+        def recording_kernel(grid, config, dt):
+            advance = kernel(grid, config, dt)
+
+            def recorded(t, u_prev, u_curr, out, active):
+                result = advance(t, u_prev, u_curr, out, active)
+                levels.append(out.tobytes())
+                return result
+
+            return recorded
+
+        monkeypatch.setattr(solver, "leapfrog_kernel", recording_kernel)
+        g = make_radial_grid(n, 12.0, 0.05)
+        cfg = RunConfig(params=params(n=n, mu1=4.0, mu2sq=0.5, p=2.0), t_max=8.0,
+                        cfl_safety=0.5, record_every=50)
+        run(g, u0, u1, cfg)
+        st = init_state(g, u0, u1, cfg)
+        assert len(levels) > 100  # the bump data blow up before t_max
+        for level in levels:
+            st = parent_step(st, g, cfg)
+            assert level == st.u_curr.tobytes()
+
+    def test_two_runs_give_identical_bytes(self):
+        g = make_radial_grid(3, 20.0, 0.05)
+        cfg = RunConfig(params=params(n=3, mu1=5.0, mu2sq=0.5, p=2.0), t_max=8.0,
+                        cfl_safety=0.5, record_every=3)
+        first, second = run(g, negative_bump, bump, cfg), run(g, negative_bump, bump, cfg)
+        assert first.samples.tobytes() == second.samples.tobytes()
+        assert (first.outcome, first.blowup_time) == (second.outcome, second.blowup_time)
 
 
 class TestDetectBlowup:
