@@ -30,6 +30,12 @@ commands() {
     sw sweep --set "p_values=[1.5,2,2.5]" --set "amplitudes=[0.4,0.9]" \
         --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
         --set r_max=80 --set t_max=60 --set record_every=25 --out blowup.csv
+    # the other commands' reports
+    sw verify identities --out identities.json
+    sw verify inequalities --out inequalities.json
+    sw verify bihari --out bihari.json
+    sw odi --out odi.json
+    sw info --set mu1=4 --set p=2 --out info.json
 }
 
 run_tree() {

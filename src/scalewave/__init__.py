@@ -31,19 +31,14 @@ from .model import (
     shifted_dimension,
     weight_exponent,
 )
-from .functionals import to_comparison_frame, weighted_lq, weighted_norms, weighted_quadrature
+from .functionals import to_comparison_frame, weighted_lq, weighted_quadrature
 from .solver import (
     OUTCOME_BLOWUP,
     OUTCOME_COMPLETED,
     OUTCOME_DIVERGED,
     RunConfig,
     RunReport,
-    WaveState,
-    cfl_dt,
-    detect_blowup,
-    init_state,
     run,
-    step,
 )
 from .verify import RadialProfile, bihari_check, standard_family
 from .odi import OdiProblem, OdiSolution, comparison_check, comparison_function, life_span, select_nu

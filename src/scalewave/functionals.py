@@ -16,11 +16,11 @@ space.
 The recorder's three weighted quantities, the L2 norm of u, the norm of
 the pair (grad u, u_t) and the energy, all integrate squares against
 exp(2W).  ``norms_of_squares`` takes those squares and that exponent
-from its caller, which forms each once: the solver's recorder on the
-active window only, with the window's prefix of the quadrature weights,
-and ``weighted_norms`` on the whole grid.  Restricting to a prefix keeps
-every bit, because the kernel compresses its arrays to the nonzero
-density nodes before it sums, and beyond the window every density is 0.
+from its caller, which forms each once: the solver's recorder, on the
+active window only, with the window's prefix of the quadrature weights.
+Restricting to a prefix keeps every bit of the whole-grid values, because
+the kernel compresses its arrays to the nonzero density nodes before it
+sums, and beyond the window every density is 0.
 Without mass the energy density equals the gradient density bit for bit
 (as long as u^2 is finite), so the energy reuses that quadrature and a
 massless sample takes two log/exp passes instead of three.
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import RegimeError, WeightOverflowError
 from .grid import RadialGrid
-from .model import ModelParams, coefficients, discriminant, weight_exponent
+from .model import ModelParams, discriminant, weight_exponent
 
 # Largest admissible exponent of a single quadrature term; its exponential,
 # about 1e260, leaves headroom below the float overflow at exp(709) for the
@@ -119,36 +119,18 @@ def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: 
     return weighted_quadrature(grid, expo, density) ** (1.0 / q)
 
 
-def weighted_norms(grid: RadialGrid, u, u_t, u_r, params: ModelParams, t: float):
-    """(wl2, wgrad_l2, wenergy): the recorder's norms under the weight exp(2W).
-
-    wl2 = ||exp(W) u||_2, wgrad_l2 = ||exp(W) (grad u, u_t)||_2 and
-    wenergy = (1/2) * integral of exp(2W) * (u_t^2 + |grad u|^2 + m^2(t) u^2).
-    ``u_t`` is expected from the centered two-level difference of the wave
-    state, ``u_r`` from the centered radial difference.
-    """
-    u = np.asarray(u, dtype=float)
-    u_t = np.asarray(u_t, dtype=float)
-    u_r = np.asarray(u_r, dtype=float)
-    u_sq = u * u
-    grad_sq = u_r * u_r + u_t * u_t
-    for density in (u_sq, grad_sq):
-        if density.shape != grid.r.shape:
-            raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
-    expo = 2.0 * weight_exponent(params, t, grid.r**2)
-    return norms_of_squares(grid.quad_weights, expo, u_sq, grad_sq,
-                            coefficients(params, t)[1], float(u_sq.max()))[:3]
-
-
 def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,
                      grad_sq: np.ndarray, m_sq: float, u_sq_max: float):
-    """``weighted_norms`` from the nodal squares u^2 and u_r^2 + u_t^2, then the peaks.
+    """(wl2, wgrad_l2, wenergy, peaks) from the nodal squares u^2 and u_r^2 + u_t^2.
 
-    The fourth value holds the largest term exponent of each quadrature
-    taken, in order, for a caller that must reject data outside the
-    weighted space; past the budget the norms are still formed, +inf where
-    they overflow.  All arrays may be one prefix of the grid's (weights, the
-    exponent 2W and the squares) when both squares are 0 beyond it: the
+    Under the weight exp(2W) = exp(``expo``): wl2 = ||exp(W) u||_2,
+    wgrad_l2 = ||exp(W) (grad u, u_t)||_2 and wenergy = (1/2) * integral of
+    exp(2W) * (u_t^2 + |grad u|^2 + m^2(t) u^2).  The fourth value holds
+    the largest term exponent of each quadrature taken, in order, for a
+    caller that must reject data outside the weighted space; past the
+    budget the norms are still formed, +inf where they overflow.  All
+    arrays may be one prefix of the grid's (weights, the exponent 2W and
+    the squares) when both squares are 0 beyond it: the
     quadratures see the same nonzero terms, so the values keep every bit.
     ``u_sq_max`` is the largest u^2.  Without mass (m_sq == 0) and with u^2
     finite, the energy density grad_sq + 0*u_sq is grad_sq bit for bit, so

@@ -187,26 +187,6 @@ class DecayExponentTable:
     l2_exponent: float
     grad_exponent: float
     log_correction: bool
-    n: int
-    mu1: float
-    sqrt_delta: float
-
-    def sobolev_exponent(self, kappa: float) -> tuple[float, bool]:
-        """Decay exponent and log flag for the order-kappa homogeneous Sobolev norm.
-
-        Three cases split at kappa = (1 + sqrt_delta - n)/2: below it the
-        rate is -kappa - (n+mu1)/2 + (1+sqrt_delta)/2; at it the rate is
-        -mu1/2 with a logarithmic factor; above it -mu1/2 without one.
-        """
-        if not 0.0 <= kappa <= 1.0:
-            raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
-        threshold = 0.5 * (1.0 + self.sqrt_delta - self.n)
-        if math.isclose(kappa, threshold, rel_tol=1e-12) or kappa == threshold:
-            return -0.5 * self.mu1, True
-        if kappa < threshold:
-            rate = -kappa - 0.5 * (self.n + self.mu1) + 0.5 * (1.0 + self.sqrt_delta)
-            return rate, False
-        return -0.5 * self.mu1, False
 
 
 def decay_exponents(params: ModelParams) -> DecayExponentTable:
@@ -220,9 +200,6 @@ def decay_exponents(params: ModelParams) -> DecayExponentTable:
         l2_exponent=l2,
         grad_exponent=l2 - 1.0,
         log_correction=_is_borderline(d, params.n),
-        n=params.n,
-        mu1=params.mu1,
-        sqrt_delta=sqrt_d,
     )
 
 

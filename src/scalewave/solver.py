@@ -32,13 +32,12 @@ One kernel per run: ``leapfrog_kernel`` forms what is constant for a run
 once (dr^2, dt^2, the (2 dr) r denominators for n > 1, c_p below, and the
 scratch arrays) and returns the step, which writes every intermediate in
 place with the operations, operands and order of the plain expressions,
-so it keeps their bits.  ``run`` drives it over three level buffers (u-,
-u, u+) that rotate, with t, the window and the step index as plain
-values: no state object and no fresh level per step.  The window never
+so it keeps their bits.  ``run``, its only driver, drives it over three
+level buffers (u-, u, u+) that rotate, with t, the window and the step
+index as plain values: no fresh level per step.  The window never
 shrinks, and a buffer only ever holds values written at a width no larger
 than the current one, so every level is exactly 0 beyond the window as a
-fresh level would be.  ``step`` is the public one-step form of the same
-kernel on a ``WaveState``.
+fresh level would be.
 
 Source window: the same idea applied to the source term.  Ahead of the
 light cone the leapfrog precursor leaves a tail of tiny values (down to
@@ -53,9 +52,9 @@ included, is that of the plain power.  For p < 1100/1074, c_p underflows
 to 0 and only zeros are skipped.  ``test_solver`` checks the underflow
 assumption on the running numpy.
 
-One sup pass: the step takes sup |u+| over the window once; it decides
-divergence (np.max propagates NaN) and the blow-up rule, which ``run`` and
-``detect_blowup`` share, so no level is scanned again.
+One sup pass: the step takes sup |u+| over the window once; ``run`` reads
+it for divergence (np.max propagates NaN) and then for the blow-up rule,
+so no level is scanned again.
 
 Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, written
 into one float64 array preallocated for the most rows a run can record,
@@ -131,25 +130,6 @@ class RunConfig:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
-@dataclass(frozen=True, eq=False)
-class WaveState:
-    """Two consecutive solution levels: u_prev at t - dt, u_curr at t.
-
-    Nodes at index >= ``active`` are exactly 0 in both levels; ``None``
-    (a hand-built state) means the whole grid may be nonzero.  ``sup`` is
-    max |u_curr| as ``step`` computed it; ``None`` means not yet computed.
-    """
-
-    t: float
-    dt: float
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-    step_index: int
-    diverged: bool = False
-    active: int | None = None
-    sup: float | None = None
-
-
 @dataclass
 class RunReport:
     """Time series of recorded norms plus the run outcome.
@@ -168,21 +148,15 @@ class RunReport:
         return self.samples[:, 0], self.samples[:, 1 + SAMPLE_KEYS.index(key)]
 
 
-def cfl_dt(grid: RadialGrid, cfl_safety: float) -> float:
-    """Stable time step cfl_safety * dr (the wave speed is 1)."""
-    if not 0.0 < cfl_safety <= 1.0:
-        raise ValueError(f"cfl_safety must lie in (0, 1], got {cfl_safety}")
-    return cfl_safety * grid.dr
+def time_step(dr: float, config: RunConfig) -> tuple[int, float]:
+    """(steps, dt) of a run: the largest dt <= cfl_safety * dr that divides t_max - s.
 
-
-def num_steps(grid: RadialGrid, config: RunConfig) -> int:
-    """Number of steps so that an integer count of steps lands exactly on t_max."""
-    return _steps_at(grid.dr, config)
-
-
-def _steps_at(dr: float, config: RunConfig) -> int:
+    The wave speed is 1, so cfl_safety * dr is the CFL step; ``steps`` steps
+    of dt land exactly on t_max.
+    """
     cap = config.cfl_safety * dr
-    return max(1, math.ceil((config.t_max - config.s) / cap - 1e-9))
+    steps = max(1, math.ceil((config.t_max - config.s) / cap - 1e-9))
+    return steps, (config.t_max - config.s) / steps
 
 
 #: Most bytes one run may preallocate; ``check_run_size`` rejects a larger run.
@@ -201,7 +175,7 @@ def check_run_size(num_nodes: int, dr: float, config: RunConfig) -> None:
     estimate counts the run's node arrays, the kernel's boolean scratch and
     the preallocated sample rows.
     """
-    rows = _steps_at(dr, config) // config.record_every + 2
+    rows = time_step(dr, config)[0] // config.record_every + 2
     need = 8 * (_ARRAYS_PER_RUN * num_nodes + rows * (1 + len(SAMPLE_KEYS))) + num_nodes
     if need > RUN_BYTES_BUDGET:
         raise ValueError(
@@ -209,11 +183,6 @@ def check_run_size(num_nodes: int, dr: float, config: RunConfig) -> None:
             f"{need / 2**30:.4g} GiB, over the {RUN_BYTES_BUDGET / 2**30:g} GiB budget; "
             "coarsen dr, shorten r_max or t_max, or raise record_every"
         )
-
-
-def effective_dt(grid: RadialGrid, config: RunConfig) -> float:
-    """Largest dt <= cfl_dt that divides the horizon exactly."""
-    return (config.t_max - config.s) / num_steps(grid, config)
 
 
 def _sample_profile(profile, r: np.ndarray) -> np.ndarray:
@@ -243,17 +212,20 @@ def _power_source(u: np.ndarray, p: float, c_p: float, out: np.ndarray,
     return out
 
 
-def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
+def init_state(grid: RadialGrid, u0, u1, config: RunConfig,
+               dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sample the data at time s and take the second-order Taylor first step.
 
-    ``u0`` and ``u1`` are radial profiles (callables of r).  The first level
-    is u0 + dt*u1 + (dt^2/2)*(Lap u0 - b(s) u1 - m^2(s) u0 + [nl] |u0|^p).
-    Data must be supported inside r_max - (t_max - s) so the Dirichlet
-    cut-off never influences the solution; a violation only warns, since the
-    caller may knowingly accept a graded tail.  Without a safe radius
-    (r_max <= t_max - s) the cut-off reaches every node whatever the data,
-    and a ValueError is raised before any step.  The state's ``active`` is one
-    past the last node where either level is nonzero.
+    ``u0`` and ``u1`` are radial profiles (callables of r).  Returns the
+    sampled u0 and u1, the first level at s + dt,
+    u0 + dt*u1 + (dt^2/2)*(Lap u0 - b(s) u1 - m^2(s) u0 + [nl] |u0|^p),
+    and ``active``, one past the last node where u0 or the first level is
+    nonzero.  Data must be supported inside r_max - (t_max - s) so the
+    Dirichlet cut-off never influences the solution; a violation only
+    warns, since the caller may knowingly accept a graded tail.  Without a
+    safe radius (r_max <= t_max - s) the cut-off reaches every node whatever
+    the data, and data whose square overflows a float cannot be measured;
+    both raise a ValueError before any step.
     """
     safe_radius = grid.r_max - (config.t_max - config.s)
     if safe_radius <= 0.0:
@@ -264,6 +236,13 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
     params = config.params
     u0v = _sample_profile(u0, grid.r)
     u1v = _sample_profile(u1, grid.r)
+    for name, values in (("u0", u0v), ("u1", u1v)):
+        peak = float(np.max(np.abs(values)))
+        if peak * peak == math.inf:
+            raise ValueError(
+                f"initial data out of range: max |{name}| = {peak:.4g} squares past the "
+                "float range; scale the data down"
+            )
     data_mass = np.abs(u0v) + np.abs(u1v)
     total = integrate(grid, data_mass)
     if total > 0.0:
@@ -276,7 +255,6 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
                 stacklevel=2,
             )
 
-    dt = effective_dt(grid, config)
     b, m_sq = coefficients(params, config.s)
     accel = laplacian_apply(grid, u0v) - b * u1v - m_sq * u0v
     if config.nonlinear:
@@ -286,8 +264,7 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig) -> WaveState:
     u_first[-1] = 0.0
     nonzero = np.flatnonzero((u0v != 0.0) | (u_first != 0.0))
     active = int(nonzero[-1]) + 1 if nonzero.size else 0
-    return WaveState(t=config.s + dt, dt=dt, u_prev=u0v, u_curr=u_first, step_index=1,
-                     active=active)
+    return u0v, u1v, u_first, active
 
 
 def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
@@ -332,49 +309,6 @@ def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
         return width, float(np.abs(u_p, out=tmp).max())
 
     return advance
-
-
-def step(state: WaveState, grid: RadialGrid, config: RunConfig) -> WaveState:
-    """Advance one leapfrog step; non-finite results flag the state as diverged.
-
-    One call of the run's kernel (``leapfrog_kernel``) into a fresh level.
-    The new state carries ``sup`` = max |u+| over the window, the one pass
-    that both the divergence flag and ``detect_blowup`` read.  Only the
-    first ``active + 1`` nodes (at least 2, at most all) are advanced; every
-    node beyond them stays exactly 0 (see the module notes).
-    """
-    u_next = np.zeros_like(state.u_curr)
-    active = grid.num_nodes if state.active is None else state.active
-    # overflow here means the run is diverging; it is flagged below, not raised
-    with np.errstate(over="ignore", invalid="ignore"):
-        width, sup = leapfrog_kernel(grid, config, state.dt)(
-            state.t, state.u_prev, state.u_curr, u_next, active)
-    return WaveState(
-        t=state.t + state.dt,
-        dt=state.dt,
-        u_prev=state.u_curr,
-        u_curr=u_next,
-        step_index=state.step_index + 1,
-        diverged=not math.isfinite(sup),
-        active=width,
-        sup=sup,
-    )
-
-
-def _fires(sup: float, threshold: float) -> bool:
-    """The blow-up rule: the sup-norm is non-finite or exceeds the threshold."""
-    return not math.isfinite(sup) or sup > threshold
-
-
-def detect_blowup(state: WaveState, threshold: float) -> float | None:
-    """Current time if the sup-norm exceeds the threshold or is non-finite.
-
-    Reads the sup that ``step`` carried; a hand-built state's is computed here.
-    """
-    sup = state.sup
-    if sup is None:
-        sup = float(np.max(np.abs(state.u_curr[: state.active]), initial=0.0))
-    return state.t if _fires(sup, threshold) else None
 
 
 class _Recorder:
@@ -433,20 +367,22 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
     the discriminant is negative and the frame does not exist.  Data whose
     weighted norms at t = s have a quadrature term past the exponent budget
     lie outside the weighted space: WeightOverflowError, before any step.
-    Later samples record a weighted norm that overflows as +inf.  When the
-    blow-up detector fires on a linear run, the outcome is ``diverged``, not
-    ``blowup``: a linear solution cannot blow up, so the scheme is unstable.
+    Later samples record a weighted norm that overflows as +inf.  A step
+    whose sup |u+| is not finite ends the run ``diverged``; one whose sup
+    exceeds ``blowup_threshold`` ends it ``blowup`` at that level's time, or
+    ``diverged`` on a linear run: a linear solution cannot blow up, so the
+    scheme is unstable.
     """
     # overflow means out-of-range data (a config error, below) or a diverging run,
     # which ends as such; numpy warns of neither
     with np.errstate(over="ignore", invalid="ignore"):
         params, every, size = config.params, config.record_every, grid.num_nodes
-        state = init_state(grid, u0, u1, config)
-        dt, t, width = state.dt, state.t, state.active
-        steps = num_steps(grid, config)
+        steps, dt = time_step(grid.dr, config)
+        u0v, u1v, u_first, width = init_state(grid, u0, u1, config, dt)
+        t = config.s + dt
         record = _Recorder(grid, params, discriminant(params) >= 0.0)
         samples = np.empty((steps // every + 2, 1 + len(SAMPLE_KEYS)))
-        samples[0] = record(config.s, state.u_prev, _sample_profile(u1, grid.r), size)
+        samples[0] = record(config.s, u0v, u1v, size)
         for peak in record.peaks:
             check_term_exponent(peak)
         advance = leapfrog_kernel(grid, config, dt)
@@ -456,7 +392,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
         # copied that far and each buffer stays 0 beyond the widths it was written at.
         reach = max(width + 1, 2) + 1
         levels = np.zeros((3, size))
-        levels[:2, :reach] = state.u_prev[:reach], state.u_curr[:reach]
+        levels[:2, :reach] = u0v[:reach], u_first[:reach]
         prev, curr, nxt = levels
         count = 1
         outcome = OUTCOME_COMPLETED
@@ -478,7 +414,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
                 outcome = OUTCOME_DIVERGED
                 break
             t += dt
-            if _fires(sup, config.blowup_threshold):
+            if sup > config.blowup_threshold:
                 if config.nonlinear:
                     outcome, blowup_time = OUTCOME_BLOWUP, t
                 else:

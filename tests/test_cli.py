@@ -502,8 +502,6 @@ class TestBadInputsExitConfig:
     @pytest.mark.parametrize("argv", [
         # width-3 Gaussian data at mu1 = 40: e^{2W} u^2 passes e^600 at t = s
         ["simulate", "--set", "mu1=40", "--set", "u0_width=3"],
-        # u^2 overflows at t = s; numpy's overflow warnings are not printed
-        ["simulate", "--set", "u0_amplitude=1e160"],
     ])
     def test_data_outside_the_weighted_space_rejected_before_any_step(self, argv, tmp_path,
                                                                       monkeypatch, capsys):
@@ -518,6 +516,28 @@ class TestBadInputsExitConfig:
         assert err.startswith(
             "error: weighted integral not representable: a quadrature term has exponent")
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--set", "u0_amplitude=1e160", "--out", "run.csv"], "u0"),
+        (["simulate", "--set", "u1_kind=gaussian", "--set", "u1_amplitude=1e160",
+          "--out", "run.csv"], "u1"),
+        (["sweep", "--set", "amplitudes=[1e160]", "--out", "sweep.csv"], "u0"),
+    ])
+    def test_data_whose_squares_overflow_rejected_before_any_step(self, argv, name, tmp_path,
+                                                                  monkeypatch, capsys):
+        # the data decay fine, but u^2 is past the float range: the error names the
+        # value, not the weight; numpy's overflow warnings are not printed
+        monkeypatch.chdir(tmp_path)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr("scalewave.solver.leapfrog_kernel", no_step)
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: initial data out of range: max |{name}| = 1e+160 squares past "
+                       "the float range; scale the data down\n")
         assert list(tmp_path.iterdir()) == []
 
 

@@ -13,7 +13,6 @@ from scalewave.functionals import (
     norms_of_squares,
     to_comparison_frame,
     weighted_lq,
-    weighted_norms,
     weighted_quadrature,
 )
 from scalewave.grid import integrate, make_radial_grid, radial_derivative
@@ -172,20 +171,28 @@ class TestWeightedLq:
             weighted_lq(grid, np.zeros_like(grid.r), params(), 1.0, 0.0, 0.5)
 
 
+def full_grid_norms(grid, u, u_t, u_r, p, t):
+    # (wl2, wgrad_l2, wenergy) of norms_of_squares on full-grid squares
+    u_sq = u * u
+    expo = 2.0 * weight_exponent(p, t, grid.r**2)
+    return norms_of_squares(grid.quad_weights, expo, u_sq, u_r * u_r + u_t * u_t,
+                            coefficients(p, t)[1], float(u_sq.max()))[:3]
+
+
 class TestWeightedEnergy:
     def test_zero_state(self, grid):
         z = np.zeros_like(grid.r)
-        assert weighted_norms(grid, z, z, z, params(mu2sq=1.0), 0.0)[2] == 0.0
+        assert full_grid_norms(grid, z, z, z, params(mu2sq=1.0), 0.0)[2] == 0.0
 
     def test_massless_drops_mass_term(self, grid):
         u = np.exp(-grid.r**2)
         z = np.zeros_like(grid.r)
         u_r = radial_derivative(grid, u)
-        with_mass = weighted_norms(grid, u, z, u_r, params(mu1=1.0, mu2sq=1.0), 0.0)[2]
-        without = weighted_norms(grid, u, z, u_r, params(mu1=1.0, mu2sq=0.0), 0.0)[2]
+        with_mass = full_grid_norms(grid, u, z, u_r, params(mu1=1.0, mu2sq=1.0), 0.0)[2]
+        without = full_grid_norms(grid, u, z, u_r, params(mu1=1.0, mu2sq=0.0), 0.0)[2]
         assert without < with_mass
         # removing the solution values entirely leaves the gradient part only
-        grad_only = weighted_norms(grid, z, z, u_r, params(mu1=1.0, mu2sq=1.0), 0.0)[2]
+        grad_only = full_grid_norms(grid, z, z, u_r, params(mu1=1.0, mu2sq=1.0), 0.0)[2]
         assert grad_only == pytest.approx(without, rel=1e-13)
 
     def test_static_gaussian_refined_oracle(self):
@@ -197,7 +204,7 @@ class TestWeightedEnergy:
             u = np.exp(-g.r**2)
             z = np.zeros_like(g.r)
             u_r = -2.0 * g.r * np.exp(-g.r**2)
-            return weighted_norms(g, u, z, u_r, p, 0.0)[2]
+            return full_grid_norms(g, u, z, u_r, p, 0.0)[2]
 
         assert value(coarse) == pytest.approx(value(fine), rel=1e-8)
 
@@ -212,7 +219,7 @@ class TestWeightedNorms:
         u = 0.8 * np.exp(-((g.r / 0.5) ** 2))
         u_t = -1.3 * g.r * np.exp(-((g.r / 0.6) ** 2))
         u_r = radial_derivative(g, u)
-        wl2, wgrad_l2, wenergy = weighted_norms(g, u, u_t, u_r, p, t)
+        wl2, wgrad_l2, wenergy = full_grid_norms(g, u, u_t, u_r, p, t)
         expo = 2.0 * weight_exponent(p, t, g.r**2)
         m_sq = coefficients(p, t)[1]
         assert wl2 == weighted_lq(g, u, p, 1.0, t, 2.0)

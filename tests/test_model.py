@@ -148,31 +148,9 @@ class TestDecayExponents:
         table = decay_exponents(params(n=1, mu1=3.0))
         assert table.log_correction
 
-    def test_sobolev_case_below_threshold(self):
-        table = decay_exponents(params(n=1, mu1=4.0))
-        rate, has_log = table.sobolev_exponent(0.0)
-        assert rate == pytest.approx(-0.5) and not has_log
-
-    def test_sobolev_case_at_threshold(self):
-        # n=1, mu1=3: threshold (1+2-1)/2 = 1 hit by kappa=1
-        table = decay_exponents(params(n=1, mu1=3.0))
-        rate, has_log = table.sobolev_exponent(1.0)
-        assert rate == pytest.approx(-1.5) and has_log
-
-    def test_sobolev_case_above_threshold(self):
-        # n=3, mu1=2: threshold (1+1-3)/2 = -0.5 < 0 <= kappa
-        table = decay_exponents(params(n=3, mu1=2.0))
-        rate, has_log = table.sobolev_exponent(0.5)
-        assert rate == pytest.approx(-1.0) and not has_log
-
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             decay_exponents(params(mu1=1.0))  # delta = 0
-
-    def test_kappa_domain(self):
-        table = decay_exponents(params(n=1, mu1=4.0))
-        with pytest.raises(ValueError):
-            table.sobolev_exponent(1.5)
 
 
 class TestLogFactor:

@@ -20,15 +20,11 @@ from scalewave.solver import (
     OUTCOME_DIVERGED,
     RunConfig,
     SupportViolationWarning,
-    WaveState,
     _Recorder,
-    cfl_dt,
-    detect_blowup,
-    effective_dt,
     init_state,
-    num_steps,
+    leapfrog_kernel,
     run,
-    step,
+    time_step,
 )
 
 
@@ -54,6 +50,57 @@ def c_p(p):
     return 2.0 ** (-1100.0 / p)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Levels:
+    # two consecutive levels as the frozen oracles step them: u_prev at t - dt, u_curr at t;
+    # nodes from ``active`` on are 0 in both (None: the whole grid may be nonzero)
+    t: float
+    dt: float
+    u_prev: np.ndarray
+    u_curr: np.ndarray
+    step_index: int
+    diverged: bool = False
+    active: int | None = None
+    sup: float | None = None
+
+
+def first_levels(grid, u0, u1, config):
+    # the levels a run starts from: the data at s and init_state's first level at s + dt
+    dt = time_step(grid.dr, config)[1]
+    u0v, _, first, active = init_state(grid, u0, u1, config, dt)
+    return Levels(t=config.s + dt, dt=dt, u_prev=u0v, u_curr=first, step_index=1, active=active)
+
+
+def kernel_level(levels, grid, config):
+    # the live kernel once on the given levels, into a fresh zero level: (u+, width, sup)
+    out = np.zeros_like(levels.u_curr)
+    active = grid.num_nodes if levels.active is None else levels.active
+    with np.errstate(over="ignore", invalid="ignore"):
+        width, sup = leapfrog_kernel(grid, config, levels.dt)(
+            levels.t, levels.u_prev, levels.u_curr, out, active)
+    return out, width, sup
+
+
+def run_levels(monkeypatch, grid, u0, u1, config):
+    # run(), and for each kernel call (t, the level at t it reads, its window); when the
+    # run completes, the last entry is the level at t_max
+    import scalewave.solver as solver
+
+    calls = []
+
+    def recording_kernel(grid, config, dt):
+        advance = leapfrog_kernel(grid, config, dt)
+
+        def recorded(t, u_prev, u_curr, out, active):
+            calls.append((t, u_curr.copy(), active))
+            return advance(t, u_prev, u_curr, out, active)
+
+        return recorded
+
+    monkeypatch.setattr(solver, "leapfrog_kernel", recording_kernel)
+    return run(grid, u0, u1, config), calls
+
+
 def reference_step(state, grid, config):
     # the windowed step as it was before the source window and the carried sup
     params = config.params
@@ -76,7 +123,7 @@ def reference_step(state, grid, config):
         ) / (1.0 + h)
     u_next[-1] = 0.0
     diverged = not bool(np.isfinite(u_next[:width]).all())
-    return WaveState(
+    return Levels(
         t=state.t + state.dt,
         dt=state.dt,
         u_prev=state.u_curr,
@@ -137,7 +184,7 @@ def parent_step(state, grid, config):
         ) / (1.0 + h)
     u_next[-1] = 0.0
     sup = float(np.abs(u_next[:width]).max())
-    return WaveState(
+    return Levels(
         t=state.t + state.dt,
         dt=state.dt,
         u_prev=state.u_curr,
@@ -189,9 +236,9 @@ def reference_run(grid, u0, u1, config):
     # (samples, outcome, blowup_time) of the run loop as it was before the
     # recorder's active window, stepping with parent_step
     params = config.params
-    state = init_state(grid, u0, u1, config)
+    state = first_levels(grid, u0, u1, config)
     dt = state.dt
-    steps = num_steps(grid, config)
+    steps = time_step(grid.dr, config)[0]
     frame_ok = discriminant(params) >= 0.0
     u1v = np.asarray(u1(grid.r), dtype=float)
     rows = [reference_record(grid, params, config.s, state.u_prev, u1v, frame_ok)]
@@ -225,13 +272,13 @@ def reference_samples(grid, u0, u1, config):
 
 
 def blowup_states():
-    """Stepped states of a bump run past blow-up until a few steps after it diverged."""
+    """Levels of a bump run past blow-up, by parent_step, until a few steps after it diverged."""
     g = make_radial_grid(1, 30.0, 0.05)
     cfg = RunConfig(params=params(mu1=4.0, p=2.0), t_max=20.0)
-    st = init_state(g, bump, bump, cfg)
+    st = first_levels(g, bump, bump, cfg)
     after = 0
     while after < 3:
-        st = step(st, g, cfg)
+        st = parent_step(st, g, cfg)
         after += st.diverged
         yield g, cfg, st
 
@@ -241,22 +288,22 @@ class TestTimeStep:
         "dr,safety,expected", [(0.05, 0.5, 0.025), (0.1, 1.0, 0.1), (0.01, 0.9, 0.009)]
     )
     def test_cfl_dt(self, dr, safety, expected):
-        g = make_radial_grid(1, 10.0, dr)
-        assert cfl_dt(g, safety) == pytest.approx(expected, rel=1e-12)
+        # where cfl_safety * dr divides the horizon, it is the step
+        cfg = RunConfig(params=params(), t_max=100.0 * expected, cfl_safety=safety)
+        steps, dt = time_step(dr, cfg)
+        assert steps == 100 and dt == pytest.approx(expected, rel=1e-12)
 
     def test_cfl_domain(self):
-        g = make_radial_grid(1, 10.0, 0.1)
-        with pytest.raises(ValueError):
-            cfl_dt(g, 0.0)
-        with pytest.raises(ValueError):
-            cfl_dt(g, 1.5)
+        # the run config holds cfl_safety to (0, 1]
+        for safety in (0.0, 1.5):
+            with pytest.raises(ValueError, match="cfl_safety must lie in"):
+                RunConfig(params=params(), cfl_safety=safety)
 
     def test_effective_dt_lands_exactly(self):
         g = make_radial_grid(1, 10.0, 0.1)
         cfg = RunConfig(params=params(), s=0.0, t_max=1.0, cfl_safety=0.9)
-        dt = effective_dt(g, cfg)
-        steps = num_steps(g, cfg)
-        assert dt <= cfl_dt(g, 0.9) + 1e-15
+        steps, dt = time_step(g.dr, cfg)
+        assert dt <= 0.9 * g.dr + 1e-15
         assert steps * dt == pytest.approx(1.0, rel=1e-14)
 
 
@@ -283,8 +330,8 @@ class TestInitState:
     def test_zero_data(self):
         g = make_radial_grid(1, 10.0, 0.05)
         cfg = RunConfig(params=params(mu1=2.0), t_max=1.0)
-        st = init_state(g, zero, zero, cfg)
-        assert np.all(st.u_prev == 0.0) and np.all(st.u_curr == 0.0)
+        u0v, u1v, first, active = init_state(g, zero, zero, cfg, time_step(g.dr, cfg)[1])
+        assert not u0v.any() and not u1v.any() and not first.any() and active == 0
 
     def test_taylor_structure_quadratic_in_dt(self):
         # with u1 = 0 the first level differs from the data at O(dt^2)
@@ -293,8 +340,8 @@ class TestInitState:
         diffs = []
         for safety in (0.5, 0.25):
             cfg = RunConfig(params=p, t_max=10.0, cfl_safety=safety)
-            st = init_state(g, bump, zero, cfg)
-            diffs.append(np.max(np.abs(st.u_curr - st.u_prev)))
+            u0v, _, first, _ = init_state(g, bump, zero, cfg, time_step(g.dr, cfg)[1])
+            diffs.append(np.max(np.abs(first - u0v)))
         assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_free_wave_first_level_at_origin(self):
@@ -302,14 +349,15 @@ class TestInitState:
         # u(dt, 0) = 1 + (dt^2/2) * Lap u0(0) = 1 - dt^2 for n = 1
         g = make_radial_grid(1, 20.0, 0.02)
         cfg = RunConfig(params=params(), t_max=10.0, nonlinear=False, cfl_safety=0.5)
-        st = init_state(g, lambda r: np.exp(-(r**2)), zero, cfg)
-        assert st.u_curr[0] == pytest.approx(1.0 - st.dt**2, abs=5e-4 * st.dt**2 + 1e-12)
+        dt = time_step(g.dr, cfg)[1]
+        first = init_state(g, lambda r: np.exp(-(r**2)), zero, cfg, dt)[2]
+        assert first[0] == pytest.approx(1.0 - dt**2, abs=5e-4 * dt**2 + 1e-12)
 
     def test_support_violation_warns(self):
         g = make_radial_grid(1, 10.0, 0.05)
         cfg = RunConfig(params=params(), t_max=9.0)  # safe radius 1.0 < support 3.0
         with pytest.warns(SupportViolationWarning):
-            init_state(g, bump, zero, cfg)
+            init_state(g, bump, zero, cfg, time_step(g.dr, cfg)[1])
 
     def test_no_safe_radius_rejected(self):
         # r_max <= t_max - s: the Dirichlet cut-off reaches every node
@@ -317,47 +365,56 @@ class TestInitState:
         for s, t_max in ((0.0, 10.0), (0.0, 60.0), (2.0, 12.0)):
             cfg = RunConfig(params=params(), s=s, t_max=t_max)
             with pytest.raises(ValueError, match="no safe radius"):
-                init_state(g, bump, zero, cfg)
+                init_state(g, bump, zero, cfg, time_step(g.dr, cfg)[1])
 
-    def test_initial_time_shifts_clock(self):
+    def test_squares_past_the_float_range_rejected(self):
+        # 1e160**2 overflows: the error names the datum and its value
+        g = make_radial_grid(1, 10.0, 0.05)
+        cfg = RunConfig(params=params(), t_max=1.0)
+        dt = time_step(g.dr, cfg)[1]
+        huge = lambda r: 1e160 * bump(r)
+        for u0, u1, name in ((huge, zero, "u0"), (bump, huge, "u1")):
+            with pytest.raises(ValueError, match=rf"max \|{name}\| = 1e\+160 squares past"):
+                init_state(g, u0, u1, cfg, dt)
+        # just below sqrt(float max) the square is finite
+        init_state(g, lambda r: 1e154 * bump(r), zero, cfg, dt)
+
+    def test_initial_time_shifts_clock(self, monkeypatch):
         g = make_radial_grid(1, 10.0, 0.05)
         cfg = RunConfig(params=params(mu1=2.0), s=3.0, t_max=4.0)
-        st = init_state(g, bump, zero, cfg)
-        assert st.t == pytest.approx(3.0 + st.dt)
+        rep, calls = run_levels(monkeypatch, g, bump, zero, cfg)
+        assert rep.samples[0, 0] == 3.0
+        assert calls[0][0] == pytest.approx(3.0 + time_step(g.dr, cfg)[1])
 
 
 class TestStep:
     def test_zero_stays_zero(self):
         g = make_radial_grid(1, 10.0, 0.05)
         cfg = RunConfig(params=params(mu1=3.0, mu2sq=1.0), t_max=1.0, nonlinear=True)
-        st = init_state(g, zero, zero, cfg)
-        st = step(st, g, cfg)
-        assert np.all(st.u_curr == 0.0) and not st.diverged
+        out, _, sup = kernel_level(first_levels(g, zero, zero, cfg), g, cfg)
+        assert np.all(out == 0.0) and sup == 0.0
 
-    def test_leapfrog_stability_at_cfl_limit(self):
+    def test_leapfrog_stability_at_cfl_limit(self, monkeypatch):
         # standing-wave growth factor has magnitude 1 for dt <= dr: the
         # sup-norm of a free-wave run stays bounded over many steps
         g = make_radial_grid(1, 40.0, 0.05)
         cfg = RunConfig(params=params(), t_max=30.0, nonlinear=False, cfl_safety=1.0)
-        st = init_state(g, bump, zero, cfg)
-        sup0 = np.max(np.abs(st.u_prev))
-        for _ in range(num_steps(g, cfg) - 1):
-            st = step(st, g, cfg)
-        assert not st.diverged
-        assert np.max(np.abs(st.u_curr)) <= 2.0 * sup0
+        rep, calls = run_levels(monkeypatch, g, bump, zero, cfg)
+        sup0 = np.max(np.abs(bump(g.r)))
+        assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.dr, cfg)[0]
+        assert np.max(np.abs(calls[-1][1])) <= 2.0 * sup0
 
-    def test_dalembert_oracle(self):
+    def test_dalembert_oracle(self, monkeypatch):
         # n=1 free wave, u0 = 0: u(t, 0) = int_0^t u1(r) dr for even data
         width = 0.5
         u1 = lambda r: np.exp(-((r / width) ** 2))
         for dr in (0.04, 0.02):
             g = make_radial_grid(1, 20.0, dr)
             cfg = RunConfig(params=params(), t_max=2.0, nonlinear=False, cfl_safety=0.5)
-            st = init_state(g, zero, u1, cfg)
-            for _ in range(num_steps(g, cfg) - 1):
-                st = step(st, g, cfg)
+            rep, calls = run_levels(monkeypatch, g, zero, u1, cfg)
+            assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.dr, cfg)[0]
             exact = 0.5 * math.sqrt(math.pi) * width * math.erf(2.0 / width)
-            assert st.u_curr[0] == pytest.approx(exact, abs=10.0 * dr**2)
+            assert calls[-1][1][0] == pytest.approx(exact, abs=10.0 * dr**2)
 
 
 class TestActiveWindow:
@@ -368,37 +425,49 @@ class TestActiveWindow:
         cfg = RunConfig(params=params(n=n, mu1=2.0, mu2sq=0.5, p=2.5), t_max=10.0,
                         nonlinear=nonlinear, cfl_safety=0.5)
         small = lambda r: 0.2 * bump(r)
-        windowed = init_state(g, small, small, cfg)
-        full = dataclasses.replace(windowed, active=g.num_nodes)
+        st = first_levels(g, small, small, cfg)
+        advance = leapfrog_kernel(g, cfg, st.dt)
+        t, active = st.t, st.active
+        windowed, full = [st.u_prev, st.u_curr], [st.u_prev, st.u_curr]
         for _ in range(200):
-            windowed, full = step(windowed, g, cfg), step(full, g, cfg)
-            assert windowed.active < g.num_nodes
-            assert windowed.u_curr.tobytes() == full.u_curr.tobytes()
-            assert not windowed.diverged
+            windowed.append(np.zeros(g.num_nodes))
+            full.append(np.zeros(g.num_nodes))
+            active, sup = advance(t, *windowed[-3:], active)
+            advance(t, *full[-3:], g.num_nodes)
+            assert active < g.num_nodes
+            assert windowed[-1].tobytes() == full[-1].tobytes()
+            assert math.isfinite(sup)
+            t += st.dt
 
     def test_active_grows_by_one_per_step_capped(self):
         g = make_radial_grid(1, 2.0, 0.05)
         cfg = RunConfig(params=params(mu1=1.0, p=3.0), t_max=1.0)
-        st = init_state(g, lambda r: bump(6.0 * r), zero, cfg)
+        st = first_levels(g, lambda r: bump(6.0 * r), zero, cfg)
         nonzero = np.flatnonzero((st.u_prev != 0.0) | (st.u_curr != 0.0))
         assert st.active == nonzero[-1] + 1 < g.num_nodes
+        advance = leapfrog_kernel(g, cfg, st.dt)
+        t, active, u_prev, u_curr = st.t, st.active, st.u_prev, st.u_curr
         for _ in range(g.num_nodes):
-            nxt = step(st, g, cfg)
-            assert nxt.active == min(st.active + 1, g.num_nodes)
-            assert not nxt.u_curr[nxt.active:].any() and not nxt.u_prev[nxt.active:].any()
-            st = nxt
-        assert st.active == g.num_nodes
+            u_next = np.zeros(g.num_nodes)
+            width, _ = advance(t, u_prev, u_curr, u_next, active)
+            assert width == min(active + 1, g.num_nodes)
+            assert not u_next[width:].any() and not u_curr[width:].any()
+            t, active, u_prev, u_curr = t + st.dt, width, u_curr, u_next
+        assert active == g.num_nodes
 
     def test_zero_data_stay_zero(self):
         g = make_radial_grid(1, 2.0, 0.05)
         cfg = RunConfig(params=params(mu1=3.0, mu2sq=1.0, p=2.5), t_max=1.0)
-        st = init_state(g, zero, zero, cfg)
-        assert st.active == 0 and detect_blowup(st, 1.0) is None
+        st = first_levels(g, zero, zero, cfg)
+        assert st.active == 0 and not st.u_curr.any()
+        advance = leapfrog_kernel(g, cfg, st.dt)
+        t, active, u_prev, u_curr = st.t, st.active, st.u_prev, st.u_curr
         for k in range(g.num_nodes + 5):
-            st = step(st, g, cfg)
-            assert st.active == min(k + 2, g.num_nodes)
-            assert not st.u_curr.any() and not st.diverged
-            assert detect_blowup(st, 1.0) is None
+            u_next = np.zeros(g.num_nodes)
+            active, sup = advance(t, u_prev, u_curr, u_next, active)
+            assert active == min(k + 2, g.num_nodes)
+            assert not u_next.any() and sup == 0.0
+            t, u_prev, u_curr = t + st.dt, u_curr, u_next
 
 
 class TestSourceWindow:
@@ -421,7 +490,7 @@ class TestSourceWindow:
     def test_global_band_steps_match_reference_bitwise(self, n, cfl_safety, p):
         g = make_radial_grid(n, 40.0, 0.05)
         cfg = RunConfig(params=params(n=n, mu1=4.0, p=p), t_max=30.0, cfl_safety=cfl_safety)
-        st = init_state(g, gaussian, zero, cfg)
+        st = first_levels(g, gaussian, zero, cfg)
         skipped = 0
         for _ in range(300):
             st = self.assert_same_step(st, g, cfg)
@@ -441,9 +510,9 @@ class TestSourceWindow:
     def test_non_finite_states_match_reference_bitwise(self, bad, where):
         g = make_radial_grid(1, 40.0, 0.05)
         cfg = RunConfig(params=params(mu1=4.0, p=4.0), t_max=30.0)
-        st = init_state(g, gaussian, zero, cfg)
+        st = first_levels(g, gaussian, zero, cfg)
         for _ in range(200):
-            st = step(st, g, cfg)
+            st = parent_step(st, g, cfg)
         window = np.abs(st.u_curr[: st.active])
         tail = np.flatnonzero((window > 0.0) & (window < c_p(4.0)))
         index = {"front": 0, "tail": tail[tail.size // 2], "last": st.active - 1,
@@ -457,10 +526,12 @@ class TestSourceWindow:
 
     @staticmethod
     def assert_same_step(state, g, cfg):
-        new, ref = step(state, g, cfg), reference_step(state, g, cfg)
-        assert new.u_curr.tobytes() == ref.u_curr.tobytes()
-        assert (new.active, new.diverged) == (ref.active, ref.diverged)
-        return new
+        # the kernel's level, window and divergence against the reference's, which steps on
+        out, width, sup = kernel_level(state, g, cfg)
+        ref = reference_step(state, g, cfg)
+        assert out.tobytes() == ref.u_curr.tobytes()
+        assert (width, not math.isfinite(sup)) == (ref.active, ref.diverged)
+        return ref
 
 
 def unit_gaussian(r):
@@ -637,14 +708,13 @@ class TestRunLoop:
             assert np.float64(rep.blowup_time).tobytes() == np.float64(want_time).tobytes()
         assert rep.samples.tobytes() == want.tobytes()
 
-    def test_window_reaches_last_node(self):
+    def test_window_reaches_last_node(self, monkeypatch):
         g = make_radial_grid(1, 10.0, 0.05)
         cfg = RunConfig(params=params(mu1=3.0, mu2sq=1.5), t_max=6.5, nonlinear=False,
                         cfl_safety=0.5, record_every=1)
-        st = init_state(g, bump, zero, cfg)
-        for _ in range(num_steps(g, cfg) - 1):
-            st = step(st, g, cfg)
-        assert st.active == g.num_nodes
+        rep, calls = run_levels(monkeypatch, g, bump, zero, cfg)
+        assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.dr, cfg)[0]
+        assert calls[-1][2] == g.num_nodes
 
     def test_levels_rotate_without_aliasing(self, monkeypatch):
         # every step reads two levels and writes a third: three distinct buffers in turn
@@ -668,7 +738,7 @@ class TestRunLoop:
         g = make_radial_grid(2, 20.0, 0.05)
         cfg = RunConfig(params=params(n=2, mu1=3.0, p=2.5), t_max=5.0, record_every=1)
         rep = run(g, bump, bump, cfg)
-        assert len(seen) == num_steps(g, cfg) and len({frozenset(ids) for ids in seen}) == 1
+        assert len(seen) == time_step(g.dr, cfg)[0] and len({frozenset(ids) for ids in seen}) == 1
         for (prev, curr, out), (prev2, curr2, out2) in zip(seen, seen[1:]):
             assert (prev2, curr2, out2) == (curr, out, prev)
         # the levels a sample reads are those of its own step, not a rotated-away one
@@ -699,7 +769,7 @@ class TestRunLoop:
         cfg = RunConfig(params=params(n=n, mu1=4.0, mu2sq=0.5, p=2.0), t_max=8.0,
                         cfl_safety=0.5, record_every=50)
         run(g, u0, u1, cfg)
-        st = init_state(g, u0, u1, cfg)
+        st = first_levels(g, u0, u1, cfg)
         assert len(levels) > 100  # the bump data blow up before t_max
         for level in levels:
             st = parent_step(st, g, cfg)
@@ -715,32 +785,62 @@ class TestRunLoop:
 
 
 class TestDetectBlowup:
-    def make_state(self, values):
-        arr = np.asarray(values, dtype=float)
-        state = WaveState(t=1.5, dt=0.1, u_prev=arr, u_curr=arr, step_index=3)
-        assert state.sup is None
-        return state
+    """The blow-up rule of run(), on the sup the kernel returns for each level."""
 
-    def test_bounded(self):
-        assert detect_blowup(self.make_state([0.0, 1.0, 2.0]), 10.0) is None
+    @staticmethod
+    def run_with_sup(monkeypatch, sup, nonlinear=True):
+        # a short run whose third step returns ``sup``, against the threshold 10;
+        # (report, the t of each kernel call, dt)
+        import scalewave.solver as solver
 
-    def test_threshold_crossing(self):
-        assert detect_blowup(self.make_state([0.0, 20.0]), 10.0) == pytest.approx(1.5)
+        times = []
 
-    def test_non_finite(self):
-        assert detect_blowup(self.make_state([0.0, math.nan]), 10.0) == pytest.approx(1.5)
+        def forcing_kernel(grid, config, dt):
+            advance = leapfrog_kernel(grid, config, dt)
+
+            def forced(t, u_prev, u_curr, out, active):
+                width, actual = advance(t, u_prev, u_curr, out, active)
+                times.append(t)
+                return width, sup if len(times) == 3 else actual
+
+            return forced
+
+        monkeypatch.setattr(solver, "leapfrog_kernel", forcing_kernel)
+        g = make_radial_grid(1, 10.0, 0.1)
+        cfg = RunConfig(params=params(mu1=2.0, p=3.0), t_max=2.0, nonlinear=nonlinear,
+                        blowup_threshold=10.0, record_every=1)
+        return run(g, lambda r: 0.5 * bump(r), zero, cfg), times, time_step(g.dr, cfg)[1]
+
+    def test_bounded(self, monkeypatch):
+        rep, times, _ = self.run_with_sup(monkeypatch, 2.0)
+        assert rep.outcome == OUTCOME_COMPLETED and rep.blowup_time is None
+        assert len(times) == 23
+
+    def test_threshold_crossing(self, monkeypatch):
+        # the blow-up time is that of the level whose sup crossed
+        rep, times, dt = self.run_with_sup(monkeypatch, 20.0)
+        assert len(times) == 3 and rep.outcome == OUTCOME_BLOWUP
+        assert rep.blowup_time == times[-1] + dt
+        # a linear solution cannot blow up: the same crossing is divergence
+        rep, times, _ = self.run_with_sup(monkeypatch, 20.0, nonlinear=False)
+        assert len(times) == 3 and rep.outcome == OUTCOME_DIVERGED and rep.blowup_time is None
+
+    def test_non_finite(self, monkeypatch):
+        rep, times, _ = self.run_with_sup(monkeypatch, math.nan)
+        assert len(times) == 3 and rep.outcome == OUTCOME_DIVERGED and rep.blowup_time is None
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf])
-    def test_infinite(self, bad):
-        assert detect_blowup(self.make_state([0.0, bad]), 10.0) == pytest.approx(1.5)
+    def test_infinite(self, bad, monkeypatch):
+        rep, times, _ = self.run_with_sup(monkeypatch, bad)
+        assert len(times) == 3 and rep.outcome == OUTCOME_DIVERGED and rep.blowup_time is None
 
     def test_stepped_state_carries_the_sup(self):
-        for _, _, st in blowup_states():
-            recomputed = dataclasses.replace(st, sup=None)
-            assert st.sup is not None
-            assert np.array_equal(st.sup, np.max(np.abs(st.u_curr)), equal_nan=True)
-            for threshold in (1.0, 1e8, 1e300):
-                assert detect_blowup(st, threshold) == detect_blowup(recomputed, threshold)
+        # the kernel's sup is max |u+| over the whole level, NaN included: the one pass
+        # the rule reads, and the sup the frozen oracle carries
+        for g, cfg, st in blowup_states():
+            out, _, sup = kernel_level(st, g, cfg)
+            assert np.array_equal(sup, np.max(np.abs(out)), equal_nan=True)
+            assert np.array_equal(sup, parent_step(st, g, cfg).sup, equal_nan=True)
 
 
 class TestRun:
@@ -774,7 +874,7 @@ class TestRun:
         cfg = RunConfig(params=params(), t_max=50.0, nonlinear=False,
                         cfl_safety=0.5, record_every=50)
         rep = run(g, bump, zero, cfg)
-        assert num_steps(g, cfg) >= 5000
+        assert time_step(g.dr, cfg)[0] >= 5000
         t, grad = rep.series("grad_l2")
         _, ut = rep.series("ut_l2")
         energy = 0.5 * (grad**2 + ut**2)
@@ -807,17 +907,16 @@ class TestRun:
         order = math.log2(abs(norms[0.1] - norms[0.05]) / abs(norms[0.05] - norms[0.025]))
         assert order >= 1.9
 
-    def test_finite_propagation_speed(self):
+    def test_finite_propagation_speed(self, monkeypatch):
         # at the dispersion-free step dt = dr the discrete domain of
         # dependence matches the continuum cone exactly in n = 1
         g = make_radial_grid(1, 30.0, 0.02)
         for mu1, mu2sq in ((0.0, 0.0), (2.0, 0.5)):
             cfg = RunConfig(params=params(mu1=mu1, mu2sq=mu2sq), t_max=5.0,
                             nonlinear=False, cfl_safety=1.0, record_every=10**9)
-            st = init_state(g, bump, zero, cfg)
-            for _ in range(num_steps(g, cfg) - 1):
-                st = step(st, g, cfg)
-            beyond = np.abs(st.u_curr) > 1e-12
+            rep, calls = run_levels(monkeypatch, g, bump, zero, cfg)
+            assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.dr, cfg)[0]
+            beyond = np.abs(calls[-1][1]) > 1e-12
             assert g.r[beyond].max() <= 3.0 + 5.0 + 2.0 * g.dr
 
     def test_initial_time_run_completes(self):
@@ -833,27 +932,27 @@ class TestRun:
                         record_every=4)
         rep = run(g, bump, zero, cfg)
         assert isinstance(rep.samples, np.ndarray) and rep.samples.dtype == np.float64
-        assert rep.samples.shape == (num_steps(g, cfg) // 4 + 2, len(CSV_COLUMNS))
+        assert rep.samples.shape == (time_step(g.dr, cfg)[0] // 4 + 2, len(CSV_COLUMNS))
         for column, key in enumerate(CSV_COLUMNS[1:], start=1):
             t, values = rep.series(key)
             assert np.shares_memory(t, rep.samples) and np.shares_memory(values, rep.samples)
             assert np.array_equal(t, rep.samples[:, 0])
             assert np.array_equal(values, rep.samples[:, column])
 
-    def test_recorded_wl2_is_weighted_lq_bitwise(self):
+    def test_recorded_wl2_is_weighted_lq_bitwise(self, monkeypatch):
         # massive nonlinear n = 2 run; the clock starts at s = 1 so the weight
         # exponent is not that of t = 0 at any sample
         g = make_radial_grid(2, 15.0, 0.05)
         p = params(n=2, mu1=3.0, mu2sq=2.0, p=2.5)
         cfg = RunConfig(params=p, s=1.0, t_max=2.0, cfl_safety=0.8, record_every=5)
-        rep = run(g, bump, bump, cfg)
+        rep, calls = run_levels(monkeypatch, g, bump, bump, cfg)
         t, wl2 = rep.series("wl2")
-        st = init_state(g, bump, bump, cfg)
-        assert wl2[0] == weighted_lq(g, st.u_prev, p, 1.0, t[0], 2.0)
-        for _ in range(4):
-            st = step(st, g, cfg)
-        assert st.t == t[1]
-        assert wl2[1] == weighted_lq(g, st.u_curr, p, 1.0, t[1], 2.0)
+        u0v = init_state(g, bump, bump, cfg, time_step(g.dr, cfg)[1])[0]
+        assert wl2[0] == weighted_lq(g, u0v, p, 1.0, t[0], 2.0)
+        # the fifth step starts from the level at s + 5 dt, the second sample
+        t5, u5, _ = calls[4]
+        assert t5 == t[1]
+        assert wl2[1] == weighted_lq(g, u5, p, 1.0, t[1], 2.0)
 
     def test_unstable_linear_run_is_diverged_not_blowup(self):
         # cfl_safety 0.9 exceeds the leapfrog bound in n = 3 (about 0.816); a
