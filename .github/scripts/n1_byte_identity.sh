@@ -26,6 +26,10 @@ commands() {
     # a nonlinear global-band run recording every step
     sw simulate --set p=4 --set u0_amplitude=0.01 --set t_max=60 --set r_max=80 \
         --set record_every=1 --out global.csv
+    # a global-band sweep whose first cell (about 0.35 s) outlasts the pool's
+    # start-up, so a tree that fans sweeps out runs its last 3 cells in the pool
+    sw sweep --set "p_values=[3.5,4]" --set "amplitudes=[0.5,1]" --set u0_amplitude=0.01 \
+        --set r_max=230 --set t_max=200 --out global-sweep.csv
     # a blow-up-band sweep
     sw sweep --set "p_values=[1.5,2,2.5]" --set "amplitudes=[0.4,0.9]" \
         --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \

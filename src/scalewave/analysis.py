@@ -10,6 +10,7 @@ exponent both come from that fit.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +23,13 @@ GLOBAL_LOOKING = "global-looking"
 UNDECIDED = "undecided"
 # a global-looking run's weighted gradient norm stays within this factor of its start
 ENERGY_GROWTH_BOUND = 10.0
+# Measured cost of starting the sweep's process pool on Linux with the fork
+# start method: importing concurrent.futures.process (about 20 ms) and one
+# fork/join of 2 workers (about 16 ms).  A sweep whose first cell is cheaper
+# than this runs serially.  Other start methods (macOS, and Linux from
+# Python 3.14) cost more to start, so there the break-even point lies
+# higher; the rows are the same either way.
+POOL_START_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -141,12 +149,14 @@ def _sweep_one(task) -> SweepRow:
 
 def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
           config: RunConfig, u0_profile, u1_profile=None, jobs: int = 1) -> list[SweepRow]:
-    """One solver run per (p, amplitude) pair, in deterministic input order.
+    """One solver run per (p, amplitude) pair, rows in deterministic input order.
 
-    With jobs > 1 the rows run in min(jobs, cells) separate processes
-    (profiles must then be picklable top-level callables); results are
-    still collected in input order.  A non-finite amplitude is rejected
-    before any cell runs.
+    The first cell always runs in this process.  When it took longer than
+    ``POOL_START_S`` and at least 2 cells remain, the remaining cells are
+    mapped over ``min(jobs, remaining)`` worker processes (profiles must
+    then be picklable top-level callables); otherwise they run here, one
+    after another.  Either way every row carries the same bits.  A
+    non-finite amplitude is rejected before any cell runs.
     """
     if not all(math.isfinite(a) for a in amplitudes):
         raise ValueError(f"sweep amplitudes must be finite, got {list(amplitudes)}")
@@ -155,11 +165,16 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
         for p in p_values
         for a in amplitudes
     ]
-    # the fork start method launches every worker at once, needed or not
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        return [_sweep_one(task) for task in tasks]
+    if not tasks:
+        return []
+    start = time.perf_counter()
+    rows = [_sweep_one(tasks[0])]
+    rest = tasks[1:]
+    workers = min(jobs, len(rest))
+    # a pool of one worker would only add its start-up cost to a serial run
+    if workers < 2 or time.perf_counter() - start <= POOL_START_S:
+        return rows + [_sweep_one(task) for task in rest]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_one, tasks))
+        return rows + list(pool.map(_sweep_one, rest))

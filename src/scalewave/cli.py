@@ -164,11 +164,13 @@ class DataProfile:
 
 def write_run_csv(report: RunReport, path) -> None:
     """Serialize the recorded samples with the canonical column set."""
+    # '%.17g' % x is format_float(x) for every float, NaN, infinities and -0.0 included
+    template = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         # one row at a time: a whole-array tolist() would hold every float as an object
         for row in report.samples:
-            handle.write(",".join(map(format_float, row.tolist())) + "\n")
+            handle.write(template % tuple(row.tolist()))
 
 
 def read_series_csv(path, column: str):
@@ -405,6 +407,13 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _jobs(text: str) -> int:
     try:
         jobs = int(text)
@@ -434,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("simulate", _cmd_simulate, "one run, norm series to CSV")
     command("sweep", _cmd_sweep, "(p, amplitude) sweep to CSV").add_argument(
-        "--jobs", type=_jobs, default=1, help="parallel fan-out degree")
+        "--jobs", type=_jobs, default=_usable_cpus(),
+        help="most worker processes for the cells after the first (default: usable CPUs; "
+             "1 runs serially)")
     verify_p = command("verify", _cmd_verify, "identity/inequality/comparison suites")
     verify_p.add_argument("suite", choices=["identities", "inequalities", "bihari"])
     verify_p.add_argument("--seed", type=int, default=0,

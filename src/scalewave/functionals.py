@@ -63,14 +63,29 @@ def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
     return value
 
 
-def check_term_exponent(peak: float) -> None:
-    """Raise WeightOverflowError when a quadrature term's exponent exceeds the budget."""
-    if peak > EXPONENT_BUDGET:
+def check_term_exponent(peak: float, data: tuple[float, str] | None = None) -> None:
+    """Raise WeightOverflowError when a quadrature term's exponent exceeds the budget.
+
+    ``data`` is (max |datum|, name) of the larger datum.  A term's exponent
+    is the weight's plus the log of a density quadratic in the data, so data
+    of size s carry about 2 log s of it; when the exponent less that share
+    is within the budget, the weight alone fits and the message blames the
+    data's size instead of the weight.
+    """
+    if not peak > EXPONENT_BUDGET:
+        return
+    if data is not None and peak - 2.0 * math.log(data[0]) <= EXPONENT_BUDGET:
         raise WeightOverflowError(
-            f"weighted integral not representable: a quadrature term has exponent "
-            f"{peak:.4g} > {EXPONENT_BUDGET:.0f}; the data do not decay fast enough "
-            "for the weight on this grid"
+            f"weighted integral not representable: the data's size overflows the "
+            f"quadrature (max |{data[1]}| = {data[0]:.4g} puts a term's exponent at "
+            f"{peak:.4g} > {EXPONENT_BUDGET:.0f}, where the weight alone fits); "
+            "scale the data down"
         )
+    raise WeightOverflowError(
+        f"weighted integral not representable: a quadrature term has exponent "
+        f"{peak:.4g} > {EXPONENT_BUDGET:.0f}; the data do not decay fast enough "
+        "for the weight on this grid"
+    )
 
 
 def _log_quadrature(weights: np.ndarray, expo, density: np.ndarray) -> tuple[float, float]:

@@ -366,7 +366,8 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
     difference.  The comparison-frame integral F is recorded as NaN when
     the discriminant is negative and the frame does not exist.  Data whose
     weighted norms at t = s have a quadrature term past the exponent budget
-    lie outside the weighted space: WeightOverflowError, before any step.
+    raise WeightOverflowError before any step: they lie outside the
+    weighted space, or, where the weight alone fits, are too large in size.
     Later samples record a weighted norm that overflows as +inf.  A step
     whose sup |u+| is not finite ends the run ``diverged``; one whose sup
     exceeds ``blowup_threshold`` ends it ``blowup`` at that level's time, or
@@ -383,8 +384,9 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
         record = _Recorder(grid, params, discriminant(params) >= 0.0)
         samples = np.empty((steps // every + 2, 1 + len(SAMPLE_KEYS)))
         samples[0] = record(config.s, u0v, u1v, size)
+        data = max((float(np.max(np.abs(v))), name) for name, v in (("u0", u0v), ("u1", u1v)))
         for peak in record.peaks:
-            check_term_exponent(peak)
+            check_term_exponent(peak, data)
         advance = leapfrog_kernel(grid, config, dt)
         # Three rotating levels: u- at t - dt, u at t and u+.  The initial levels may
         # hold -0.0 beyond the data, where a stepped level holds +0.0; the first two

@@ -149,14 +149,17 @@ class TestSweep:
         assert by_cell[(4.0, 1.0)].regime.global_existence_applicable
         assert by_cell[(1.5, 1.0)].regime.blowup_range_applicable
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # a zero threshold sends the cells after the first to the process pool
+        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
         grid = make_radial_grid(1, 12.0, 0.1)
         base = ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0)
         cfg = RunConfig(params=base, t_max=4.0, record_every=4)
-        serial = sweep(grid, base, [1.5, 2.0], [0.5], cfg, _unit_bump)
-        parallel = sweep(grid, base, [1.5, 2.0], [0.5], cfg, _unit_bump, jobs=2)
+        serial = sweep(grid, base, [1.5, 2.0, 4.0], [0.5], cfg, _unit_bump)
+        parallel = sweep(grid, base, [1.5, 2.0, 4.0], [0.5], cfg, _unit_bump, jobs=2)
         assert [r.outcome for r in serial] == [r.outcome for r in parallel]
         assert [r.blowup_time for r in serial] == [r.blowup_time for r in parallel]
+        assert serial == parallel
 
     def test_one_decay_fit_per_cell(self, monkeypatch):
         calls = []

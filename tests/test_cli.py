@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import scalewave
 from scalewave.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -18,7 +24,7 @@ from scalewave.cli import (
 )
 from scalewave.grid import make_radial_grid
 from scalewave.model import ModelParams
-from scalewave.solver import RunConfig, run
+from scalewave.solver import RunConfig, RunReport, run
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +128,22 @@ class TestSimulate:
             assert np.array_equal(t_csv, t)
             assert np.array_equal(values_csv, values)
 
+    def test_csv_rows_match_format_float_on_special_values(self, tmp_path):
+        # the one-template row format writes what joining format_float wrote
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1.0 / 3.0]
+        rng = np.random.default_rng(5)
+        random_bits = rng.integers(0, 2**63, size=200, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([special, random_bits, -random_bits])
+        width = len(CSV_COLUMNS)
+        values = np.resize(values, (-(-values.size // width), width))
+        cfg = RunConfig(params=ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0), t_max=1.0)
+        out = tmp_path / "run.csv"
+        write_run_csv(RunReport(config=cfg, samples=values, outcome="completed"), out)
+        want = [",".join(CSV_COLUMNS)]
+        want += [",".join(format_float(x) for x in row) for row in values.tolist()]
+        assert out.read_bytes() == ("\n".join(want) + "\n").encode()
+
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"t_max": 2.0, "r_max": 10.0, "dr": 0.1,
@@ -150,15 +172,30 @@ class TestSweep:
         assert lines[0].startswith("p,amplitude,outcome,blowup_time")
         assert "blowup" in lines[1]
 
-    def test_parallel_jobs_reproduce_serial_csv(self, tmp_path):
-        args = ["sweep", "--set", "p_values=[1.5,2.0]", "--set", "amplitudes=[1.0]",
+    def test_parallel_jobs_reproduce_serial_csv(self, tmp_path, monkeypatch):
+        # a zero threshold sends the two cells after the first to a real pool
+        import concurrent.futures
+        import scalewave.analysis
+
+        sizes = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
+        args = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",
                 "--set", "u0_kind=bump", "--set", "u0_width=2.0",
                 "--set", "u1_kind=bump", "--set", "u1_width=2.0",
                 "--set", "t_max=6.0", "--set", "r_max=12", "--set", "dr=0.1"]
         serial = tmp_path / "serial.csv"
         fanout = tmp_path / "fanout.csv"
-        assert parse_and_dispatch(args + ["--out", str(serial)]) == EXIT_OK
+        assert parse_and_dispatch(args + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
+        assert sizes == []
         assert parse_and_dispatch(args + ["--jobs", "2", "--out", str(fanout)]) == EXIT_OK
+        assert sizes == [2]
         assert serial.read_bytes() == fanout.read_bytes()
 
     def test_diverged_cell_labelled_and_exits_diverged(self, tmp_path):
@@ -502,6 +539,8 @@ class TestBadInputsExitConfig:
     @pytest.mark.parametrize("argv", [
         # width-3 Gaussian data at mu1 = 40: e^{2W} u^2 passes e^600 at t = s
         ["simulate", "--set", "mu1=40", "--set", "u0_width=3"],
+        # large as well as wide: scaling them down would not help, so the weight is named
+        ["simulate", "--set", "mu1=40", "--set", "u0_width=3", "--set", "u0_amplitude=1e140"],
     ])
     def test_data_outside_the_weighted_space_rejected_before_any_step(self, argv, tmp_path,
                                                                       monkeypatch, capsys):
@@ -516,6 +555,34 @@ class TestBadInputsExitConfig:
         assert err.startswith(
             "error: weighted integral not representable: a quadrature term has exponent")
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, datum", [
+        # no weight at all (mu1 = 0): u^2 alone carries the exponent 2 log 1e140
+        (["simulate", "--set", "mu1=0", "--set", "u0_amplitude=1e140", "--set", "t_max=2"],
+         "u0| = 1e+140 puts a term's exponent at 644.7"),
+        (["simulate", "--set", "u0_amplitude=1e140", "--set", "t_max=2"],
+         "u0| = 1e+140 puts a term's exponent at 644.7"),
+        (["simulate", "--set", "u1_kind=gaussian", "--set", "u1_amplitude=1e150",
+          "--set", "t_max=2"], "u1| = 1e+150 puts a term's exponent at 690.8"),
+        (["sweep", "--set", "amplitudes=[1e140]", "--set", "t_max=2"],
+         "u0| = 1e+140 puts a term's exponent at 644.7"),
+    ])
+    def test_data_too_large_for_the_quadrature_rejected_before_any_step(self, argv, datum,
+                                                                        tmp_path, monkeypatch,
+                                                                        capsys):
+        # the squares are finite and the weight fits; the data's size overflows a term
+        monkeypatch.chdir(tmp_path)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr("scalewave.solver.leapfrog_kernel", no_step)
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("error: weighted integral not representable: the data's size overflows "
+                       f"the quadrature (max |{datum} > 600, where the weight alone fits); "
+                       "scale the data down\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, name", [
@@ -587,19 +654,93 @@ class TestSweepJobs:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return sizes
 
-    def test_pool_never_larger_than_the_cell_count(self, pools, tmp_path):
+    def test_pool_never_larger_than_the_cell_count(self, pools, tmp_path, monkeypatch):
+        # the first cell runs here, so the pool is at most one fewer than the cells
+        import scalewave.analysis
+
+        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(self.ARGS + ["--jobs", "64", "--out", str(out)]) == EXIT_OK
-        assert pools == [3]
+        assert pools == [2]
         assert len(out.read_text().splitlines()) == 4
 
-    def test_single_cell_runs_without_a_pool(self, pools, tmp_path):
+    def test_cheap_first_cell_builds_no_pool(self, pools, tmp_path):
+        # each cell of ARGS takes a few milliseconds, far below POOL_START_S
+        out = tmp_path / "sweep.csv"
+        assert parse_and_dispatch(self.ARGS + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
+        assert pools == []
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_single_cell_runs_without_a_pool(self, pools, tmp_path, monkeypatch):
+        import scalewave.analysis
+
+        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
         argv = self.ARGS[:2] + ["p_values=[2.0]"] + self.ARGS[3:]
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
+        assert pools == []
+
+    def test_one_cell_after_the_first_runs_without_a_pool(self, pools, tmp_path, monkeypatch):
+        # a pool of one worker would only add its start-up cost
+        import scalewave.analysis
+
+        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
+        argv = self.ARGS[:2] + ["p_values=[2.0,2.5]"] + self.ARGS[3:]
+        out = tmp_path / "sweep.csv"
+        assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
+        assert pools == []
+
+    def test_one_job_runs_serially(self, pools, tmp_path, monkeypatch):
+        import scalewave.analysis
+
+        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
+        out = tmp_path / "sweep.csv"
+        assert parse_and_dispatch(self.ARGS + ["--jobs", "1", "--out", str(out)]) == EXIT_OK
         assert pools == []
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, jobs, pools):
         assert parse_and_dispatch(self.ARGS + ["--jobs", jobs]) == EXIT_USAGE
         assert pools == []
+
+    @pytest.fixture
+    def jobs_passed(self, monkeypatch):
+        """Replace the sweep by a stand-in that records the jobs it is given."""
+        seen = []
+
+        def recording_sweep(*args, jobs):
+            seen.append(jobs)
+            return []
+
+        monkeypatch.setattr("scalewave.cli.sweep", recording_sweep)
+        return seen
+
+    def test_jobs_default_is_the_affinity_set_size(self, jobs_passed, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert parse_and_dispatch(self.ARGS + ["--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert jobs_passed == [3]
+
+    def test_jobs_default_falls_back_to_the_cpu_count(self, jobs_passed, monkeypatch, tmp_path):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert parse_and_dispatch(self.ARGS + ["--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert jobs_passed == [5]
+
+    def test_readme_sweep_never_imports_the_pool(self, tmp_path):
+        # its cells take milliseconds, so the process pool is never even imported
+        argv = ["sweep", "--set", "p_values=[1.5,2,2.5]", "--set", "amplitudes=[1.0]",
+                "--set", "u0_kind=bump", "--set", "u1_kind=bump", "--set", "u0_width=3",
+                "--set", "u1_width=3", "--set", "r_max=230", "--set", "t_max=200",
+                "--out", str(tmp_path / "sweep.csv")]
+        # the child imports the scalewave package these tests import
+        src = str(Path(scalewave.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "scalewave.cli", *argv],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("sweep: 3 rows")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "scalewave.analysis" in imported
+        assert "concurrent.futures.process" not in imported

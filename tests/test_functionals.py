@@ -9,6 +9,7 @@ from scalewave.errors import RegimeError, WeightOverflowError
 from scalewave.functionals import (
     EXPONENT_BUDGET,
     _log_quadrature,
+    check_term_exponent,
     comparison_frame_factor,
     norms_of_squares,
     to_comparison_frame,
@@ -142,6 +143,17 @@ class TestWeightedL2:
         f = np.exp(-0.01 * g.r**2)  # slowly decaying, nonzero at large r
         with pytest.raises(WeightOverflowError):
             weighted_lq(g, f, params(mu1=4.0), 1.0, 0.0, 2.0)
+
+    def test_term_exponent_blames_the_data_only_where_their_size_carries_the_excess(self):
+        check_term_exponent(EXPONENT_BUDGET, (1e140, "u0"))
+        check_term_exponent(math.nan, (1e140, "u0"))
+        # 2 log 1e140 = 644.7: the rest of a 700 exponent fits the budget
+        with pytest.raises(WeightOverflowError, match=r"max \|u1\| = 1e\+140 .*scale the data"):
+            check_term_exponent(700.0, (1e140, "u1"))
+        # data of size 1 or less never take the blame, nor does data past the rest
+        for data in ((1.0, "u0"), (0.5, "u0"), (1e10, "u0"), None):
+            with pytest.raises(WeightOverflowError, match="do not decay fast enough"):
+                check_term_exponent(700.0, data)
 
     def test_lower_bounds_plain_l2(self, grid):
         # pointwise weight >= 1, so the weighted norm dominates the plain one
