@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-import scalewave
+import scalewave.analysis
 from scalewave.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -31,6 +31,12 @@ from scalewave.solver import RunConfig, RunReport, run
 def schema():
     text = resources.files("scalewave").joinpath("schemas/report.schema.json").read_text()
     return json.loads(text)
+
+
+@pytest.fixture
+def forced_fanout(monkeypatch):
+    """A zero pool threshold: any first cell is slow enough to start the pool."""
+    monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
 
 
 def validate(path, schema):
@@ -172,10 +178,9 @@ class TestSweep:
         assert lines[0].startswith("p,amplitude,outcome,blowup_time")
         assert "blowup" in lines[1]
 
-    def test_parallel_jobs_reproduce_serial_csv(self, tmp_path, monkeypatch):
-        # a zero threshold sends the two cells after the first to a real pool
+    def test_parallel_jobs_reproduce_serial_csv(self, tmp_path, monkeypatch, forced_fanout):
+        # the two cells after the first go to a real pool
         import concurrent.futures
-        import scalewave.analysis
 
         sizes = []
 
@@ -185,7 +190,6 @@ class TestSweep:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
         args = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",
                 "--set", "u0_kind=bump", "--set", "u0_width=2.0",
                 "--set", "u1_kind=bump", "--set", "u1_width=2.0",
@@ -654,11 +658,8 @@ class TestSweepJobs:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return sizes
 
-    def test_pool_never_larger_than_the_cell_count(self, pools, tmp_path, monkeypatch):
+    def test_pool_never_larger_than_the_cell_count(self, pools, tmp_path, forced_fanout):
         # the first cell runs here, so the pool is at most one fewer than the cells
-        import scalewave.analysis
-
-        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(self.ARGS + ["--jobs", "64", "--out", str(out)]) == EXIT_OK
         assert pools == [2]
@@ -671,29 +672,20 @@ class TestSweepJobs:
         assert pools == []
         assert len(out.read_text().splitlines()) == 4
 
-    def test_single_cell_runs_without_a_pool(self, pools, tmp_path, monkeypatch):
-        import scalewave.analysis
-
-        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
+    def test_single_cell_runs_without_a_pool(self, pools, tmp_path, forced_fanout):
         argv = self.ARGS[:2] + ["p_values=[2.0]"] + self.ARGS[3:]
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
         assert pools == []
 
-    def test_one_cell_after_the_first_runs_without_a_pool(self, pools, tmp_path, monkeypatch):
+    def test_one_cell_after_the_first_runs_without_a_pool(self, pools, tmp_path, forced_fanout):
         # a pool of one worker would only add its start-up cost
-        import scalewave.analysis
-
-        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
         argv = self.ARGS[:2] + ["p_values=[2.0,2.5]"] + self.ARGS[3:]
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
         assert pools == []
 
-    def test_one_job_runs_serially(self, pools, tmp_path, monkeypatch):
-        import scalewave.analysis
-
-        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
+    def test_one_job_runs_serially(self, pools, tmp_path, forced_fanout):
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(self.ARGS + ["--jobs", "1", "--out", str(out)]) == EXIT_OK
         assert pools == []
