@@ -26,6 +26,12 @@ commands() {
     # a nonlinear global-band run recording every step
     sw simulate --set p=4 --set u0_amplitude=0.01 --set t_max=60 --set r_max=80 \
         --set record_every=1 --out global.csv
+    # a massive run recording every step, which takes the energy's own quadrature
+    sw simulate --set mu1=5 --set mu2sq=2 --set u1_kind=gaussian --set u1_amplitude=0.5 \
+        --set t_max=30 --set r_max=40 --set record_every=1 --out massive.csv
+    # a diverging run: its last sample takes the two-level u_t and records inf/nan (exit 3)
+    sw simulate --set mu1=0 --set p=2 --set blowup_threshold=1e300 --set t_max=20 \
+        --set r_max=40 --set record_every=1 --out diverged.csv
     # a global-band sweep whose first cell (about 0.35 s) outlasts the pool's
     # start-up, so a tree that fans sweeps out runs its last 3 cells in the pool
     sw sweep --set "p_values=[3.5,4]" --set "amplitudes=[0.5,1]" --set u0_amplitude=0.01 \

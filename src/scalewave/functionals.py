@@ -20,7 +20,12 @@ from its caller, which forms each once: the solver's recorder, on the
 active window only, with the window's prefix of the quadrature weights.
 Restricting to a prefix keeps every bit of the whole-grid values, because
 the kernel compresses its arrays to the nonzero density nodes before it
-sums, and beyond the window every density is 0.
+sums, and beyond the window every density is 0.  The recorder also passes
+scratch arrays, formed once per run, that receive the nonzero mask, the
+terms expo + log(density) and a massive energy density, so a sample
+allocates none of them; ``weighted_quadrature`` passes fresh arrays to the
+same kernel.  Written in place, each value has the operations, operands
+and order of the plain expression, so the bits are the same.
 Without mass the energy density equals the gradient density bit for bit
 (as long as u^2 is finite), so the energy reuses that quadrature and a
 massless sample takes two log/exp passes instead of three.
@@ -58,7 +63,7 @@ def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
     density = np.asarray(density, dtype=float)
     if density.shape != grid.r.shape:
         raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
-    value, peak = _log_quadrature(grid.quad_weights, expo, density)
+    value, peak = _log_quadrature(grid.quad_weights, np.asarray(expo, dtype=float), density)
     check_term_exponent(peak)
     return value
 
@@ -88,17 +93,23 @@ def check_term_exponent(peak: float, data: tuple[float, str] | None = None) -> N
     )
 
 
-def _log_quadrature(weights: np.ndarray, expo, density: np.ndarray) -> tuple[float, float]:
+def _log_quadrature(weights: np.ndarray, expo: np.ndarray, density: np.ndarray,
+                    scratch: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
     """(quadrature, largest term exponent) of ``weighted_quadrature`` with explicit weights.
 
     The weights may be a prefix of the grid's.  The terms, and so their
     sum, depend only on the nonzero density nodes in order; where those form
     a prefix they are sliced instead of gathered.  Past the budget the terms
     are summed relative to the largest and scaled back, so only an integral
-    past the float range overflows, to +inf.
+    past the float range overflows, to +inf.  ``scratch`` is a boolean and a
+    float array, each at least as long as the density, which receive the
+    nonzero mask and the terms; without it both are fresh arrays.
     """
-    expo = np.asarray(expo, dtype=float)
-    active = density != 0.0
+    size = density.size
+    if scratch is None:
+        scratch = np.empty(size, dtype=bool), np.empty(size)
+    active, terms = scratch[0][:size], scratch[1]
+    np.not_equal(density, 0.0, out=active)
     # one past the last nonzero node (a numpy bool is the byte 0 or 1)
     end = active.tobytes().rfind(b"\x01") + 1
     if np.count_nonzero(active) == end:
@@ -106,7 +117,8 @@ def _log_quadrature(weights: np.ndarray, expo, density: np.ndarray) -> tuple[flo
         weights, expo, density = weights[:end], expo[:end], density[:end]
     else:
         weights, expo, density = weights[active], expo[active], density[active]
-    terms = expo + np.log(density)
+    terms = terms[:density.size]
+    np.add(expo, np.log(density, out=terms), out=terms)
     peak = float(terms.max()) if terms.size else -math.inf
     if not peak > EXPONENT_BUDGET:
         return float(weights @ np.exp(terms, out=terms)), peak
@@ -135,7 +147,8 @@ def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: 
 
 
 def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,
-                     grad_sq: np.ndarray, m_sq: float, u_sq_max: float):
+                     grad_sq: np.ndarray, m_sq: float, u_sq_max: float,
+                     scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
     """(wl2, wgrad_l2, wenergy, peaks) from the nodal squares u^2 and u_r^2 + u_t^2.
 
     Under the weight exp(2W) = exp(``expo``): wl2 = ||exp(W) u||_2,
@@ -151,24 +164,40 @@ def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,
     finite, the energy density grad_sq + 0*u_sq is grad_sq bit for bit, so
     the energy reuses the gradient quadrature; where u^2 overflows or is
     NaN, 0*u^2 is NaN and the energy is integrated as written.
+    ``scratch`` is (mask, terms, energy): the quadrature's boolean and float
+    scratch and a float array for the energy density, each at least as
+    long as the squares; without it they are fresh arrays.
     """
-    u_integral, u_peak = _log_quadrature(weights, expo, u_sq)
-    grad_integral, grad_peak = _log_quadrature(weights, expo, grad_sq)
+    if scratch is None:
+        size = u_sq.size
+        scratch = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
+    quadrature_scratch, energy = scratch[:2], scratch[2][:u_sq.size]
+    u_integral, u_peak = _log_quadrature(weights, expo, u_sq, quadrature_scratch)
+    grad_integral, grad_peak = _log_quadrature(weights, expo, grad_sq, quadrature_scratch)
     peaks = (u_peak, grad_peak)
     if m_sq == 0.0 and math.isfinite(u_sq_max):
         energy_integral = grad_integral
     else:
-        energy_integral, energy_peak = _log_quadrature(weights, expo, grad_sq + m_sq * u_sq)
+        np.add(grad_sq, np.multiply(m_sq, u_sq, out=energy), out=energy)
+        energy_integral, energy_peak = _log_quadrature(weights, expo, energy, quadrature_scratch)
         peaks += (energy_peak,)
     return u_integral ** (1.0 / 2.0), math.sqrt(grad_integral), 0.5 * energy_integral, peaks
 
 
-def comparison_frame_factor(params: ModelParams, t: float) -> float:
-    """(1+t)^((mu1-1)/2 - sqrt(delta)/2); requires a nonnegative discriminant."""
+def comparison_frame_exponent(params: ModelParams) -> float:
+    """(mu1-1)/2 - sqrt(delta)/2, the power of (1+t) in the comparison frame.
+
+    Requires a nonnegative discriminant.
+    """
     d = discriminant(params)
     if d < 0.0:
         raise RegimeError(f"comparison frame needs delta >= 0, got {d}")
-    return (1.0 + t) ** (0.5 * (params.mu1 - 1.0) - 0.5 * math.sqrt(d))
+    return 0.5 * (params.mu1 - 1.0) - 0.5 * math.sqrt(d)
+
+
+def comparison_frame_factor(params: ModelParams, t: float) -> float:
+    """(1+t)^((mu1-1)/2 - sqrt(delta)/2); requires a nonnegative discriminant."""
+    return (1.0 + t) ** comparison_frame_exponent(params)
 
 
 def to_comparison_frame(values, t: float, params: ModelParams) -> np.ndarray:

@@ -134,7 +134,18 @@ def radial_derivative(grid: RadialGrid, u) -> np.ndarray:
     if u.ndim != 1 or not 2 <= u.size <= grid.num_nodes:
         raise ValueError(f"expected 2 to {grid.num_nodes} nodal values, got shape {u.shape}")
     out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * grid.dr)
-    out[0] = 0.0
-    out[-1] = -u[-2] / (2.0 * grid.dr)
+    radial_derivative_into(2.0 * grid.dr, u, out)
     return out
+
+
+def radial_derivative_into(two_dr: float, u: np.ndarray, out: np.ndarray) -> None:
+    """``radial_derivative`` of a prefix ``u`` written into ``out``, with ``two_dr`` = 2*dr.
+
+    ``out`` has the length of ``u`` and may not overlap it; the values are
+    those of the plain expressions bit for bit.
+    """
+    inner = out[1:-1]
+    np.subtract(u[2:], u[:-2], out=inner)
+    np.divide(inner, two_dr, out=inner)
+    out[0] = 0.0
+    out[-1] = -u[-2] / two_dr

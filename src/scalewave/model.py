@@ -142,13 +142,14 @@ def weight_exponent(params: ModelParams, t, r_sq):
     return weight_exponent_from_product(t, params.mu1 * r_sq)
 
 
-def weight_exponent_from_product(t, mu1_r_sq):
+def weight_exponent_from_product(t, mu1_r_sq, out=None):
     """``weight_exponent`` from the product mu1*|x|^2, bit for bit.
 
     A caller that evaluates the weight at many times on one grid forms the
-    product once.
+    product once, and may pass an array ``out`` that receives the values.
     """
-    return mu1_r_sq / (2.0 * (1.0 + t) ** 2)
+    denominator = 2.0 * (1.0 + t) ** 2
+    return mu1_r_sq / denominator if out is None else np.divide(mu1_r_sq, denominator, out=out)
 
 
 def weight_exponent_dt(params: ModelParams, t, r_sq):

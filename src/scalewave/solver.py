@@ -53,22 +53,32 @@ to 0 and only zeros are skipped.  ``test_solver`` checks the underflow
 assumption on the running numpy.
 
 One sup pass: the step takes sup |u+| over the window once; ``run`` reads
-it for divergence (np.max propagates NaN) and then for the blow-up rule,
-so no level is scanned again.
+it for divergence (np.max propagates NaN), then for the blow-up rule, and
+then as the recorded sup of that level's sample, so no level is scanned
+again.  ``init_state`` scans the data and the first level once and returns
+their sups for the same uses.
 
 Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, written
 into one float64 array preallocated for the most rows a run can record,
 so series and CSV columns are views of the same numbers.  A sample is one
-pass over the window w = ``active`` of the step that follows it: beyond w,
-u and u_t are exactly 0, and the radial derivative of the prefix (zero
-ghost) differs from the full-grid one only in the sign of a zero, which is
-only ever squared.  u^2, u_r^2 and u_t^2 are formed once, on the window,
-into rows of a zero-padded full-length buffer.  The plain norms and F dot
-that buffer with the full quadrature weights, because a prefix dot differs
-from the full-length one in the last bit.  The weighted norms integrate
-the window itself (``functionals.norms_of_squares``) with a weight exponent
-built from mu1*r^2, formed once per run; see the functionals module for why
-those keep their bits.
+in-place pass over the window w = ``active`` of the step that follows it,
+into rows the recorder allocates once per run: beyond w, u and u_t are
+exactly 0, and the radial derivative of the prefix (zero ghost) differs
+from the full-grid one only in the sign of a zero, which is only ever
+squared.  u^2, u_r^2 and u_t^2 are formed on the window into rows of a
+zero-padded full-length buffer: ``grid.radial_derivative_into`` writes u_r
+into its row and ``run`` writes u_t into its own, and each is squared in
+place.  The plain norms and F dot those rows with the full quadrature
+weights (the dot of ``grid.integrate``, without its checks), because a
+prefix dot differs from the full-length one in the last bit.  The weighted
+norms integrate the window itself (``functionals.norms_of_squares``) with
+the exponent 2W, formed into a row from mu1*r^2 (formed once per run) by
+the two operations of 2 * ``weight_exponent_from_product``, and with the
+recorder's scratch for the nonzero mask, the quadrature terms and the
+energy density; see the functionals module for why those keep their bits.
+The comparison-frame exponent is formed once per run.  A sample allocates
+nothing, except that a weighted quadrature whose nonzero nodes are not a
+prefix of the window gathers them.
 """
 
 from __future__ import annotations
@@ -79,14 +89,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import check_term_exponent, comparison_frame_factor, norms_of_squares
+from .functionals import check_term_exponent, comparison_frame_exponent, norms_of_squares
 from .grid import (
     RadialGrid,
     first_order_denominators,
     integrate,
     laplacian_apply,
     laplacian_into,
-    radial_derivative,
+    radial_derivative_into,
 )
 from .model import ModelParams, coefficients, discriminant, weight_exponent_from_product
 
@@ -159,24 +169,42 @@ def time_step(dr: float, config: RunConfig) -> tuple[int, float]:
     return steps, (config.t_max - config.s) / steps
 
 
-#: Most bytes one run may preallocate; ``check_run_size`` rejects a larger run.
+#: Most bytes one run may hold at once; ``check_run_size`` rejects a larger run.
 RUN_BYTES_BUDGET = 4 * 2**30
 
-# float64 arrays of the grid's length that one run holds: the grid's radii and
-# weights, three levels, the step kernel's three scratch arrays, and the
-# recorder's mu1*r^2 and four padded squares
-_ARRAYS_PER_RUN = 2 + 3 + 3 + 5
+# float64 arrays of the grid's length that one run holds at once: the grid's
+# radii and weights (2), the three levels (3), the step kernel's three scratch
+# arrays and its (2 dr) r denominators (4), the recorder's mu1*r^2, four padded
+# squares, 2W, gradient density, terms and energy density (9), and the three
+# arrays a weighted quadrature gathers when its nonzero nodes are not a prefix (3)
+_ARRAYS_PER_RUN = 2 + 3 + 4 + 9 + 3
+# bytes per node of boolean arrays: the kernel's and the recorder's masks, and
+# the copy of one of them that locates its last set node
+_MASK_BYTES_PER_NODE = 3
+
+
+def run_bytes(num_nodes: int, dr: float, config: RunConfig) -> tuple[int, int]:
+    """(sample rows, bytes) of the most memory one ``run`` holds at once.
+
+    ``num_nodes`` and ``dr`` are those of the grid (``grid.grid_size``).  The
+    count covers the grid, the node arrays the run allocates
+    (``_ARRAYS_PER_RUN``, which bounds ``init_state``'s as well), the boolean
+    masks and the preallocated sample rows, not what the data profiles
+    allocate while they are sampled.
+    """
+    rows = time_step(dr, config)[0] // config.record_every + 2
+    need = 8 * (_ARRAYS_PER_RUN * num_nodes + rows * (1 + len(SAMPLE_KEYS)))
+    return rows, need + _MASK_BYTES_PER_NODE * num_nodes
 
 
 def check_run_size(num_nodes: int, dr: float, config: RunConfig) -> None:
     """Raise ValueError, before anything is allocated, for a run past RUN_BYTES_BUDGET.
 
-    ``num_nodes`` and ``dr`` are those of the grid (``grid.grid_size``).  The
-    estimate counts the run's node arrays, the kernel's boolean scratch and
-    the preallocated sample rows.
+    The estimate is ``run_bytes``: the grid's two arrays, the levels, the
+    step kernel's scratch, the recorder's rows and its quadrature's gathers,
+    the boolean masks and the sample rows.
     """
-    rows = time_step(dr, config)[0] // config.record_every + 2
-    need = 8 * (_ARRAYS_PER_RUN * num_nodes + rows * (1 + len(SAMPLE_KEYS))) + num_nodes
+    rows, need = run_bytes(num_nodes, dr, config)
     if need > RUN_BYTES_BUDGET:
         raise ValueError(
             f"run too large: {num_nodes} nodes and {rows} sample rows would preallocate "
@@ -212,17 +240,18 @@ def _power_source(u: np.ndarray, p: float, c_p: float, out: np.ndarray,
     return out
 
 
-def init_state(grid: RadialGrid, u0, u1, config: RunConfig,
-               dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, tuple[float, float, float]]:
     """Sample the data at time s and take the second-order Taylor first step.
 
     ``u0`` and ``u1`` are radial profiles (callables of r).  Returns the
     sampled u0 and u1, the first level at s + dt,
     u0 + dt*u1 + (dt^2/2)*(Lap u0 - b(s) u1 - m^2(s) u0 + [nl] |u0|^p),
-    and ``active``, one past the last node where u0 or the first level is
-    nonzero.  Data must be supported inside r_max - (t_max - s) so the
-    Dirichlet cut-off never influences the solution; a violation only
-    warns, since the caller may knowingly accept a graded tail.  Without a
+    ``active``, one past the last node where u0 or the first level is
+    nonzero, and the sups (max |u0|, max |u1|, max |first level|).  Data
+    must be supported inside r_max - (t_max - s) so the Dirichlet cut-off
+    never influences the solution; a violation only warns, since the
+    caller may knowingly accept a graded tail.  Without a
     safe radius (r_max <= t_max - s) the cut-off reaches every node whatever
     the data, and data whose square overflows a float cannot be measured;
     both raise a ValueError before any step.
@@ -236,8 +265,10 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig,
     params = config.params
     u0v = _sample_profile(u0, grid.r)
     u1v = _sample_profile(u1, grid.r)
+    sups = []
     for name, values in (("u0", u0v), ("u1", u1v)):
         peak = float(np.max(np.abs(values)))
+        sups.append(peak)
         if peak * peak == math.inf:
             raise ValueError(
                 f"initial data out of range: max |{name}| = {peak:.4g} squares past the "
@@ -264,7 +295,8 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig,
     u_first[-1] = 0.0
     nonzero = np.flatnonzero((u0v != 0.0) | (u_first != 0.0))
     active = int(nonzero[-1]) + 1 if nonzero.size else 0
-    return u0v, u1v, u_first, active
+    sups.append(float(np.max(np.abs(u_first))))
+    return u0v, u1v, u_first, active, tuple(sups)
 
 
 def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
@@ -315,46 +347,60 @@ class _Recorder:
     """The sample rows of one run, each one pass over the active window (see the module notes).
 
     ``peaks`` holds the largest term exponent of each weighted quadrature of
-    the last sample.
+    the last sample.  ``u_t`` is the row of u_t^2, where ``run`` forms u_t
+    for the sample to square in place.
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams, frame_ok: bool) -> None:
-        self.grid, self.params, self.frame_ok = grid, params, frame_ok
+        size = grid.num_nodes
+        self.params, self.weights, self.two_dr = params, grid.quad_weights, 2.0 * grid.dr
+        self.frame_exponent = comparison_frame_exponent(params) if frame_ok else None
         self.mu1_r_sq = params.mu1 * grid.r**2
         # rows u^2, u_r^2, u_t^2 and the comparison frame; 0 from node ``filled`` on
-        self.padded = np.zeros((4, grid.num_nodes))
+        self.padded = np.zeros((4, size))
+        self.u_t = self.padded[2]
         self.filled = 0
+        # 2W, u_r^2 + u_t^2, and the quadratures' terms and energy density
+        self.expo, self.grad_sq, terms, energy = np.empty((4, size))
+        self.scratch = (np.empty(size, dtype=bool), terms, energy)
         self.peaks = ()
 
-    def __call__(self, t: float, u: np.ndarray, u_t: np.ndarray, w: int) -> tuple[float, ...]:
-        """One sample row: t, then the values of SAMPLE_KEYS; u and u_t are 0 from node w on."""
-        grid, params, padded = self.grid, self.params, self.padded
+    def __call__(self, t: float, u: np.ndarray, u_t: np.ndarray, w: int,
+                 sup: float | None = None) -> tuple[float, ...]:
+        """One sample row: t, then the values of SAMPLE_KEYS; u and u_t are 0 from node w on.
+
+        ``sup`` is max |u| when the caller knows it.
+        """
+        padded, weights = self.padded, self.weights
         if w < self.filled:
             padded[:, w:self.filled] = 0.0
         self.filled = w
         u, u_t = u[:w], u_t[:w]
-        u_r = radial_derivative(grid, u)
+        if sup is None:
+            sup = float(np.max(np.abs(u)))
         u_sq, ur_sq, ut_sq, frame = padded[:, :w]
         np.multiply(u, u, out=u_sq)
-        np.multiply(u_r, u_r, out=ur_sq)
+        radial_derivative_into(self.two_dr, u, ur_sq)
+        np.multiply(ur_sq, ur_sq, out=ur_sq)
         np.multiply(u_t, u_t, out=ut_sq)
-        sup = float(np.max(np.abs(u)))
-        expo = 2.0 * weight_exponent_from_product(t, self.mu1_r_sq[:w])
-        _, m_sq = coefficients(params, t)
+        expo = weight_exponent_from_product(t, self.mu1_r_sq[:w], out=self.expo[:w])
+        np.multiply(2.0, expo, out=expo)
+        grad_sq = np.add(ur_sq, ut_sq, out=self.grad_sq[:w])
+        _, m_sq = coefficients(self.params, t)
         wl2, wgrad_l2, wenergy, self.peaks = norms_of_squares(
-            grid.quad_weights[:w], expo, u_sq, ur_sq + ut_sq, m_sq, sup * sup)
-        if self.frame_ok:
-            np.multiply(comparison_frame_factor(params, t), u, out=frame)
+            weights[:w], expo, u_sq, grad_sq, m_sq, sup * sup, self.scratch)
+        if self.frame_exponent is not None:
+            np.multiply((1.0 + t) ** self.frame_exponent, u, out=frame)
         return (
             t,
             sup,
-            math.sqrt(max(integrate(grid, padded[0]), 0.0)),
-            math.sqrt(max(integrate(grid, padded[1]), 0.0)),
-            math.sqrt(max(integrate(grid, padded[2]), 0.0)),
+            math.sqrt(max(float(weights @ padded[0]), 0.0)),
+            math.sqrt(max(float(weights @ padded[1]), 0.0)),
+            math.sqrt(max(float(weights @ padded[2]), 0.0)),
             wl2,
             wgrad_l2,
             wenergy,
-            integrate(grid, padded[3]) if self.frame_ok else math.nan,
+            math.nan if self.frame_exponent is None else float(weights @ padded[3]),
         )
 
 
@@ -379,23 +425,29 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
     with np.errstate(over="ignore", invalid="ignore"):
         params, every, size = config.params, config.record_every, grid.num_nodes
         steps, dt = time_step(grid.dr, config)
-        u0v, u1v, u_first, width = init_state(grid, u0, u1, config, dt)
+        u0v, u1v, u_first, width, (sup_u0, sup_u1, sup_curr) = init_state(
+            grid, u0, u1, config, dt)
         t = config.s + dt
         record = _Recorder(grid, params, discriminant(params) >= 0.0)
         samples = np.empty((steps // every + 2, 1 + len(SAMPLE_KEYS)))
-        samples[0] = record(config.s, u0v, u1v, size)
-        data = max((float(np.max(np.abs(v))), name) for name, v in (("u0", u0v), ("u1", u1v)))
+        samples[0] = record(config.s, u0v, u1v, size, sup_u0)
+        data = max((sup_u0, "u0"), (sup_u1, "u1"))
         for peak in record.peaks:
             check_term_exponent(peak, data)
-        advance = leapfrog_kernel(grid, config, dt)
+        # the data arrays are dropped once copied, as ``run_bytes`` counts
+        del u1v
         # Three rotating levels: u- at t - dt, u at t and u+.  The initial levels may
         # hold -0.0 beyond the data, where a stepped level holds +0.0; the first two
         # steps read them no further than the second step's window, so they are
         # copied that far and each buffer stays 0 beyond the widths it was written at.
         reach = max(width + 1, 2) + 1
         levels = np.zeros((3, size))
-        levels[:2, :reach] = u0v[:reach], u_first[:reach]
+        levels[0, :reach] = u0v[:reach]
+        levels[1, :reach] = u_first[:reach]
+        del u0v, u_first
+        advance = leapfrog_kernel(grid, config, dt)
         prev, curr, nxt = levels
+        u_t = record.u_t
         count = 1
         outcome = OUTCOME_COMPLETED
         blowup_time = None
@@ -404,11 +456,12 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
             width, sup = advance(t, prev, curr, nxt, width)
             diverged = not math.isfinite(sup)
             if index % every == 0 or index == steps:
-                if diverged:
-                    u_t = (curr[:width] - prev[:width]) / dt
-                else:
-                    u_t = (nxt[:width] - prev[:width]) / (2.0 * dt)
-                samples[count] = record(t, curr, u_t, width)
+                # centred (u+ - u-)/(2 dt), or (u - u-)/dt once u+ is not finite
+                later, span = (curr, dt) if diverged else (nxt, 2.0 * dt)
+                rate = u_t[:width]
+                np.subtract(later[:width], prev[:width], out=rate)
+                np.divide(rate, span, out=rate)
+                samples[count] = record(t, curr, u_t, width, sup_curr)
                 count += 1
             if index == steps:
                 break
@@ -423,6 +476,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
                     outcome = OUTCOME_DIVERGED
                 break
             prev, curr, nxt = curr, nxt, prev
+            sup_curr = sup
 
     return RunReport(config=config, samples=samples[:count], outcome=outcome,
                      blowup_time=blowup_time)

@@ -102,6 +102,23 @@ class TestPastTheBudget:
         assert wl2 == pytest.approx(math.sqrt(g.quad_weights[1] * math.exp(700.0)), rel=1e-13)
         assert wenergy > 0.0
 
+    @pytest.mark.parametrize("path", ["prefix", "gather"])
+    def test_reused_scratch_matches_fresh_arrays(self, path):
+        # one scratch pair, dirtied by every call, for windows that shrink and grow
+        g = make_radial_grid(3, 10.0, 0.05)
+        rng = np.random.default_rng(5)
+        scratch = np.ones(g.num_nodes, dtype=bool), np.full(g.num_nodes, np.nan)
+        for w in (g.num_nodes, 50, 120, 3, 0, 200):
+            expo = rng.uniform(-40.0, 700.0, w)
+            density = rng.uniform(0.0, 3.0, w) ** 5
+            density[rng.integers(0, w + 1):] = 0.0
+            if path == "gather" and w > 2:
+                density[rng.integers(0, w - 1, 3)] = 0.0
+                density[-1] = 1.0
+            want = _log_quadrature(g.quad_weights[:w], expo, density)
+            got = _log_quadrature(g.quad_weights[:w], expo, density, scratch)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 class TestWeightedL2:
     def test_zero(self, grid):

@@ -8,6 +8,7 @@ from scalewave.grid import (
     laplacian_apply,
     make_radial_grid,
     radial_derivative,
+    radial_derivative_into,
     surface_measure,
 )
 
@@ -138,3 +139,16 @@ class TestRadialDerivative:
         du = radial_derivative(g, np.exp(-g.r**2))
         exact = -2.0 * g.r * np.exp(-g.r**2)
         assert np.max(np.abs(du[:-1] - exact[:-1])) <= 5.0 * g.dr**2
+
+    def test_into_a_prefix_matches_the_allocating_form_bitwise(self):
+        # signed zeros included: -0.0 data and a zero ghost give -0.0 and +0.0 slopes
+        g = make_radial_grid(2, 5.0, 0.05)
+        size = g.num_nodes
+        index = np.arange(size)
+        u = np.where(index < 40, np.cos(3.0 * g.r), np.where(index // 2 % 2, 0.0, -0.0))
+        row = np.full(size, np.nan)
+        for m in (2, 3, 41, size // 2, size):
+            radial_derivative_into(2.0 * g.dr, u[:m], row[:m])
+            assert row[:m].tobytes() == radial_derivative(g, u[:m]).tobytes()
+        zeros = np.signbit(row[41:])
+        assert not row[41:].any() and zeros.any() and not zeros.all()

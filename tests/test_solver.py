@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scalewave.functionals import (
     weighted_lq,
     weighted_quadrature,
 )
-from scalewave.grid import integrate, laplacian_apply, make_radial_grid, radial_derivative
+from scalewave.grid import grid_size, integrate, laplacian_apply, make_radial_grid
 from scalewave.model import ModelParams, coefficients, discriminant, weight_exponent
 from scalewave.solver import (
     OUTCOME_BLOWUP,
@@ -24,6 +25,7 @@ from scalewave.solver import (
     init_state,
     leapfrog_kernel,
     run,
+    run_bytes,
     time_step,
 )
 
@@ -67,7 +69,7 @@ class Levels:
 def first_levels(grid, u0, u1, config):
     # the levels a run starts from: the data at s and init_state's first level at s + dt
     dt = time_step(grid.dr, config)[1]
-    u0v, _, first, active = init_state(grid, u0, u1, config, dt)
+    u0v, _, first, active, _ = init_state(grid, u0, u1, config, dt)
     return Levels(t=config.s + dt, dt=dt, u_prev=u0v, u_curr=first, step_index=1, active=active)
 
 
@@ -151,6 +153,16 @@ def parent_laplacian_apply(grid, u):
     return out
 
 
+def parent_radial_derivative(grid, u):
+    # grid.radial_derivative as it was before the recorder's in-place stencil
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * grid.dr)
+    out[0] = 0.0
+    out[-1] = -u[-2] / (2.0 * grid.dr)
+    return out
+
+
 def parent_power_source(u, p):
     # solver._power_source as it was before the per-run step kernel
     src = np.abs(u)
@@ -214,7 +226,7 @@ def reference_quadrature(grid, expo, density):
 def reference_record(grid, params, t, u, u_t, frame_ok):
     # one sample row as it was recorded before the recorder's active window,
     # with the three-quadrature weighted_norms of that time inlined
-    u_r = radial_derivative(grid, u)
+    u_r = parent_radial_derivative(grid, u)
     _, m_sq = coefficients(params, t)
     expo = 2.0 * weight_exponent(params, t, grid.r**2)
     u_sq = u * u
@@ -330,8 +342,9 @@ class TestInitState:
     def test_zero_data(self):
         g = make_radial_grid(1, 10.0, 0.05)
         cfg = RunConfig(params=params(mu1=2.0), t_max=1.0)
-        u0v, u1v, first, active = init_state(g, zero, zero, cfg, time_step(g.dr, cfg)[1])
+        u0v, u1v, first, active, sups = init_state(g, zero, zero, cfg, time_step(g.dr, cfg)[1])
         assert not u0v.any() and not u1v.any() and not first.any() and active == 0
+        assert sups == (0.0, 0.0, 0.0)
 
     def test_taylor_structure_quadratic_in_dt(self):
         # with u1 = 0 the first level differs from the data at O(dt^2)
@@ -340,7 +353,7 @@ class TestInitState:
         diffs = []
         for safety in (0.5, 0.25):
             cfg = RunConfig(params=p, t_max=10.0, cfl_safety=safety)
-            u0v, _, first, _ = init_state(g, bump, zero, cfg, time_step(g.dr, cfg)[1])
+            u0v, _, first, _, _ = init_state(g, bump, zero, cfg, time_step(g.dr, cfg)[1])
             diffs.append(np.max(np.abs(first - u0v)))
         assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.05)
 
@@ -953,6 +966,26 @@ class TestRun:
         t5, u5, _ = calls[4]
         assert t5 == t[1]
         assert wl2[1] == weighted_lq(g, u5, p, 1.0, t[1], 2.0)
+
+    @pytest.mark.parametrize("n, nonlinear", [(1, False), (1, True), (3, False), (3, True)])
+    def test_peak_memory_within_run_bytes(self, n, nonlinear):
+        # 200,001 nodes, so the node arrays dwarf everything of fixed size; the
+        # zero u1 leaves the gradient density 0 at the origin, which the first
+        # sample's quadrature gathers around
+        num_nodes, spacing = grid_size(n, 20.0, 1e-4)
+        cfg = RunConfig(params=params(n=n, mu1=4.0, p=3.0), t_max=2e-3, nonlinear=nonlinear,
+                        cfl_safety=0.5, record_every=10)
+        gaussian = lambda r: np.exp(-((r / 0.4) ** 2))  # noqa: E731
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            rep = run(make_radial_grid(n, 20.0, 1e-4), gaussian, zero, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert num_nodes == 200_001 and rep.outcome == OUTCOME_COMPLETED
+        assert peak <= run_bytes(num_nodes, spacing, cfg)[1]
 
     def test_unstable_linear_run_is_diverged_not_blowup(self):
         # cfl_safety 0.9 exceeds the leapfrog bound in n = 3 (about 0.816); a
