@@ -33,9 +33,15 @@ commands() {
     sw simulate --set mu1=0 --set p=2 --set blowup_threshold=1e300 --set t_max=20 \
         --set r_max=40 --set record_every=1 --out diverged.csv
     # a global-band sweep whose first cell (about 0.35 s) outlasts the pool's
-    # start-up, so a tree that fans sweeps out runs its last 3 cells in the pool
+    # start-up, so a tree that fans sweeps out starts the pool within that cell
     sw sweep --set "p_values=[3.5,4]" --set "amplitudes=[0.5,1]" --set u0_amplitude=0.01 \
         --set r_max=230 --set t_max=200 --out global-sweep.csv
+    # a sweep in p ascending across p_crit = 3: its first cells blow up within
+    # milliseconds and a later global cell starts the pool while it runs
+    sw sweep --set "p_values=[1.5,2,3.5,4,4.5]" --set "amplitudes=[0.05,0.1]" \
+        --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
+        --set dr=0.05 --set mu1=4 --set record_every=25 \
+        --set r_max=230 --set t_max=200 --out mixed-sweep.csv
     # a blow-up-band sweep
     sw sweep --set "p_values=[1.5,2,2.5]" --set "amplitudes=[0.4,0.9]" \
         --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \

@@ -25,10 +25,11 @@ UNDECIDED = "undecided"
 ENERGY_GROWTH_BOUND = 10.0
 # Measured cost of starting the sweep's process pool on Linux with the fork
 # start method: importing concurrent.futures.process (about 20 ms) and one
-# fork/join of 2 workers (about 16 ms).  A sweep whose first cell is cheaper
-# than this runs serially.  Other start methods (macOS, and Linux from
-# Python 3.14) cost more to start, so there the break-even point lies
-# higher; the rows are the same either way.
+# fork/join of 2 workers (about 16 ms).  A sweep fans out once a running cell
+# has taken longer than this, so a sweep of cheaper cells runs serially.
+# Other start methods (macOS, and Linux from Python 3.14) cost more to
+# start, so there the break-even point lies higher; the rows are the same
+# either way.
 POOL_START_S = 0.05
 
 
@@ -126,7 +127,7 @@ class SweepRow:
     regime: RegimeReport
 
 
-def _sweep_one(task) -> SweepRow:
+def _sweep_one(task, progress=None) -> SweepRow:
     grid, base_params, p, amplitude, config, u0_profile, u1_profile = task
     params = replace(base_params, p=p)
     cfg = replace(config, params=params)
@@ -135,7 +136,7 @@ def _sweep_one(task) -> SweepRow:
         u1 = (lambda r: np.zeros_like(np.asarray(r, dtype=float)))
     else:
         u1 = (lambda r: amplitude * np.asarray(u1_profile(r), dtype=float))
-    report = run(grid, u0, u1, cfg)
+    report = run(grid, u0, u1, cfg, progress)
     outcome, fit = classify_run(report)
     return SweepRow(
         params=params,
@@ -151,12 +152,19 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
           config: RunConfig, u0_profile, u1_profile=None, jobs: int = 1) -> list[SweepRow]:
     """One solver run per (p, amplitude) pair, rows in deterministic input order.
 
-    The first cell always runs in this process.  When it took longer than
-    ``POOL_START_S`` and at least 2 cells remain, the remaining cells are
-    mapped over ``min(jobs, remaining)`` worker processes (profiles must
-    then be picklable top-level callables); otherwise they run here, one
-    after another.  Either way every row carries the same bits.  A
-    non-finite amplitude is rejected before any cell runs.
+    ``jobs`` counts the processes that run cells, this one included.  Cells
+    run here in input order, each watched at every recorded sample.  The
+    first time the running cell has taken longer than ``POOL_START_S``
+    while cells are left and ``jobs >= 2``, the sweep fans out over
+    ``min(jobs - 1, unstarted)`` worker processes (profiles must then be
+    picklable top-level callables).  This process keeps its share of the
+    unstarted cells, ``unstarted // (workers + 1)`` from the end, and
+    submits the others.  It finishes its cell and runs the kept ones, then
+    takes back from the end each submitted cell that no worker has started
+    yet, and last collects the workers' rows.  Either way every row carries
+    the same bits.  A cell that raises cancels the cells no worker has
+    started, waits for the running ones and re-raises.  A non-finite
+    amplitude is rejected before any cell runs.
     """
     if not all(math.isfinite(a) for a in amplitudes):
         raise ValueError(f"sweep amplitudes must be finite, got {list(amplitudes)}")
@@ -165,16 +173,48 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
         for p in p_values
         for a in amplitudes
     ]
-    if not tasks:
-        return []
-    start = time.perf_counter()
-    rows = [_sweep_one(tasks[0])]
-    rest = tasks[1:]
-    workers = min(jobs, len(rest))
-    # a pool of one worker would only add its start-up cost to a serial run
-    if workers < 2 or time.perf_counter() - start <= POOL_START_S:
-        return rows + [_sweep_one(task) for task in rest]
-    from concurrent.futures import ProcessPoolExecutor
+    rows: list[SweepRow | None] = [None] * len(tasks)
+    submitted = []  # (index, future) of the cells handed to the pool, in input order
+    kept = []  # the unstarted cells this process keeps at fan-out, last cell first
+    pool = None
+    started = 0  # cells started here; the cells from this index on are unstarted
+    cell_start = 0.0
+    caller_errors = np.geterr()
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return rows + list(pool.map(_sweep_one, rest))
+    def fan_out(_t) -> None:
+        nonlocal pool
+        unstarted = range(started, len(tasks))
+        if pool is not None or not unstarted or time.perf_counter() - cell_start <= POOL_START_S:
+            return
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = min(jobs - 1, len(unstarted))
+        # A pool puts each worker's running cell and up to workers + 1 queued ones
+        # beyond cancel(), long before it starts the queued ones, so this process
+        # keeps its share of the cells, from the end, unsubmitted.
+        cut = len(unstarted) - len(unstarted) // (workers + 1)
+        kept.extend(reversed(unstarted[cut:]))
+        # forked workers inherit the running cell's error state; give them the caller's
+        with np.errstate(**caller_errors):
+            pool = ProcessPoolExecutor(max_workers=workers)
+            submitted.extend((index, pool.submit(_sweep_one, tasks[index]))
+                             for index in unstarted[:cut])
+
+    watch = fan_out if jobs >= 2 else None
+    try:
+        while pool is None and started < len(tasks):
+            started += 1
+            cell_start = time.perf_counter()
+            rows[started - 1] = _sweep_one(tasks[started - 1], watch)
+        for index in kept:
+            rows[index] = _sweep_one(tasks[index])
+        # then, from the end, each cell that no worker has started yet
+        while submitted and submitted[-1][1].cancel():
+            index, _ = submitted.pop()
+            rows[index] = _sweep_one(tasks[index])
+        for index, future in submitted:
+            rows[index] = future.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return rows

@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("simulate", _cmd_simulate, "one run, norm series to CSV")
     command("sweep", _cmd_sweep, "(p, amplitude) sweep to CSV").add_argument(
         "--jobs", type=_jobs, default=_usable_cpus(),
-        help="most worker processes for the cells after the first (default: usable CPUs; "
+        help="most processes that run cells, this one included (default: usable CPUs; "
              "1 runs serially)")
     verify_p = command("verify", _cmd_verify, "identity/inequality/comparison suites")
     verify_p.add_argument("suite", choices=["identities", "inequalities", "bihari"])

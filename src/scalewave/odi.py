@@ -39,6 +39,11 @@ from .checks import CheckReport
 
 BLOWUP_CUTOFF = 1e12
 COMPARISON_SLACK = 1e-6
+MAX_STEPS = 20_000_000
+# why an integrated trajectory ends
+STOP_BLOWUP = "blow-up"
+STOP_HORIZON = "horizon"
+STOP_STEP_CAP = "step cap"
 
 
 @dataclass(frozen=True)
@@ -158,60 +163,65 @@ def comparison_function(problem: OdiProblem, nu: float, t):
 
 
 def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
-                  cutoff: float = BLOWUP_CUTOFF, max_steps: int = 20_000_000):
+                  cutoff: float = BLOWUP_CUTOFF, max_steps: int = MAX_STEPS):
     """Integrate the equality version F'' = -k0/(1+t) F' + k1 (1+t)^alpha |F|^p.
 
     Classical fixed-step RK4 from (f0, df0); stops once F exceeds the
     cutoff (numerical blow-up), t passes t_max (default 10x the life
     span for the selected margin parameter), or max_steps is hit.
     Returns (t, f, df, blowup_time) with blowup_time None if the cutoff
-    was never reached.
+    was never reached; then the trajectory reached the horizon if
+    t[-1] >= t_max, and stopped at the step cap otherwise.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if t_max is None:
         t_max = 10.0 * life_span(problem, select_nu(problem))
-    k0, k1, alpha, p = problem.k0, problem.k1, problem.alpha, problem.p
+    k1, alpha, p = problem.k1, problem.alpha, problem.p
+    neg_k0 = -problem.k0
     half = 0.5 * dt
     sixth = dt / 6.0
-    isfinite = math.isfinite
-    ts = [0.0]
+    inf = math.inf
     fs = [problem.f0]
     dfs = [problem.df0]
-    append_t, append_f, append_df = ts.append, fs.append, dfs.append
+    append_f, append_df = fs.append, dfs.append
     t, f, df = 0.0, problem.f0, problem.df0
     # acceleration coefficients at the step's start: -k0/(1+t) and k1 (1+t)^alpha
-    damp, gain = -k0 / (1.0 + t), k1 * (1.0 + t) ** alpha
+    damp, gain = neg_k0 / (1.0 + t), k1 * (1.0 + t) ** alpha
     blowup_time = None
     for _ in range(max_steps):
         if not t < t_max:
             break
+        t_next = t + dt
         try:
             k1d = damp * df + gain * abs(f) ** p
             mid = 1.0 + (t + half)
-            damp_mid, gain_mid = -k0 / mid, k1 * mid ** alpha
+            damp_mid, gain_mid = neg_k0 / mid, k1 * mid ** alpha
             k2f = df + half * k1d
             k2d = damp_mid * k2f + gain_mid * abs(f + half * df) ** p
             k3f = df + half * k2d
             k3d = damp_mid * k3f + gain_mid * abs(f + half * k2f) ** p
             k4f = df + dt * k3d
-            end = 1.0 + (t + dt)
-            damp, gain = -k0 / end, k1 * end ** alpha
+            end = 1.0 + t_next
+            damp, gain = neg_k0 / end, k1 * end ** alpha
             k4d = damp * k4f + gain * abs(f + dt * k3f) ** p
         except OverflowError:
             # a stage value left the float range: the step is blowing up
-            blowup_time = t + dt
+            blowup_time = t_next
             break
         f = f + sixth * (df + 2.0 * k2f + 2.0 * k3f + k4f)
         df = df + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        t = t + dt
-        if not (isfinite(f) and isfinite(df)) or f > cutoff:
+        t = t_next
+        # comparisons instead of isfinite: NaN and the infinities fail them
+        if not (-inf < f < inf and -inf < df < inf) or f > cutoff:
             blowup_time = t
             break
-        append_t(t)
         append_f(f)
         append_df(df)
-    return np.array(ts), np.array(fs), np.array(dfs), blowup_time
+    # the times t = t + dt from 0, rebuilt: accumulate adds in sequence, so bit for bit
+    steps = np.full(len(fs), dt)
+    steps[0] = 0.0
+    return np.add.accumulate(steps), np.array(fs), np.array(dfs), blowup_time
 
 
 @dataclass
@@ -225,24 +235,33 @@ class OdiSolution:
     f: np.ndarray
     df: np.ndarray
     blowup_time: float | None
+    stop: str  # STOP_BLOWUP, STOP_HORIZON or STOP_STEP_CAP
 
     def comparison_at(self, t):
         return comparison_function(self.problem, self.nu, t)
 
 
-def solve(problem: OdiProblem, dt: float | None = None) -> OdiSolution:
+def solve(problem: OdiProblem, dt: float | None = None,
+          max_steps: int = MAX_STEPS) -> OdiSolution:
     """Select the margin parameter, build the comparison data, integrate the trajectory.
 
     The default step resolves both the damping layer near t = 0 (absolute
-    cap 1e-3) and the approach to the life span.
+    cap 1e-3) and the approach to the life span.  The trajectory runs to
+    10 life spans, and the solution says why it stopped: blow-up, that
+    horizon, or ``max_steps``.
     """
     nu = select_nu(problem)
     t0 = life_span(problem, nu)
     if dt is None:
         dt = min(1e-3, t0 / 1e5)
-    t, f, df, blowup_time = integrate_odi(problem, dt, t_max=10.0 * t0)
+    horizon = 10.0 * t0
+    t, f, df, blowup_time = integrate_odi(problem, dt, t_max=horizon, max_steps=max_steps)
+    if blowup_time is not None:
+        stop = STOP_BLOWUP
+    else:
+        stop = STOP_HORIZON if t[-1] >= horizon else STOP_STEP_CAP
     return OdiSolution(problem=problem, nu=nu, life_span=t0, t=t, f=f, df=df,
-                       blowup_time=blowup_time)
+                       blowup_time=blowup_time, stop=stop)
 
 
 def comparison_check(solution: OdiSolution) -> CheckReport:
@@ -261,7 +280,8 @@ def comparison_check(solution: OdiSolution) -> CheckReport:
         f"nu={solution.nu:.12g}",
         f"life_span={solution.life_span:.12g}",
         "trajectory blow-up at "
-        + (f"{blowup_time:.12g}" if blowup_time is not None else "none (horizon reached)"),
+        + (f"{blowup_time:.12g}" if blowup_time is not None
+           else f"none ({solution.stop} reached)"),
     ]
     return CheckReport(
         check_id="odi-comparison-dominance",

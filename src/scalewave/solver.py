@@ -404,7 +404,7 @@ class _Recorder:
         )
 
 
-def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
+def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None) -> RunReport:
     """Integrate from s to t_max, recording norm samples along the way.
 
     Samples are taken every ``record_every`` steps (plus the initial and
@@ -419,6 +419,11 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
     exceeds ``blowup_threshold`` ends it ``blowup`` at that level's time, or
     ``diverged`` on a linear run: a linear solution cannot blow up, so the
     scheme is unstable.
+
+    ``progress``, if given, is called with a sample's time once that sample
+    is recorded (the first one once the data have passed the check above),
+    so once per row of the report.  A sweep uses it to watch a cell's wall
+    time while the cell runs.
     """
     # overflow means out-of-range data (a config error, below) or a diverging run,
     # which ends as such; numpy warns of neither
@@ -434,6 +439,8 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
         data = max((sup_u0, "u0"), (sup_u1, "u1"))
         for peak in record.peaks:
             check_term_exponent(peak, data)
+        if progress is not None:
+            progress(config.s)
         # the data arrays are dropped once copied, as ``run_bytes`` counts
         del u1v
         # Three rotating levels: u- at t - dt, u at t and u+.  The initial levels may
@@ -463,6 +470,8 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig) -> RunReport:
                 np.divide(rate, span, out=rate)
                 samples[count] = record(t, curr, u_t, width, sup_curr)
                 count += 1
+                if progress is not None:
+                    progress(t)
             if index == steps:
                 break
             if diverged:

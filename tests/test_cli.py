@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -35,8 +36,24 @@ def schema():
 
 @pytest.fixture
 def forced_fanout(monkeypatch):
-    """A zero pool threshold: any first cell is slow enough to start the pool."""
+    """A zero pool threshold: the first cell starts the pool at its first sample."""
     monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Record the size of every process pool a sweep starts; the pools are real."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 def validate(path, schema):
@@ -178,18 +195,8 @@ class TestSweep:
         assert lines[0].startswith("p,amplitude,outcome,blowup_time")
         assert "blowup" in lines[1]
 
-    def test_parallel_jobs_reproduce_serial_csv(self, tmp_path, monkeypatch, forced_fanout):
-        # the two cells after the first go to a real pool
-        import concurrent.futures
-
-        sizes = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    def test_parallel_jobs_reproduce_serial_csv(self, tmp_path, pools, forced_fanout):
+        # two jobs are this process and one worker, which the first cell starts
         args = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",
                 "--set", "u0_kind=bump", "--set", "u0_width=2.0",
                 "--set", "u1_kind=bump", "--set", "u1_width=2.0",
@@ -197,9 +204,9 @@ class TestSweep:
         serial = tmp_path / "serial.csv"
         fanout = tmp_path / "fanout.csv"
         assert parse_and_dispatch(args + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
-        assert sizes == []
+        assert pools == []
         assert parse_and_dispatch(args + ["--jobs", "2", "--out", str(fanout)]) == EXIT_OK
-        assert sizes == [2]
+        assert pools == [1]
         assert serial.read_bytes() == fanout.read_bytes()
 
     def test_diverged_cell_labelled_and_exits_diverged(self, tmp_path):
@@ -635,31 +642,9 @@ class TestSweepJobs:
     ARGS = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",
             "--set", "t_max=2", "--set", "r_max=8", "--set", "dr=0.1"]
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """Replace the process pool by a serial stand-in that records its size."""
-        import concurrent.futures
-
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return sizes
-
     def test_pool_never_larger_than_the_cell_count(self, pools, tmp_path, forced_fanout):
-        # the first cell runs here, so the pool is at most one fewer than the cells
+        # the first cell runs here and starts the pool, so the pool has at most one
+        # worker per unstarted cell, however many jobs are allowed
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(self.ARGS + ["--jobs", "64", "--out", str(out)]) == EXIT_OK
         assert pools == [2]
@@ -678,12 +663,118 @@ class TestSweepJobs:
         assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
         assert pools == []
 
-    def test_one_cell_after_the_first_runs_without_a_pool(self, pools, tmp_path, forced_fanout):
-        # a pool of one worker would only add its start-up cost
+    def test_one_cell_after_a_slow_first_goes_to_one_worker(self, pools, tmp_path,
+                                                             forced_fanout):
+        # the second cell runs in a worker while this process finishes the first
         argv = self.ARGS[:2] + ["p_values=[2.0,2.5]"] + self.ARGS[3:]
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
+        assert pools == [1]
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_slow_later_cell_starts_the_pool(self, pools, tmp_path, monkeypatch):
+        # the first two cells take milliseconds; the third outlasts the threshold
+        # while it runs and hands the two cells after it to the pool
+        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.2)
+        plain_run = scalewave.analysis.run
+
+        def slow_third_cell(grid, u0, u1, config, progress=None):
+            if config.params.p == 2.5:
+                time.sleep(0.3)
+            return plain_run(grid, u0, u1, config, progress)
+
+        monkeypatch.setattr(scalewave.analysis, "run", slow_third_cell)
+        argv = self.ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0,3.5]"] + self.ARGS[3:]
+        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
+        assert parse_and_dispatch(argv + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
         assert pools == []
+        assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(fanout)]) == EXIT_OK
+        assert pools == [2]
+        assert serial.read_bytes() == fanout.read_bytes()
+
+    def test_this_process_keeps_its_share_of_the_cells(self, pools, tmp_path, monkeypatch,
+                                                       forced_fanout):
+        # the first cell starts the pool of one worker; of the 7 cells after it
+        # this process keeps the last 7 // 2 and hands the pool the other 4
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        plain_submit = ProcessPoolExecutor.submit
+        handed = []
+
+        def noting_submit(self, fn, task):
+            handed.append(task[2:4])
+            return plain_submit(self, fn, task)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", noting_submit)
+        argv = (self.ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0]", "--set", "amplitudes=[0.5,1.0]"]
+                + self.ARGS[5:])
+        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
+        assert parse_and_dispatch(argv + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
+        assert parse_and_dispatch(argv + ["--jobs", "2", "--out", str(fanout)]) == EXIT_OK
+        assert pools == [1]
+        assert handed == [(1.5, 1.0), (2.0, 0.5), (2.0, 1.0), (2.5, 0.5)]
+        assert serial.read_bytes() == fanout.read_bytes()
+
+    def test_this_process_takes_back_cells_no_worker_started(self, pools, tmp_path, monkeypatch,
+                                                             forced_fanout):
+        # a slow worker: of the 7 cells after the first it gets 4 and starts one, and
+        # at most 2 more are queued for it when this process is done with its own
+        plain_run = scalewave.analysis.run
+        parent = os.getpid()
+        here = []
+
+        def slow_in_workers(grid, u0, u1, config, progress=None):
+            if os.getpid() != parent:
+                time.sleep(0.3)
+            # unit Gaussian data, so u0(0) is the cell's amplitude
+            here.append((config.params.p, float(u0(np.zeros(1))[0])))
+            return plain_run(grid, u0, u1, config, progress)
+
+        monkeypatch.setattr(scalewave.analysis, "run", slow_in_workers)
+        argv = (self.ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0]", "--set", "amplitudes=[0.5,1.0]"]
+                + self.ARGS[5:])
+        out = tmp_path / "sweep.csv"
+        assert parse_and_dispatch(argv + ["--jobs", "2", "--out", str(out)]) == EXIT_OK
+        assert pools == [1]
+        # the first cell, the 3 kept from the end, then the worker's last cell
+        assert here[:5] == [(1.5, 0.5), (3.0, 1.0), (3.0, 0.5), (2.5, 1.0), (2.5, 0.5)]
+        assert len(out.read_text().splitlines()) == 9
+
+    def test_workers_classify_under_the_callers_numpy_error_state(self, pools, tmp_path,
+                                                                  monkeypatch, forced_fanout):
+        # the pool starts inside a cell's run, which ignores overflow; forked workers
+        # would inherit that state, and a RuntimeWarning in them would go unseen
+        plain_classify = scalewave.analysis.classify_run
+        caller = np.geterr()
+
+        def checking_classify(report):
+            if np.geterr() != caller:
+                raise ValueError(f"classified under {np.geterr()}")
+            return plain_classify(report)
+
+        monkeypatch.setattr(scalewave.analysis, "classify_run", checking_classify)
+        argv = self.ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0]"] + self.ARGS[3:]
+        out = tmp_path / "sweep.csv"
+        assert parse_and_dispatch(argv + ["--jobs", "2", "--out", str(out)]) == EXIT_OK
+        assert pools == [1]
+
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_raising_cell_exits_as_serially_and_leaves_no_worker(self, jobs, pools, tmp_path,
+                                                                 forced_fanout, capsys):
+        # the third cell's data overflow the quadrature; the other cells are fine
+        import multiprocessing
+
+        argv = ["sweep", "--set", "mu1=0", "--set", "p_values=[2.0]",
+                "--set", "amplitudes=[1.0,0.5,1e140,0.25,0.125]", "--set", "t_max=2",
+                "--set", "r_max=8", "--set", "dr=0.1", "--out", str(tmp_path / "sweep.csv")]
+        assert parse_and_dispatch(argv + ["--jobs", "1"]) == EXIT_CONFIG
+        serial = capsys.readouterr()
+        assert serial.err.startswith("error: weighted integral not representable")
+        assert parse_and_dispatch(argv + ["--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr() == serial
+        assert pools == [int(jobs) - 1]
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_one_job_runs_serially(self, pools, tmp_path, forced_fanout):
         out = tmp_path / "sweep.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from scalewave.odi import (
+    STOP_BLOWUP,
+    STOP_HORIZON,
+    STOP_STEP_CAP,
     OdiProblem,
     comparison_check,
     comparison_function,
@@ -196,6 +200,23 @@ class TestComparisonCheck:
 
 
 class TestSolve:
+    def test_step_cap_is_reported_as_such(self):
+        # a life span of 1.2e145 puts the horizon far past any step cap
+        prob = OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
+        sol = solve(prob, max_steps=1000)
+        assert sol.blowup_time is None and sol.stop == STOP_STEP_CAP
+        assert sol.t.size == 1001 and sol.t[-1] < 10.0 * sol.life_span
+        assert comparison_check(sol).notes[-1] == "trajectory blow-up at none (step cap reached)"
+        # the horizon is reported as the horizon
+        reached = dataclasses.replace(sol, stop=STOP_HORIZON)
+        assert comparison_check(reached).notes[-1] == (
+            "trajectory blow-up at none (horizon reached)")
+
+    def test_blowup_is_reported_as_such(self):
+        sol = solve(STANDARD)
+        assert sol.stop == STOP_BLOWUP
+        assert comparison_check(sol).notes[-1] == f"trajectory blow-up at {sol.blowup_time:.12g}"
+
     def test_solution_bundle(self):
         sol = solve(STANDARD)
         assert sol.nu == pytest.approx(select_nu(STANDARD))

@@ -952,6 +952,23 @@ class TestRun:
             assert np.array_equal(t, rep.samples[:, 0])
             assert np.array_equal(values, rep.samples[:, column])
 
+    @pytest.mark.parametrize("mu1, nonlinear, threshold, outcome", [
+        (4.0, False, 1e6, OUTCOME_COMPLETED),
+        (4.0, True, 1e6, OUTCOME_BLOWUP),
+        # undamped with the threshold out of reach: the sup overflows to inf
+        (0.0, True, 1e300, OUTCOME_DIVERGED),
+    ])
+    def test_progress_fires_once_per_recorded_row(self, mu1, nonlinear, threshold, outcome):
+        g = make_radial_grid(1, 40.0, 0.05)
+        cfg = RunConfig(params=params(mu1=mu1, p=2.0), t_max=20.0, nonlinear=nonlinear,
+                        blowup_threshold=threshold, record_every=3)
+        times = []
+        rep = run(g, bump, bump, cfg, times.append)
+        assert rep.outcome == outcome
+        assert np.array_equal(np.array(times), rep.samples[:, 0])
+        # watching a run changes none of its bits
+        assert run(g, bump, bump, cfg).samples.tobytes() == rep.samples.tobytes()
+
     def test_recorded_wl2_is_weighted_lq_bitwise(self, monkeypatch):
         # massive nonlinear n = 2 run; the clock starts at s = 1 so the weight
         # exponent is not that of t = 0 at any sample
