@@ -26,6 +26,14 @@ commands() {
     # a nonlinear global-band run recording every step
     sw simulate --set p=4 --set u0_amplitude=0.01 --set t_max=60 --set r_max=80 \
         --set record_every=1 --out global.csv
+    # the same run with negative data, whose tail is negative subnormals then -0.0:
+    # the steps after the first leave out the zero mass term
+    sw simulate --set p=4 --set u0_amplitude=-0.01 --set t_max=60 --set r_max=80 \
+        --set record_every=1 --out negative.csv
+    # a coarse linear run with dr^2 >= 2, where the steps keep the zero mass term
+    sw simulate --set dr=1.5 --set u0_width=4 --set u0_amplitude=-0.01 --set mu1=0.1 \
+        --set nonlinear=false --set t_max=30 --set r_max=150 --set record_every=1 \
+        --out coarse.csv
     # a massive run recording every step, which takes the energy's own quadrature
     sw simulate --set mu1=5 --set mu2sq=2 --set u1_kind=gaussian --set u1_amplitude=0.5 \
         --set t_max=30 --set r_max=40 --set record_every=1 --out massive.csv

@@ -86,7 +86,8 @@ def laplacian_apply(grid: RadialGrid, u) -> np.ndarray:
     if u.ndim != 1 or not 2 <= u.size <= grid.num_nodes:
         raise ValueError(f"expected 2 to {grid.num_nodes} nodal values, got shape {u.shape}")
     out = np.empty_like(u)
-    laplacian_into(grid.n, grid.dr**2, first_order_denominators(grid), u, out, np.empty_like(u))
+    laplacian_into(grid.n, grid.dr**2, first_order_denominators(grid), u, 2.0 * u, out,
+                   np.empty_like(u))
     return out
 
 
@@ -95,20 +96,22 @@ def first_order_denominators(grid: RadialGrid) -> np.ndarray | None:
     return 2.0 * grid.dr * grid.r if grid.n > 1 else None
 
 
-def laplacian_into(n: int, dr_sq: float, denominators, u: np.ndarray, out: np.ndarray,
-                   scratch: np.ndarray) -> None:
+def laplacian_into(n: int, dr_sq: float, denominators, u: np.ndarray, two_u: np.ndarray,
+                   out: np.ndarray, scratch: np.ndarray) -> None:
     """``laplacian_apply`` of a prefix ``u`` written into ``out``, from constants formed once.
 
-    ``dr_sq`` is dr**2 and ``denominators`` is ``first_order_denominators(grid)``;
-    ``out`` has the length of ``u`` and ``scratch`` at least that, and
-    neither may overlap ``u``.  Every intermediate is written in place, with
-    the operations, operands and order of the plain expressions, so the
-    values are those of the allocating form bit for bit.
+    ``dr_sq`` is dr**2, ``denominators`` is ``first_order_denominators(grid)``
+    and ``two_u`` holds 2.0 * u, which the centre term reads, so a caller
+    that needs 2u as well forms it once.  ``out`` and ``two_u`` have the
+    length of ``u`` and ``scratch`` at least that; ``out`` and ``scratch``
+    may not overlap ``u`` or ``two_u``.  Every intermediate is written in
+    place, with the operations, operands and order of the plain expressions,
+    and the end rows are formed on Python floats, which round as float64
+    does, so the values are those of the allocating form bit for bit.
     """
     m = u.size
     inner = out[1:-1]
-    np.multiply(2.0, u[1:-1], out=inner)
-    np.subtract(u[2:], inner, out=inner)
+    np.subtract(u[2:], two_u[1:-1], out=inner)
     np.add(inner, u[:-2], out=inner)
     np.divide(inner, dr_sq, out=inner)
     if n > 1:
@@ -117,10 +120,12 @@ def laplacian_into(n: int, dr_sq: float, denominators, u: np.ndarray, out: np.nd
         np.multiply(n - 1, first_order, out=first_order)
         np.divide(first_order, denominators[1 : m - 1], out=first_order)
         np.add(inner, first_order, out=inner)
-    out[0] = 2.0 * n * (u[1] - u[0]) / dr_sq
-    out[-1] = (-2.0 * u[-1] + u[-2]) / dr_sq
+    u_0, u_1, u_before, u_last = u.item(0), u.item(1), u.item(-2), u.item(-1)
+    out[0] = 2.0 * n * (u_1 - u_0) / dr_sq
+    last = (-2.0 * u_last + u_before) / dr_sq
     if n > 1:
-        out[-1] += (n - 1) * (-u[-2]) / denominators[m - 1]
+        last += (n - 1) * (-u_before) / denominators.item(m - 1)
+    out[-1] = last
 
 
 def radial_derivative(grid: RadialGrid, u) -> np.ndarray:

@@ -37,7 +37,8 @@ level buffers (u-, u, u+) that rotate, with t, the window and the step
 index as plain values: no fresh level per step.  The window never
 shrinks, and a buffer only ever holds values written at a width no larger
 than the current one, so every level is exactly 0 beyond the window as a
-fresh level would be.
+fresh level would be.  The step forms 2u once, in u+'s buffer: the
+Laplacian's centre term reads it there, and u+ is then formed on it.
 
 Source window: the same idea applied to the source term.  Ahead of the
 light cone the leapfrog precursor leaves a tail of tiny values (down to
@@ -52,11 +53,37 @@ included, is that of the plain power.  For p < 1100/1074, c_p underflows
 to 0 and only zeros are skipped.  ``test_solver`` checks the underflow
 assumption on the running numpy.
 
-One sup pass: the step takes sup |u+| over the window once; ``run`` reads
-it for divergence (np.max propagates NaN), then for the blow-up rule, and
-then as the recorded sup of that level's sample, so no level is scanned
-again.  ``init_state`` scans the data and the first level once and returns
-their sups for the same uses.
+One sup pass: the step forms |u+| over the window once, into the source
+buffer, and reduces it to sup |u+| (np.maximum propagates NaN); ``run``
+reads that for divergence, then for the blow-up rule, and then as the
+recorded sup of that level's sample, so no level is scanned again.
+``init_state`` scans the data and the first level once and returns their
+sups for the same uses.
+
+Shared passes: the step remembers the level it wrote last, whether its
+sup was finite, and that the source buffer holds its |u+|.  When the next
+step's u is that very array, it saves two passes:
+
+- The source powers the buffer in place instead of taking |u| again, if
+  no wider window was written into the buffer since, so that it is +0.0
+  beyond the level's window, as |u| is.
+- Without mass (mu2sq is +0.0) and for dr^2 < 2, it leaves out
+  f - m^2 u on that level when its sup was finite.  For finite u, 0 u is
+  +-0, and f - (+-0) is f bit for bit except when f = -0 and 0 u = -0,
+  that is, u < 0 or u = -0.  That case never occurs.  Every row of the
+  Laplacian ends in a division by dr^2; a nonzero numerator is at least
+  2^-1074 in size, so its quotient by dr^2 < 2 exceeds half the smallest
+  subnormal and is not 0.  A sum is -0 only when both terms are, and a
+  difference x - y only when x = -0 and y = +0.  So f = -0 needs a
+  numerator of -0, and with it u_1 - u_0 = -0 in row 0,
+  u_{i+1} - 2u_i = -0 in an interior row and -2u_i = -0 in the last row
+  (for n > 1 those two rows add a first-order term, which must then be
+  -0 as well).  Each of these gives u_i = +0, where 0 u = +0.
+
+Any other level takes |u| and the mass pass afresh, as does the run's
+first step, whose levels ``init_state`` made.  For dr^2 >= 2 a tiny
+numerator can round to -0; on a level that is not finite, 0 u is NaN; for
+mu2sq = -0.0, 0 u is -0 at u = +0: the mass pass stays in all three cases.
 
 Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, written
 into one float64 array preallocated for the most rows a run can record,
@@ -173,10 +200,11 @@ def time_step(dr: float, config: RunConfig) -> tuple[int, float]:
 RUN_BYTES_BUDGET = 4 * 2**30
 
 # float64 arrays of the grid's length that one run holds at once: the grid's
-# radii and weights (2), the three levels (3), the step kernel's three scratch
-# arrays and its (2 dr) r denominators (4), the recorder's mu1*r^2, four padded
-# squares, 2W, gradient density, terms and energy density (9), and the three
-# arrays a weighted quadrature gathers when its nonzero nodes are not a prefix (3)
+# radii and weights (2), the three levels (3), the step kernel's forcing, scratch
+# and source (|u|, then |u+|) arrays and its (2 dr) r denominators (4), the
+# recorder's mu1*r^2, four padded squares, 2W, gradient density, terms and
+# energy density (9), and the three arrays a weighted quadrature gathers when
+# its nonzero nodes are not a prefix (3)
 _ARRAYS_PER_RUN = 2 + 3 + 4 + 9 + 3
 # bytes per node of boolean arrays: the kernel's and the recorder's masks, and
 # the copy of one of them that locates its last set node
@@ -225,19 +253,17 @@ def _source_cutoff(p: float) -> float:
     return 2.0 ** (-1100.0 / p)
 
 
-def _power_source(u: np.ndarray, p: float, c_p: float, out: np.ndarray,
-                  below: np.ndarray) -> np.ndarray:
-    """|u|**p into ``out``, the power taken only where it can be nonzero (see the module notes).
+def _power_source(source: np.ndarray, p: float, c_p: float, below: np.ndarray) -> np.ndarray:
+    """|u|**p in place from ``source`` = |u|, the power taken only where it can be nonzero.
 
-    ``out`` and the boolean ``below`` have the length of ``u``.
+    See the module notes; the boolean ``below`` has the length of ``source``.
     """
-    np.abs(u, out=out)
-    np.less(out, c_p, out=below)  # NaN compares false, so it counts as inside
+    np.less(source, c_p, out=below)  # NaN compares false, so it counts as inside
     # one past the last node not below c_p (a numpy bool is the byte 0 or 1)
     end = below.tobytes().rfind(b"\x00") + 1
-    out[end:] = 0.0
-    out[:end] **= p
-    return out
+    source[end:] = 0.0
+    source[:end] **= p
+    return source
 
 
 def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
@@ -289,8 +315,8 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
     b, m_sq = coefficients(params, config.s)
     accel = laplacian_apply(grid, u0v) - b * u1v - m_sq * u0v
     if config.nonlinear:
-        accel = accel + _power_source(u0v, params.p, _source_cutoff(params.p),
-                                      np.empty_like(u0v), np.empty(u0v.shape, dtype=bool))
+        accel = accel + _power_source(np.abs(u0v), params.p, _source_cutoff(params.p),
+                                      np.empty(u0v.shape, dtype=bool))
     u_first = u0v + dt * u1v + 0.5 * dt * dt * accel
     u_first[-1] = 0.0
     nonzero = np.flatnonzero((u0v != 0.0) | (u_first != 0.0))
@@ -308,37 +334,58 @@ def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
     ``width`` and sup |u+| over it (NaN or inf once the run diverges).  The
     three level arrays have the grid's length and must not overlap; ``out``
     must be 0 from node ``width`` on, which a level written at a width no
-    larger than this one is.  A caller that lets a run diverge calls it
-    under ``np.errstate``, so that overflow is neither raised nor warned.
+    larger than this one is.  A level the step wrote must not change before
+    the step reads it back as ``u_curr``: the step then reuses what it
+    learnt of that level (see the module notes).  A caller that lets a run
+    diverge calls it under ``np.errstate``, so that overflow is neither
+    raised nor warned.
     """
     params, nonlinear = config.params, config.nonlinear
     n, size, p = grid.n, grid.num_nodes, params.p
     dr_sq, dt_sq = grid.dr**2, dt**2
     denominators = first_order_denominators(grid)
     c_p = _source_cutoff(p)
-    forcing, scratch, source = np.empty((3, size))
+    # without mass and for dr^2 < 2, f - m^2 u is f itself on a finite level (module notes)
+    mass_free = params.mu2sq == 0.0 and math.copysign(1.0, params.mu2sq) > 0.0 and dr_sq < 2.0
+    forcing, scratch = np.empty((2, size))
+    # after a step, |u+| on its window; +0.0 from node ``reach`` on, where no
+    # window has reached yet.  A linear run has no source term, and its sup pass
+    # uses the scratch row.
+    source = np.zeros(size) if nonlinear else scratch
     below = np.empty(size, dtype=bool)
+    last, last_width, last_finite, reach = None, 0, False, 0
 
     def advance(t: float, u_prev: np.ndarray, u_curr: np.ndarray, out: np.ndarray,
                 active: int) -> tuple[int, float]:
+        nonlocal last, last_width, last_finite, reach
         b, m_sq = coefficients(params, t)
         h = 0.5 * b * dt
         width = min(max(active + 1, 2), size)
-        u, u_m, f, tmp, u_p = (u_curr[:width], u_prev[:width], forcing[:width],
-                               scratch[:width], out[:width])
-        # forcing = (Lap u - m^2 u) + [nl] |u|^p
-        laplacian_into(n, dr_sq, denominators, u, f, scratch)
-        np.subtract(f, np.multiply(m_sq, u, out=tmp), out=f)
-        if nonlinear:
-            np.add(f, _power_source(u, p, c_p, source[:width], below[:width]), out=f)
-        # u+ = (((2u - u-) + h u-) + dt^2 forcing) / (1 + h)
+        u, u_m, f, tmp, u_p, src = (u_curr[:width], u_prev[:width], forcing[:width],
+                                    scratch[:width], out[:width], source[:width])
+        # u is the level this kernel wrote last (see the module notes)
+        written = u_curr is last
+        # 2u, which the Laplacian's centre term reads, then u+ is formed on it
         np.multiply(2.0, u, out=u_p)
+        # forcing = (Lap u - m^2 u) + [nl] |u|^p
+        laplacian_into(n, dr_sq, denominators, u, u_p, f, scratch)
+        if not (mass_free and written and last_finite):
+            np.subtract(f, np.multiply(m_sq, u, out=tmp), out=f)
+        if nonlinear:
+            # ``source`` holds |u| unless a window wider than u's has written it
+            if not (written and reach == last_width):
+                np.abs(u, out=src)
+            np.add(f, _power_source(src, p, c_p, below[:width]), out=f)
+        # u+ = (((2u - u-) + h u-) + dt^2 forcing) / (1 + h)
         np.subtract(u_p, u_m, out=u_p)
         np.add(u_p, np.multiply(h, u_m, out=tmp), out=u_p)
         np.add(u_p, np.multiply(dt_sq, f, out=tmp), out=u_p)
         np.divide(u_p, 1.0 + h, out=u_p)
         out[-1] = 0.0
-        return width, float(np.abs(u_p, out=tmp).max())
+        sup = float(np.maximum.reduce(np.abs(u_p, out=src)))
+        last, last_width, last_finite = out, width, math.isfinite(sup)
+        reach = max(reach, width)
+        return width, sup
 
     return advance
 

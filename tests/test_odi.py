@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,23 @@ class TestIntegrateOdi:
         _, _, _, blow_large = integrate_odi(OdiProblem(df0=5.0, **base), dt=1e-3, t_max=500.0)
         assert blow_small is not None and blow_large is not None
         assert blow_large < blow_small
+
+    def test_trajectory_holds_float64_buffers(self):
+        # 8 bytes a step for each of t, F and F' (a list of float objects holds 32), and
+        # one regrowth of a buffer or the times' running sum on top: within 40 a step
+        steps = 20_000
+        slow = OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            t, f, df, blow = integrate_odi(slow, dt=1e-3, t_max=1e3, max_steps=steps)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert blow is None and t.size == f.size == df.size == steps + 1
+        assert f.dtype == df.dtype == np.float64
+        assert peak <= 40 * steps
 
     def test_dt_validation(self):
         with pytest.raises(ValueError):

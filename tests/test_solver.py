@@ -279,6 +279,35 @@ def reference_run(grid, u0, u1, config):
     return np.array(rows, dtype=np.float64), outcome, blowup_time
 
 
+def written_levels(monkeypatch, grid, u0, u1, config):
+    # the bytes of every level run() has its kernel write, in order
+    import scalewave.solver as solver
+
+    levels = []
+
+    def recording_kernel(grid, config, dt):
+        advance = leapfrog_kernel(grid, config, dt)
+
+        def recorded(t, u_prev, u_curr, out, active):
+            result = advance(t, u_prev, u_curr, out, active)
+            levels.append(out.tobytes())
+            return result
+
+        return recorded
+
+    monkeypatch.setattr(solver, "leapfrog_kernel", recording_kernel)
+    run(grid, u0, u1, config)
+    return levels
+
+
+def assert_parent_levels(levels, grid, u0, u1, config):
+    # the levels are those parent_step writes from the run's first levels on
+    st = first_levels(grid, u0, u1, config)
+    for level in levels:
+        st = parent_step(st, grid, config)
+        assert level == st.u_curr.tobytes()
+
+
 def reference_samples(grid, u0, u1, config):
     return reference_run(grid, u0, u1, config)[0]
 
@@ -762,31 +791,12 @@ class TestRunLoop:
     def test_levels_match_parent_steps_bitwise(self, n, u0, u1, monkeypatch):
         # every written level, beyond the window too (signs of zeros included), is
         # the level parent_step writes into a fresh array
-        import scalewave.solver as solver
-
-        levels = []
-        kernel = solver.leapfrog_kernel
-
-        def recording_kernel(grid, config, dt):
-            advance = kernel(grid, config, dt)
-
-            def recorded(t, u_prev, u_curr, out, active):
-                result = advance(t, u_prev, u_curr, out, active)
-                levels.append(out.tobytes())
-                return result
-
-            return recorded
-
-        monkeypatch.setattr(solver, "leapfrog_kernel", recording_kernel)
         g = make_radial_grid(n, 12.0, 0.05)
         cfg = RunConfig(params=params(n=n, mu1=4.0, mu2sq=0.5, p=2.0), t_max=8.0,
                         cfl_safety=0.5, record_every=50)
-        run(g, u0, u1, cfg)
-        st = first_levels(g, u0, u1, cfg)
+        levels = written_levels(monkeypatch, g, u0, u1, cfg)
         assert len(levels) > 100  # the bump data blow up before t_max
-        for level in levels:
-            st = parent_step(st, g, cfg)
-            assert level == st.u_curr.tobytes()
+        assert_parent_levels(levels, g, u0, u1, cfg)
 
     def test_two_runs_give_identical_bytes(self):
         g = make_radial_grid(3, 20.0, 0.05)
@@ -795,6 +805,113 @@ class TestRunLoop:
         first, second = run(g, negative_bump, bump, cfg), run(g, negative_bump, bump, cfg)
         assert first.samples.tobytes() == second.samples.tobytes()
         assert (first.outcome, first.blowup_time) == (second.outcome, second.blowup_time)
+
+
+def negative_gaussian(r):
+    # the global band's data negated: a negative subnormal tail, then -0.0 from r = 11 on
+    return -gaussian(r)
+
+
+def coarse_negative_gaussian(r):
+    # the same shape for dr = 1.5: a negative subnormal tail, then -0.0 from r = 110 on
+    return -0.01 * np.exp(-((r / 4.0) ** 2))
+
+
+class TestSharedPasses:
+    """The step's shared passes: 2u formed once, the zero mass term skipped, |u+| reused.
+
+    Each test compares levels with parent_step, which forms every term afresh.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    @pytest.mark.parametrize("mu2sq", [0.0, -0.0, 0.5])
+    @pytest.mark.parametrize("r_max, dr, mu1, u0, t_max", [
+        pytest.param(12.0, 0.05, 4.0, negative_gaussian, 8.0, id="dr-0.05"),
+        # dr^2 >= 2: the step keeps the mass pass even without mass; the wider data
+        # lie in the weighted space of a smaller mu1
+        pytest.param(150.0, 1.5, 0.1, coarse_negative_gaussian, 30.0, id="dr-1.5"),
+    ])
+    def test_massless_negative_data_match_parent_bitwise(self, r_max, dr, mu1, u0, t_max, mu2sq,
+                                                          nonlinear, n, monkeypatch):
+        g = make_radial_grid(n, r_max, dr)
+        cfg = RunConfig(params=params(n=n, mu1=mu1, mu2sq=mu2sq, p=2.0), t_max=t_max,
+                        nonlinear=nonlinear, cfl_safety=0.5, record_every=50)
+        levels = written_levels(monkeypatch, g, u0, zero, cfg)
+        assert len(levels) == time_step(g.dr, cfg)[0]
+        # the steps ran over a tail of negative subnormals
+        first = np.frombuffer(levels[0])
+        assert ((first < 0.0) & (first > -2.0**-1022)).any()
+        assert_parent_levels(levels, g, u0, zero, cfg)
+
+    @pytest.mark.parametrize("dr", [1.4, 1.5])
+    def test_mass_pass_kept_where_the_laplacian_underflows(self, dr):
+        # Linear, massless and undamped with mu1 = -0.0, so h = -0.0.  The kernel writes a
+        # level on a narrow window into a buffer holding -0.0 beyond it, then steps on it
+        # over the whole grid.  Next to the last written node, -2**-1074, the Laplacian is
+        # -2**-1074 / dr^2: nonzero for dr^2 < 2, and -0.0 for dr^2 >= 2, where
+        # f - 0 * (-0.0) is +0.0, not f, and changes the level.
+        tiny = 2.0**-1074
+        g = make_radial_grid(1, 42.0, dr)
+        cfg = RunConfig(params=params(mu1=-0.0), t_max=10.0, nonlinear=False, cfl_safety=0.5)
+        dt = time_step(g.dr, cfg)[1]
+        u_prev, u_curr = np.zeros(g.num_nodes), np.zeros(g.num_nodes)
+        u_curr[5] = -4.0 * tiny
+        advance = leapfrog_kernel(g, cfg, dt)
+        written, later = np.full(g.num_nodes, -0.0), np.zeros(g.num_nodes)
+        width, _ = advance(1.0, u_prev, u_curr, written, 6)
+        advance(1.0 + dt, u_curr, written, later, g.num_nodes)
+        assert written[width - 1] == -tiny and np.signbit(written[width])
+        laplacian = laplacian_apply(g, written)[width]
+        assert np.signbit(laplacian) and (laplacian == 0.0) == (g.dr**2 >= 2.0)
+        st = Levels(t=1.0 + dt, dt=dt, u_prev=u_curr, u_curr=written, step_index=2)
+        assert later.tobytes() == parent_step(st, g, cfg).u_curr.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_steps_on_non_finite_levels_match_parent_bitwise(self, bad, nonlinear):
+        # the first step writes a non-finite level; those after it read levels it wrote
+        g = make_radial_grid(1, 20.0, 0.05)
+        cfg = RunConfig(params=params(mu1=4.0, p=4.0), t_max=10.0, nonlinear=nonlinear)
+        st = first_levels(g, negative_gaussian, zero, cfg)
+        u = st.u_curr.copy()
+        u[st.active // 2] = bad
+        st = dataclasses.replace(st, u_curr=u)
+        advance = leapfrog_kernel(g, cfg, st.dt)
+        u_prev, u_curr = st.u_prev, st.u_curr
+        for _ in range(4):
+            out = np.zeros(g.num_nodes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, sup = advance(st.t, u_prev, u_curr, out, st.active)
+            st = parent_step(st, g, cfg)
+            assert out.tobytes() == st.u_curr.tobytes() and st.diverged
+            assert np.array_equal(sup, st.sup, equal_nan=True)
+            u_prev, u_curr = u_curr, out
+
+    @pytest.mark.parametrize("mu2sq", [0.0, 0.5])
+    def test_levels_it_did_not_write_match_parent_bitwise(self, mu2sq):
+        # One kernel steps three runs in a seeded random order: a run whose level the
+        # kernel wrote at the step before, one it wrote earlier, one whose level is a
+        # copy, and after the whole-grid run a narrower one, over nodes the whole-grid
+        # run wrote.  Only the first may reuse what the kernel knows of the level.
+        g = make_radial_grid(1, 30.0, 0.05)
+        cfg = RunConfig(params=params(mu1=4.0, mu2sq=mu2sq, p=2.0), t_max=5.0)
+        states = [first_levels(g, negative_gaussian, zero, cfg),
+                  first_levels(g, bump, bump, cfg),
+                  dataclasses.replace(first_levels(g, wide, zero, cfg), active=None)]
+        advance = leapfrog_kernel(g, cfg, states[0].dt)
+        rng = np.random.default_rng(3)
+        for _ in range(120):
+            pick = int(rng.integers(0, 3))
+            st = states[pick]
+            u_curr = st.u_curr.copy() if rng.random() < 0.2 else st.u_curr
+            active = g.num_nodes if st.active is None else st.active
+            out = np.zeros(g.num_nodes)
+            advance(st.t, st.u_prev, u_curr, out, active)
+            nxt = parent_step(st, g, cfg)
+            assert out.tobytes() == nxt.u_curr.tobytes()
+            states[pick] = dataclasses.replace(nxt, u_curr=out,
+                                               active=None if st.active is None else nxt.active)
 
 
 class TestDetectBlowup:
