@@ -15,6 +15,12 @@ head=$(cd "$2" && pwd)
 work=$3
 
 # One command per line, in order; later commands may read earlier outputs.
+# Where more than one CPU is usable, a tree with forked lanes forks them in
+# these commands (as measured on a 2-CPU machine): every simulate that
+# records every step, once its samples have cost more than its steps (all
+# but the coarse dr=1.5 run, which ends first), and every sweep, once a
+# running cell outlasts the lane-start cost.  The README simulate, which
+# records every fifth step, and the other commands fork nothing.
 commands() {
     # the README examples (simulate, decay-fit, sweep)
     sw simulate --set t_max=50 --set r_max=60 --set dr=0.05 \
@@ -40,12 +46,21 @@ commands() {
     # a diverging run: its last sample takes the two-level u_t and records inf/nan (exit 3)
     sw simulate --set mu1=0 --set p=2 --set blowup_threshold=1e300 --set t_max=20 \
         --set r_max=40 --set record_every=1 --out diverged.csv
-    # a global-band sweep whose first cell (about 0.35 s) outlasts the pool's
-    # start-up, so a tree that fans sweeps out starts the pool within that cell
+    # a dense linear run of the record-dense benchmark's shape at half its length:
+    # its samples cost more than its steps, so it forks lanes early
+    sw simulate --set mu1=4 --set r_max=230 --set dr=0.05 --set t_max=100 --set u0_width=0.4 \
+        --set nonlinear=false --set record_every=1 --out dense.csv
+    # a dense diverging run long enough to fork lanes first: its two-level last row
+    # (inf/nan, exit 3) may land in a lane
+    sw simulate --set mu1=0 --set p=2 --set blowup_threshold=1e300 --set u0_amplitude=0.1 \
+        --set t_max=100 --set r_max=120 --set record_every=1 --out diverged-lanes.csv
+    # a global-band sweep whose first cell (about 0.35 s) outlasts the lane-start
+    # cost, so a tree that fans sweeps out does so within that cell
     sw sweep --set "p_values=[3.5,4]" --set "amplitudes=[0.5,1]" --set u0_amplitude=0.01 \
         --set r_max=230 --set t_max=200 --out global-sweep.csv
     # a sweep in p ascending across p_crit = 3: its first cells blow up within
-    # milliseconds and a later global cell starts the pool while it runs
+    # milliseconds, and on a tree whose fan-out cost is higher than theirs a later
+    # global cell fans the sweep out while it runs
     sw sweep --set "p_values=[1.5,2,3.5,4,4.5]" --set "amplitudes=[0.05,0.1]" \
         --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
         --set dr=0.05 --set mu1=4 --set record_every=25 \

@@ -10,27 +10,24 @@ exponent both come from that fit.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lanes
 from .grid import RadialGrid
 from .model import ModelParams, RegimeReport, regime_check
-from .solver import OUTCOME_COMPLETED, RunConfig, RunReport, run
+from .solver import OUTCOME_COMPLETED, RunConfig, RunReport, lanes_that_fit, run
 
 GLOBAL_LOOKING = "global-looking"
 UNDECIDED = "undecided"
 # a global-looking run's weighted gradient norm stays within this factor of its start
 ENERGY_GROWTH_BOUND = 10.0
-# Measured cost of starting the sweep's process pool on Linux with the fork
-# start method: importing concurrent.futures.process (about 20 ms) and one
-# fork/join of 2 workers (about 16 ms).  A sweep fans out once a running cell
-# has taken longer than this, so a sweep of cheaper cells runs serially.
-# Other start methods (macOS, and Linux from Python 3.14) cost more to
-# start, so there the break-even point lies higher; the rows are the same
-# either way.
-POOL_START_S = 0.05
+# bytes of one cell index in the pipe the lanes of a sweep take cells from
+_INDEX_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -154,17 +151,18 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
 
     ``jobs`` counts the processes that run cells, this one included.  Cells
     run here in input order, each watched at every recorded sample.  The
-    first time the running cell has taken longer than ``POOL_START_S``
-    while cells are left and ``jobs >= 2``, the sweep fans out over
-    ``min(jobs - 1, unstarted)`` worker processes (profiles must then be
-    picklable top-level callables).  This process keeps its share of the
-    unstarted cells, ``unstarted // (workers + 1)`` from the end, and
-    submits the others.  It finishes its cell and runs the kept ones, then
-    takes back from the end each submitted cell that no worker has started
-    yet, and last collects the workers' rows.  Either way every row carries
-    the same bits.  A cell that raises cancels the cells no worker has
-    started, waits for the running ones and re-raises.  A non-finite
-    amplitude is rejected before any cell runs.
+    first time the running cell has taken longer than ``lanes.LANE_START_S``
+    while cells are left and ``jobs >= 2``, the sweep forks
+    ``min(jobs - 1, cells left)`` lanes (``lanes.Lanes``; Linux only), fewer
+    where their runs would not fit ``RUN_BYTES_BUDGET`` at once, and writes
+    the indices of the cells left into one pipe.  This process finishes its
+    cell, and then it and every lane take indices from that pipe, in input
+    order, until it is empty; a lane first restores the caller's numpy error
+    state.  Every cell runs ``run`` with ``jobs=1``, so each row carries the
+    same bits either way.  A cell that raises drains the pipe, so that no
+    cell starts after it; once every lane has ended, the error of the
+    lowest-index raising cell is raised, as a serial sweep would raise it.
+    A non-finite amplitude is rejected before any cell runs.
     """
     if not all(math.isfinite(a) for a in amplitudes):
         raise ValueError(f"sweep amplitudes must be finite, got {list(amplitudes)}")
@@ -174,47 +172,81 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
         for a in amplitudes
     ]
     rows: list[SweepRow | None] = [None] * len(tasks)
-    submitted = []  # (index, future) of the cells handed to the pool, in input order
-    kept = []  # the unstarted cells this process keeps at fan-out, last cell first
-    pool = None
-    started = 0  # cells started here; the cells from this index on are unstarted
+    failures = []  # (index, error) of each cell that raised
+    fanned = False  # whether the sweep has tried to fork lanes
+    queue = None  # read end of the pipe of unstarted cell indices, once lanes fork
+    started = 0  # cells started here before lanes fork
     cell_start = 0.0
     caller_errors = np.geterr()
 
+    def take() -> int | None:
+        # every write holds whole indices and every read takes one, so no read splits one
+        index = os.read(queue, _INDEX_BYTES)
+        return int.from_bytes(index, "little") if index else None
+
+    def drain() -> None:
+        # take every index left, so that no cell starts after a raising one
+        while take() is not None:
+            pass
+
+    def run_cells() -> tuple[list, tuple | None]:
+        # the cells from the pipe until it is empty: ([(index, row)], first failure or None)
+        done = []
+        while (index := take()) is not None:
+            try:
+                done.append((index, _sweep_one(tasks[index])))
+            except Exception as exc:
+                drain()
+                return done, (index, exc)
+        return done, None
+
     def fan_out(_t) -> None:
-        nonlocal pool
-        unstarted = range(started, len(tasks))
-        if pool is not None or not unstarted or time.perf_counter() - cell_start <= POOL_START_S:
+        nonlocal fanned, queue
+        left = range(started, len(tasks))
+        if fanned or not left or time.perf_counter() - cell_start <= lanes.LANE_START_S:
             return
-        from concurrent.futures import ProcessPoolExecutor
+        fanned = True
+        queue, feed = os.pipe()
 
-        workers = min(jobs - 1, len(unstarted))
-        # A pool puts each worker's running cell and up to workers + 1 queued ones
-        # beyond cancel(), long before it starts the queued ones, so this process
-        # keeps its share of the cells, from the end, unsubmitted.
-        cut = len(unstarted) - len(unstarted) // (workers + 1)
-        kept.extend(reversed(unstarted[cut:]))
-        # forked workers inherit the running cell's error state; give them the caller's
-        with np.errstate(**caller_errors):
-            pool = ProcessPoolExecutor(max_workers=workers)
-            submitted.extend((index, pool.submit(_sweep_one, tasks[index]))
-                             for index in unstarted[:cut])
+        def lane(_number: int) -> bytes:
+            os.close(feed)
+            np.seterr(**caller_errors)
+            return pickle.dumps(run_cells())
 
-    watch = fan_out if jobs >= 2 else None
-    try:
-        while pool is None and started < len(tasks):
-            started += 1
-            cell_start = time.perf_counter()
-            rows[started - 1] = _sweep_one(tasks[started - 1], watch)
-        for index in kept:
-            rows[index] = _sweep_one(tasks[index])
-        # then, from the end, each cell that no worker has started yet
-        while submitted and submitted[-1][1].cancel():
-            index, _ = submitted.pop()
-            rows[index] = _sweep_one(tasks[index])
-        for index, future in submitted:
-            rows[index] = future.result()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        try:
+            if forked.fork(min(jobs - 1, len(left), fit - 1), lane):
+                lanes.write_all(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in left))
+            else:
+                # no lane forked: the cells left run here, as in a serial sweep
+                os.close(queue)
+                queue = None
+        finally:
+            os.close(feed)
+
+    fit = lanes_that_fit(grid.num_nodes, grid.dr, config)
+    watch = fan_out if jobs >= 2 and fit >= 2 and lanes.forks() else None
+    with lanes.Lanes() as forked:
+        try:
+            while queue is None and started < len(tasks):
+                started += 1
+                cell_start = time.perf_counter()
+                try:
+                    rows[started - 1] = _sweep_one(tasks[started - 1], watch)
+                except Exception as exc:
+                    if queue is None:
+                        raise
+                    drain()
+                    failures.append((started - 1, exc))
+            if queue is not None:
+                for done, failure in [run_cells()] + [pickle.loads(payload)
+                                                      for payload in forked.collect()]:
+                    for index, row in done:
+                        rows[index] = row
+                    if failure is not None:
+                        failures.append(failure)
+        finally:
+            if queue is not None:
+                os.close(queue)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return rows

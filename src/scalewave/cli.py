@@ -138,7 +138,7 @@ def load_config(defaults: dict, config_path: str | None, overrides: list[str]) -
 
 @dataclass(frozen=True)
 class DataProfile:
-    """Radial data profile; a picklable callable so sweeps can fan out to processes."""
+    """Radial data profile: a validated callable of r."""
 
     kind: str
     amplitude: float
@@ -224,7 +224,7 @@ def _build_run(cfg: dict):
 def _cmd_simulate(args) -> int:
     cfg = load_config(SIMULATE_DEFAULTS, args.config, args.set)
     grid, config, u0, u1 = _build_run(cfg)
-    report = run(grid, u0, u1, config)
+    report = run(grid, u0, u1, config, jobs=args.jobs)
     out = args.out or "run.csv"
     write_run_csv(report, out)
     log.info("simulate: outcome=%s samples=%d -> %s", report.outcome, len(report.samples), out)
@@ -441,11 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override one config key (repeatable)")
         return p
 
-    command("simulate", _cmd_simulate, "one run, norm series to CSV")
-    command("sweep", _cmd_sweep, "(p, amplitude) sweep to CSV").add_argument(
-        "--jobs", type=_jobs, default=_usable_cpus(),
-        help="most processes that run cells, this one included (default: usable CPUs; "
-             "1 runs serially)")
+    for name, handler, summary, work in (
+            ("simulate", _cmd_simulate, "one run, norm series to CSV", "record samples"),
+            ("sweep", _cmd_sweep, "(p, amplitude) sweep to CSV", "run cells")):
+        command(name, handler, summary).add_argument(
+            "--jobs", type=_jobs, default=_usable_cpus(),
+            help=f"most processes that {work}, this one included (default: usable CPUs; "
+                 "1 runs serially; more than 1 forks only on Linux)")
     verify_p = command("verify", _cmd_verify, "identity/inequality/comparison suites")
     verify_p.add_argument("suite", choices=["identities", "inequalities", "bihari"])
     verify_p.add_argument("--seed", type=int, default=0,

@@ -16,9 +16,9 @@ evaluated pointwise at the current level; no inner iteration is needed.
 Runs start at an arbitrary initial time s >= 0 (the clock simply starts at
 t = s) and stop at T_max, on divergence, or when the sup-norm blow-up
 detector fires.  Only a nonlinear run can blow up: a linear run on which
-the detector fires is reported as diverged.  One run is strictly
-sequential; distinct runs share no mutable state and may execute in
-parallel.
+the detector fires is reported as diverged.  The steps of one run are
+strictly sequential, while its samples may be split across lanes (below);
+distinct runs share no mutable state and may execute in parallel.
 
 Active window: the stencil has three points and 0**p == 0, so a node can
 turn nonzero only next to a nonzero node, and the front of nonzero values
@@ -106,16 +106,33 @@ energy density; see the functionals module for why those keep their bits.
 The comparison-frame exponent is formed once per run.  A sample allocates
 nothing, except that a weighted quadrature whose nonzero nodes are not a
 prefix of the window gathers them.
+
+Lanes: a sample needs only the levels around it, so the rows of a run can
+be recorded in several processes that all step.  ``run(..., jobs)`` times
+its in-loop samples against its steps (``_march`` reports each sample's
+wall time).  Once the samples have cost more than the steps and the run
+has lasted longer than ``lanes.LANE_START_S``, it forks up to ``jobs - 1``
+lanes (``lanes.Lanes``; Linux only), capped so that no lane is left
+without a row and that every lane's run fits ``RUN_BYTES_BUDGET`` at once.
+Each lane, this process included as lane 0, keeps stepping from the state
+it was forked with, which is the same in every lane bit for bit, and
+records only the rows whose index, counted from the fork, equals its lane
+number modulo the lane count.  The other lanes send their rows as raw
+float64 bytes, which this process places.  So every row comes from the
+same code on the same levels, and the samples are those of a serial run
+bit for bit, for every ``jobs``.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from .functionals import check_term_exponent, comparison_frame_exponent, norms_of_squares
 from .grid import (
     RadialGrid,
@@ -239,6 +256,11 @@ def check_run_size(num_nodes: int, dr: float, config: RunConfig) -> None:
             f"{need / 2**30:.4g} GiB, over the {RUN_BYTES_BUDGET / 2**30:g} GiB budget; "
             "coarsen dr, shorten r_max or t_max, or raise record_every"
         )
+
+
+def lanes_that_fit(num_nodes: int, dr: float, config: RunConfig) -> int:
+    """How many processes can each hold one such run within RUN_BYTES_BUDGET at once."""
+    return RUN_BYTES_BUDGET // run_bytes(num_nodes, dr, config)[1]
 
 
 def _sample_profile(profile, r: np.ndarray) -> np.ndarray:
@@ -451,7 +473,56 @@ class _Recorder:
         )
 
 
-def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None) -> RunReport:
+def _march(advance, record: _Recorder, samples: np.ndarray, levels: np.ndarray,
+           config: RunConfig, steps: int, dt: float, width: int, sup_curr: float, split: list):
+    """The steps of a run from its first level on: a generator over its in-loop sample rows.
+
+    After each sample row it yields the row's time and the wall time its
+    sample took.  Row ``count`` is recorded into ``samples[count]`` only
+    where ``(count - first) % lane_count == lane`` for ``first, lane,
+    lane_count = split``, read at that row, so a lane can change ``split``
+    after a fork.  Its value is (outcome, blow-up time or None).
+    """
+    every, clock = config.record_every, time.perf_counter
+    prev, curr, nxt = levels
+    u_t = record.u_t
+    t = config.s + dt
+    count = 1
+    for index in range(1, steps + 1):
+        width, sup = advance(t, prev, curr, nxt, width)
+        diverged = not math.isfinite(sup)
+        if index % every == 0 or index == steps:
+            start = clock()
+            first, lane, lane_count = split
+            if (count - first) % lane_count == lane:
+                # centred (u+ - u-)/(2 dt), or (u - u-)/dt once u+ is not finite
+                later, span = (curr, dt) if diverged else (nxt, 2.0 * dt)
+                rate = u_t[:width]
+                np.subtract(later[:width], prev[:width], out=rate)
+                np.divide(rate, span, out=rate)
+                samples[count] = record(t, curr, u_t, width, sup_curr)
+            count += 1
+            yield t, clock() - start
+        if index == steps:
+            break
+        if diverged:
+            return OUTCOME_DIVERGED, None
+        t += dt
+        if sup > config.blowup_threshold:
+            # a linear solution cannot blow up, so the scheme is unstable
+            return (OUTCOME_BLOWUP, t) if config.nonlinear else (OUTCOME_DIVERGED, None)
+        prev, curr, nxt = curr, nxt, prev
+        sup_curr = sup
+    return OUTCOME_COMPLETED, None
+
+
+def _lanes_pay(run_s: float, sampled_s: float, stepped_s: float) -> bool:
+    """Whether a run forks lanes: its in-loop samples have cost more wall time than
+    the rest of its loop, and it has lasted longer than ``lanes.LANE_START_S``."""
+    return sampled_s > stepped_s and run_s > lanes.LANE_START_S
+
+
+def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 1) -> RunReport:
     """Integrate from s to t_max, recording norm samples along the way.
 
     Samples are taken every ``record_every`` steps (plus the initial and
@@ -467,19 +538,24 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None) -> RunReport
     ``diverged`` on a linear run: a linear solution cannot blow up, so the
     scheme is unstable.
 
-    ``progress``, if given, is called with a sample's time once that sample
-    is recorded (the first one once the data have passed the check above),
-    so once per row of the report.  A sweep uses it to watch a cell's wall
-    time while the cell runs.
+    ``jobs`` counts the processes that may record samples, this one
+    included; from 2 on, a run whose samples cost more than its steps
+    forks lanes that record a share of the rows (see the module notes).
+    The samples are the same bit for bit for every ``jobs``.
+
+    ``progress``, if given, is called with a sample's time once the steps
+    have reached that sample (the first one once the data have passed the
+    check above), so once per row of the report, in order.  A sweep uses it
+    to watch a cell's wall time while the cell runs.
     """
+    started = time.perf_counter()
     # overflow means out-of-range data (a config error, below) or a diverging run,
     # which ends as such; numpy warns of neither
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), lanes.Lanes() as forked:
         params, every, size = config.params, config.record_every, grid.num_nodes
         steps, dt = time_step(grid.dr, config)
         u0v, u1v, u_first, width, (sup_u0, sup_u1, sup_curr) = init_state(
             grid, u0, u1, config, dt)
-        t = config.s + dt
         record = _Recorder(grid, params, discriminant(params) >= 0.0)
         samples = np.empty((steps // every + 2, 1 + len(SAMPLE_KEYS)))
         samples[0] = record(config.s, u0v, u1v, size, sup_u0)
@@ -499,40 +575,53 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None) -> RunReport
         levels[0, :reach] = u0v[:reach]
         levels[1, :reach] = u_first[:reach]
         del u0v, u_first
-        advance = leapfrog_kernel(grid, config, dt)
-        prev, curr, nxt = levels
-        u_t = record.u_t
-        count = 1
-        outcome = OUTCOME_COMPLETED
-        blowup_time = None
+        # the rows from split[0] on go to lane split[1] of split[2]; before a fork,
+        # every row goes to this process
+        split = [0, 0, 1]
+        marching = _march(leapfrog_kernel(grid, config, dt), record, samples, levels, config,
+                          steps, dt, width, sup_curr, split)
 
-        for index in range(1, steps + 1):
-            width, sup = advance(t, prev, curr, nxt, width)
-            diverged = not math.isfinite(sup)
-            if index % every == 0 or index == steps:
-                # centred (u+ - u-)/(2 dt), or (u - u-)/dt once u+ is not finite
-                later, span = (curr, dt) if diverged else (nxt, 2.0 * dt)
-                rate = u_t[:width]
-                np.subtract(later[:width], prev[:width], out=rate)
-                np.divide(rate, span, out=rate)
-                samples[count] = record(t, curr, u_t, width, sup_curr)
-                count += 1
-                if progress is not None:
-                    progress(t)
-            if index == steps:
-                break
-            if diverged:
-                outcome = OUTCOME_DIVERGED
-                break
-            t += dt
-            if sup > config.blowup_threshold:
-                if config.nonlinear:
-                    outcome, blowup_time = OUTCOME_BLOWUP, t
-                else:
-                    outcome = OUTCOME_DIVERGED
-                break
-            prev, curr, nxt = curr, nxt, prev
-            sup_curr = sup
+        def own_rows(lane: int) -> bytes:
+            # in a forked lane: step on to the end, recording this lane's rows
+            split[1] = lane
+            first, _, count = split
+            end = first + sum(1 for _ in marching)
+            return samples[first + lane:end:count].tobytes()
 
-    return RunReport(config=config, samples=samples[:count], outcome=outcome,
+        total_rows = 1 + steps // every + (steps % every != 0)
+        watch = jobs > 1 and lanes.forks()
+        rows = 1  # rows passed
+        sampled = 0.0  # wall time of the in-loop samples
+        marched = time.perf_counter()
+        while True:
+            try:
+                t, took = next(marching)
+            except StopIteration as end:
+                outcome, blowup_time = end.value
+                break
+            rows += 1
+            if progress is not None:
+                progress(t)
+            if not watch:
+                continue
+            sampled += took
+            now = time.perf_counter()
+            if _lanes_pay(now - started, sampled, now - marched - sampled):
+                watch = False
+                count = min(jobs, total_rows - rows, lanes_that_fit(size, grid.dr, config))
+                if count > 1:
+                    split[:] = rows, 0, count
+                    if forked.fork(count - 1, own_rows) < count - 1:
+                        # a lane short: this process records every row after all
+                        forked.close()
+                        split[:] = 0, 0, 1
+        first, _, count = split
+        for lane, payload in enumerate(forked.collect(), start=1):
+            place = samples[first + lane:rows:count]
+            if len(payload) != place.nbytes:
+                raise RuntimeError(f"lane {lane} sent {len(payload)} bytes for its "
+                                   f"{len(place)} rows")
+            place[...] = np.frombuffer(payload).reshape(place.shape)
+
+    return RunReport(config=config, samples=samples[:rows], outcome=outcome,
                      blowup_time=blowup_time)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import scalewave.analysis
+import scalewave.cli
+import scalewave.lanes
 from scalewave.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -32,28 +34,6 @@ from scalewave.solver import RunConfig, RunReport, run
 def schema():
     text = resources.files("scalewave").joinpath("schemas/report.schema.json").read_text()
     return json.loads(text)
-
-
-@pytest.fixture
-def forced_fanout(monkeypatch):
-    """A zero pool threshold: the first cell starts the pool at its first sample."""
-    monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.0)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Record the size of every process pool a sweep starts; the pools are real."""
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
 
 
 def validate(path, schema):
@@ -179,6 +159,61 @@ class TestSimulate:
         assert t[-1] == pytest.approx(1.0)
 
 
+class TestSimulateJobs:
+    SHAPE = ["--set", "r_max=40", "--set", "t_max=20", "--set", "dr=0.1",
+             "--set", "record_every=1"]
+    BUMP = ["--set", "u0_kind=bump", "--set", "u0_width=3", "--set", "u1_kind=bump",
+            "--set", "u1_amplitude=1", "--set", "u1_width=3"]
+    CASES = {
+        "linear": ["--set", "nonlinear=false", "--set", "mu1=4"],
+        "nonlinear": ["--set", "p=4", "--set", "u0_amplitude=0.01"],
+        "blowup": ["--set", "mu1=0", "--set", "p=2"] + BUMP,
+        "diverged": ["--set", "mu1=0", "--set", "p=2", "--set", "blowup_threshold=1e300"] + BUMP,
+        "massive": ["--set", "mu1=5", "--set", "mu2sq=2", "--set", "u1_kind=gaussian",
+                    "--set", "u1_amplitude=0.5"],
+    }
+    # n = 1 outcomes; in n = 3 the default cfl_safety is unstable and the linear run diverges
+    OUTCOMES = {"linear": "completed", "nonlinear": "completed", "blowup": "blowup",
+                "diverged": "diverged", "massive": "completed"}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_csv_is_byte_identical_for_every_jobs(self, n, case, forks, forced_lanes, tmp_path,
+                                                  capsys, no_child_left):
+        argv = ["simulate", "--set", f"n={n}"] + self.SHAPE + self.CASES[case]
+        results = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"run-{jobs}.csv"
+            code = parse_and_dispatch(argv + ["--jobs", jobs, "--out", str(out)])
+            results.append((code, capsys.readouterr().out, out.read_bytes()))
+        assert results[1] == results[0] and results[2] == results[0]
+        # one fork-out for each of --jobs 2 and 3, each with all its lanes
+        assert forks == [1, 2]
+        no_child_left()
+        if n == 1:
+            assert results[0][1].startswith(f"outcome: {self.OUTCOMES[case]}")
+            assert results[0][0] == (EXIT_DIVERGED if case == "diverged" else EXIT_OK)
+
+    def test_jobs_below_one_is_a_usage_error(self, forks):
+        assert parse_and_dispatch(["simulate", "--jobs", "0"]) == EXIT_USAGE
+        assert forks == []
+
+    def test_jobs_default_is_the_usable_cpu_count(self, monkeypatch, tmp_path):
+        seen = []
+        plain_run = scalewave.cli.run
+
+        def recording_run(grid, u0, u1, config, jobs):
+            seen.append(jobs)
+            return plain_run(grid, u0, u1, config)
+
+        monkeypatch.setattr(scalewave.cli, "run", recording_run)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+        argv = ["simulate", "--set", "t_max=1", "--set", "r_max=5",
+                "--out", str(tmp_path / "run.csv")]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        assert seen == [2]
+
+
 class TestSweep:
     def test_csv_shape(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -195,8 +230,8 @@ class TestSweep:
         assert lines[0].startswith("p,amplitude,outcome,blowup_time")
         assert "blowup" in lines[1]
 
-    def test_parallel_jobs_reproduce_serial_csv(self, tmp_path, pools, forced_fanout):
-        # two jobs are this process and one worker, which the first cell starts
+    def test_parallel_jobs_reproduce_serial_csv(self, tmp_path, forks, forced_lanes):
+        # two jobs are this process and one lane, which the first cell forks
         args = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",
                 "--set", "u0_kind=bump", "--set", "u0_width=2.0",
                 "--set", "u1_kind=bump", "--set", "u1_width=2.0",
@@ -204,9 +239,9 @@ class TestSweep:
         serial = tmp_path / "serial.csv"
         fanout = tmp_path / "fanout.csv"
         assert parse_and_dispatch(args + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
-        assert pools == []
+        assert forks == []
         assert parse_and_dispatch(args + ["--jobs", "2", "--out", str(fanout)]) == EXIT_OK
-        assert pools == [1]
+        assert forks == [1]
         assert serial.read_bytes() == fanout.read_bytes()
 
     def test_diverged_cell_labelled_and_exits_diverged(self, tmp_path):
@@ -293,7 +328,7 @@ class TestErrors:
     def test_usage_error(self):
         assert parse_and_dispatch(["not-a-command"]) == EXIT_USAGE
         assert parse_and_dispatch([]) == EXIT_USAGE
-        # only sweep fans out, so only sweep takes --jobs
+        # only simulate and sweep fork lanes, so only they take --jobs
         assert parse_and_dispatch(["info", "--jobs", "2"]) == EXIT_USAGE
 
     def test_seed_only_on_verify(self, tmp_path, schema):
@@ -642,40 +677,40 @@ class TestSweepJobs:
     ARGS = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",
             "--set", "t_max=2", "--set", "r_max=8", "--set", "dr=0.1"]
 
-    def test_pool_never_larger_than_the_cell_count(self, pools, tmp_path, forced_fanout):
-        # the first cell runs here and starts the pool, so the pool has at most one
-        # worker per unstarted cell, however many jobs are allowed
+    def test_lanes_never_outnumber_the_cells_left(self, forks, tmp_path, forced_lanes):
+        # the first cell runs here and forks the lanes, so there is at most one
+        # lane per cell left, however many jobs are allowed
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(self.ARGS + ["--jobs", "64", "--out", str(out)]) == EXIT_OK
-        assert pools == [2]
+        assert forks == [2]
         assert len(out.read_text().splitlines()) == 4
 
-    def test_cheap_first_cell_builds_no_pool(self, pools, tmp_path):
-        # each cell of ARGS takes a few milliseconds, far below POOL_START_S
+    def test_cells_cheaper_than_a_lane_fork_nothing(self, forks, tmp_path, monkeypatch):
+        # each cell takes milliseconds, far below this lane-start cost
+        monkeypatch.setattr(scalewave.lanes, "LANE_START_S", 10.0)
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(self.ARGS + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
-        assert pools == []
+        assert forks == []
         assert len(out.read_text().splitlines()) == 4
 
-    def test_single_cell_runs_without_a_pool(self, pools, tmp_path, forced_fanout):
+    def test_single_cell_forks_nothing(self, forks, tmp_path, forced_lanes):
         argv = self.ARGS[:2] + ["p_values=[2.0]"] + self.ARGS[3:]
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
-        assert pools == []
+        assert forks == []
 
-    def test_one_cell_after_a_slow_first_goes_to_one_worker(self, pools, tmp_path,
-                                                             forced_fanout):
-        # the second cell runs in a worker while this process finishes the first
+    def test_one_cell_after_a_slow_first_goes_to_one_lane(self, forks, tmp_path, forced_lanes):
+        # the second cell runs in a lane while this process finishes the first
         argv = self.ARGS[:2] + ["p_values=[2.0,2.5]"] + self.ARGS[3:]
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
-        assert pools == [1]
+        assert forks == [1]
         assert len(out.read_text().splitlines()) == 3
 
-    def test_slow_later_cell_starts_the_pool(self, pools, tmp_path, monkeypatch):
+    def test_slow_later_cell_forks_the_lanes(self, forks, tmp_path, monkeypatch):
         # the first two cells take milliseconds; the third outlasts the threshold
-        # while it runs and hands the two cells after it to the pool
-        monkeypatch.setattr(scalewave.analysis, "POOL_START_S", 0.2)
+        # while it runs and forks a lane for each of the two cells after it
+        monkeypatch.setattr(scalewave.lanes, "LANE_START_S", 0.2)
         plain_run = scalewave.analysis.run
 
         def slow_third_cell(grid, u0, u1, config, progress=None):
@@ -687,104 +722,198 @@ class TestSweepJobs:
         argv = self.ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0,3.5]"] + self.ARGS[3:]
         serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
         assert parse_and_dispatch(argv + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
-        assert pools == []
+        assert forks == []
         assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(fanout)]) == EXIT_OK
-        assert pools == [2]
+        assert forks == [2]
         assert serial.read_bytes() == fanout.read_bytes()
 
-    def test_this_process_keeps_its_share_of_the_cells(self, pools, tmp_path, monkeypatch,
-                                                       forced_fanout):
-        # the first cell starts the pool of one worker; of the 7 cells after it
-        # this process keeps the last 7 // 2 and hands the pool the other 4
-        from concurrent.futures.process import ProcessPoolExecutor
+    @staticmethod
+    def logging_run(monkeypatch, log, slow):
+        """Have every process append "pid p amplitude" to ``log`` as it starts a cell.
 
-        plain_submit = ProcessPoolExecutor.submit
-        handed = []
-
-        def noting_submit(self, fn, task):
-            handed.append(task[2:4])
-            return plain_submit(self, fn, task)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", noting_submit)
-        argv = (self.ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0]", "--set", "amplitudes=[0.5,1.0]"]
-                + self.ARGS[5:])
-        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
-        assert parse_and_dispatch(argv + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
-        assert parse_and_dispatch(argv + ["--jobs", "2", "--out", str(fanout)]) == EXIT_OK
-        assert pools == [1]
-        assert handed == [(1.5, 1.0), (2.0, 0.5), (2.0, 1.0), (2.5, 0.5)]
-        assert serial.read_bytes() == fanout.read_bytes()
-
-    def test_this_process_takes_back_cells_no_worker_started(self, pools, tmp_path, monkeypatch,
-                                                             forced_fanout):
-        # a slow worker: of the 7 cells after the first it gets 4 and starts one, and
-        # at most 2 more are queued for it when this process is done with its own
+        A process then sleeps 0.3 s before the cell runs where ``slow(in_lanes)``
+        holds, ``in_lanes`` being whether this is a forked lane.
+        """
         plain_run = scalewave.analysis.run
         parent = os.getpid()
-        here = []
 
-        def slow_in_workers(grid, u0, u1, config, progress=None):
-            if os.getpid() != parent:
-                time.sleep(0.3)
+        def logged(grid, u0, u1, config, progress=None):
             # unit Gaussian data, so u0(0) is the cell's amplitude
-            here.append((config.params.p, float(u0(np.zeros(1))[0])))
+            line = f"{os.getpid()} {config.params.p} {float(u0(np.zeros(1))[0])}\n"
+            with open(log, "a") as handle:
+                handle.write(line)
+            if slow(os.getpid() != parent):
+                time.sleep(0.3)
             return plain_run(grid, u0, u1, config, progress)
 
-        monkeypatch.setattr(scalewave.analysis, "run", slow_in_workers)
-        argv = (self.ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0]", "--set", "amplitudes=[0.5,1.0]"]
-                + self.ARGS[5:])
+        monkeypatch.setattr(scalewave.analysis, "run", logged)
+
+    @staticmethod
+    def cells_by_process(log) -> dict:
+        started = {}
+        for line in log.read_text().splitlines():
+            pid, p, amplitude = line.split()
+            started.setdefault(int(pid), []).append((float(p), float(amplitude)))
+        return started
+
+    EIGHT_CELLS = (ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0]", "--set", "amplitudes=[0.5,1.0]"]
+                   + ARGS[5:])
+    CELLS = [(p, a) for p in (1.5, 2.0, 2.5, 3.0) for a in (0.5, 1.0)]
+
+    def test_lanes_take_cells_in_input_order(self, forks, tmp_path, monkeypatch, forced_lanes):
+        # one pipe hands out the cells after the first, in input order; every
+        # process starts its cells in that order, and each cell runs once
+        log = tmp_path / "cells.log"
+        # once lanes have forked, this process is slow, so the lanes start cells too
+        self.logging_run(monkeypatch, log, lambda in_lanes: bool(forks) and not in_lanes)
+        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
+        assert parse_and_dispatch(self.EIGHT_CELLS + ["--jobs", "1", "--out", str(serial)]) == 0
+        log.unlink()
+        assert parse_and_dispatch(self.EIGHT_CELLS + ["--jobs", "3", "--out", str(fanout)]) == 0
+        assert forks == [2]
+        started = self.cells_by_process(log)
+        assert started[os.getpid()][0] == self.CELLS[0]
+        assert len(started) >= 2
+        for cells in started.values():
+            assert cells == sorted(cells, key=self.CELLS.index)
+        assert sorted(cell for cells in started.values() for cell in cells) == self.CELLS
+        assert serial.read_bytes() == fanout.read_bytes()
+
+    def test_this_process_stays_a_lane(self, forks, tmp_path, monkeypatch, forced_lanes):
+        # a slow lane: it starts one cell at most, and this process, done with its
+        # first cell, takes every cell the lane has not taken
+        log = tmp_path / "cells.log"
+        self.logging_run(monkeypatch, log, lambda in_lanes: in_lanes)
         out = tmp_path / "sweep.csv"
-        assert parse_and_dispatch(argv + ["--jobs", "2", "--out", str(out)]) == EXIT_OK
-        assert pools == [1]
-        # the first cell, the 3 kept from the end, then the worker's last cell
-        assert here[:5] == [(1.5, 0.5), (3.0, 1.0), (3.0, 0.5), (2.5, 1.0), (2.5, 0.5)]
+        assert parse_and_dispatch(self.EIGHT_CELLS + ["--jobs", "2", "--out", str(out)]) == 0
+        assert forks == [1]
+        started = self.cells_by_process(log)
+        here = started.pop(os.getpid())
+        assert here[0] == self.CELLS[0] and len(here) >= 7
+        assert sorted(here + [cell for cells in started.values() for cell in cells]) == self.CELLS
         assert len(out.read_text().splitlines()) == 9
 
-    def test_workers_classify_under_the_callers_numpy_error_state(self, pools, tmp_path,
-                                                                  monkeypatch, forced_fanout):
-        # the pool starts inside a cell's run, which ignores overflow; forked workers
-        # would inherit that state, and a RuntimeWarning in them would go unseen
+    def test_lanes_classify_under_the_callers_numpy_error_state(self, forks, tmp_path,
+                                                                monkeypatch, forced_lanes):
+        # lanes fork inside a cell's run, which ignores overflow; they would inherit
+        # that state, and a RuntimeWarning in them would go unseen
         plain_classify = scalewave.analysis.classify_run
-        caller = np.geterr()
+        caller, parent = np.geterr(), os.getpid()
+        classified = tmp_path / "classified.log"
 
         def checking_classify(report):
             if np.geterr() != caller:
                 raise ValueError(f"classified under {np.geterr()}")
+            if os.getpid() == parent and report.config.params.p == 1.5:
+                time.sleep(0.2)  # so that the lanes take the other cells
+            with open(classified, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
             return plain_classify(report)
 
         monkeypatch.setattr(scalewave.analysis, "classify_run", checking_classify)
         argv = self.ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0]"] + self.ARGS[3:]
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(argv + ["--jobs", "2", "--out", str(out)]) == EXIT_OK
-        assert pools == [1]
+        assert forks == [1]
+        assert {int(pid) for pid in classified.read_text().split()} - {parent}
+
+    RAISING = ["sweep", "--set", "mu1=0", "--set", "p_values=[2.0]",
+               "--set", "amplitudes=[1.0,0.5,1e140,0.25,0.125]", "--set", "t_max=2",
+               "--set", "r_max=8", "--set", "dr=0.1"]
 
     @pytest.mark.parametrize("jobs", ["2", "3"])
-    def test_raising_cell_exits_as_serially_and_leaves_no_worker(self, jobs, pools, tmp_path,
-                                                                 forced_fanout, capsys):
+    def test_raising_cell_exits_as_serially_and_leaves_no_lane(self, jobs, forks, tmp_path,
+                                                               forced_lanes, capsys,
+                                                               no_child_left):
         # the third cell's data overflow the quadrature; the other cells are fine
-        import multiprocessing
-
-        argv = ["sweep", "--set", "mu1=0", "--set", "p_values=[2.0]",
-                "--set", "amplitudes=[1.0,0.5,1e140,0.25,0.125]", "--set", "t_max=2",
-                "--set", "r_max=8", "--set", "dr=0.1", "--out", str(tmp_path / "sweep.csv")]
+        argv = self.RAISING + ["--out", str(tmp_path / "sweep.csv")]
         assert parse_and_dispatch(argv + ["--jobs", "1"]) == EXIT_CONFIG
         serial = capsys.readouterr()
         assert serial.err.startswith("error: weighted integral not representable")
         assert parse_and_dispatch(argv + ["--jobs", jobs]) == EXIT_CONFIG
         assert capsys.readouterr() == serial
-        assert pools == [int(jobs) - 1]
-        assert multiprocessing.active_children() == []
+        assert forks == [int(jobs) - 1]
+        no_child_left()
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_one_job_runs_serially(self, pools, tmp_path, forced_fanout):
+    def test_lowest_raising_cell_wins(self, forks, tmp_path, monkeypatch, forced_lanes, capsys,
+                                      no_child_left):
+        # the third cell raises late, in a lane, and the fourth at once: a serial
+        # sweep raises the third cell's error, and so do the lanes
+        plain_run = scalewave.analysis.run
+
+        def raising(grid, u0, u1, config, progress=None):
+            amplitude = float(u0(np.zeros(1))[0])
+            if amplitude == 0.5:
+                time.sleep(0.2)  # the first lane holds this cell while the next take theirs
+            if amplitude == 1e-3:
+                time.sleep(0.3)
+                raise ValueError("the third cell")
+            if amplitude == 0.25:
+                raise ValueError("the fourth cell")
+            return plain_run(grid, u0, u1, config, progress)
+
+        monkeypatch.setattr(scalewave.analysis, "run", raising)
+        argv = [arg.replace("1e140", "1e-3") for arg in self.RAISING]
+        assert parse_and_dispatch(argv + ["--jobs", "1"]) == EXIT_CONFIG
+        serial = capsys.readouterr()
+        assert serial.err == "error: the third cell\n"
+        assert parse_and_dispatch(argv + ["--jobs", "3"]) == EXIT_CONFIG
+        assert capsys.readouterr() == serial
+        assert forks == [2]
+        no_child_left()
+
+    def test_interrupt_leaves_no_lane(self, forks, tmp_path, monkeypatch, forced_lanes,
+                                      no_child_left):
+        # this process is interrupted in a later cell while a lane sleeps in its own
+        plain_run = scalewave.analysis.run
+        parent = os.getpid()
+
+        def interrupted(grid, u0, u1, config, progress=None):
+            if os.getpid() != parent:
+                time.sleep(30.0)
+            elif float(u0(np.zeros(1))[0]) != 1.0:
+                raise KeyboardInterrupt
+            return plain_run(grid, u0, u1, config, progress)
+
+        monkeypatch.setattr(scalewave.analysis, "run", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            parse_and_dispatch(self.RAISING + ["--jobs", "2", "--out", str(tmp_path / "s.csv")])
+        assert forks == [1]
+        no_child_left()
+        assert time.perf_counter() - start < 10.0
+
+    def test_a_refused_fork_runs_the_cells_here(self, forks, tmp_path, monkeypatch,
+                                                forced_lanes, no_child_left):
+        def refused():
+            raise BlockingIOError("no more processes")
+
+        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
+        assert parse_and_dispatch(self.ARGS + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
+        monkeypatch.setattr(os, "fork", refused)
+        assert parse_and_dispatch(self.ARGS + ["--jobs", "3", "--out", str(fanout)]) == EXIT_OK
+        assert forks == [0]
+        no_child_left()
+        assert serial.read_bytes() == fanout.read_bytes()
+
+    def test_one_job_runs_serially(self, forks, tmp_path, forced_lanes):
         out = tmp_path / "sweep.csv"
         assert parse_and_dispatch(self.ARGS + ["--jobs", "1", "--out", str(out)]) == EXIT_OK
-        assert pools == []
+        assert forks == []
+
+    def test_no_lanes_off_linux(self, forks, tmp_path, monkeypatch, forced_lanes):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
+        assert parse_and_dispatch(self.ARGS + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
+        assert parse_and_dispatch(self.ARGS + ["--jobs", "4", "--out", str(fanout)]) == EXIT_OK
+        assert forks == []
+        assert serial.read_bytes() == fanout.read_bytes()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_a_usage_error(self, jobs, pools):
+    def test_jobs_below_one_is_a_usage_error(self, jobs, forks):
         assert parse_and_dispatch(self.ARGS + ["--jobs", jobs]) == EXIT_USAGE
-        assert pools == []
+        assert forks == []
 
     @pytest.fixture
     def jobs_passed(self, monkeypatch):
@@ -810,20 +939,42 @@ class TestSweepJobs:
         assert parse_and_dispatch(self.ARGS + ["--out", str(tmp_path / "s.csv")]) == EXIT_OK
         assert jobs_passed == [5]
 
-    def test_readme_sweep_never_imports_the_pool(self, tmp_path):
-        # its cells take milliseconds, so the process pool is never even imported
+    def test_readme_sweep_loads_no_pool_module(self, tmp_path):
+        # its first cell outlasts lanes.LANE_START_S, so it forks a lane where more
+        # than one CPU is usable; lanes are bare forks, so no pool module is imported
         argv = ["sweep", "--set", "p_values=[1.5,2,2.5]", "--set", "amplitudes=[1.0]",
                 "--set", "u0_kind=bump", "--set", "u1_kind=bump", "--set", "u0_width=3",
                 "--set", "u1_width=3", "--set", "r_max=230", "--set", "t_max=200",
-                "--out", str(tmp_path / "sweep.csv")]
-        # the child imports the scalewave package these tests import
-        src = str(Path(scalewave.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+                "--jobs", "2", "--out", str(tmp_path / "sweep.csv")]
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "scalewave.cli", *argv],
-                              capture_output=True, text=True, timeout=120, env=env)
+                              capture_output=True, text=True, timeout=120, env=_child_env())
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.startswith("sweep: 3 rows")
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
         assert "scalewave.analysis" in imported
-        assert "concurrent.futures.process" not in imported
+        assert not [name for name in imported
+                    if name.split(".")[0] in ("concurrent", "multiprocessing")]
+
+
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports the scalewave these tests import."""
+    src = str(Path(scalewave.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
+def test_import_leaves_every_traced_layer_loaded():
+    """``import scalewave.cli`` loads all eight layer modules, none of them deferred.
+
+    ``perfbench/tracing.py`` wraps exactly these layers and reads each from
+    ``sys.modules`` when a traced benchmark run starts, so a lazy import of any
+    of them breaks traced runs: a change that defers one must land together
+    with a change to the benchmark.
+    """
+    layers = ("model", "grid", "solver", "functionals", "verify", "odi", "analysis", "cli")
+    code = ("import sys, scalewave.cli; "
+            f"print(' '.join(name for name in {layers!r} if 'scalewave.' + name not in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -1129,3 +1130,129 @@ class TestRun:
         rep = run(g, lambda r: np.exp(-((r / 0.4) ** 2)), zero, cfg)
         assert rep.outcome == OUTCOME_DIVERGED
         assert rep.blowup_time is None
+
+
+class TestLanes:
+    GRID = make_radial_grid(1, 40.0, 0.1)
+    DENSE = RunConfig(params=params(mu1=4.0, p=2.0), t_max=20.0, record_every=1)
+
+    def test_progress_once_per_row_in_order(self, forks, forced_lanes, no_child_left):
+        serial = run(self.GRID, bump, bump, self.DENSE)
+        times = []
+        rep = run(self.GRID, bump, bump, self.DENSE, times.append, jobs=3)
+        assert forks == [2]
+        no_child_left()
+        assert rep.outcome == serial.outcome and rep.blowup_time == serial.blowup_time
+        assert rep.samples.tobytes() == serial.samples.tobytes()
+        assert np.array_equal(np.array(times), rep.samples[:, 0])
+
+    def test_lanes_never_outnumber_the_rows_left(self, forks, forced_lanes):
+        # lanes fork after the second row, so 3 of the run's 5 rows are left
+        cfg = dataclasses.replace(self.DENSE, t_max=0.36)
+        steps = time_step(self.GRID.dr, cfg)[0]
+        assert steps == 4
+        rep = run(self.GRID, bump, bump, cfg, jobs=64)
+        assert forks == [2]
+        assert rep.samples.tobytes() == run(self.GRID, bump, bump, cfg).samples.tobytes()
+
+    @pytest.mark.parametrize("runs_that_fit, lanes_forked", [(1, []), (2, [1]), (3, [2])])
+    def test_lanes_fit_the_byte_budget(self, runs_that_fit, lanes_forked, forks, forced_lanes,
+                                       monkeypatch):
+        import scalewave.solver as solver
+
+        need = run_bytes(self.GRID.num_nodes, self.GRID.dr, self.DENSE)[1]
+        monkeypatch.setattr(solver, "RUN_BYTES_BUDGET", runs_that_fit * need)
+        rep = run(self.GRID, bump, bump, self.DENSE, jobs=8)
+        assert forks == lanes_forked
+        monkeypatch.undo()
+        assert rep.samples.tobytes() == run(self.GRID, bump, bump, self.DENSE).samples.tobytes()
+
+    @pytest.mark.parametrize("every, lanes_forked", [
+        # each row costs 1 s of steps and 3 s of sample: once the run has lasted more
+        # than 10 s, after its third row, it forks a lane for each of the 3 rows left
+        (1, [2]),
+        # each row costs 4 s of steps and 3 s of sample: it never forks
+        (4, []),
+    ])
+    def test_lanes_wait_for_samples_dearer_than_steps_and_the_lane_start_cost(
+            self, every, lanes_forked, forks, monkeypatch):
+        # a clock that only the steps (1 s each) and the samples (3 s each) move
+        import types
+
+        import scalewave.lanes
+        import scalewave.solver as solver
+
+        clock = types.SimpleNamespace(now=0.0)
+        clock.perf_counter = lambda: clock.now
+
+        def ticking(cost, call):
+            def ticked(*args, **kwargs):
+                clock.now += cost
+                return call(*args, **kwargs)
+            return ticked
+
+        def ticking_kernel(grid, config, dt):
+            return ticking(1.0, leapfrog_kernel(grid, config, dt))
+
+        monkeypatch.setattr(solver, "time", clock)
+        monkeypatch.setattr(solver, "leapfrog_kernel", ticking_kernel)
+        monkeypatch.setattr(_Recorder, "__call__", ticking(3.0, _Recorder.__call__))
+        monkeypatch.setattr(scalewave.lanes, "LANE_START_S", 10.0)
+        cfg = dataclasses.replace(self.DENSE, t_max=5 * every * 0.09, record_every=every)
+        assert time_step(self.GRID.dr, cfg)[0] == 5 * every
+        rep = run(self.GRID, bump, bump, cfg, jobs=64)
+        assert forks == lanes_forked
+        monkeypatch.undo()
+        assert rep.samples.tobytes() == run(self.GRID, bump, bump, cfg).samples.tobytes()
+
+    def test_one_job_or_another_platform_forks_nothing(self, forks, forced_lanes, monkeypatch):
+        serial = run(self.GRID, bump, bump, self.DENSE, jobs=1)
+        monkeypatch.setattr("sys.platform", "darwin")
+        elsewhere = run(self.GRID, bump, bump, self.DENSE, jobs=4)
+        assert forks == []
+        assert elsewhere.samples.tobytes() == serial.samples.tobytes()
+
+    def test_a_lane_that_raises_is_raised_here(self, forks, forced_lanes, monkeypatch,
+                                               no_child_left):
+        parent = os.getpid()
+        plain_record = _Recorder.__call__
+
+        def failing_in_lanes(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("a sample failed in a lane")
+            return plain_record(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Recorder, "__call__", failing_in_lanes)
+        with pytest.raises(ZeroDivisionError, match="a sample failed in a lane"):
+            run(self.GRID, bump, bump, self.DENSE, jobs=3)
+        assert forks == [2]
+        no_child_left()
+
+    def test_an_interrupted_run_leaves_no_lane(self, forks, forced_lanes, no_child_left):
+        def interrupt(t):
+            if t > 1.0:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run(self.GRID, bump, bump, self.DENSE, interrupt, jobs=3)
+        assert forks == [2]
+        no_child_left()
+
+    def test_a_refused_fork_runs_serially(self, forks, forced_lanes, monkeypatch, no_child_left):
+        # the second of two lanes cannot fork: the first is killed and this process
+        # records every row
+        plain_fork = os.fork
+        calls = []
+
+        def second_refused():
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlockingIOError("no more processes")
+            return plain_fork()
+
+        monkeypatch.setattr(os, "fork", second_refused)
+        rep = run(self.GRID, bump, bump, self.DENSE, jobs=3)
+        assert forks == [1] and len(calls) == 2
+        no_child_left()
+        monkeypatch.undo()
+        assert rep.samples.tobytes() == run(self.GRID, bump, bump, self.DENSE).samples.tobytes()
