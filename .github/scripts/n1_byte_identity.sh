@@ -50,6 +50,9 @@ commands() {
     # its samples cost more than its steps, so it forks lanes early
     sw simulate --set mu1=4 --set r_max=230 --set dr=0.05 --set t_max=100 --set u0_width=0.4 \
         --set nonlinear=false --set record_every=1 --out dense.csv
+    # the same run with --jobs 3: two lanes share its rows where two or more CPUs are usable
+    sw simulate --set mu1=4 --set r_max=230 --set dr=0.05 --set t_max=100 --set u0_width=0.4 \
+        --set nonlinear=false --set record_every=1 --jobs 3 --out dense-jobs3.csv
     # a dense diverging run long enough to fork lanes first: its two-level last row
     # (inf/nan, exit 3) may land in a lane
     sw simulate --set mu1=0 --set p=2 --set blowup_threshold=1e300 --set u0_amplitude=0.1 \

@@ -10,7 +10,6 @@ exponent both come from that fit.
 from __future__ import annotations
 
 import math
-import os
 import pickle
 import time
 from dataclasses import dataclass, replace
@@ -26,8 +25,6 @@ GLOBAL_LOOKING = "global-looking"
 UNDECIDED = "undecided"
 # a global-looking run's weighted gradient norm stays within this factor of its start
 ENERGY_GROWTH_BOUND = 10.0
-# bytes of one cell index in the pipe the lanes of a sweep take cells from
-_INDEX_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -174,70 +171,62 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
     rows: list[SweepRow | None] = [None] * len(tasks)
     failures = []  # (index, error) of each cell that raised
     fanned = False  # whether the sweep has tried to fork lanes
-    queue = None  # read end of the pipe of unstarted cell indices, once lanes fork
+    cells = None  # the pipe of unstarted cell indices, once lanes fork
     started = 0  # cells started here before lanes fork
     cell_start = 0.0
     caller_errors = np.geterr()
 
-    def take() -> int | None:
-        # every write holds whole indices and every read takes one, so no read splits one
-        index = os.read(queue, _INDEX_BYTES)
-        return int.from_bytes(index, "little") if index else None
-
-    def drain() -> None:
-        # take every index left, so that no cell starts after a raising one
-        while take() is not None:
-            pass
-
     def run_cells() -> tuple[list, tuple | None]:
         # the cells from the pipe until it is empty: ([(index, row)], first failure or None)
         done = []
-        while (index := take()) is not None:
+        while (index := cells.take()) is not None:
             try:
                 done.append((index, _sweep_one(tasks[index])))
             except Exception as exc:
-                drain()
+                # no cell starts after a raising one
+                cells.drain()
                 return done, (index, exc)
         return done, None
 
     def fan_out(_t) -> None:
-        nonlocal fanned, queue
+        nonlocal fanned, cells
         left = range(started, len(tasks))
         if fanned or not left or time.perf_counter() - cell_start <= lanes.LANE_START_S:
             return
         fanned = True
-        queue, feed = os.pipe()
+        cells = lanes.IndexPipe()
 
         def lane(_number: int) -> bytes:
-            os.close(feed)
+            cells.close(read=False)
             np.seterr(**caller_errors)
             return pickle.dumps(run_cells())
 
         try:
             if forked.fork(min(jobs - 1, len(left), fit - 1), lane):
-                lanes.write_all(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in left))
+                cells.put(left)
             else:
                 # no lane forked: the cells left run here, as in a serial sweep
-                os.close(queue)
-                queue = None
+                cells.close()
+                cells = None
         finally:
-            os.close(feed)
+            if cells is not None:
+                cells.close(read=False)
 
     fit = lanes_that_fit(grid.num_nodes, grid.dr, config)
     watch = fan_out if jobs >= 2 and fit >= 2 and lanes.forks() else None
     with lanes.Lanes() as forked:
         try:
-            while queue is None and started < len(tasks):
+            while cells is None and started < len(tasks):
                 started += 1
                 cell_start = time.perf_counter()
                 try:
                     rows[started - 1] = _sweep_one(tasks[started - 1], watch)
                 except Exception as exc:
-                    if queue is None:
+                    if cells is None:
                         raise
-                    drain()
+                    cells.drain()
                     failures.append((started - 1, exc))
-            if queue is not None:
+            if cells is not None:
                 for done, failure in [run_cells()] + [pickle.loads(payload)
                                                       for payload in forked.collect()]:
                     for index, row in done:
@@ -245,8 +234,8 @@ def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
                     if failure is not None:
                         failures.append(failure)
         finally:
-            if queue is not None:
-                os.close(queue)
+            if cells is not None:
+                cells.close()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return rows

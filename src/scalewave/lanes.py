@@ -12,6 +12,13 @@ manager, whose exit kills and reaps every lane not yet collected, so no
 lane outlives the call that forked it, whether that call returns or raises
 (an interrupt included).
 
+Work reaches the lanes as 4-byte indices through an ``IndexPipe``.  A
+sweep's lanes, and this process with them, take the indices of the cells
+left from one such pipe.  A run's lanes never step: they take the indices
+of the ring slots this process has filled with sample rows from a ready
+pipe and hand each slot back through a free pipe once its row is recorded
+(see the ``solver`` module notes).
+
 Lanes fork only on Linux (``forks``): CPython calls fork unsafe on macOS,
 and Windows has none.  Elsewhere ``run`` and ``sweep`` run serially, with
 the same outputs.
@@ -38,6 +45,8 @@ _SIGKILL = 9
 _SENT = b"\x00"
 _RAISED = b"\x01"
 _LENGTH_BYTES = 8
+# bytes of one index in an IndexPipe
+_INDEX_BYTES = 4
 
 
 def forks() -> bool:
@@ -73,6 +82,46 @@ def _pickled(exc: BaseException) -> bytes:
         return pickle.dumps(exc)
     except Exception:  # an exception that does not pickle still ends its lane with a message
         return pickle.dumps(RuntimeError(f"a lane raised {exc!r}"))
+
+
+class IndexPipe:
+    """A pipe of 4-byte indices that several processes may put into and take from.
+
+    Every write holds whole indices and every read takes one, so no read
+    splits an index, whatever the number of readers.  A process closes the
+    ends it does not use: a reader sees the end of the pipe only once every
+    write end is closed, and a writer a ``BrokenPipeError`` only once every
+    read end is.
+    """
+
+    def __init__(self) -> None:
+        self.read_end, self.write_end = os.pipe()
+
+    def put(self, indices) -> None:
+        """Write the ints ``indices``, in order."""
+        write_all(self.write_end, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in indices))
+
+    def take(self) -> int | None:
+        """The next index, or None once the pipe is empty and every write end closed.
+
+        On a non-blocking read end with nothing to read, raises BlockingIOError.
+        """
+        index = os.read(self.read_end, _INDEX_BYTES)
+        return int.from_bytes(index, "little") if index else None
+
+    def drain(self) -> None:
+        """Take every index left, until every write end is closed."""
+        while self.take() is not None:
+            pass
+
+    def close(self, read: bool = True, write: bool = True) -> None:
+        """Close this process's read end, write end or both; each end closes once."""
+        if read and self.read_end >= 0:
+            os.close(self.read_end)
+            self.read_end = -1
+        if write and self.write_end >= 0:
+            os.close(self.write_end)
+            self.write_end = -1
 
 
 class Lanes:

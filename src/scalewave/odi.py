@@ -169,9 +169,10 @@ def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
     Classical fixed-step RK4 from (f0, df0); stops once F exceeds the
     cutoff (numerical blow-up), t passes t_max (default 10x the life
     span for the selected margin parameter), or max_steps is hit.
-    Returns (t, f, df, blowup_time) with blowup_time None if the cutoff
+    Returns (t, f, blowup_time) with blowup_time None if the cutoff
     was never reached; then the trajectory reached the horizon if
-    t[-1] >= t_max, and stopped at the step cap otherwise.
+    t[-1] >= t_max, and stopped at the step cap otherwise.  F' is carried
+    from step to step but not kept: no caller reads it.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -185,10 +186,9 @@ def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
     # imported here: the module maps about 0.14 MB that only a trajectory needs
     from array import array
 
-    # float64 buffers the arrays returned are views of, 8 bytes a step
+    # the float64 buffer F is returned a view of, 8 bytes a step
     fs = array("d", [problem.f0])
-    dfs = array("d", [problem.df0])
-    append_f, append_df = fs.append, dfs.append
+    append_f = fs.append
     t, f, df = 0.0, problem.f0, problem.df0
     # acceleration coefficients at the step's start: -k0/(1+t) and k1 (1+t)^alpha
     damp, gain = neg_k0 / (1.0 + t), k1 * (1.0 + t) ** alpha
@@ -221,11 +221,10 @@ def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
             blowup_time = t
             break
         append_f(f)
-        append_df(df)
     # the times t = t + dt from 0, rebuilt: accumulate adds in sequence, so bit for bit
     steps = np.full(len(fs), dt)
     steps[0] = 0.0
-    return np.add.accumulate(steps), np.frombuffer(fs), np.frombuffer(dfs), blowup_time
+    return np.add.accumulate(steps), np.frombuffer(fs), blowup_time
 
 
 @dataclass
@@ -237,7 +236,6 @@ class OdiSolution:
     life_span: float
     t: np.ndarray
     f: np.ndarray
-    df: np.ndarray
     blowup_time: float | None
     stop: str  # STOP_BLOWUP, STOP_HORIZON or STOP_STEP_CAP
 
@@ -259,12 +257,12 @@ def solve(problem: OdiProblem, dt: float | None = None,
     if dt is None:
         dt = min(1e-3, t0 / 1e5)
     horizon = 10.0 * t0
-    t, f, df, blowup_time = integrate_odi(problem, dt, t_max=horizon, max_steps=max_steps)
+    t, f, blowup_time = integrate_odi(problem, dt, t_max=horizon, max_steps=max_steps)
     if blowup_time is not None:
         stop = STOP_BLOWUP
     else:
         stop = STOP_HORIZON if t[-1] >= horizon else STOP_STEP_CAP
-    return OdiSolution(problem=problem, nu=nu, life_span=t0, t=t, f=f, df=df,
+    return OdiSolution(problem=problem, nu=nu, life_span=t0, t=t, f=f,
                        blowup_time=blowup_time, stop=stop)
 
 

@@ -17,7 +17,7 @@ Runs start at an arbitrary initial time s >= 0 (the clock simply starts at
 t = s) and stop at T_max, on divergence, or when the sup-norm blow-up
 detector fires.  Only a nonlinear run can blow up: a linear run on which
 the detector fires is reported as diverged.  The steps of one run are
-strictly sequential, while its samples may be split across lanes (below);
+strictly sequential, while its samples may be recorded in lanes (below);
 distinct runs share no mutable state and may execute in parallel.
 
 Active window: the stencil has three points and 0**p == 0, so a node can
@@ -107,25 +107,34 @@ The comparison-frame exponent is formed once per run.  A sample allocates
 nothing, except that a weighted quadrature whose nonzero nodes are not a
 prefix of the window gathers them.
 
-Lanes: a sample needs only the levels around it, so the rows of a run can
-be recorded in several processes that all step.  ``run(..., jobs)`` times
-its in-loop samples against its steps (``_march`` reports each sample's
-wall time).  Once the samples have cost more than the steps and the run
-has lasted longer than ``lanes.LANE_START_S``, it forks up to ``jobs - 1``
-lanes (``lanes.Lanes``; Linux only), capped so that no lane is left
-without a row and that every lane's run fits ``RUN_BYTES_BUDGET`` at once.
-Each lane, this process included as lane 0, keeps stepping from the state
-it was forked with, which is the same in every lane bit for bit, and
-records only the rows whose index, counted from the fork, equals its lane
-number modulo the lane count.  The other lanes send their rows as raw
-float64 bytes, which this process places.  So every row comes from the
-same code on the same levels, and the samples are those of a serial run
-bit for bit, for every ``jobs``.
+Lanes: a sample needs only u and u_t on its window, so this process can
+step while other processes record.  ``run(..., jobs)`` times its in-loop
+samples against its steps.  Once the samples have cost more than the steps
+and the run has lasted longer than ``lanes.LANE_START_S``, it forks up to
+``jobs - 1`` lanes (``lanes.Lanes``; Linux only), capped so that no lane is
+left without a row and that every lane's run fits ``RUN_BYTES_BUDGET`` at
+once.  Only this process steps.  At a sample row it takes a free slot of a
+ring of ``_RING_SLOTS`` slots in anonymous shared memory, without waiting,
+copies u into it and forms u_t there with the operations of its own
+samples, writes the slot's header (row, t, width, sup) and puts the slot's
+index on a ready pipe.  When no slot is free it records the row itself,
+which balances the rows between this process and the lanes with no knob.
+A lane never steps: it takes slots from the ready pipe, records each row
+with the recorder it was forked with and puts the slot back.  At the end
+of the ready pipe it sends the indices of its rows and the rows, which
+this process places once they are exactly the rows it handed out.  So
+every row comes from the same code on the same levels, and the samples are
+those of a serial run bit for bit, for every ``jobs``.  A lane that ends
+early makes ``run`` raise why, once the steps are done; until then, once no
+lane is left (the free pipe ends, or the ready pipe has no reader), this
+process records every row itself.  A refused fork keeps the lanes that did
+fork.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -216,13 +225,20 @@ def time_step(dr: float, config: RunConfig) -> tuple[int, float]:
 #: Most bytes one run may hold at once; ``check_run_size`` rejects a larger run.
 RUN_BYTES_BUDGET = 4 * 2**30
 
+#: Slots of the ring through which a run hands sample rows to its lanes (see the
+#: module notes).  On ``record-dense`` (2-core Linux VM), 2 slots gained nothing
+#: over lanes that each stepped the whole run, and 8 gained at most 3% over 4 for
+#: 0.25 MB more peak RSS.
+_RING_SLOTS = 4
+
 # float64 arrays of the grid's length that one run holds at once: the grid's
 # radii and weights (2), the three levels (3), the step kernel's forcing, scratch
 # and source (|u|, then |u+|) arrays and its (2 dr) r denominators (4), the
 # recorder's mu1*r^2, four padded squares, 2W, gradient density, terms and
-# energy density (9), and the three arrays a weighted quadrature gathers when
-# its nonzero nodes are not a prefix (3)
-_ARRAYS_PER_RUN = 2 + 3 + 4 + 9 + 3
+# energy density (9), the three arrays a weighted quadrature gathers when its
+# nonzero nodes are not a prefix (3), and u and u_t in each slot of the ring
+# that feeds the lanes (2 per slot)
+_ARRAYS_PER_RUN = 2 + 3 + 4 + 9 + 3 + 2 * _RING_SLOTS
 # bytes per node of boolean arrays: the kernel's and the recorder's masks, and
 # the copy of one of them that locates its last set node
 _MASK_BYTES_PER_NODE = 3
@@ -233,9 +249,10 @@ def run_bytes(num_nodes: int, dr: float, config: RunConfig) -> tuple[int, int]:
 
     ``num_nodes`` and ``dr`` are those of the grid (``grid.grid_size``).  The
     count covers the grid, the node arrays the run allocates
-    (``_ARRAYS_PER_RUN``, which bounds ``init_state``'s as well), the boolean
-    masks and the preallocated sample rows, not what the data profiles
-    allocate while they are sampled.
+    (``_ARRAYS_PER_RUN``, which bounds ``init_state``'s as well, and counts
+    the ring of a run that forks lanes), the boolean masks and the
+    preallocated sample rows, not what the data profiles allocate while
+    they are sampled.
     """
     rows = time_step(dr, config)[0] // config.record_every + 2
     need = 8 * (_ARRAYS_PER_RUN * num_nodes + rows * (1 + len(SAMPLE_KEYS)))
@@ -247,7 +264,7 @@ def check_run_size(num_nodes: int, dr: float, config: RunConfig) -> None:
 
     The estimate is ``run_bytes``: the grid's two arrays, the levels, the
     step kernel's scratch, the recorder's rows and its quadrature's gathers,
-    the boolean masks and the sample rows.
+    the ring that feeds lanes, the boolean masks and the sample rows.
     """
     rows, need = run_bytes(num_nodes, dr, config)
     if need > RUN_BYTES_BUDGET:
@@ -473,36 +490,26 @@ class _Recorder:
         )
 
 
-def _march(advance, record: _Recorder, samples: np.ndarray, levels: np.ndarray,
-           config: RunConfig, steps: int, dt: float, width: int, sup_curr: float, split: list):
+def _march(advance, levels: np.ndarray, config: RunConfig, steps: int, dt: float, width: int,
+           sup_curr: float):
     """The steps of a run from its first level on: a generator over its in-loop sample rows.
 
-    After each sample row it yields the row's time and the wall time its
-    sample took.  Row ``count`` is recorded into ``samples[count]`` only
-    where ``(count - first) % lane_count == lane`` for ``first, lane,
-    lane_count = split``, read at that row, so a lane can change ``split``
-    after a fork.  Its value is (outcome, blow-up time or None).
+    At each sample row it yields ``(t, u, later, earlier, span, width,
+    sup)``: the level u at t, the window of the step that follows it and
+    max |u|, with u_t on that window given by (later - earlier) / span,
+    centred (u+ - u-)/(2 dt), or (u - u-)/dt once u+ is not finite.  The
+    levels are read before the generator resumes, which steps over them.
+    Its value is (outcome, blow-up time or None).
     """
-    every, clock = config.record_every, time.perf_counter
+    every = config.record_every
     prev, curr, nxt = levels
-    u_t = record.u_t
     t = config.s + dt
-    count = 1
     for index in range(1, steps + 1):
         width, sup = advance(t, prev, curr, nxt, width)
         diverged = not math.isfinite(sup)
         if index % every == 0 or index == steps:
-            start = clock()
-            first, lane, lane_count = split
-            if (count - first) % lane_count == lane:
-                # centred (u+ - u-)/(2 dt), or (u - u-)/dt once u+ is not finite
-                later, span = (curr, dt) if diverged else (nxt, 2.0 * dt)
-                rate = u_t[:width]
-                np.subtract(later[:width], prev[:width], out=rate)
-                np.divide(rate, span, out=rate)
-                samples[count] = record(t, curr, u_t, width, sup_curr)
-            count += 1
-            yield t, clock() - start
+            later, span = (curr, dt) if diverged else (nxt, 2.0 * dt)
+            yield t, curr, later, prev, span, width, sup_curr
         if index == steps:
             break
         if diverged:
@@ -514,6 +521,124 @@ def _march(advance, record: _Recorder, samples: np.ndarray, levels: np.ndarray,
         prev, curr, nxt = curr, nxt, prev
         sup_curr = sup
     return OUTCOME_COMPLETED, None
+
+
+def _rate_into(out: np.ndarray, later: np.ndarray, earlier: np.ndarray, span: float,
+               width: int) -> None:
+    """u_t = (later - earlier) / span on the window, into ``out[:width]``."""
+    rate = out[:width]
+    np.subtract(later[:width], earlier[:width], out=rate)
+    np.divide(rate, span, out=rate)
+
+
+class _Ring:
+    """The shared slots through which this process hands sample rows to its lanes.
+
+    A slot holds u and u_t of one row on the row's window and a header (row
+    index, t, width, sup), in anonymous shared memory.  The indices of the
+    free slots wait in one ``lanes.IndexPipe``, and those of the slots
+    filled in another, the ready pipe.  This process takes a free slot
+    without waiting, fills it and puts it on the ready pipe; a lane takes it
+    from there, records the row into its own copy of the sample rows and
+    puts the slot back.  ``handed`` marks the rows handed out.
+    """
+
+    def __init__(self, size: int, rows: int) -> None:
+        # imported here: only a run that forks lanes needs shared memory
+        import mmap
+
+        nodes = _RING_SLOTS * 2 * size
+        memory = mmap.mmap(-1, 8 * (nodes + _RING_SLOTS * 4))
+        # the memory is unmapped once both views are dropped
+        self.nodes = np.frombuffer(memory, count=nodes).reshape(_RING_SLOTS, 2, size)
+        self.heads = np.frombuffer(memory, offset=8 * nodes).reshape(_RING_SLOTS, 4)
+        self.ready = lanes.IndexPipe()
+        self.free = lanes.IndexPipe()
+        self.free.put(range(_RING_SLOTS))
+        self.handed = np.zeros(rows, dtype=bool)
+        self.ended = False
+
+    def fork(self, forked: lanes.Lanes, count: int, record: _Recorder,
+             samples: np.ndarray) -> None:
+        """Fork up to ``count`` lanes that record the rows handed to them into ``samples``.
+
+        At the end of the ready pipe a lane sends the indices of its rows as
+        int64, then the rows.
+        """
+        def sampler(_lane: int) -> bytes:
+            self.ready.close(read=False)
+            self.free.close(write=False)
+            rows = []
+            while (slot := self.ready.take()) is not None:
+                row, t, width, sup = self.heads[slot].tolist()
+                u, u_t = self.nodes[slot]
+                samples[int(row)] = record(t, u, u_t, int(width), sup)
+                rows.append(int(row))
+                self.free.put((slot,))
+            return np.array(rows, dtype=np.int64).tobytes() + samples[rows].tobytes()
+
+        forked.fork(count, sampler)
+        # this process only fills slots and takes them back
+        self.ready.close(write=False)
+        self.free.close(read=False)
+        os.set_blocking(self.free.read_end, False)
+
+    def hand(self, row: int, t: float, u: np.ndarray, later: np.ndarray, earlier: np.ndarray,
+             span: float, width: int, sup: float) -> bool:
+        """Hand a sample row to a lane; False if no slot is free or the lanes have ended.
+
+        The end of the free pipe, or a ready pipe no lane reads, means that
+        every lane has ended; the rows are then recorded here, and
+        ``Lanes.collect`` raises why the lanes ended.
+        """
+        if self.ended:
+            return False
+        try:
+            slot = self.free.take()
+        except BlockingIOError:
+            return False
+        if slot is None:
+            self.ended = True
+            return False
+        slot_u, slot_ut = self.nodes[slot]
+        slot_u[:width] = u[:width]
+        _rate_into(slot_ut, later, earlier, span, width)
+        self.heads[slot] = row, t, width, sup
+        try:
+            self.ready.put((slot,))
+        except BrokenPipeError:
+            self.ended = True
+            return False
+        self.handed[row] = True
+        return True
+
+    def gather(self, forked: lanes.Lanes, samples: np.ndarray) -> None:
+        """End the ready pipe, so that the lanes send their rows, and place those rows.
+
+        They must be the rows handed out, each exactly once.  Raises what
+        ``Lanes.collect`` raises, or RuntimeError for any other rows.
+        """
+        self.ready.close()
+        # no slot is filled any more: unmap them before the rows arrive
+        del self.nodes, self.heads
+        columns = samples.shape[1]
+        sent = [np.empty(0, dtype=np.int64)]
+        placed = []
+        for payload in forked.collect():
+            count = len(payload) // (8 * (1 + columns))
+            if len(payload) != 8 * (1 + columns) * count:
+                raise RuntimeError(f"a lane sent {len(payload)} bytes, not whole rows")
+            sent.append(np.frombuffer(payload, dtype=np.int64, count=count))
+            placed.append(np.frombuffer(payload, offset=8 * count).reshape(count, columns))
+        if not np.array_equal(np.bincount(np.concatenate(sent), minlength=len(self.handed)),
+                              self.handed):
+            raise RuntimeError("the lanes sent rows other than those handed to them")
+        for rows, values in zip(sent[1:], placed):
+            samples[rows] = values
+
+    def close(self) -> None:
+        self.ready.close()
+        self.free.close()
 
 
 def _lanes_pay(run_s: float, sampled_s: float, stepped_s: float) -> bool:
@@ -540,15 +665,17 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
 
     ``jobs`` counts the processes that may record samples, this one
     included; from 2 on, a run whose samples cost more than its steps
-    forks lanes that record a share of the rows (see the module notes).
-    The samples are the same bit for bit for every ``jobs``.
+    forks lanes that record the rows this process hands them (see the
+    module notes).  The samples are the same bit for bit for every ``jobs``.
 
     ``progress``, if given, is called with a sample's time once the steps
     have reached that sample (the first one once the data have passed the
     check above), so once per row of the report, in order.  A sweep uses it
     to watch a cell's wall time while the cell runs.
     """
-    started = time.perf_counter()
+    clock = time.perf_counter
+    started = clock()
+    ring = None
     # overflow means out-of-range data (a config error, below) or a diverging run,
     # which ends as such; numpy warns of neither
     with np.errstate(over="ignore", invalid="ignore"), lanes.Lanes() as forked:
@@ -575,53 +702,42 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
         levels[0, :reach] = u0v[:reach]
         levels[1, :reach] = u_first[:reach]
         del u0v, u_first
-        # the rows from split[0] on go to lane split[1] of split[2]; before a fork,
-        # every row goes to this process
-        split = [0, 0, 1]
-        marching = _march(leapfrog_kernel(grid, config, dt), record, samples, levels, config,
-                          steps, dt, width, sup_curr, split)
-
-        def own_rows(lane: int) -> bytes:
-            # in a forked lane: step on to the end, recording this lane's rows
-            split[1] = lane
-            first, _, count = split
-            end = first + sum(1 for _ in marching)
-            return samples[first + lane:end:count].tobytes()
-
+        marching = _march(leapfrog_kernel(grid, config, dt), levels, config, steps, dt, width,
+                          sup_curr)
+        u_t = record.u_t
         total_rows = 1 + steps // every + (steps % every != 0)
         watch = jobs > 1 and lanes.forks()
         rows = 1  # rows passed
-        sampled = 0.0  # wall time of the in-loop samples
-        marched = time.perf_counter()
-        while True:
-            try:
-                t, took = next(marching)
-            except StopIteration as end:
-                outcome, blowup_time = end.value
-                break
-            rows += 1
-            if progress is not None:
-                progress(t)
-            if not watch:
-                continue
-            sampled += took
-            now = time.perf_counter()
-            if _lanes_pay(now - started, sampled, now - marched - sampled):
-                watch = False
-                count = min(jobs, total_rows - rows, lanes_that_fit(size, grid.dr, config))
-                if count > 1:
-                    split[:] = rows, 0, count
-                    if forked.fork(count - 1, own_rows) < count - 1:
-                        # a lane short: this process records every row after all
-                        forked.close()
-                        split[:] = 0, 0, 1
-        first, _, count = split
-        for lane, payload in enumerate(forked.collect(), start=1):
-            place = samples[first + lane:rows:count]
-            if len(payload) != place.nbytes:
-                raise RuntimeError(f"lane {lane} sent {len(payload)} bytes for its "
-                                   f"{len(place)} rows")
-            place[...] = np.frombuffer(payload).reshape(place.shape)
+        sampled = 0.0  # wall time of the in-loop samples recorded here
+        marched = clock()
+        try:
+            while True:
+                try:
+                    t, u, later, earlier, span, width, sup = next(marching)
+                except StopIteration as end:
+                    outcome, blowup_time = end.value
+                    break
+                if ring is None or not ring.hand(rows, t, u, later, earlier, span, width, sup):
+                    start = clock()
+                    _rate_into(u_t, later, earlier, span, width)
+                    samples[rows] = record(t, u, u_t, width, sup)
+                    sampled += clock() - start
+                rows += 1
+                if progress is not None:
+                    progress(t)
+                if watch:
+                    now = clock()
+                    if _lanes_pay(now - started, sampled, now - marched - sampled):
+                        watch = False
+                        count = min(jobs, total_rows - rows, lanes_that_fit(size, grid.dr, config))
+                        if count > 1:
+                            ring = _Ring(size, len(samples))
+                            ring.fork(forked, count - 1, record, samples)
+            if ring is not None:
+                ring.gather(forked, samples)
+        finally:
+            if ring is not None:
+                ring.close()
 
     return RunReport(config=config, samples=samples[:rows], outcome=outcome,
                      blowup_time=blowup_time)

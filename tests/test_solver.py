@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,22 @@ from scalewave.solver import (
 
 def zero(r):
     return np.zeros_like(r)
+
+
+def open_fds() -> set:
+    return set(os.listdir("/proc/self/fd"))
+
+
+def logging(monkeypatch, owner, name: str, log) -> None:
+    """Have every call of ``owner.name``, in any process, append the caller's pid to ``log``."""
+    plain = getattr(owner, name)
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, logged)
 
 
 def bump(r):
@@ -1212,35 +1229,102 @@ class TestLanes:
         assert forks == []
         assert elsewhere.samples.tobytes() == serial.samples.tobytes()
 
-    def test_a_lane_that_raises_is_raised_here(self, forks, forced_lanes, monkeypatch,
-                                               no_child_left):
-        parent = os.getpid()
+    @pytest.mark.parametrize("jobs, fails_at", [(3, 1), (2, 3)])
+    def test_a_lane_that_raises_is_raised_here(self, jobs, fails_at, forks, forced_lanes,
+                                               monkeypatch, no_child_left):
+        # each lane raises at its first row; or the one lane raises at its third, after
+        # it has handed two slots back and while another waits for it (the first four
+        # rows after the fork go to the lanes, one for each slot of the ring)
+        parent, before = os.getpid(), open_fds()
         plain_record = _Recorder.__call__
+        calls = []
 
         def failing_in_lanes(self, *args, **kwargs):
             if os.getpid() != parent:
-                raise ZeroDivisionError("a sample failed in a lane")
+                calls.append(None)
+                if len(calls) == fails_at:
+                    raise ZeroDivisionError("a sample failed in a lane")
             return plain_record(self, *args, **kwargs)
 
         monkeypatch.setattr(_Recorder, "__call__", failing_in_lanes)
         with pytest.raises(ZeroDivisionError, match="a sample failed in a lane"):
-            run(self.GRID, bump, bump, self.DENSE, jobs=3)
-        assert forks == [2]
+            run(self.GRID, bump, bump, self.DENSE, jobs=jobs)
+        assert forks == [jobs - 1]
         no_child_left()
+        assert open_fds() == before
 
     def test_an_interrupted_run_leaves_no_lane(self, forks, forced_lanes, no_child_left):
         def interrupt(t):
             if t > 1.0:
                 raise KeyboardInterrupt
 
+        before = open_fds()
         with pytest.raises(KeyboardInterrupt):
             run(self.GRID, bump, bump, self.DENSE, interrupt, jobs=3)
         assert forks == [2]
         no_child_left()
+        # the ring's pipes are closed as well
+        assert open_fds() == before
 
-    def test_a_refused_fork_runs_serially(self, forks, forced_lanes, monkeypatch, no_child_left):
-        # the second of two lanes cannot fork: the first is killed and this process
-        # records every row
+    def test_a_lane_gone_with_a_slot_free_leaves_the_rows_here(self, forks, forced_lanes,
+                                                             monkeypatch, no_child_left):
+        # the lane raises at its second row and is gone before the fourth row is
+        # handed out: that row finds a free slot but no reader of the ready pipe
+        parent, plain_fork, plain_record = os.getpid(), os.fork, _Recorder.__call__
+        pids, recorded, watched = [], [], []
+
+        def keeping_pids():
+            pid = plain_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def failing_at_the_second(self, *args, **kwargs):
+            if os.getpid() != parent:
+                recorded.append(None)
+                if len(recorded) == 2:
+                    raise ZeroDivisionError("a sample failed in a lane")
+            return plain_record(self, *args, **kwargs)
+
+        def wait_for_the_lane(t):
+            # the lanes fork after the second call; the fifth follows the third row handed
+            watched.append(t)
+            if len(watched) == 5:
+                deadline = time.perf_counter() + 30.0
+                while open(f"/proc/{pids[0]}/stat").read().rsplit(")", 1)[1].split()[0] != "Z":
+                    assert time.perf_counter() < deadline
+                    time.sleep(0.001)
+
+        monkeypatch.setattr(os, "fork", keeping_pids)
+        monkeypatch.setattr(_Recorder, "__call__", failing_at_the_second)
+        with pytest.raises(ZeroDivisionError, match="a sample failed in a lane"):
+            run(self.GRID, bump, bump, self.DENSE, wait_for_the_lane, jobs=2)
+        assert forks == [1]
+        no_child_left()
+
+    def test_rows_other_than_those_handed_out_are_refused(self, forks, forced_lanes,
+                                                          monkeypatch, no_child_left):
+        import scalewave.lanes
+
+        plain_collect = scalewave.lanes.Lanes.collect
+
+        def dropping_a_row(self):
+            # the first lane's payload without its last row: indices, then rows of 9 values
+            payloads = plain_collect(self)
+            count = len(payloads[0]) // 80
+            indices, rows = payloads[0][:8 * count], payloads[0][8 * count:]
+            payloads[0] = indices[:-8] + rows[:-72]
+            return payloads
+
+        monkeypatch.setattr(scalewave.lanes.Lanes, "collect", dropping_a_row)
+        with pytest.raises(RuntimeError, match="rows other than those handed"):
+            run(self.GRID, bump, bump, self.DENSE, jobs=2)
+        assert forks == [1]
+        no_child_left()
+
+    def test_a_refused_fork_keeps_the_forked_lane(self, tmp_path, forks, forced_lanes,
+                                                  monkeypatch, no_child_left):
+        # the second of two lanes cannot fork: the first records rows all the same
         plain_fork = os.fork
         calls = []
 
@@ -1251,8 +1335,77 @@ class TestLanes:
             return plain_fork()
 
         monkeypatch.setattr(os, "fork", second_refused)
+        log = tmp_path / "recorders.log"
+        logging(monkeypatch, _Recorder, "__call__", log)
         rep = run(self.GRID, bump, bump, self.DENSE, jobs=3)
         assert forks == [1] and len(calls) == 2
         no_child_left()
+        assert set(log.read_text().split()) - {str(os.getpid())}
         monkeypatch.undo()
         assert rep.samples.tobytes() == run(self.GRID, bump, bump, self.DENSE).samples.tobytes()
+
+    def test_lanes_record_and_never_step(self, tmp_path, forks, forced_lanes, monkeypatch,
+                                         no_child_left):
+        import scalewave.solver as solver
+
+        steps, records = tmp_path / "steps.log", tmp_path / "records.log"
+
+        def logging_kernel(grid, config, dt):
+            advance = leapfrog_kernel(grid, config, dt)
+
+            def logged(*args):
+                with open(steps, "a") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                return advance(*args)
+
+            return logged
+
+        monkeypatch.setattr(solver, "leapfrog_kernel", logging_kernel)
+        logging(monkeypatch, _Recorder, "__call__", records)
+        rep = run(self.GRID, bump, bump, self.DENSE, jobs=3)
+        assert forks == [2]
+        no_child_left()
+        parent = str(os.getpid())
+        stepped = steps.read_text().split()
+        # one step before each row after the first (the run records every step)
+        assert set(stepped) == {parent} and len(stepped) == len(rep.samples) - 1
+        assert set(records.read_text().split()) - {parent}
+        monkeypatch.undo()
+        assert rep.samples.tobytes() == run(self.GRID, bump, bump, self.DENSE).samples.tobytes()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_one_slot_reproduces_serial(self, jobs, forks, forced_lanes, monkeypatch):
+        import scalewave.solver as solver
+
+        serial = run(self.GRID, bump, bump, self.DENSE)
+        monkeypatch.setattr(solver, "_RING_SLOTS", 1)
+        rep = run(self.GRID, bump, bump, self.DENSE, jobs=jobs)
+        assert forks == [jobs - 1]
+        assert rep.samples.tobytes() == serial.samples.tobytes()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_killed_lane_is_an_error_not_a_hang(self, jobs, forks, forced_lanes, monkeypatch,
+                                                  no_child_left):
+        # the first lane is killed from outside once the run passes t = 1
+        plain_fork = os.fork
+        pids = []
+
+        def keeping_pids():
+            pid = plain_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def kill_first_lane(t):
+            if t > 1.0 and len(pids) == jobs - 1:
+                os.kill(pids.pop(0), 9)
+
+        monkeypatch.setattr(os, "fork", keeping_pids)
+        before, start = open_fds(), time.perf_counter()
+        with pytest.raises(RuntimeError, match="without sending"):
+            run(self.GRID, bump, bump, self.DENSE, kill_first_lane, jobs=jobs)
+        assert forks == [jobs - 1] and len(pids) == jobs - 2
+        no_child_left()
+        assert open_fds() == before
+        assert time.perf_counter() - start < 30.0
+
