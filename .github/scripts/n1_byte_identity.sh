@@ -53,6 +53,9 @@ commands() {
     # the same run with --jobs 3: two lanes share its rows where two or more CPUs are usable
     sw simulate --set mu1=4 --set r_max=230 --set dr=0.05 --set t_max=100 --set u0_width=0.4 \
         --set nonlinear=false --set record_every=1 --jobs 3 --out dense-jobs3.csv
+    # and with --jobs 8, which asks for more lanes than the ring has slots
+    sw simulate --set mu1=4 --set r_max=230 --set dr=0.05 --set t_max=100 --set u0_width=0.4 \
+        --set nonlinear=false --set record_every=1 --jobs 8 --out dense-jobs8.csv
     # a dense diverging run long enough to fork lanes first: its two-level last row
     # (inf/nan, exit 3) may land in a lane
     sw simulate --set mu1=0 --set p=2 --set blowup_threshold=1e300 --set u0_amplitude=0.1 \

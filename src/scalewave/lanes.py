@@ -14,9 +14,10 @@ lane outlives the call that forked it, whether that call returns or raises
 
 Work reaches the lanes as 4-byte indices through an ``IndexPipe``.  A
 sweep's lanes, and this process with them, take the indices of the cells
-left from one such pipe.  A run's lanes never step: they take the indices
-of the ring slots this process has filled with sample rows from a ready
-pipe and hand each slot back through a free pipe once its row is recorded
+left from one such pipe.  A run's lanes never step and send nothing back:
+they take the indices of the ring slots this process has filled with
+sample rows from a ready pipe, record each row into its slot and hand the
+slot back through a free pipe, from which this process places the row
 (see the ``solver`` module notes).
 
 Lanes fork only on Linux (``forks``): CPython calls fork unsafe on macOS,

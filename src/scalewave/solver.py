@@ -112,23 +112,24 @@ step while other processes record.  ``run(..., jobs)`` times its in-loop
 samples against its steps.  Once the samples have cost more than the steps
 and the run has lasted longer than ``lanes.LANE_START_S``, it forks up to
 ``jobs - 1`` lanes (``lanes.Lanes``; Linux only), capped so that no lane is
-left without a row and that every lane's run fits ``RUN_BYTES_BUDGET`` at
-once.  Only this process steps.  At a sample row it takes a free slot of a
-ring of ``_RING_SLOTS`` slots in anonymous shared memory, without waiting,
-copies u into it and forms u_t there with the operations of its own
-samples, writes the slot's header (row, t, width, sup) and puts the slot's
-index on a ready pipe.  When no slot is free it records the row itself,
-which balances the rows between this process and the lanes with no knob.
-A lane never steps: it takes slots from the ready pipe, records each row
-with the recorder it was forked with and puts the slot back.  At the end
-of the ready pipe it sends the indices of its rows and the rows, which
-this process places once they are exactly the rows it handed out.  So
-every row comes from the same code on the same levels, and the samples are
-those of a serial run bit for bit, for every ``jobs``.  A lane that ends
-early makes ``run`` raise why, once the steps are done; until then, once no
-lane is left (the free pipe ends, or the ready pipe has no reader), this
-process records every row itself.  A refused fork keeps the lanes that did
-fork.
+left without a row or a slot of the ring below, and that every lane's run
+fits ``RUN_BYTES_BUDGET`` at once.  Only this process steps.  At a sample
+row it takes a free slot of a ring of ``_RING_SLOTS`` slots in anonymous
+shared memory, without waiting, places the row that slot last came back
+with, copies u into it and forms u_t there with the operations of its own
+samples, writes the slot's header (t, width, sup) and puts the slot's index
+on a ready pipe.  When no slot is free it records the row itself, which
+balances the rows between this process and the lanes with no knob.  A lane
+never steps: it takes slots from the ready pipe, records each row with the
+recorder it was forked with into the slot and puts the slot back.  Once
+the steps are done, this process ends the ready pipe, waits for the lanes
+and places the rows of the slots they put back last; a row handed out that
+never comes back is an error.  So every row comes from the same code on
+the same levels, and the samples are those of a serial run bit for bit,
+for every ``jobs``.  A lane that ends early makes ``run`` raise why, once
+the steps are done; until then, once no lane is left (the free pipe ends,
+or the ready pipe has no reader), this process records every row itself.
+A refused fork keeps the lanes that did fork.
 """
 
 from __future__ import annotations
@@ -452,18 +453,16 @@ class _Recorder:
         self.peaks = ()
 
     def __call__(self, t: float, u: np.ndarray, u_t: np.ndarray, w: int,
-                 sup: float | None = None) -> tuple[float, ...]:
+                 sup: float) -> tuple[float, ...]:
         """One sample row: t, then the values of SAMPLE_KEYS; u and u_t are 0 from node w on.
 
-        ``sup`` is max |u| when the caller knows it.
+        ``sup`` is max |u|, which every caller already has (module notes, "One sup pass").
         """
         padded, weights = self.padded, self.weights
         if w < self.filled:
             padded[:, w:self.filled] = 0.0
         self.filled = w
         u, u_t = u[:w], u_t[:w]
-        if sup is None:
-            sup = float(np.max(np.abs(u)))
         u_sq, ur_sq, ut_sq, frame = padded[:, :w]
         np.multiply(u, u, out=u_sq)
         radial_derivative_into(self.two_dr, u, ur_sq)
@@ -490,39 +489,6 @@ class _Recorder:
         )
 
 
-def _march(advance, levels: np.ndarray, config: RunConfig, steps: int, dt: float, width: int,
-           sup_curr: float):
-    """The steps of a run from its first level on: a generator over its in-loop sample rows.
-
-    At each sample row it yields ``(t, u, later, earlier, span, width,
-    sup)``: the level u at t, the window of the step that follows it and
-    max |u|, with u_t on that window given by (later - earlier) / span,
-    centred (u+ - u-)/(2 dt), or (u - u-)/dt once u+ is not finite.  The
-    levels are read before the generator resumes, which steps over them.
-    Its value is (outcome, blow-up time or None).
-    """
-    every = config.record_every
-    prev, curr, nxt = levels
-    t = config.s + dt
-    for index in range(1, steps + 1):
-        width, sup = advance(t, prev, curr, nxt, width)
-        diverged = not math.isfinite(sup)
-        if index % every == 0 or index == steps:
-            later, span = (curr, dt) if diverged else (nxt, 2.0 * dt)
-            yield t, curr, later, prev, span, width, sup_curr
-        if index == steps:
-            break
-        if diverged:
-            return OUTCOME_DIVERGED, None
-        t += dt
-        if sup > config.blowup_threshold:
-            # a linear solution cannot blow up, so the scheme is unstable
-            return (OUTCOME_BLOWUP, t) if config.nonlinear else (OUTCOME_DIVERGED, None)
-        prev, curr, nxt = curr, nxt, prev
-        sup_curr = sup
-    return OUTCOME_COMPLETED, None
-
-
 def _rate_into(out: np.ndarray, later: np.ndarray, earlier: np.ndarray, span: float,
                width: int) -> None:
     """u_t = (later - earlier) / span on the window, into ``out[:width]``."""
@@ -534,54 +500,58 @@ def _rate_into(out: np.ndarray, later: np.ndarray, earlier: np.ndarray, span: fl
 class _Ring:
     """The shared slots through which this process hands sample rows to its lanes.
 
-    A slot holds u and u_t of one row on the row's window and a header (row
-    index, t, width, sup), in anonymous shared memory.  The indices of the
-    free slots wait in one ``lanes.IndexPipe``, and those of the slots
-    filled in another, the ready pipe.  This process takes a free slot
-    without waiting, fills it and puts it on the ready pipe; a lane takes it
-    from there, records the row into its own copy of the sample rows and
-    puts the slot back.  ``handed`` marks the rows handed out.
+    A slot holds u and u_t of one row on the row's window, a header
+    (t, width, sup) and then the row's recorded values, in anonymous shared
+    memory.  The indices of the free slots wait in one ``lanes.IndexPipe``,
+    and those of the slots filled in another, the ready pipe.  This process
+    takes a free slot without waiting, places the row the slot was filled
+    for last (``held``) into ``samples``, fills the slot and puts it on the
+    ready pipe; a lane takes it from there, records the row into the slot
+    and puts the slot back.  ``handed`` marks the rows handed out and not
+    yet placed.
     """
 
-    def __init__(self, size: int, rows: int) -> None:
+    def __init__(self, size: int, samples: np.ndarray) -> None:
         # imported here: only a run that forks lanes needs shared memory
         import mmap
 
-        nodes = _RING_SLOTS * 2 * size
-        memory = mmap.mmap(-1, 8 * (nodes + _RING_SLOTS * 4))
+        nodes, columns = _RING_SLOTS * 2 * size, 3 + samples.shape[1]
+        memory = mmap.mmap(-1, 8 * (nodes + _RING_SLOTS * columns))
         # the memory is unmapped once both views are dropped
         self.nodes = np.frombuffer(memory, count=nodes).reshape(_RING_SLOTS, 2, size)
-        self.heads = np.frombuffer(memory, offset=8 * nodes).reshape(_RING_SLOTS, 4)
+        self.heads = np.frombuffer(memory, offset=8 * nodes).reshape(_RING_SLOTS, columns)
         self.ready = lanes.IndexPipe()
         self.free = lanes.IndexPipe()
         self.free.put(range(_RING_SLOTS))
-        self.handed = np.zeros(rows, dtype=bool)
+        self.samples = samples
+        self.held = [None] * _RING_SLOTS
+        self.handed = np.zeros(len(samples), dtype=bool)
         self.ended = False
 
-    def fork(self, forked: lanes.Lanes, count: int, record: _Recorder,
-             samples: np.ndarray) -> None:
-        """Fork up to ``count`` lanes that record the rows handed to them into ``samples``.
-
-        At the end of the ready pipe a lane sends the indices of its rows as
-        int64, then the rows.
-        """
+    def fork(self, forked: lanes.Lanes, count: int, record: _Recorder) -> None:
+        """Fork up to ``count`` lanes that record the rows handed to them into their slots."""
         def sampler(_lane: int) -> bytes:
             self.ready.close(read=False)
             self.free.close(write=False)
-            rows = []
             while (slot := self.ready.take()) is not None:
-                row, t, width, sup = self.heads[slot].tolist()
+                t, width, sup = self.heads[slot, :3].tolist()
                 u, u_t = self.nodes[slot]
-                samples[int(row)] = record(t, u, u_t, int(width), sup)
-                rows.append(int(row))
+                self.heads[slot, 3:] = record(t, u, u_t, int(width), sup)
                 self.free.put((slot,))
-            return np.array(rows, dtype=np.int64).tobytes() + samples[rows].tobytes()
+            return b""
 
         forked.fork(count, sampler)
         # this process only fills slots and takes them back
         self.ready.close(write=False)
         self.free.close(read=False)
         os.set_blocking(self.free.read_end, False)
+
+    def _place(self, slot: int) -> None:
+        """Place the row a lane recorded into ``slot``, if the slot was filled."""
+        row, self.held[slot] = self.held[slot], None
+        if row is not None:
+            self.samples[row] = self.heads[slot, 3:]
+            self.handed[row] = False
 
     def hand(self, row: int, t: float, u: np.ndarray, later: np.ndarray, earlier: np.ndarray,
              span: float, width: int, sup: float) -> bool:
@@ -600,41 +570,35 @@ class _Ring:
         if slot is None:
             self.ended = True
             return False
+        self._place(slot)
         slot_u, slot_ut = self.nodes[slot]
         slot_u[:width] = u[:width]
         _rate_into(slot_ut, later, earlier, span, width)
-        self.heads[slot] = row, t, width, sup
+        self.heads[slot, :3] = t, width, sup
         try:
             self.ready.put((slot,))
         except BrokenPipeError:
             self.ended = True
             return False
+        self.held[slot] = row
         self.handed[row] = True
         return True
 
-    def gather(self, forked: lanes.Lanes, samples: np.ndarray) -> None:
-        """End the ready pipe, so that the lanes send their rows, and place those rows.
+    def gather(self, forked: lanes.Lanes) -> None:
+        """End the ready pipe, wait for the lanes and place the rows of the slots they put back.
 
-        They must be the rows handed out, each exactly once.  Raises what
-        ``Lanes.collect`` raises, or RuntimeError for any other rows.
+        Raises what ``Lanes.collect`` raises, or RuntimeError for a row
+        handed out that never came back.
         """
         self.ready.close()
-        # no slot is filled any more: unmap them before the rows arrive
-        del self.nodes, self.heads
-        columns = samples.shape[1]
-        sent = [np.empty(0, dtype=np.int64)]
-        placed = []
-        for payload in forked.collect():
-            count = len(payload) // (8 * (1 + columns))
-            if len(payload) != 8 * (1 + columns) * count:
-                raise RuntimeError(f"a lane sent {len(payload)} bytes, not whole rows")
-            sent.append(np.frombuffer(payload, dtype=np.int64, count=count))
-            placed.append(np.frombuffer(payload, offset=8 * count).reshape(count, columns))
-        if not np.array_equal(np.bincount(np.concatenate(sent), minlength=len(self.handed)),
-                              self.handed):
-            raise RuntimeError("the lanes sent rows other than those handed to them")
-        for rows, values in zip(sent[1:], placed):
-            samples[rows] = values
+        forked.collect()
+        # every lane has ended, so the free pipe ends after its last slot
+        while (slot := self.free.take()) is not None:
+            self._place(slot)
+        lost = np.flatnonzero(self.handed)
+        if lost.size:
+            raise RuntimeError(f"{lost.size} rows handed to the lanes never came back, "
+                               f"the first is row {lost[0]}")
 
     def close(self) -> None:
         self.ready.close()
@@ -698,43 +662,61 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
         # steps read them no further than the second step's window, so they are
         # copied that far and each buffer stays 0 beyond the widths it was written at.
         reach = max(width + 1, 2) + 1
-        levels = np.zeros((3, size))
-        levels[0, :reach] = u0v[:reach]
-        levels[1, :reach] = u_first[:reach]
+        prev, curr, nxt = np.zeros((3, size))
+        prev[:reach] = u0v[:reach]
+        curr[:reach] = u_first[:reach]
         del u0v, u_first
-        marching = _march(leapfrog_kernel(grid, config, dt), levels, config, steps, dt, width,
-                          sup_curr)
+        advance = leapfrog_kernel(grid, config, dt)
         u_t = record.u_t
         total_rows = 1 + steps // every + (steps % every != 0)
         watch = jobs > 1 and lanes.forks()
+        outcome, blowup_time = OUTCOME_COMPLETED, None
+        t = config.s + dt
         rows = 1  # rows passed
         sampled = 0.0  # wall time of the in-loop samples recorded here
-        marched = clock()
+        stepping = clock()
         try:
-            while True:
-                try:
-                    t, u, later, earlier, span, width, sup = next(marching)
-                except StopIteration as end:
-                    outcome, blowup_time = end.value
+            for index in range(1, steps + 1):
+                width, sup = advance(t, prev, curr, nxt, width)
+                diverged = not math.isfinite(sup)
+                if index % every == 0 or index == steps:
+                    # u_t on the step's window: centred, (u+ - u-)/(2 dt), or
+                    # (u - u-)/dt once u+ is not finite
+                    later, span = (curr, dt) if diverged else (nxt, 2.0 * dt)
+                    if ring is None or not ring.hand(rows, t, curr, later, prev, span, width,
+                                                     sup_curr):
+                        start = clock()
+                        _rate_into(u_t, later, prev, span, width)
+                        samples[rows] = record(t, curr, u_t, width, sup_curr)
+                        sampled += clock() - start
+                    rows += 1
+                    if progress is not None:
+                        progress(t)
+                    if watch:
+                        now = clock()
+                        if _lanes_pay(now - started, sampled, now - stepping - sampled):
+                            watch = False
+                            # a lane past the ring's slots could only wait for one
+                            count = min(jobs, _RING_SLOTS + 1, total_rows - rows,
+                                        lanes_that_fit(size, grid.dr, config))
+                            if count > 1:
+                                ring = _Ring(size, samples)
+                                ring.fork(forked, count - 1, record)
+                if index == steps:
                     break
-                if ring is None or not ring.hand(rows, t, u, later, earlier, span, width, sup):
-                    start = clock()
-                    _rate_into(u_t, later, earlier, span, width)
-                    samples[rows] = record(t, u, u_t, width, sup)
-                    sampled += clock() - start
-                rows += 1
-                if progress is not None:
-                    progress(t)
-                if watch:
-                    now = clock()
-                    if _lanes_pay(now - started, sampled, now - marched - sampled):
-                        watch = False
-                        count = min(jobs, total_rows - rows, lanes_that_fit(size, grid.dr, config))
-                        if count > 1:
-                            ring = _Ring(size, len(samples))
-                            ring.fork(forked, count - 1, record, samples)
+                if diverged:
+                    outcome = OUTCOME_DIVERGED
+                    break
+                t += dt
+                if sup > config.blowup_threshold:
+                    # a linear solution cannot blow up, so the scheme is unstable
+                    outcome, blowup_time = ((OUTCOME_BLOWUP, t) if config.nonlinear
+                                            else (OUTCOME_DIVERGED, None))
+                    break
+                prev, curr, nxt = curr, nxt, prev
+                sup_curr = sup
             if ring is not None:
-                ring.gather(forked, samples)
+                ring.gather(forked)
         finally:
             if ring is not None:
                 ring.close()
