@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 regime/config error, 3 run diverged.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -30,7 +31,9 @@ from .errors import RegimeError, WeightOverflowError
 from .grid import grid_size, make_radial_grid
 from .model import ModelParams, decay_exponents, regime_check
 from .odi import OdiProblem, comparison_check, solve
-from .solver import OUTCOME_DIVERGED, RunConfig, RunReport, SAMPLE_KEYS, check_run_size, run
+from .solver import (
+    OUTCOME_DIVERGED, RUN_BYTES_BUDGET, RunConfig, RunReport, SAMPLE_KEYS, check_run_size, run,
+)
 from .verify import (
     bihari_check,
     check_dissipativity_signs,
@@ -277,16 +280,42 @@ def _verify_identities(cfg: dict, seed: int) -> list:
     return checks
 
 
+# float64 arrays of a grid's length that the inequality suite holds at once: on
+# the first grid, f and f' of every family member (2 per member) and 18 more (its
+# radii and weights, the jet being formed or one case's weight and quadrature);
+# on the wide grid, the first grid's radii and weights and 24 of its own length
+# (its radii and weights, one dilated member's jet, its weights and quadratures).
+# tracemalloc measured 114 on the first grid (50 members) and 22 on the wide one.
+_INEQUALITY_ARRAYS = 18
+_INEQUALITY_WIDE_ARRAYS = 24
+
+
+def inequality_suite_bytes(nodes: int, wide_nodes: int, members: int) -> int:
+    """Bytes ``verify inequalities`` holds at once on grids of these node counts."""
+    first = nodes * (_INEQUALITY_ARRAYS + 2 * members)
+    wide = 2 * nodes + wide_nodes * _INEQUALITY_WIDE_ARRAYS
+    return 8 * max(first, wide)
+
+
 def _verify_inequalities(cfg: dict, seed: int) -> list:
     params = _model_params(cfg)
     family = standard_family(seed=seed)
-    grid = make_radial_grid(cfg["n"], cfg["r_max"], cfg["dr"])
+    n, r_max, dr = cfg["n"], cfg["r_max"], cfg["dr"]
+    nodes, wide_nodes = grid_size(n, r_max, dr)[0], grid_size(n, 4.0 * r_max, 2.0 * dr)[0]
+    need = inequality_suite_bytes(nodes, wide_nodes, len(family))
+    if need > RUN_BYTES_BUDGET:
+        raise ValueError(
+            f"verify inequalities too large: {nodes} nodes and {wide_nodes} on the wide grid "
+            f"would hold {need / 2**30:.4g} GiB, over the {RUN_BYTES_BUDGET / 2**30:g} GiB "
+            "budget; coarsen dr or shorten r_max"
+        )
+    grid = make_radial_grid(n, r_max, dr)
     sigmas = (0.25, 0.5, 1.0)
     times = (0.0, 1.0, 4.0, 9.0)
     checks = [check_weighted_gradient_bound(family, params, sigmas, times, grid)]
     for t in times:
         checks.append(check_embeddings(family, params, cfg["sigma"], t, grid))
-    wide = make_radial_grid(cfg["n"], 4.0 * cfg["r_max"], 2.0 * cfg["dr"])
+    wide = make_radial_grid(n, 4.0 * r_max, 2.0 * dr)
     checks.append(gn_ratio_check(family, params, cfg["sigma"], cfg["q"], times, wide))
     return checks
 
@@ -480,6 +509,11 @@ def parse_and_dispatch(argv) -> int:
 
 
 def main() -> None:
+    # The imports are done: move what they made to the collector's permanent
+    # generation, so that neither a collection during the command nor the
+    # interpreter's exit walks it again.  Only the process entry freezes;
+    # an in-process caller of parse_and_dispatch keeps its own collector.
+    gc.freeze()
     sys.exit(parse_and_dispatch(sys.argv[1:]))
 
 

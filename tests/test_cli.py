@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +15,9 @@ import pytest
 
 import scalewave.analysis
 import scalewave.cli
+import scalewave.grid
 import scalewave.lanes
+import scalewave.verify
 from scalewave.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -582,6 +586,40 @@ class TestBadInputsExitConfig:
         assert " nodes and " in err and " sample rows would preallocate " in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("setting", ["dr=1e-9", "r_max=1e12"])
+    def test_oversized_inequality_suite_rejected_before_any_allocation(self, setting, tmp_path,
+                                                                       monkeypatch, capsys):
+        # without the check, numpy raises MemoryError at the first grid ("Unable to
+        # allocate 298. GiB" for dr=1e-9) and the command dies with a traceback
+        monkeypatch.chdir(tmp_path)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr("scalewave.cli.make_radial_grid", no_allocation)
+        argv = ["verify", "inequalities", "--set", setting, "--out", "ineq.json"]
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: verify inequalities too large: ") and err.count("\n") == 1
+        assert " GiB budget; coarsen dr or shorten r_max" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_inequality_suite_bytes_bound_the_suites_peak(self, n):
+        # the estimate that gates the suite holds what it allocates, and not much more
+        cfg = dict(scalewave.cli.VERIFY_DEFAULTS, n=n, dr=0.01)
+        nodes = scalewave.grid.grid_size(n, cfg["r_max"], cfg["dr"])[0]
+        wide_nodes = scalewave.grid.grid_size(n, 4.0 * cfg["r_max"], 2.0 * cfg["dr"])[0]
+        members = len(scalewave.verify.standard_family())
+        estimate = scalewave.cli.inequality_suite_bytes(nodes, wide_nodes, members)
+        tracemalloc.start()
+        try:
+            scalewave.cli._verify_inequalities(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate <= 1.2 * peak
+
     @pytest.mark.parametrize("argv", [
         # width-3 Gaussian data at mu1 = 40: e^{2W} u^2 passes e^600 at t = s
         ["simulate", "--set", "mu1=40", "--set", "u0_width=3"],
@@ -978,3 +1016,68 @@ def test_import_leaves_every_traced_layer_loaded():
                           timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+class TestProcessEntry:
+    """``main()``, the entry of ``python -m scalewave.cli`` and of the console script.
+
+    It freezes what the imports made (``gc.freeze``) before it dispatches, so
+    the interpreter's exit does not walk those objects again;
+    ``parse_and_dispatch``, which callers in this process use, never freezes.
+    """
+
+    DIVERGING = ["simulate", "--set", "mu1=0", "--set", "p=2", "--set", "blowup_threshold=1e300",
+                 "--set", "t_max=20", "--set", "r_max=40", "--set", "record_every=1"]
+
+    @staticmethod
+    def command(argv, cwd):
+        return subprocess.run([sys.executable, "-m", "scalewave.cli", *argv], cwd=cwd,
+                              capture_output=True, text=True, timeout=120, env=_child_env())
+
+    def test_main_freezes_before_dispatch(self):
+        code = ("import gc, sys, scalewave.cli as cli\n"
+                "def stub(argv):\n"
+                "    print(gc.get_freeze_count())\n"
+                "    return 0\n"
+                "cli.parse_and_dispatch = stub\n"
+                "sys.argv = ['scalewave', 'info']\n"
+                "cli.main()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
+
+    def test_parse_and_dispatch_does_not_freeze(self, capsys):
+        assert gc.get_freeze_count() == 0
+        assert parse_and_dispatch(["info"]) == EXIT_OK
+        assert gc.get_freeze_count() == 0
+
+    def test_info_prints_every_line(self, tmp_path, capsys):
+        assert parse_and_dispatch(["info"]) == EXIT_OK
+        in_process = capsys.readouterr().out
+        proc = self.command(["info"], tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == in_process and proc.stdout.count("\n") == 9
+
+    def test_diverging_simulate_writes_every_row(self, tmp_path, capsys):
+        assert parse_and_dispatch(self.DIVERGING + ["--out", str(tmp_path / "in.csv")]) \
+            == EXIT_DIVERGED
+        in_process = capsys.readouterr().out
+        proc = self.command(self.DIVERGING + ["--out", "run.csv"], tmp_path)
+        assert proc.returncode == EXIT_DIVERGED, proc.stderr
+        assert proc.stdout == in_process == "outcome: diverged\n"
+        written = (tmp_path / "run.csv").read_bytes()
+        assert written == (tmp_path / "in.csv").read_bytes()
+        last = written.decode().splitlines()[-1].split(",")
+        assert "inf" in last and "nan" in last
+
+    def test_unknown_key_exits_config(self, tmp_path):
+        proc = self.command(["info", "--set", "nope=1"], tmp_path)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == "" and proc.stderr == "error: unknown config key 'nope'\n"
+
+    def test_bad_jobs_exits_usage(self, tmp_path):
+        proc = self.command(["simulate", "--jobs", "0"], tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert "--jobs: must be at least 1, got 0" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
