@@ -80,6 +80,11 @@ commands() {
     sw verify inequalities --out inequalities.json
     sw verify bihari --out bihari.json
     sw odi --out odi.json
+    # odi runs whose checked samples span many of the dominance check's slices: 49555
+    # samples at dt = 1e-4, blowing up at t = 4.96 before the life span of 7.64, and
+    # 82242 at the default dt, blowing up at t = 4.62 before 5.62
+    sw odi --set k0=2 --set alpha=-1 --set p=2 --set dt=1e-4 --out odi-dt.json
+    sw odi --set alpha=-0.5 --set p=2 --out odi-alpha.json
     sw info --set mu1=4 --set p=2 --out info.json
 }
 

@@ -280,19 +280,19 @@ def _verify_identities(cfg: dict, seed: int) -> list:
     return checks
 
 
-# float64 arrays of a grid's length that the inequality suite holds at once: on
-# the first grid, f and f' of every family member (2 per member) and 18 more (its
-# radii and weights, the jet being formed or one case's weight and quadrature);
-# on the wide grid, the first grid's radii and weights and 24 of its own length
-# (its radii and weights, one dilated member's jet, its weights and quadratures).
-# tracemalloc measured 114 on the first grid (50 members) and 22 on the wide one.
-_INEQUALITY_ARRAYS = 18
+# float64 arrays of a grid's length that the inequality suite holds at once, one
+# family member at a time: on the first grid 38 (its radii and weights, the weight
+# exponents of the 12 (sigma, t) cases and w_r of the 4 times, one member's jet and
+# one case's quadrature); on the wide grid, the first grid's radii and weights and
+# 24 of its own length (its radii and weights, one dilated member's jet, its
+# weights and quadratures).  tracemalloc measured 37.2 and 21.1.
+_INEQUALITY_ARRAYS = 38
 _INEQUALITY_WIDE_ARRAYS = 24
 
 
-def inequality_suite_bytes(nodes: int, wide_nodes: int, members: int) -> int:
+def inequality_suite_bytes(nodes: int, wide_nodes: int) -> int:
     """Bytes ``verify inequalities`` holds at once on grids of these node counts."""
-    first = nodes * (_INEQUALITY_ARRAYS + 2 * members)
+    first = nodes * _INEQUALITY_ARRAYS
     wide = 2 * nodes + wide_nodes * _INEQUALITY_WIDE_ARRAYS
     return 8 * max(first, wide)
 
@@ -302,7 +302,7 @@ def _verify_inequalities(cfg: dict, seed: int) -> list:
     family = standard_family(seed=seed)
     n, r_max, dr = cfg["n"], cfg["r_max"], cfg["dr"]
     nodes, wide_nodes = grid_size(n, r_max, dr)[0], grid_size(n, 4.0 * r_max, 2.0 * dr)[0]
-    need = inequality_suite_bytes(nodes, wide_nodes, len(family))
+    need = inequality_suite_bytes(nodes, wide_nodes)
     if need > RUN_BYTES_BUDGET:
         raise ValueError(
             f"verify inequalities too large: {nodes} nodes and {wide_nodes} on the wide grid "

@@ -26,6 +26,23 @@ k1 (1+tau)^alpha are computed once per such time, with the operations and
 the order of a per-stage evaluation, so the trajectory is the same bit for
 bit.  A stage whose |F|^p overflows ends the trajectory at t + dt with
 nothing of that step recorded.
+
+Two rewrites in the step keep every bit.  A stage value x is powered as
+``(x if x > 0.0 else abs(x)) ** p``: for x > 0 the operand is x itself, which
+is abs(x), and every other x (-0.0, negatives, NaN) takes abs(x) as before.
+A step ends unless ``(f - f) + (df - df) == 0.0 and f <= cutoff``: x - x is
+0.0 for finite x and NaN for an infinity or NaN, so the sum is 0.0 exactly
+when both are finite, and for a finite f, ``f <= cutoff`` fails exactly when
+``f > cutoff`` holds.
+
+Memory is 16 bytes a step: 8 for F and 8 for the times, which are rebuilt
+in place in their own buffer, so about 320 MB at the MAX_STEPS cap.
+``comparison_check`` streams over the trajectory in slices of CHECK_CHUNK
+samples, so its temporaries do not grow with it.  The chunking keeps every
+bit: each sample's deficit (G - F)/G takes the same operations on the same
+operands, a chunk's maximum is one of its deficits, and np.maximum combines
+the chunk maxima to the largest deficit, or to NaN if any deficit is NaN, as
+np.max over the whole prefix does.
 """
 
 from __future__ import annotations
@@ -39,6 +56,8 @@ from .checks import CheckReport
 
 BLOWUP_CUTOFF = 1e12
 COMPARISON_SLACK = 1e-6
+# samples per slice of comparison_check's streamed maximum
+CHECK_CHUNK = 4096
 MAX_STEPS = 20_000_000
 # why an integrated trajectory ends
 STOP_BLOWUP = "blow-up"
@@ -182,7 +201,6 @@ def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
     neg_k0 = -problem.k0
     half = 0.5 * dt
     sixth = dt / 6.0
-    inf = math.inf
     # imported here: the module maps about 0.14 MB that only a trajectory needs
     from array import array
 
@@ -197,18 +215,22 @@ def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
         if not t < t_max:
             break
         t_next = t + dt
+        # each stage value x is powered as |x|^p, spelled so that x > 0 skips abs()
         try:
-            k1d = damp * df + gain * abs(f) ** p
+            k1d = damp * df + gain * (f if f > 0.0 else abs(f)) ** p
             mid = 1.0 + (t + half)
             damp_mid, gain_mid = neg_k0 / mid, k1 * mid ** alpha
             k2f = df + half * k1d
-            k2d = damp_mid * k2f + gain_mid * abs(f + half * df) ** p
+            x = f + half * df
+            k2d = damp_mid * k2f + gain_mid * (x if x > 0.0 else abs(x)) ** p
             k3f = df + half * k2d
-            k3d = damp_mid * k3f + gain_mid * abs(f + half * k2f) ** p
+            x = f + half * k2f
+            k3d = damp_mid * k3f + gain_mid * (x if x > 0.0 else abs(x)) ** p
             k4f = df + dt * k3d
             end = 1.0 + t_next
             damp, gain = neg_k0 / end, k1 * end ** alpha
-            k4d = damp * k4f + gain * abs(f + dt * k3f) ** p
+            x = f + dt * k3f
+            k4d = damp * k4f + gain * (x if x > 0.0 else abs(x)) ** p
         except OverflowError:
             # a stage value left the float range: the step is blowing up
             blowup_time = t_next
@@ -216,15 +238,16 @@ def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
         f = f + sixth * (df + 2.0 * k2f + 2.0 * k3f + k4f)
         df = df + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         t = t_next
-        # comparisons instead of isfinite: NaN and the infinities fail them
-        if not (-inf < f < inf and -inf < df < inf) or f > cutoff:
+        # x - x is 0.0 only for a finite x: NaN and the infinities fail the sum
+        if not ((f - f) + (df - df) == 0.0 and f <= cutoff):
             blowup_time = t
             break
         append_f(f)
-    # the times t = t + dt from 0, rebuilt: accumulate adds in sequence, so bit for bit
-    steps = np.full(len(fs), dt)
-    steps[0] = 0.0
-    return np.add.accumulate(steps), np.frombuffer(fs), blowup_time
+    # the times t = t + dt from 0, rebuilt in place: accumulate adds in sequence,
+    # so bit for bit, and needs no second buffer
+    times = np.full(len(fs), dt)
+    times[0] = 0.0
+    return np.add.accumulate(times, out=times), np.frombuffer(fs), blowup_time
 
 
 @dataclass
@@ -266,18 +289,28 @@ def solve(problem: OdiProblem, dt: float | None = None,
                        blowup_time=blowup_time, stop=stop)
 
 
+def _max_deficit(solution: OdiSolution, start: int, count: int):
+    """Largest (G - F)/G over CHECK_CHUNK samples from start, none past count; NaN if any is."""
+    chunk = slice(start, min(start + CHECK_CHUNK, count))
+    g = solution.comparison_at(solution.t[chunk])
+    return np.max((g - solution.f[chunk]) / g)
+
+
 def comparison_check(solution: OdiSolution) -> CheckReport:
     """Assert F(t) >= G(t)*(1 - COMPARISON_SLACK) at all samples before min(blow-up, life span).
 
     Checks the trajectory of an already solved problem (see ``solve``); G is
-    positive, so the deficit is relative to G.
+    positive, so the deficit is relative to G.  The times never decrease, so
+    the samples checked are a prefix; its deficits are formed CHECK_CHUNK at a
+    time, and a NaN deficit makes the worst NaN, as np.max over it would.
     """
     blowup_time = solution.blowup_time
     limit = solution.life_span if blowup_time is None else min(blowup_time, solution.life_span)
-    mask = solution.t < limit * (1.0 - 1e-12)
-    g = solution.comparison_at(solution.t[mask])
-    f = solution.f[mask]
-    deficit = np.max((g - f) / g)
+    count = int(np.searchsorted(solution.t, limit * (1.0 - 1e-12)))
+    # the first slice alone is taken by np.max, which rejects an empty prefix
+    deficit = _max_deficit(solution, 0, count)
+    for start in range(CHECK_CHUNK, count, CHECK_CHUNK):
+        deficit = np.maximum(deficit, _max_deficit(solution, start, count))
     notes = [
         f"nu={solution.nu:.12g}",
         f"life_span={solution.life_span:.12g}",
@@ -287,7 +320,7 @@ def comparison_check(solution: OdiSolution) -> CheckReport:
     ]
     return CheckReport(
         check_id="odi-comparison-dominance",
-        n_cases=int(mask.sum()),
+        n_cases=count,
         worst=float(deficit),
         tolerance=COMPARISON_SLACK,
         notes=notes,

@@ -327,31 +327,34 @@ def check_weighted_gradient_bound(family: Sequence[RadialProfile], params: Model
         sigma*mu1*n*(1+t)^-2 ||e^(sW) v||^2 + ||grad(e^(sW) v)||^2 <= ||e^(sW) grad v||^2.
 
     Each case is evaluated by quadrature with closed-form v and grad v; the
-    pass condition allows the quadrature margin on the ratio.  Each member's
-    jet is evaluated on the grid once; it serves every (sigma, t).
+    pass condition allows the quadrature margin on the ratio.  The weights of
+    every (sigma, t) are formed once, and one member's jet at a time is
+    evaluated on the grid and serves them all; the skip notes keep the
+    (sigma, t, member) order.
     """
     worst = -math.inf
     n_cases = 0
-    notes: list[str] = []
-    profiles = [member.jet(grid.r)[:2] for member in family]
-    for sigma in sigmas:
-        for t in times:
-            expo = 2.0 * sigma * weight_exponent(params, t, grid.r**2)
-            w_r = weight_exponent_dr(params, t, grid.r)
-            for k, (v, v_r) in enumerate(profiles):
-                try:
-                    lhs_norm_sq = weighted_quadrature(grid, expo, v * v)
-                    grad_weighted = weighted_quadrature(grid, expo, (sigma * w_r * v + v_r) ** 2)
-                    rhs = weighted_quadrature(grid, expo, v_r * v_r)
-                except WeightOverflowError:
-                    notes.append(f"skipped member {k} at sigma={sigma}, t={t}: weight overflow")
-                    continue
-                lhs = sigma * params.mu1 * params.n / (1.0 + t) ** 2 * lhs_norm_sq + grad_weighted
-                if rhs <= 0.0:
-                    continue
-                worst = max(worst, lhs / rhs)
-                n_cases += 1
-    return CheckReport("weighted-gradient-domination", n_cases, worst, INEQUALITY_MARGIN, notes)
+    w_rs = [weight_exponent_dr(params, t, grid.r) for t in times]
+    cases = [(sigma, t, 2.0 * sigma * weight_exponent(params, t, grid.r**2), w_r)
+             for sigma in sigmas for t, w_r in zip(times, w_rs)]
+    skipped: list[list[str]] = [[] for _ in cases]
+    for k, member in enumerate(family):
+        v, v_r, _ = member.jet(grid.r)
+        for (sigma, t, expo, w_r), notes in zip(cases, skipped):
+            try:
+                lhs_norm_sq = weighted_quadrature(grid, expo, v * v)
+                grad_weighted = weighted_quadrature(grid, expo, (sigma * w_r * v + v_r) ** 2)
+                rhs = weighted_quadrature(grid, expo, v_r * v_r)
+            except WeightOverflowError:
+                notes.append(f"skipped member {k} at sigma={sigma}, t={t}: weight overflow")
+                continue
+            lhs = sigma * params.mu1 * params.n / (1.0 + t) ** 2 * lhs_norm_sq + grad_weighted
+            if rhs <= 0.0:
+                continue
+            worst = max(worst, lhs / rhs)
+            n_cases += 1
+    return CheckReport("weighted-gradient-domination", n_cases, worst, INEQUALITY_MARGIN,
+                       [note for notes in skipped for note in notes])
 
 
 def check_embeddings(family: Sequence[RadialProfile], params: ModelParams,

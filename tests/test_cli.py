@@ -17,7 +17,6 @@ import scalewave.analysis
 import scalewave.cli
 import scalewave.grid
 import scalewave.lanes
-import scalewave.verify
 from scalewave.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -610,8 +609,7 @@ class TestBadInputsExitConfig:
         cfg = dict(scalewave.cli.VERIFY_DEFAULTS, n=n, dr=0.01)
         nodes = scalewave.grid.grid_size(n, cfg["r_max"], cfg["dr"])[0]
         wide_nodes = scalewave.grid.grid_size(n, 4.0 * cfg["r_max"], 2.0 * cfg["dr"])[0]
-        members = len(scalewave.verify.standard_family())
-        estimate = scalewave.cli.inequality_suite_bytes(nodes, wide_nodes, members)
+        estimate = scalewave.cli.inequality_suite_bytes(nodes, wide_nodes)
         tracemalloc.start()
         try:
             scalewave.cli._verify_inequalities(cfg, 0)

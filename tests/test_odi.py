@@ -7,10 +7,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from scalewave.odi import (
+    CHECK_CHUNK,
     STOP_BLOWUP,
     STOP_HORIZON,
     STOP_STEP_CAP,
     OdiProblem,
+    OdiSolution,
     comparison_check,
     comparison_function,
     integrate_odi,
@@ -165,8 +167,8 @@ class TestIntegrateOdi:
 
     def test_trajectory_holds_float64_buffers(self):
         # 8 bytes a step for F (a list of float objects holds 32; F' is not kept), and
-        # 8 each for the times' steps and their running sum, plus the slack of F's
-        # last regrowth: 24.2-25.2 a step measured, within 26
+        # 8 for the times, summed in place, plus the slack of F's last regrowth:
+        # 16.4 a step measured, within 17
         steps = 20_000
         slow = OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
         tracemalloc.start()
@@ -179,7 +181,7 @@ class TestIntegrateOdi:
             tracemalloc.stop()
         assert blow is None and t.size == f.size == steps + 1
         assert f.dtype == np.float64
-        assert peak <= 26 * steps
+        assert peak <= 17 * steps
 
     def test_dt_validation(self):
         with pytest.raises(ValueError):
@@ -216,6 +218,120 @@ class TestComparisonCheck:
         ts = np.linspace(0.0, 0.8 * t0, 100)
         assert np.max(np.abs(sol.sol(ts)[0] - comparison_function(STANDARD, nu, ts))
                       / comparison_function(STANDARD, nu, ts)) <= 1e-8
+
+
+# The dominance check's deficit as it stood, over the whole prefix at once, kept
+# as the bitwise reference for the chunked maximum: (samples checked, worst).
+def reference_deficit(solution):
+    blowup_time = solution.blowup_time
+    limit = solution.life_span if blowup_time is None else min(blowup_time, solution.life_span)
+    mask = solution.t < limit * (1.0 - 1e-12)
+    g = solution.comparison_at(solution.t[mask])
+    f = solution.f[mask]
+    return int(mask.sum()), np.max((g - f) / g)
+
+
+def hand_built(problem, t, f=None, blowup_time=None, stop=STOP_STEP_CAP):
+    """A solution whose trajectory is given: by default G itself, 1e-9 short at every
+    third sample, wherever G is defined."""
+    nu = select_nu(problem)
+    span = life_span(problem, nu)
+    if f is None:
+        f = np.ones_like(t)
+        inside = t < span * (1.0 - 1e-12)
+        f[inside] = comparison_function(problem, nu, t[inside])
+        f[::3] *= 1.0 - 1e-9
+    return OdiSolution(problem=problem, nu=nu, life_span=span, t=t, f=f,
+                       blowup_time=blowup_time, stop=stop)
+
+
+class TestChunkedComparisonCheck:
+    SPAN = life_span(STANDARD, select_nu(STANDARD))
+
+    @staticmethod
+    def assert_matches_reference(solution):
+        rep = comparison_check(solution)
+        n_ref, worst_ref = reference_deficit(solution)
+        assert rep.n_cases == n_ref
+        assert np.float64(rep.worst).tobytes() == np.float64(worst_ref).tobytes()
+        return rep
+
+    @pytest.mark.parametrize("samples", [1, 100, CHECK_CHUNK - 1, CHECK_CHUNK, CHECK_CHUNK + 1,
+                                         3 * CHECK_CHUNK, 3 * CHECK_CHUNK + 17])
+    def test_prefix_of_any_length(self, samples):
+        # every sample lies before the life span: the prefix is the whole trajectory
+        t = np.linspace(0.0, 0.9 * self.SPAN, samples)
+        rep = self.assert_matches_reference(hand_built(STANDARD, t))
+        assert rep.n_cases == samples and rep.worst == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("cut", [17, CHECK_CHUNK, 2 * CHECK_CHUNK + 1000])
+    def test_blowup_inside_a_chunk(self, cut):
+        # the trajectory blows up before the life span, between two samples; the
+        # samples past it fall short of G by far more, and must not count
+        t = np.linspace(0.0, 0.5 * self.SPAN, 3 * CHECK_CHUNK)
+        solution = hand_built(STANDARD, t, blowup_time=0.5 * (t[cut - 1] + t[cut]),
+                              stop=STOP_BLOWUP)
+        solution.f[cut:] *= 0.5
+        rep = self.assert_matches_reference(solution)
+        assert rep.n_cases == cut and rep.worst < 1e-6
+
+    def test_life_span_cuts_a_step_cap_trajectory(self):
+        # a trajectory carried past the life span without blowing up is checked up to it
+        t = np.linspace(0.0, 1.4 * self.SPAN, 3 * CHECK_CHUNK)
+        rep = self.assert_matches_reference(hand_built(STANDARD, t))
+        assert rep.n_cases == np.count_nonzero(t < self.SPAN * (1.0 - 1e-12)) > 2 * CHECK_CHUNK
+
+    def test_solved_step_cap_trajectory(self):
+        sol = solve(OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0),
+                    max_steps=2 * CHECK_CHUNK + 5)
+        assert sol.stop == STOP_STEP_CAP
+        assert self.assert_matches_reference(sol).n_cases == 2 * CHECK_CHUNK + 6
+
+    def test_overflowing_comparison_function_gives_nan(self):
+        # at p = 1.01 G = h^-200 overflows to inf well before the life span, and
+        # (inf - F)/inf is NaN in the last chunk; numpy warns of both
+        problem = OdiProblem(k0=4.0, k1=1.0, alpha=-1.0, p=1.01, f0=1.0, df0=1.0)
+        nu = select_nu(problem)
+        span = life_span(problem, nu)
+        t = np.linspace(0.0, 0.9999 * span, 3 * CHECK_CHUNK)
+        solution = hand_built(problem, t, f=np.ones_like(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(solution.comparison_at(t[-1]))
+            assert np.isfinite(solution.comparison_at(t[-CHECK_CHUNK]))
+            assert math.isnan(self.assert_matches_reference(solution).worst)
+
+    def test_nan_in_an_early_chunk_survives_later_chunks(self):
+        t = np.linspace(0.0, 0.9 * self.SPAN, 3 * CHECK_CHUNK)
+        solution = hand_built(STANDARD, t)
+        solution.f[10] = math.nan
+        assert math.isnan(self.assert_matches_reference(solution).worst)
+
+    def test_empty_prefix_is_rejected_as_before(self):
+        solution = hand_built(STANDARD, np.linspace(0.0, 1.0, 5), blowup_time=0.0,
+                              stop=STOP_BLOWUP)
+        with pytest.raises(ValueError, match="zero-size array"):
+            reference_deficit(solution)
+        with pytest.raises(ValueError, match="zero-size array"):
+            comparison_check(solution)
+
+    def test_solve_and_check_hold_16_bytes_a_step(self):
+        # F and the times, 8 bytes a step each, and the slack of F's last regrowth
+        # (16.97 a step measured); the check's slices add a fixed amount.  With the
+        # prefix's temporaries formed whole, the peak was 41.5 a step.
+        steps = 200_000
+        problem = OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
+        # a short untraced run first: without it the traced run took about 18 s, not 2
+        solve(problem, max_steps=500)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sol = solve(problem, max_steps=steps)
+            rep = comparison_check(sol)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert sol.stop == STOP_STEP_CAP and rep.n_cases == steps + 1
+        assert peak <= 17 * steps + 8 * (8 * CHECK_CHUNK)
 
 
 class TestSolve:

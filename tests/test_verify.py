@@ -7,7 +7,8 @@ from scipy.integrate import solve_ivp
 from scalewave.checks import CheckReport
 from scalewave.errors import WeightOverflowError
 from scalewave.grid import integrate, make_radial_grid
-from scalewave.model import ModelParams
+from scalewave.functionals import weighted_quadrature
+from scalewave.model import ModelParams, weight_exponent, weight_exponent_dr
 from scalewave.verify import (
     ManufacturedSolution,
     RadialProfile,
@@ -291,6 +292,33 @@ class CountingProfile:
         return self.profile.jet(r)
 
 
+# The weighted gradient check as it stood with every member's jet held at once and
+# the (sigma, t) cases outside, kept as the reference for its member-outer loop.
+def reference_weighted_gradient_bound(family, params, sigmas, times, grid):
+    worst = -math.inf
+    n_cases = 0
+    notes = []
+    profiles = [member.jet(grid.r)[:2] for member in family]
+    for sigma in sigmas:
+        for t in times:
+            expo = 2.0 * sigma * weight_exponent(params, t, grid.r**2)
+            w_r = weight_exponent_dr(params, t, grid.r)
+            for k, (v, v_r) in enumerate(profiles):
+                try:
+                    lhs_norm_sq = weighted_quadrature(grid, expo, v * v)
+                    grad_weighted = weighted_quadrature(grid, expo, (sigma * w_r * v + v_r) ** 2)
+                    rhs = weighted_quadrature(grid, expo, v_r * v_r)
+                except WeightOverflowError:
+                    notes.append(f"skipped member {k} at sigma={sigma}, t={t}: weight overflow")
+                    continue
+                lhs = sigma * params.mu1 * params.n / (1.0 + t) ** 2 * lhs_norm_sq + grad_weighted
+                if rhs <= 0.0:
+                    continue
+                worst = max(worst, lhs / rhs)
+                n_cases += 1
+    return CheckReport("weighted-gradient-domination", n_cases, worst, 1.01, notes)
+
+
 class TestWeightedGradientBoundEvaluation:
     def test_each_member_evaluated_once(self, family):
         grid = make_radial_grid(2, 40.0, 0.05)
@@ -300,6 +328,16 @@ class TestWeightedGradientBoundEvaluation:
         assert [m.calls for m in counted] == [{"value": 0, "jet": 1}] * 4
         assert rep.to_dict() == check_weighted_gradient_bound(family[:4], *args).to_dict()
         assert rep.n_cases == 4 * 12
+
+    @pytest.mark.parametrize("mu1", [4.0, 12.0, 40.0])
+    def test_matches_the_all_jets_loop(self, family, mu1):
+        # mu1 = 12 and 40 skip 40 and 158 cases with overflow notes: the member-outer
+        # loop must give the same ratio, count and notes in the same order
+        grid = make_radial_grid(1, 40.0, 0.05)
+        args = (params(mu1=mu1), (0.25, 0.5, 1.0), (0.0, 1.0, 4.0, 9.0), grid)
+        rep = check_weighted_gradient_bound(family, *args)
+        assert rep.to_dict() == reference_weighted_gradient_bound(family, *args).to_dict()
+        assert (len(rep.notes) > 0) == (mu1 > 4.0)
 
 class TestEmbeddings:
     def test_family_passes(self, family):
