@@ -40,6 +40,10 @@ commands() {
     sw simulate --set dr=1.5 --set u0_width=4 --set u0_amplitude=-0.01 --set mu1=0.1 \
         --set nonlinear=false --set t_max=30 --set r_max=150 --set record_every=1 \
         --out coarse.csv
+    # a massless run with mu2sq = -0.0, the one massless setting whose steps keep the
+    # mass pass: 0 * u is -0.0 at u = +0.0, so f - 0 * u is not f bit for bit
+    sw simulate --set mu2sq=-0.0 --set p=4 --set u0_amplitude=0.01 --set t_max=20 \
+        --set r_max=40 --set record_every=1 --out negative-zero-mass.csv
     # a massive run recording every step, which takes the energy's own quadrature
     sw simulate --set mu1=5 --set mu2sq=2 --set u1_kind=gaussian --set u1_amplitude=0.5 \
         --set t_max=30 --set r_max=40 --set record_every=1 --out massive.csv

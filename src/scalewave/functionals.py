@@ -109,23 +109,24 @@ def _log_quadrature(weights: np.ndarray, expo: np.ndarray, density: np.ndarray,
     if scratch is None:
         scratch = np.empty(size, dtype=bool), np.empty(size)
     active, terms = scratch[0][:size], scratch[1]
-    np.not_equal(density, 0.0, out=active)
+    np.not_equal(density, 0.0, active)
     # one past the last nonzero node (a numpy bool is the byte 0 or 1)
-    end = active.tobytes().rfind(b"\x01") + 1
-    if np.count_nonzero(active) == end:
+    mask = active.tobytes()
+    end = mask.rfind(b"\x01") + 1
+    if mask.find(b"\x00", 0, end) < 0:
         # the nonzero nodes form a prefix: slices hold exactly what the gathers would
         weights, expo, density = weights[:end], expo[:end], density[:end]
     else:
         weights, expo, density = weights[active], expo[active], density[active]
     terms = terms[:density.size]
-    np.add(expo, np.log(density, out=terms), out=terms)
-    peak = float(terms.max()) if terms.size else -math.inf
+    np.add(expo, np.log(density, terms), terms)
+    peak = float(np.maximum.reduce(terms)) if terms.size else -math.inf
     if not peak > EXPONENT_BUDGET:
-        return float(weights @ np.exp(terms, out=terms)), peak
+        return float(weights @ np.exp(terms, terms)), peak
     if peak == math.inf:
         return math.inf, peak
     terms -= peak
-    scaled = float(weights @ np.exp(terms, out=terms))
+    scaled = float(weights @ np.exp(terms, terms))
     try:
         half = math.exp(0.5 * peak)
     except OverflowError:

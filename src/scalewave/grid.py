@@ -111,15 +111,15 @@ def laplacian_into(n: int, dr_sq: float, denominators, u: np.ndarray, two_u: np.
     """
     m = u.size
     inner = out[1:-1]
-    np.subtract(u[2:], two_u[1:-1], out=inner)
-    np.add(inner, u[:-2], out=inner)
-    np.divide(inner, dr_sq, out=inner)
+    np.subtract(u[2:], two_u[1:-1], inner)
+    np.add(inner, u[:-2], inner)
+    np.divide(inner, dr_sq, inner)
     if n > 1:
         first_order = scratch[: m - 2]
-        np.subtract(u[2:], u[:-2], out=first_order)
-        np.multiply(n - 1, first_order, out=first_order)
-        np.divide(first_order, denominators[1 : m - 1], out=first_order)
-        np.add(inner, first_order, out=inner)
+        np.subtract(u[2:], u[:-2], first_order)
+        np.multiply(n - 1, first_order, first_order)
+        np.divide(first_order, denominators[1 : m - 1], first_order)
+        np.add(inner, first_order, inner)
     u_0, u_1, u_before, u_last = u.item(0), u.item(1), u.item(-2), u.item(-1)
     out[0] = 2.0 * n * (u_1 - u_0) / dr_sq
     last = (-2.0 * u_last + u_before) / dr_sq
@@ -128,29 +128,18 @@ def laplacian_into(n: int, dr_sq: float, denominators, u: np.ndarray, two_u: np.
     out[-1] = last
 
 
-def radial_derivative(grid: RadialGrid, u) -> np.ndarray:
-    """Centered radial derivative; 0 at the origin (even symmetry), ghost 0 outside.
-
-    As for ``laplacian_apply``, ``u`` may be a prefix of 2 <= m <= num_nodes
-    values; for a profile that is 0 beyond it, the result is the prefix of
-    the full-grid result bit for bit (up to the sign of a zero).
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or not 2 <= u.size <= grid.num_nodes:
-        raise ValueError(f"expected 2 to {grid.num_nodes} nodal values, got shape {u.shape}")
-    out = np.empty_like(u)
-    radial_derivative_into(2.0 * grid.dr, u, out)
-    return out
-
-
 def radial_derivative_into(two_dr: float, u: np.ndarray, out: np.ndarray) -> None:
-    """``radial_derivative`` of a prefix ``u`` written into ``out``, with ``two_dr`` = 2*dr.
+    """Centered radial derivative of ``u`` written into ``out``, with ``two_dr`` = 2*dr.
 
-    ``out`` has the length of ``u`` and may not overlap it; the values are
-    those of the plain expressions bit for bit.
+    The derivative is 0 at the origin (even symmetry), and the ghost beyond
+    the last given node is 0.  As for ``laplacian_apply``, ``u`` may be a
+    prefix of 2 <= m <= num_nodes values; for a profile that is 0 beyond
+    it, the result is the prefix of the full-grid result bit for bit (up to
+    the sign of a zero).  ``out`` has the length of ``u`` and may not
+    overlap it; the values are those of the plain expressions bit for bit.
     """
     inner = out[1:-1]
-    np.subtract(u[2:], u[:-2], out=inner)
-    np.divide(inner, two_dr, out=inner)
+    np.subtract(u[2:], u[:-2], inner)
+    np.divide(inner, two_dr, inner)
     out[0] = 0.0
-    out[-1] = -u[-2] / two_dr
+    out[-1] = -u.item(-2) / two_dr

@@ -37,8 +37,8 @@ level buffers (u-, u, u+) that rotate, with t, the window and the step
 index as plain values: no fresh level per step.  The window never
 shrinks, and a buffer only ever holds values written at a width no larger
 than the current one, so every level is exactly 0 beyond the window as a
-fresh level would be.  The step forms 2u once, in u+'s buffer: the
-Laplacian's centre term reads it there, and u+ is then formed on it.
+fresh level would be.  The step forms 2u once, as u + u, in u+'s buffer:
+the Laplacian's centre term reads it there, and u+ is then formed on it.
 
 Source window: the same idea applied to the source term.  Ahead of the
 light cone the leapfrog precursor leaves a tail of tiny values (down to
@@ -85,6 +85,31 @@ first step, whose levels ``init_state`` made.  For dr^2 >= 2 a tiny
 numerator can round to -0; on a level that is not finite, 0 u is NaN; for
 mu2sq = -0.0, 0 u is -0 at u = +0: the mass pass stays in all three cases.
 
+Per-call cost: on the blow-up and late bands' small windows most of a
+step's time, and on a 2300-node window about 40% of it, is the fixed cost
+of its calls, not work per node.  The kernel keeps that cost down while
+every operation, operand and order stays, so the levels keep every bit:
+
+- 2u is formed as u + u.  Doubling is exact, so u + u is 2.0 * u in
+  every bit, +-0, inf and NaN included.
+- Scalar operands are 0-d float64 arrays: dt^2 and c_p formed once per
+  kernel, and m^2, h and 1 + h written at each step into 0-d arrays the
+  kernel owns.  Against a float64 array a Python float operand is taken
+  as float64 anyway, so the loop and its bits are the same; a 0-d
+  operand only skips the conversion, about 0.2 us a call (numpy 2.4 on
+  a 2-core x86-64 VM).
+- The step's ufuncs are closure locals and take ``out`` positionally,
+  ``_power_source`` zeroes the tail only when it is non-empty, and ``run``
+  reads the blow-up threshold once.
+
+What remains per step is ``model.coefficients`` (still called on every
+step, so its call count still counts steps), ``grid.laplacian_into`` and
+``_power_source``, and their ufunc calls: 2u, the Laplacian's three (seven
+for n > 1), the mass pass's two where it stays, |u| where it is not shared,
+the source's comparison, power and sum, the update's six, and the sup
+pass's |u+| and reduction.  ``TestPerCallCost`` in ``test_solver`` checks
+the doubling and the 0-d operands on the running numpy.
+
 Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, written
 into one float64 array preallocated for the most rows a run can record,
 so series and CSV columns are views of the same numbers.  A sample is one
@@ -95,12 +120,13 @@ from the full-grid one only in the sign of a zero, which is only ever
 squared.  u^2, u_r^2 and u_t^2 are formed on the window into rows of a
 zero-padded full-length buffer: ``grid.radial_derivative_into`` writes u_r
 into its row and ``run`` writes u_t into its own, and each is squared in
-place.  The plain norms and F dot those rows with the full quadrature
-weights (the dot of ``grid.integrate``, without its checks), because a
-prefix dot differs from the full-length one in the last bit.  The weighted
-norms integrate the window itself (``functionals.norms_of_squares``) with
-the exponent 2W, formed into a row from mu1*r^2 (formed once per run) by
-the two operations of 2 * ``weight_exponent_from_product``, and with the
+place.  The plain norms and F dot those rows, whole (views formed once
+per run), with the full quadrature weights (the dot of ``grid.integrate``,
+without its checks), because a prefix dot differs from the full-length one
+in the last bit.  The weighted norms integrate the window itself
+(``functionals.norms_of_squares``) with the exponent 2W, formed into a row
+from mu1*r^2 (formed once per run) by ``weight_exponent_from_product`` and
+the doubling W + W (2.0 * W bit for bit, as u + u is 2u), and with the
 recorder's scratch for the nonzero mask, the quadrature terms and the
 energy density; see the functionals module for why those keep their bits.
 The comparison-frame exponent is formed once per run.  A sample allocates
@@ -298,11 +324,14 @@ def _power_source(source: np.ndarray, p: float, c_p: float, below: np.ndarray) -
 
     See the module notes; the boolean ``below`` has the length of ``source``.
     """
-    np.less(source, c_p, out=below)  # NaN compares false, so it counts as inside
+    np.less(source, c_p, below)  # NaN compares false, so it counts as inside
     # one past the last node not below c_p (a numpy bool is the byte 0 or 1)
     end = below.tobytes().rfind(b"\x00") + 1
-    source[end:] = 0.0
-    source[:end] **= p
+    if end < source.size:
+        source[end:].fill(0.0)
+    # one view, powered in place (``source[:end] **= p`` also assigns it back)
+    head = source[:end]
+    head **= p
     return source
 
 
@@ -382,9 +411,12 @@ def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
     """
     params, nonlinear = config.params, config.nonlinear
     n, size, p = grid.n, grid.num_nodes, params.p
-    dr_sq, dt_sq = grid.dr**2, dt**2
+    dr_sq = grid.dr**2
     denominators = first_order_denominators(grid)
-    c_p = _source_cutoff(p)
+    # scalar operands as 0-d float64 arrays (module notes, "Per-call cost"): dt^2 and
+    # c_p for the run, and m^2, h and 1 + h, which each step writes
+    dt_sq, c_p = np.array(dt**2), np.array(_source_cutoff(p))
+    m_sq_now, h_now, one_plus_h = np.empty(()), np.empty(()), np.empty(())
     # without mass and for dr^2 < 2, f - m^2 u is f itself on a finite level (module notes)
     mass_free = params.mu2sq == 0.0 and math.copysign(1.0, params.mu2sq) > 0.0 and dr_sq < 2.0
     forcing, scratch = np.empty((2, size))
@@ -394,37 +426,48 @@ def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
     source = np.zeros(size) if nonlinear else scratch
     below = np.empty(size, dtype=bool)
     last, last_width, last_finite, reach = None, 0, False, 0
+    # closure locals, so that a call skips looking up np and its attribute
+    add, subtract, multiply, divide, absolute = np.add, np.subtract, np.multiply, np.divide, np.abs
+    largest, isfinite = np.maximum.reduce, math.isfinite
 
     def advance(t: float, u_prev: np.ndarray, u_curr: np.ndarray, out: np.ndarray,
                 active: int) -> tuple[int, float]:
         nonlocal last, last_width, last_finite, reach
         b, m_sq = coefficients(params, t)
         h = 0.5 * b * dt
-        width = min(max(active + 1, 2), size)
+        h_now[()] = h
+        one_plus_h[()] = 1.0 + h
+        # min(max(active + 1, 2), size), without the two builtin calls
+        width = active + 1 if active else 2
+        if width > size:
+            width = size
         u, u_m, f, tmp, u_p, src = (u_curr[:width], u_prev[:width], forcing[:width],
                                     scratch[:width], out[:width], source[:width])
         # u is the level this kernel wrote last (see the module notes)
         written = u_curr is last
-        # 2u, which the Laplacian's centre term reads, then u+ is formed on it
-        np.multiply(2.0, u, out=u_p)
+        # 2u (u + u is 2.0 * u bit for bit), which the Laplacian's centre term reads,
+        # then u+ is formed on it
+        add(u, u, u_p)
         # forcing = (Lap u - m^2 u) + [nl] |u|^p
         laplacian_into(n, dr_sq, denominators, u, u_p, f, scratch)
         if not (mass_free and written and last_finite):
-            np.subtract(f, np.multiply(m_sq, u, out=tmp), out=f)
+            m_sq_now[()] = m_sq
+            subtract(f, multiply(m_sq_now, u, tmp), f)
         if nonlinear:
             # ``source`` holds |u| unless a window wider than u's has written it
             if not (written and reach == last_width):
-                np.abs(u, out=src)
-            np.add(f, _power_source(src, p, c_p, below[:width]), out=f)
+                absolute(u, src)
+            add(f, _power_source(src, p, c_p, below[:width]), f)
         # u+ = (((2u - u-) + h u-) + dt^2 forcing) / (1 + h)
-        np.subtract(u_p, u_m, out=u_p)
-        np.add(u_p, np.multiply(h, u_m, out=tmp), out=u_p)
-        np.add(u_p, np.multiply(dt_sq, f, out=tmp), out=u_p)
-        np.divide(u_p, 1.0 + h, out=u_p)
+        subtract(u_p, u_m, u_p)
+        add(u_p, multiply(h_now, u_m, tmp), u_p)
+        add(u_p, multiply(dt_sq, f, tmp), u_p)
+        divide(u_p, one_plus_h, u_p)
         out[-1] = 0.0
-        sup = float(np.maximum.reduce(np.abs(u_p, out=src)))
-        last, last_width, last_finite = out, width, math.isfinite(sup)
-        reach = max(reach, width)
+        sup = float(largest(absolute(u_p, src)))
+        last, last_width, last_finite = out, width, isfinite(sup)
+        if width > reach:
+            reach = width
         return width, sup
 
     return advance
@@ -445,7 +488,9 @@ class _Recorder:
         self.mu1_r_sq = params.mu1 * grid.r**2
         # rows u^2, u_r^2, u_t^2 and the comparison frame; 0 from node ``filled`` on
         self.padded = np.zeros((4, size))
-        self.u_t = self.padded[2]
+        # the rows whole, for the plain norms' full-length dots
+        self.rows = tuple(self.padded)
+        self.u_t = self.rows[2]
         self.filled = 0
         # 2W, u_r^2 + u_t^2, and the quadratures' terms and energy density
         self.expo, self.grad_sq, terms, energy = np.empty((4, size))
@@ -464,28 +509,30 @@ class _Recorder:
         self.filled = w
         u, u_t = u[:w], u_t[:w]
         u_sq, ur_sq, ut_sq, frame = padded[:, :w]
-        np.multiply(u, u, out=u_sq)
+        np.multiply(u, u, u_sq)
         radial_derivative_into(self.two_dr, u, ur_sq)
-        np.multiply(ur_sq, ur_sq, out=ur_sq)
-        np.multiply(u_t, u_t, out=ut_sq)
+        np.multiply(ur_sq, ur_sq, ur_sq)
+        np.multiply(u_t, u_t, ut_sq)
         expo = weight_exponent_from_product(t, self.mu1_r_sq[:w], out=self.expo[:w])
-        np.multiply(2.0, expo, out=expo)
-        grad_sq = np.add(ur_sq, ut_sq, out=self.grad_sq[:w])
+        # 2W as W + W, which is 2.0 * W bit for bit
+        np.add(expo, expo, expo)
+        grad_sq = np.add(ur_sq, ut_sq, self.grad_sq[:w])
         _, m_sq = coefficients(self.params, t)
         wl2, wgrad_l2, wenergy, self.peaks = norms_of_squares(
             weights[:w], expo, u_sq, grad_sq, m_sq, sup * sup, self.scratch)
         if self.frame_exponent is not None:
-            np.multiply((1.0 + t) ** self.frame_exponent, u, out=frame)
+            np.multiply((1.0 + t) ** self.frame_exponent, u, frame)
+        u_sq_row, ur_sq_row, ut_sq_row, frame_row = self.rows
         return (
             t,
             sup,
-            math.sqrt(max(float(weights @ padded[0]), 0.0)),
-            math.sqrt(max(float(weights @ padded[1]), 0.0)),
-            math.sqrt(max(float(weights @ padded[2]), 0.0)),
+            math.sqrt(max(float(weights @ u_sq_row), 0.0)),
+            math.sqrt(max(float(weights @ ur_sq_row), 0.0)),
+            math.sqrt(max(float(weights @ ut_sq_row), 0.0)),
             wl2,
             wgrad_l2,
             wenergy,
-            math.nan if self.frame_exponent is None else float(weights @ padded[3]),
+            math.nan if self.frame_exponent is None else float(weights @ frame_row),
         )
 
 
@@ -493,8 +540,8 @@ def _rate_into(out: np.ndarray, later: np.ndarray, earlier: np.ndarray, span: fl
                width: int) -> None:
     """u_t = (later - earlier) / span on the window, into ``out[:width]``."""
     rate = out[:width]
-    np.subtract(later[:width], earlier[:width], out=rate)
-    np.divide(rate, span, out=rate)
+    np.subtract(later[:width], earlier[:width], rate)
+    np.divide(rate, span, rate)
 
 
 class _Ring:
@@ -671,6 +718,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
         total_rows = 1 + steps // every + (steps % every != 0)
         watch = jobs > 1 and lanes.forks()
         outcome, blowup_time = OUTCOME_COMPLETED, None
+        threshold = config.blowup_threshold
         t = config.s + dt
         rows = 1  # rows passed
         sampled = 0.0  # wall time of the in-loop samples recorded here
@@ -708,7 +756,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
                     outcome = OUTCOME_DIVERGED
                     break
                 t += dt
-                if sup > config.blowup_threshold:
+                if sup > threshold:
                     # a linear solution cannot blow up, so the scheme is unstable
                     outcome, blowup_time = ((OUTCOME_BLOWUP, t) if config.nonlinear
                                             else (OUTCOME_DIVERGED, None))

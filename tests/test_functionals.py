@@ -16,7 +16,7 @@ from scalewave.functionals import (
     weighted_lq,
     weighted_quadrature,
 )
-from scalewave.grid import integrate, make_radial_grid, radial_derivative
+from scalewave.grid import integrate, make_radial_grid, radial_derivative_into
 from scalewave.model import ModelParams, coefficients, weight_exponent
 
 
@@ -216,7 +216,8 @@ class TestWeightedEnergy:
     def test_massless_drops_mass_term(self, grid):
         u = np.exp(-grid.r**2)
         z = np.zeros_like(grid.r)
-        u_r = radial_derivative(grid, u)
+        u_r = np.empty_like(u)
+        radial_derivative_into(2.0 * grid.dr, u, u_r)
         with_mass = full_grid_norms(grid, u, z, u_r, params(mu1=1.0, mu2sq=1.0), 0.0)[2]
         without = full_grid_norms(grid, u, z, u_r, params(mu1=1.0, mu2sq=0.0), 0.0)[2]
         assert without < with_mass
@@ -247,7 +248,8 @@ class TestWeightedNorms:
         t = 1.5
         u = 0.8 * np.exp(-((g.r / 0.5) ** 2))
         u_t = -1.3 * g.r * np.exp(-((g.r / 0.6) ** 2))
-        u_r = radial_derivative(g, u)
+        u_r = np.empty_like(u)
+        radial_derivative_into(2.0 * g.dr, u, u_r)
         wl2, wgrad_l2, wenergy = full_grid_norms(g, u, u_t, u_r, p, t)
         expo = 2.0 * weight_exponent(p, t, g.r**2)
         m_sq = coefficients(p, t)[1]

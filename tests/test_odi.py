@@ -171,6 +171,9 @@ class TestIntegrateOdi:
         # 16.4 a step measured, within 17
         steps = 20_000
         slow = OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
+        # a short untraced run first, as in test_solve_and_check_hold_16_bytes_a_step:
+        # without it the traced run is several times slower
+        integrate_odi(slow, dt=1e-3, t_max=1e3, max_steps=500)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()

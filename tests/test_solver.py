@@ -31,6 +31,8 @@ from scalewave.solver import (
     time_step,
 )
 
+from frozen import parent_radial_derivative
+
 
 def zero(r):
     return np.zeros_like(r)
@@ -168,16 +170,6 @@ def parent_laplacian_apply(grid, u):
     out[-1] = (-2.0 * u[-1] + u[-2]) / dr**2
     if n > 1:
         out[-1] += (n - 1) * (-u[-2]) / (2.0 * dr * r[-1])
-    return out
-
-
-def parent_radial_derivative(grid, u):
-    # grid.radial_derivative as it was before the recorder's in-place stencil
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * grid.dr)
-    out[0] = 0.0
-    out[-1] = -u[-2] / (2.0 * grid.dr)
     return out
 
 
@@ -932,6 +924,69 @@ class TestSharedPasses:
             assert out.tobytes() == nxt.u_curr.tobytes()
             states[pick] = dataclasses.replace(nxt, u_curr=out,
                                                active=None if st.active is None else nxt.active)
+
+
+SPECIAL_VALUES = [0.0, -0.0, 2.0**-1074, -(2.0**-1074), 2.0**-1030, -(2.0**-1022 - 2.0**-1074),
+                  math.inf, -math.inf, math.nan, -math.nan]
+
+
+def special_values(rng, size):
+    # random float64s of every binade and sign (some overflow to +-inf), with a fifth
+    # of them +-0, subnormals, +-inf and NaNs of both signs
+    with np.errstate(over="ignore"):
+        x = rng.standard_normal(size) * 2.0 ** rng.uniform(-1074.0, 1024.0, size)
+    picks = rng.random(size) < 0.2
+    x[picks] = rng.choice(SPECIAL_VALUES, size=int(picks.sum()))
+    return x
+
+
+class TestPerCallCost:
+    """The platform assumptions behind the kernel's cheaper calls (solver module notes)."""
+
+    def test_doubling_and_0d_operands_keep_every_bit(self):
+        # u + u is 2.0 * u, and a 0-d float64 operand gives the bits of the Python float
+        rng = np.random.default_rng(11)
+        scalars = [0.0, -0.0, 2.0**-1074, 1.0, 1.0 + 2.0**-52, 0.045**2, 0.5 * 0.8 * 0.045,
+                   1.0 + 0.5 * 0.8 * 0.045, 0.5 / 1.3**2, math.inf, -math.inf, math.nan]
+        scalars += [c_p(p) for p in (1.01, 1.1, 2.0, 4.0, 50.0)]
+        scalars += list(special_values(rng, 20))
+        with np.errstate(all="ignore"):
+            for _ in range(20):
+                x = special_values(rng, 4096)
+                assert np.add(x, x).tobytes() == np.multiply(2.0, x).tobytes()
+                for s in scalars:
+                    zero_d = np.array(s)
+                    assert np.multiply(zero_d, x).tobytes() == np.multiply(s, x).tobytes()
+                    assert np.divide(x, zero_d).tobytes() == np.divide(x, s).tobytes()
+                    assert np.less(x, zero_d).tobytes() == np.less(x, s).tobytes()
+
+    def test_kernels_stepped_in_turn_keep_their_own_constants(self):
+        # two kernels with different dt (and so different dt^2, h and 1 + h each step),
+        # stepped alternately, each write the levels it writes when stepped alone
+        g = make_radial_grid(1, 40.0, 0.05)
+        configs = [RunConfig(params=params(mu1=4.0, mu2sq=0.5, p=4.0), t_max=30.0,
+                             cfl_safety=safety) for safety in (0.9, 0.5)]
+
+        def stepper(cfg):
+            st = first_levels(g, gaussian, zero, cfg)
+            advance = leapfrog_kernel(g, cfg, st.dt)
+            levels, state = [st.u_prev.copy(), st.u_curr.copy()], [st.t, st.active]
+
+            def step():
+                out = np.zeros(g.num_nodes)
+                state[1], _ = advance(state[0], levels[-2], levels[-1], out, state[1])
+                state[0] += st.dt
+                levels.append(out)
+                return out.tobytes()
+
+            return step
+
+        alone = [[step() for _ in range(150)] for step in map(stepper, configs)]
+        assert alone[0] != alone[1]
+        first, second = map(stepper, configs)
+        for k in range(150):
+            assert first() == alone[0][k]
+            assert second() == alone[1][k]
 
 
 class TestDetectBlowup:
