@@ -18,14 +18,18 @@ work=$3
 # Where more than one CPU is usable, a tree with forked lanes forks them in
 # these commands (as measured on a 2-CPU machine): every simulate that
 # records every step, once its samples have cost more than its steps (all
-# but the coarse dr=1.5 run, which ends first), and every sweep, once a
-# running cell outlasts the lane-start cost.  The README simulate, which
-# records every fifth step, and the other commands fork nothing.
+# but the coarse dr=1.5 run, which ends first), and every sweep but the one
+# with --jobs 1, once a running cell outlasts the lane-start cost.  The
+# README simulate, which records every fifth step, and the other commands
+# fork nothing.
 commands() {
     # the README examples (simulate, decay-fit, sweep)
     sw simulate --set t_max=50 --set r_max=60 --set dr=0.05 \
         --set u0_width=0.4 --set nonlinear=false --set record_every=5 --out run.csv
     sw decay-fit run.csv --set column=l2 --set t_min=5 --out fit.json
+    # the same fit with the borderline log correction
+    sw decay-fit run.csv --set column=l2 --set t_min=5 --set log_corrected=true --set mu1=4 \
+        --out fit-log.json
     sw sweep --set "p_values=[1.5,2,2.5]" --set "amplitudes=[1.0]" \
         --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
         --set r_max=230 --set t_max=200 --out sweep.csv
@@ -79,6 +83,10 @@ commands() {
     sw sweep --set "p_values=[1.5,2,2.5]" --set "amplitudes=[0.4,0.9]" \
         --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
         --set r_max=80 --set t_max=60 --set record_every=25 --out blowup.csv
+    # the same sweep with --jobs 1, which runs every cell in this process
+    sw sweep --set "p_values=[1.5,2,2.5]" --set "amplitudes=[0.4,0.9]" \
+        --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
+        --set r_max=80 --set t_max=60 --set record_every=25 --jobs 1 --out blowup-jobs1.csv
     # the other commands' reports
     sw verify identities --out identities.json
     sw verify inequalities --out inequalities.json
@@ -90,6 +98,8 @@ commands() {
     sw odi --set k0=2 --set alpha=-1 --set p=2 --set dt=1e-4 --out odi-dt.json
     sw odi --set alpha=-0.5 --set p=2 --out odi-alpha.json
     sw info --set mu1=4 --set p=2 --out info.json
+    # delta < 0: no sqrt(delta), no p_crit and a null decay table
+    sw info --set mu1=1 --set mu2sq=1 --out info-negative.json
 }
 
 run_tree() {

@@ -4,13 +4,14 @@ The classification label "global-looking" is deliberate: a finite-horizon
 computation cannot certify global existence, so the label encodes the
 epistemic limit of a desk-scale run.  A sweep cell fits its L2 series once,
 in ``classify_run``, and the global-looking verdict and the reported decay
-exponent both come from that fit.
+exponent both come from that fit.  A sweep's cells are (p, amplitude)
+pairs, run in one loop by this process and by the lanes it may fork, each
+lane sending back the rows of the cells it ran (see ``sweep``).
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 import time
 from dataclasses import dataclass, replace
 
@@ -121,9 +122,9 @@ class SweepRow:
     regime: RegimeReport
 
 
-def _sweep_one(task, progress=None) -> SweepRow:
-    grid, base_params, p, amplitude, config, u0_profile, u1_profile = task
-    params = replace(base_params, p=p)
+def _sweep_one(grid: RadialGrid, config: RunConfig, p: float, amplitude: float, u0_profile,
+               u1_profile, progress) -> SweepRow:
+    params = replace(config.params, p=p)
     cfg = replace(config, params=params)
     u0 = (lambda r: amplitude * np.asarray(u0_profile(r), dtype=float))
     if u1_profile is None:
@@ -142,100 +143,101 @@ def _sweep_one(task, progress=None) -> SweepRow:
     )
 
 
-def sweep(grid: RadialGrid, base_params: ModelParams, p_values, amplitudes,
-          config: RunConfig, u0_profile, u1_profile=None, jobs: int = 1) -> list[SweepRow]:
+def sweep(grid: RadialGrid, p_values, amplitudes, config: RunConfig, u0_profile,
+          u1_profile=None, jobs: int = 1) -> list[SweepRow]:
     """One solver run per (p, amplitude) pair, rows in deterministic input order.
 
-    ``jobs`` counts the processes that run cells, this one included.  Cells
-    run here in input order, each watched at every recorded sample.  The
-    first time the running cell has taken longer than ``lanes.LANE_START_S``
-    while cells are left and ``jobs >= 2``, the sweep forks
-    ``min(jobs - 1, cells left)`` lanes (``lanes.Lanes``; Linux only), fewer
-    where their runs would not fit ``RUN_BYTES_BUDGET`` at once, and writes
-    the indices of the cells left into one pipe.  This process finishes its
-    cell, and then it and every lane take indices from that pipe, in input
-    order, until it is empty; a lane first restores the caller's numpy error
-    state.  Every cell runs ``run`` with ``jobs=1``, so each row carries the
-    same bits either way.  A cell that raises drains the pipe, so that no
-    cell starts after it; once every lane has ended, the error of the
-    lowest-index raising cell is raised, as a serial sweep would raise it.
-    A non-finite amplitude is rejected before any cell runs.
+    A cell runs ``config`` with its own power p, and with its amplitude times
+    each profile as data.  ``jobs`` counts the processes that run cells, this
+    one included.  This process and every lane run cells in one loop, which
+    takes the index of the next cell from a counter until lanes fork and from
+    one pipe after.  Cells run here in input order, each watched at every
+    recorded sample.  The first time the running cell has taken longer than
+    ``lanes.LANE_START_S`` while cells are left and ``jobs >= 2``, the sweep
+    forks ``min(jobs - 1, cells left)`` lanes (``lanes.Lanes``; Linux only),
+    fewer where their runs would not fit ``RUN_BYTES_BUDGET`` at once, and
+    writes the indices of the cells left into the pipe.  This process
+    finishes its cell, and then it and every lane take indices from the pipe,
+    in input order, until it is empty; a lane first restores the caller's
+    numpy error state, and sends back the rows it ran.  Every cell runs
+    ``run`` with ``jobs=1``, so each row carries the same bits either way.  A
+    cell that raises takes every index left, so that no cell starts after
+    it; once every lane has ended, the error of the lowest-index raising cell
+    is raised, as a serial sweep would raise it.  A non-finite amplitude is
+    rejected before any cell runs.
     """
     if not all(math.isfinite(a) for a in amplitudes):
         raise ValueError(f"sweep amplitudes must be finite, got {list(amplitudes)}")
-    tasks = [
-        (grid, base_params, float(p), float(a), config, u0_profile, u1_profile)
-        for p in p_values
-        for a in amplitudes
-    ]
-    rows: list[SweepRow | None] = [None] * len(tasks)
-    failures = []  # (index, error) of each cell that raised
-    fanned = False  # whether the sweep has tried to fork lanes
-    cells = None  # the pipe of unstarted cell indices, once lanes fork
-    started = 0  # cells started here before lanes fork
+    cells = [(float(p), float(a)) for p in p_values for a in amplitudes]
+    counted = 0  # cells taken from the counter, before lanes fork
+    pipe = None  # the pipe of unstarted cell indices, once lanes fork
     cell_start = 0.0
     caller_errors = np.geterr()
 
+    def take() -> int | None:
+        nonlocal counted
+        if pipe is not None:
+            return pipe.take()
+        if counted == len(cells):
+            return None
+        counted += 1
+        return counted - 1
+
     def run_cells() -> tuple[list, tuple | None]:
-        # the cells from the pipe until it is empty: ([(index, row)], first failure or None)
+        # the cells left, until none is: ([(index, row)], first failure or None)
+        nonlocal cell_start
         done = []
-        while (index := cells.take()) is not None:
+        while (index := take()) is not None:
+            cell_start = time.perf_counter()
             try:
-                done.append((index, _sweep_one(tasks[index])))
+                done.append((index, _sweep_one(grid, config, *cells[index], u0_profile,
+                                               u1_profile, watch)))
             except Exception as exc:
                 # no cell starts after a raising one
-                cells.drain()
+                while take() is not None:
+                    pass
                 return done, (index, exc)
         return done, None
 
     def fan_out(_t) -> None:
-        nonlocal fanned, cells
-        left = range(started, len(tasks))
-        if fanned or not left or time.perf_counter() - cell_start <= lanes.LANE_START_S:
+        nonlocal watch, pipe
+        left = range(counted, len(cells))
+        if watch is None or not left or time.perf_counter() - cell_start <= lanes.LANE_START_S:
             return
-        fanned = True
-        cells = lanes.IndexPipe()
+        # the sweep forks lanes once; the cells after this one run unwatched
+        watch = None
+        pipe = lanes.IndexPipe()
 
-        def lane(_number: int) -> bytes:
-            cells.close(read=False)
+        def lane() -> tuple[list, tuple | None]:
+            pipe.close(read=False)
             np.seterr(**caller_errors)
-            return pickle.dumps(run_cells())
+            return run_cells()
 
         try:
             if forked.fork(min(jobs - 1, len(left), fit - 1), lane):
-                cells.put(left)
+                pipe.put(left)
             else:
                 # no lane forked: the cells left run here, as in a serial sweep
-                cells.close()
-                cells = None
+                pipe.close()
+                pipe = None
         finally:
-            if cells is not None:
-                cells.close(read=False)
+            if pipe is not None:
+                pipe.close(read=False)
 
     fit = lanes_that_fit(grid.num_nodes, grid.dr, config)
+    # what watches each cell while it runs, until the sweep has tried to fork lanes
     watch = fan_out if jobs >= 2 and fit >= 2 and lanes.forks() else None
     with lanes.Lanes() as forked:
         try:
-            while cells is None and started < len(tasks):
-                started += 1
-                cell_start = time.perf_counter()
-                try:
-                    rows[started - 1] = _sweep_one(tasks[started - 1], watch)
-                except Exception as exc:
-                    if cells is None:
-                        raise
-                    cells.drain()
-                    failures.append((started - 1, exc))
-            if cells is not None:
-                for done, failure in [run_cells()] + [pickle.loads(payload)
-                                                      for payload in forked.collect()]:
-                    for index, row in done:
-                        rows[index] = row
-                    if failure is not None:
-                        failures.append(failure)
+            ran = [run_cells()] + forked.collect()
         finally:
-            if cells is not None:
-                cells.close()
+            if pipe is not None:
+                pipe.close()
+    failures = [failure for _, failure in ran if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+    rows: list[SweepRow | None] = [None] * len(cells)
+    for done, _ in ran:
+        for index, row in done:
+            rows[index] = row
     return rows

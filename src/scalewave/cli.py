@@ -29,7 +29,7 @@ from . import __version__
 from .analysis import fit_decay, sweep
 from .errors import RegimeError, WeightOverflowError
 from .grid import grid_size, make_radial_grid
-from .model import ModelParams, decay_exponents, regime_check
+from .model import ModelParams, borderline_log_factor, decay_exponents, regime_check
 from .odi import OdiProblem, comparison_check, solve
 from .solver import (
     OUTCOME_DIVERGED, RUN_BYTES_BUDGET, RunConfig, RunReport, SAMPLE_KEYS, check_run_size, run,
@@ -239,8 +239,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(SWEEP_DEFAULTS, args.config, args.set)
     grid, config, u0, u1 = _build_run(cfg)
-    rows = sweep(grid, _model_params(cfg), cfg["p_values"], cfg["amplitudes"], config,
-                 u0, None if cfg["u1_kind"] == "zero" else u1, jobs=args.jobs)
+    rows = sweep(grid, cfg["p_values"], cfg["amplitudes"], config, u0,
+                 None if cfg["u1_kind"] == "zero" else u1, jobs=args.jobs)
     header = ("p,amplitude,outcome,blowup_time,l2_exponent,p_crit,"
               "global_existence_applicable,blowup_range_applicable,delta")
     lines = [header]
@@ -380,19 +380,12 @@ def _cmd_decay_fit(args) -> int:
     hi = cfg["t_max"] if math.isfinite(cfg["t_max"]) else float(t.max())
     log_factor = None
     if cfg["log_corrected"]:
-        from .model import borderline_log_factor
         params = _model_params(cfg)
         log_factor = lambda tt: borderline_log_factor(params, tt)
     fit = fit_decay(t, v, (cfg["t_min"], hi), log_factor)
     payload = _report_header("decay_fit")
     payload["column"] = cfg["column"]
-    payload["fit"] = {
-        "exponent": fit.exponent,
-        "stderr": fit.stderr,
-        "window": list(fit.window),
-        "log_corrected": fit.log_corrected,
-        "n_points": fit.n_points,
-    }
+    payload["fit"] = asdict(fit)
     _write_json(payload, args.out)
     return EXIT_OK
 
@@ -409,21 +402,15 @@ def _cmd_info(args) -> int:
           + (format_float(regime.p_crit) if regime.p_crit is not None else "undefined"))
     print(f"global_existence_applicable = {str(regime.global_existence_applicable).lower()}")
     print(f"blowup_range_applicable = {str(regime.blowup_range_applicable).lower()}")
-    table_payload = None
+    table = None
     if regime.delta > 0.0:
         table = decay_exponents(params)
         print(f"l2_exponent = {format_float(table.l2_exponent)}")
         print(f"grad_exponent = {format_float(table.grad_exponent)}")
         print(f"log_correction = {str(table.log_correction).lower()}")
-        table_payload = {
-            "l2_exponent": table.l2_exponent,
-            "grad_exponent": table.grad_exponent,
-            "log_correction": table.log_correction,
-        }
     if args.out:
         payload = _report_header("info")
-        payload["params"] = {"n": params.n, "mu1": params.mu1,
-                             "mu2sq": params.mu2sq, "p": params.p}
+        payload["params"] = asdict(params)
         payload["delta"] = regime.delta
         payload["regime"] = {
             "sqrt_delta": regime.sqrt_delta,
@@ -431,7 +418,7 @@ def _cmd_info(args) -> int:
             "global_existence_applicable": regime.global_existence_applicable,
             "blowup_range_applicable": regime.blowup_range_applicable,
         }
-        payload["decay_exponents"] = table_payload
+        payload["decay_exponents"] = asdict(table) if table is not None else None
         _write_json(payload, args.out)
     return EXIT_OK
 

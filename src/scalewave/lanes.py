@@ -2,23 +2,24 @@
 
 A lane is a child process forked from this one in the middle of the work.
 It inherits the whole state of the computation at that point, runs a body
-and sends the bytes the body returns through a pipe of its own.  Every
-child leaves through ``os._exit`` in a ``finally``, so it never unwinds into
-the stack it was forked from: it runs none of its caller's ``finally``
-blocks or exit handlers and flushes none of its inherited output buffers.
-A body that raises sends the pickled exception instead, which
-``Lanes.collect`` raises here.  The owner uses ``Lanes`` as a context
-manager, whose exit kills and reaps every lane not yet collected, so no
-lane outlives the call that forked it, whether that call returns or raises
-(an interrupt included).
+and sends back the value the body returns, pickled, through a pipe of its
+own.  Every child leaves through ``os._exit`` in a ``finally``, so it never
+unwinds into the stack it was forked from: it runs none of its caller's
+``finally`` blocks or exit handlers and flushes none of its inherited output
+buffers.  A body that raises, or returns a value that does not pickle, sends
+the pickled exception instead, which ``Lanes.collect`` raises here.  The
+owner uses ``Lanes`` as a context manager, whose exit kills and reaps every
+lane not yet collected, so no lane outlives the call that forked it,
+whether that call returns or raises (an interrupt included).
 
 Work reaches the lanes as 4-byte indices through an ``IndexPipe``.  A
 sweep's lanes, and this process with them, take the indices of the cells
-left from one such pipe.  A run's lanes never step and send nothing back:
-they take the indices of the ring slots this process has filled with
-sample rows from a ready pipe, record each row into its slot and hand the
-slot back through a free pipe, from which this process places the row
-(see the ``solver`` module notes).
+left from one such pipe, and each lane sends back the rows of the cells it
+ran.  A run's lanes never step and send back nothing: they take the
+indices of the ring slots this process has filled with sample rows from a
+ready pipe, record each row into its slot and hand the slot back through a
+free pipe, from which this process places the row (see the ``solver``
+module notes).
 
 Lanes fork only on Linux (``forks``): CPython calls fork unsafe on macOS,
 and Windows has none.  Elsewhere ``run`` and ``sweep`` run serially, with
@@ -41,11 +42,8 @@ LANE_START_S = 0.004
 # the signal number of SIGKILL on Linux, the only platform that forks lanes;
 # importing ``signal`` for it would cost every command about 2 ms
 _SIGKILL = 9
-# a lane sends one byte, _SENT or _RAISED, the length of what follows as
-# _LENGTH_BYTES bytes, and then the body's bytes or the pickled exception
-_SENT = b"\x00"
-_RAISED = b"\x01"
-_LENGTH_BYTES = 8
+# bytes read from a lane's pipe at a time: the size of a Linux pipe's buffer
+_READ_BYTES = 1 << 16
 # bytes of one index in an IndexPipe
 _INDEX_BYTES = 4
 
@@ -62,27 +60,15 @@ def write_all(fd: int, data) -> None:
         view = view[os.write(fd, view):]
 
 
-def _read_into(fd: int, buffer: bytearray) -> bool:
-    """Fill ``buffer`` from ``fd``; False if the pipe ends first."""
-    view, got = memoryview(buffer), 0
-    while got < len(buffer):
-        read = os.readv(fd, [view[got:]])
-        if not read:
-            return False
-        got += read
-    return True
-
-
-def _send(fd: int, kind: bytes, data) -> None:
-    write_all(fd, kind + len(data).to_bytes(_LENGTH_BYTES, "little"))
-    write_all(fd, data)
-
-
-def _pickled(exc: BaseException) -> bytes:
+def _result(body) -> bytes:
+    """The pickled ``(True, body())``, or ``(False, the exception it raised)``."""
     try:
-        return pickle.dumps(exc)
-    except Exception:  # an exception that does not pickle still ends its lane with a message
-        return pickle.dumps(RuntimeError(f"a lane raised {exc!r}"))
+        return pickle.dumps((True, body()))
+    except BaseException as exc:
+        try:
+            return pickle.dumps((False, exc))
+        except Exception:  # an exception that does not pickle still ends its lane with a message
+            return pickle.dumps((False, RuntimeError(f"a lane raised {exc!r}")))
 
 
 class IndexPipe:
@@ -126,7 +112,7 @@ class IndexPipe:
 
 
 class Lanes:
-    """Lanes forked from this process, each sending one payload through its own pipe."""
+    """Lanes forked from this process, each sending back the value its body returns."""
 
     def __init__(self) -> None:
         self._open: list[tuple[int, int]] = []  # (pid, pipe read end) of each lane not collected
@@ -138,33 +124,29 @@ class Lanes:
         self.close()
 
     def fork(self, count: int, body) -> int:
-        """Fork up to ``count`` lanes, numbered from 1; lane i sends ``body(i)``, a bytes object.
+        """Fork up to ``count`` lanes; each sends back ``body()``, a value that pickles.
 
         Returns how many lanes forked: fewer than ``count`` when the OS
         refuses a pipe or a fork, in which case the lanes already forked run
         on.  The body runs in the child right after the fork, so it sees this
         process's state as it is at the call.
         """
-        for lane in range(1, count + 1):
+        for forked in range(count):
             try:
                 read_end, write_end = os.pipe()
             except OSError:
-                return lane - 1
+                return forked
             try:
                 pid = os.fork()
             except OSError:
                 os.close(read_end)
                 os.close(write_end)
-                return lane - 1
+                return forked
             if pid == 0:
                 status = 1
                 try:
                     os.close(read_end)
-                    try:
-                        kind, data = _SENT, body(lane)
-                    except BaseException as exc:
-                        kind, data = _RAISED, _pickled(exc)
-                    _send(write_end, kind, data)
+                    write_all(write_end, _result(body))
                     status = 0
                 finally:
                     os._exit(status)
@@ -172,34 +154,31 @@ class Lanes:
             self._open.append((pid, read_end))
         return count
 
-    def collect(self) -> list[bytearray]:
-        """Wait for every lane to end; return what each sent, in lane order.
+    def collect(self) -> list:
+        """Wait for every lane to end; return the value each sent, in lane order.
 
-        Raises the exception a lane's body raised, or RuntimeError for a lane
-        that ended without sending; the lanes not collected then are killed
-        when the context exits.
+        Raises the exception a lane sent, or RuntimeError for a lane that
+        ended with a nonzero status or sent nothing; the lanes not collected
+        then are killed when the context exits.
         """
-        payloads = []
+        values = []
         while self._open:
             pid, read_end = self._open[0]
-            # the lane may block writing until this end is read, so read before waiting;
-            # the length comes first, so the payload is read into one buffer of its size
-            header = bytearray(1 + _LENGTH_BYTES)
-            payload = None
-            if _read_into(read_end, header):
-                payload = bytearray(int.from_bytes(header[1:], "little"))
-                if not _read_into(read_end, payload):
-                    payload = None
+            # the lane may block writing until this end is read, so read to its end first
+            sent = bytearray()
+            while chunk := os.read(read_end, _READ_BYTES):
+                sent += chunk
             status = os.waitpid(pid, 0)[1]
             del self._open[0]
             os.close(read_end)
-            if payload is None or status != 0:
-                raise RuntimeError(f"lane {len(payloads) + 1} ended (wait status {status}) "
+            if not sent or status != 0:
+                raise RuntimeError(f"lane {len(values) + 1} ended (wait status {status}) "
                                    "without sending its result")
-            if header[:1] == _RAISED:
-                raise pickle.loads(payload)
-            payloads.append(payload)
-        return payloads
+            returned, value = pickle.loads(sent)
+            if not returned:
+                raise value
+            values.append(value)
+        return values
 
     def close(self) -> None:
         """Kill and reap every lane not collected."""

@@ -111,7 +111,7 @@ def regime_check(params: ModelParams) -> RegimeReport:
     sqrt_d = math.sqrt(d) if d >= 0.0 else None
     p_crit = None
     if sqrt_d is not None:
-        dim = params.n + 0.5 * (params.mu1 - 1.0) - 0.5 * sqrt_d
+        dim = shifted_dimension(params)
         if dim > 0.0:
             p_crit = fujita_exponent(dim)
     glob = False

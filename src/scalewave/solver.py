@@ -577,7 +577,7 @@ class _Ring:
 
     def fork(self, forked: lanes.Lanes, count: int, record: _Recorder) -> None:
         """Fork up to ``count`` lanes that record the rows handed to them into their slots."""
-        def sampler(_lane: int) -> bytes:
+        def sampler() -> None:
             self.ready.close(read=False)
             self.free.close(write=False)
             while (slot := self.ready.take()) is not None:
@@ -585,7 +585,6 @@ class _Ring:
                 u, u_t = self.nodes[slot]
                 self.heads[slot, 3:] = record(t, u, u_t, int(width), sup)
                 self.free.put((slot,))
-            return b""
 
         forked.fork(count, sampler)
         # this process only fills slots and takes them back

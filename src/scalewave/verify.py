@@ -125,21 +125,6 @@ class RadialProfile:
             d2 = d2 + 2 * m * (2 * m - 1) * r ** (2 * m - 2) * pair
         return self.amplitude * power * pair, self.amplitude * d1, self.amplitude * d2
 
-    def laplacian(self, r, n: int):
-        """f'' + (n-1)/r f', with the even-limit value n*f''(0) on the axis."""
-        _, d1, d2 = self.jet(r)
-        return _radial_laplacian(r, d1, d2, n)
-
-    def support_radius(self, tol: float = 1e-14) -> float:
-        """Conservative radius beyond which |value| stays below tol."""
-        radius = self.center + 6.0 * self.width
-        envelope = lambda rr: 2.0 * abs(self.amplitude) * rr ** (2 * self.half_degree) * math.exp(
-            -(((rr - self.center) / self.width) ** 2)
-        )
-        while envelope(radius) > tol:
-            radius += self.width
-        return radius
-
     def dilate(self, factor: float) -> "RadialProfile":
         """The rescaled profile r -> value(r/factor), exactly in the same family."""
         if not factor > 0.0:

@@ -376,9 +376,9 @@ def test_sweep_dichotomy_monotone(grid230):
     base = ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0)
     cfg = RunConfig(params=base, s=0.0, t_max=200.0, nonlinear=True,
                     cfl_safety=0.9, record_every=25)
-    blow_rows = sweep(grid230, base, [1.5, 2.0, 2.5], [1.0], cfg, bump3, bump3)
+    blow_rows = sweep(grid230, [1.5, 2.0, 2.5], [1.0], cfg, bump3, bump3)
     assert all(row.outcome == OUTCOME_BLOWUP for row in blow_rows)
-    global_rows = sweep(grid230, base, [3.5, 4.0], [0.01], cfg, gauss)
+    global_rows = sweep(grid230, [3.5, 4.0], [0.01], cfg, gauss)
     assert all(row.outcome == GLOBAL_LOOKING for row in global_rows)
     ordered = sorted(blow_rows + global_rows, key=lambda row: row.params.p)
     seen_global = False

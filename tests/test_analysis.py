@@ -132,13 +132,13 @@ class TestSweep:
         grid = make_radial_grid(1, 12.0, 0.1)
         base = ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0)
         cfg = RunConfig(params=base, t_max=4.0, record_every=2)
-        assert sweep(grid, base, [], [1.0], cfg, bump) == []
+        assert sweep(grid, [], [1.0], cfg, bump) == []
 
     def test_outcomes_and_order(self):
         grid = make_radial_grid(1, 24.0, 0.05)
         base = ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0)
         cfg = RunConfig(params=base, t_max=16.0, record_every=5)
-        rows = sweep(grid, base, [1.5, 4.0], [1.0, 0.01], cfg, bump, bump)
+        rows = sweep(grid, [1.5, 4.0], [1.0, 0.01], cfg, bump, bump)
         assert [(r.params.p, r.amplitude) for r in rows] == [
             (1.5, 1.0), (1.5, 0.01), (4.0, 1.0), (4.0, 0.01)
         ]
@@ -154,8 +154,8 @@ class TestSweep:
         grid = make_radial_grid(1, 12.0, 0.1)
         base = ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0)
         cfg = RunConfig(params=base, t_max=4.0, record_every=4)
-        serial = sweep(grid, base, [1.5, 2.0, 4.0], [0.5], cfg, _unit_bump)
-        parallel = sweep(grid, base, [1.5, 2.0, 4.0], [0.5], cfg, _unit_bump, jobs=2)
+        serial = sweep(grid, [1.5, 2.0, 4.0], [0.5], cfg, _unit_bump)
+        parallel = sweep(grid, [1.5, 2.0, 4.0], [0.5], cfg, _unit_bump, jobs=2)
         assert forks == [1]
         assert [r.outcome for r in serial] == [r.outcome for r in parallel]
         assert [r.blowup_time for r in serial] == [r.blowup_time for r in parallel]
@@ -173,7 +173,7 @@ class TestSweep:
         grid = make_radial_grid(1, 12.0, 0.1)
         base = ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0)
         cfg = RunConfig(params=base, t_max=8.0, record_every=2)
-        rows = sweep(grid, base, [3.5, 4.5], [0.01, 0.1], cfg, _unit_bump)
+        rows = sweep(grid, [3.5, 4.5], [0.01, 0.1], cfg, _unit_bump)
         assert [r.outcome for r in rows] == [GLOBAL_LOOKING] * 4
         assert all(r.l2_exponent < 0.0 for r in rows)
         assert calls == [(0.8, 8.0)] * 4

@@ -223,6 +223,19 @@ def test_critical_exponent_monotone_in_mass(n, mu1, data):
     assert p_hi <= p_lo + 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8), mu1=mu1_s, mu2sq=mu2sq_s)
+def test_regime_check_p_crit_is_the_critical_exponent(n, mu1, mu2sq):
+    # both read the one shifted dimension, so they agree bit for bit wherever defined
+    p = ModelParams(n=n, mu1=mu1, mu2sq=mu2sq, p=2.0)
+    try:
+        expected = critical_exponent(p)
+    except ValueError:  # a negative discriminant or a nonpositive shifted dimension
+        assert regime_check(p).p_crit is None
+        return
+    assert regime_check(p).p_crit == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(min_value=1, max_value=4),
        mu1=st.floats(min_value=4.0, max_value=15.0))
