@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 from .checks import CheckReport
 from .errors import RegimeError, WeightOverflowError
-from .grid import RadialGrid, integrate, laplacian_apply, make_radial_grid
+from .grid import RadialGrid, integrate, make_radial_grid
 from .model import (
     DecayExponentTable,
     ModelParams,

@@ -224,7 +224,7 @@ def sweep(grid: RadialGrid, p_values, amplitudes, config: RunConfig, u0_profile,
             if pipe is not None:
                 pipe.close(read=False)
 
-    fit = lanes_that_fit(grid.num_nodes, grid.dr, config)
+    fit = lanes_that_fit(grid.num_nodes, grid.step_unit, config)
     # what watches each cell while it runs, until the sweep has tried to fork lanes
     watch = fan_out if jobs >= 2 and fit >= 2 and lanes.forks() else None
     with lanes.Lanes() as forked:

@@ -215,9 +215,9 @@ def _model_params(cfg: dict) -> ModelParams:
 
 def _build_run(cfg: dict):
     params = _model_params(cfg)
-    num_nodes, spacing = grid_size(cfg["n"], cfg["r_max"], cfg["dr"])
+    num_nodes, _, step_unit = grid_size(cfg["n"], cfg["r_max"], cfg["dr"])
     config = RunConfig(params=params, **{k: cfg[k] for k in RUN_DEFAULTS})
-    check_run_size(num_nodes, spacing, config)
+    check_run_size(num_nodes, step_unit, config)
     grid = make_radial_grid(cfg["n"], cfg["r_max"], cfg["dr"])
     u0 = DataProfile(cfg["u0_kind"], cfg["u0_amplitude"], cfg["u0_width"])
     u1 = DataProfile(cfg["u1_kind"], cfg["u1_amplitude"], cfg["u1_width"])

@@ -6,7 +6,7 @@ carry the surface measure omega_{n-1} r^(n-1) dr with trapezoidal weights
 u_rr + (n-1)/r u_r with the even-extension regularization n*u_rr(0) at the
 origin.  The outer boundary is a homogeneous Dirichlet cut-off: callers
 size r_max so nothing reaches it within the time horizon (finite speed of
-propagation).  Grids are immutable after construction.
+propagation).  Grids are immutable and hold all that defines the operator.
 """
 
 from __future__ import annotations
@@ -24,10 +24,57 @@ class RadialGrid:
     dr: float
     r: np.ndarray
     quad_weights: np.ndarray
+    dr_sq: float  # dr**2, which the Laplacian's rows divide by
+    denominators: np.ndarray | None  # (2 dr) r of the (n-1)/r u_r term; None in n = 1
+    step_unit: float  # stable time step per unit cfl_safety (``grid_size``)
+    row_divisor: float  # largest divisor of a Laplacian row (solver notes, "Shared passes")
 
     @property
     def num_nodes(self) -> int:
         return self.r.size
+
+    def laplacian(self, u) -> np.ndarray:
+        """Second-order radial Laplacian u_rr + (n-1)/r u_r of 2 <= m <= num_nodes values.
+
+        At r = 0 the even extension gives n*u_rr(0), and the ghost beyond
+        node m - 1 is 0: the Dirichlet cut-off at m = num_nodes, and below
+        it, for a profile that is 0 beyond the prefix, the prefix of the
+        full-grid result bit for bit (up to the sign of a zero).
+        """
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 1 or not 2 <= u.size <= self.num_nodes:
+            raise ValueError(f"expected 2 to {self.num_nodes} nodal values, got shape {u.shape}")
+        out = np.empty_like(u)
+        self.laplacian_into(u, 2.0 * u, out, np.empty_like(u))
+        return out
+
+    def laplacian_into(self, u: np.ndarray, two_u: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> None:
+        """``laplacian(u)`` written into ``out`` bit for bit, unchecked and in place.
+
+        ``two_u`` holds 2.0 * u, which the centre term reads.  ``out`` and
+        ``two_u`` have the length of ``u`` and ``scratch`` at least that;
+        ``out`` and ``scratch`` may not overlap ``u`` or ``two_u``.  The end
+        rows are formed on Python floats, which round as float64 does.
+        """
+        n, dr_sq, denominators = self.n, self.dr_sq, self.denominators
+        m = u.size
+        inner = out[1:-1]
+        np.subtract(u[2:], two_u[1:-1], inner)
+        np.add(inner, u[:-2], inner)
+        np.divide(inner, dr_sq, inner)
+        if n > 1:
+            first_order = scratch[: m - 2]
+            np.subtract(u[2:], u[:-2], first_order)
+            np.multiply(n - 1, first_order, first_order)
+            np.divide(first_order, denominators[1 : m - 1], first_order)
+            np.add(inner, first_order, inner)
+        u_0, u_1, u_before, u_last = u.item(0), u.item(1), u.item(-2), u.item(-1)
+        out[0] = 2.0 * n * (u_1 - u_0) / dr_sq
+        last = (-2.0 * u_last + u_before) / dr_sq
+        if n > 1:
+            last += (n - 1) * (-u_before) / denominators.item(m - 1)
+        out[-1] = last
 
 
 def surface_measure(n: int) -> float:
@@ -35,8 +82,12 @@ def surface_measure(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float]:
-    """(node count, snapped spacing) of ``make_radial_grid(n, r_max, dr)``, allocating nothing."""
+def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float, float]:
+    """(node count, snapped spacing, step unit) of ``make_radial_grid(n, r_max, dr)``.
+
+    Allocates nothing.  The step unit is the stable time step per unit
+    ``cfl_safety``: the wave speed is 1, so the spacing.
+    """
     if int(n) != n or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if not r_max > 0.0:
@@ -46,7 +97,8 @@ def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float]:
     if not 0.0 < dr < r_max:
         raise ValueError(f"need 0 < dr < r_max, got dr={dr}, r_max={r_max}")
     num = int(round(r_max / dr)) + 1
-    return num, r_max / (num - 1)
+    spacing = r_max / (num - 1)
+    return num, spacing, spacing
 
 
 def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
@@ -55,12 +107,15 @@ def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
     The requested spacing is snapped minimally so that the last node sits
     exactly on r_max.
     """
-    num, spacing = grid_size(n, r_max, dr)
+    num, spacing, step_unit = grid_size(n, r_max, dr)
+    n, spacing = int(n), float(spacing)
     r = spacing * np.arange(num)
-    weights = surface_measure(int(n)) * r ** (n - 1) * spacing
+    weights = surface_measure(n) * r ** (n - 1) * spacing
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return RadialGrid(n=int(n), r_max=float(r_max), dr=float(spacing), r=r, quad_weights=weights)
+    return RadialGrid(n=n, r_max=float(r_max), dr=spacing, r=r, quad_weights=weights,
+                      dr_sq=spacing**2, denominators=2.0 * spacing * r if n > 1 else None,
+                      step_unit=float(step_unit), row_divisor=spacing**2)
 
 
 def integrate(grid: RadialGrid, values) -> float:
@@ -71,68 +126,11 @@ def integrate(grid: RadialGrid, values) -> float:
     return float(grid.quad_weights @ values)
 
 
-def laplacian_apply(grid: RadialGrid, u) -> np.ndarray:
-    """Second-order discrete radial Laplacian u_rr + (n-1)/r u_r.
-
-    At r = 0 the even extension u(-dr) = u(dr) gives the regularized value
-    n*u_rr(0); beyond the last given node the ghost value is 0.  ``u`` may
-    be a prefix of the nodal values, of any length 2 <= m <= num_nodes.  At
-    m = num_nodes the ghost is the Dirichlet cut-off at r_max; for m smaller
-    and a profile that is 0 beyond the prefix, the last row is the interior
-    formula with u[m] = 0, so the result is the prefix of the full-grid
-    result bit for bit (up to the sign of a zero).
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or not 2 <= u.size <= grid.num_nodes:
-        raise ValueError(f"expected 2 to {grid.num_nodes} nodal values, got shape {u.shape}")
-    out = np.empty_like(u)
-    laplacian_into(grid.n, grid.dr**2, first_order_denominators(grid), u, 2.0 * u, out,
-                   np.empty_like(u))
-    return out
-
-
-def first_order_denominators(grid: RadialGrid) -> np.ndarray | None:
-    """The denominators (2*dr)*r of the (n-1)/r u_r term; None in n = 1, which has no such term."""
-    return 2.0 * grid.dr * grid.r if grid.n > 1 else None
-
-
-def laplacian_into(n: int, dr_sq: float, denominators, u: np.ndarray, two_u: np.ndarray,
-                   out: np.ndarray, scratch: np.ndarray) -> None:
-    """``laplacian_apply`` of a prefix ``u`` written into ``out``, from constants formed once.
-
-    ``dr_sq`` is dr**2, ``denominators`` is ``first_order_denominators(grid)``
-    and ``two_u`` holds 2.0 * u, which the centre term reads, so a caller
-    that needs 2u as well forms it once.  ``out`` and ``two_u`` have the
-    length of ``u`` and ``scratch`` at least that; ``out`` and ``scratch``
-    may not overlap ``u`` or ``two_u``.  Every intermediate is written in
-    place, with the operations, operands and order of the plain expressions,
-    and the end rows are formed on Python floats, which round as float64
-    does, so the values are those of the allocating form bit for bit.
-    """
-    m = u.size
-    inner = out[1:-1]
-    np.subtract(u[2:], two_u[1:-1], inner)
-    np.add(inner, u[:-2], inner)
-    np.divide(inner, dr_sq, inner)
-    if n > 1:
-        first_order = scratch[: m - 2]
-        np.subtract(u[2:], u[:-2], first_order)
-        np.multiply(n - 1, first_order, first_order)
-        np.divide(first_order, denominators[1 : m - 1], first_order)
-        np.add(inner, first_order, inner)
-    u_0, u_1, u_before, u_last = u.item(0), u.item(1), u.item(-2), u.item(-1)
-    out[0] = 2.0 * n * (u_1 - u_0) / dr_sq
-    last = (-2.0 * u_last + u_before) / dr_sq
-    if n > 1:
-        last += (n - 1) * (-u_before) / denominators.item(m - 1)
-    out[-1] = last
-
-
 def radial_derivative_into(two_dr: float, u: np.ndarray, out: np.ndarray) -> None:
     """Centered radial derivative of ``u`` written into ``out``, with ``two_dr`` = 2*dr.
 
     The derivative is 0 at the origin (even symmetry), and the ghost beyond
-    the last given node is 0.  As for ``laplacian_apply``, ``u`` may be a
+    the last given node is 0.  As for ``RadialGrid.laplacian``, ``u`` may be a
     prefix of 2 <= m <= num_nodes values; for a profile that is 0 beyond
     it, the result is the prefix of the full-grid result bit for bit (up to
     the sign of a zero).  ``out`` has the length of ``u`` and may not

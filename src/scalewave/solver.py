@@ -29,16 +29,16 @@ whole grid, so results are bit for bit those of full-grid stepping while
 the cost follows the region the data have reached.
 
 One kernel per run: ``leapfrog_kernel`` forms what is constant for a run
-once (dr^2, dt^2, the (2 dr) r denominators for n > 1, c_p below, and the
-scratch arrays) and returns the step, which writes every intermediate in
-place with the operations, operands and order of the plain expressions,
-so it keeps their bits.  ``run``, its only driver, drives it over three
-level buffers (u-, u, u+) that rotate, with t, the window and the step
-index as plain values: no fresh level per step.  The window never
-shrinks, and a buffer only ever holds values written at a width no larger
-than the current one, so every level is exactly 0 beyond the window as a
-fresh level would be.  The step forms 2u once, as u + u, in u+'s buffer:
-the Laplacian's centre term reads it there, and u+ is then formed on it.
+once (dt^2, c_p below and the scratch arrays; the operator is the grid's)
+and returns the step, which writes every intermediate in place with the
+operations, operands and order of the plain expressions, so it keeps their
+bits.  ``run``, its only driver, drives it over three level buffers (u-,
+u, u+) that rotate, with t, the window and the step index as plain values:
+no fresh level per step.  The window never shrinks, and a buffer only ever
+holds values written at a width no larger than the current one, so every
+level is exactly 0 beyond the window as a fresh level would be.  The step
+forms 2u once, as u + u, in u+'s buffer: the Laplacian's centre term reads
+it there, and u+ is then formed on it.
 
 Source window: the same idea applied to the source term.  Ahead of the
 light cone the leapfrog precursor leaves a tail of tiny values (down to
@@ -67,12 +67,12 @@ step's u is that very array, it saves two passes:
 - The source powers the buffer in place instead of taking |u| again, if
   no wider window was written into the buffer since, so that it is +0.0
   beyond the level's window, as |u| is.
-- Without mass (mu2sq is +0.0) and for dr^2 < 2, it leaves out
-  f - m^2 u on that level when its sup was finite.  For finite u, 0 u is
-  +-0, and f - (+-0) is f bit for bit except when f = -0 and 0 u = -0,
-  that is, u < 0 or u = -0.  That case never occurs.  Every row of the
-  Laplacian ends in a division by dr^2; a nonzero numerator is at least
-  2^-1074 in size, so its quotient by dr^2 < 2 exceeds half the smallest
+- Without mass (mu2sq is +0.0) and for a grid ``row_divisor`` D < 2, it
+  leaves out f - m^2 u on that level when its sup was finite.  For finite
+  u, 0 u is +-0, and f - (+-0) is f bit for bit except when f = -0 and
+  0 u = -0, that is, u < 0 or u = -0.  That case never occurs.  Every row
+  of the Laplacian ends in a division by at most D; a nonzero numerator is
+  at least 2^-1074 in size, so its quotient exceeds half the smallest
   subnormal and is not 0.  A sum is -0 only when both terms are, and a
   difference x - y only when x = -0 and y = +0.  So f = -0 needs a
   numerator of -0, and with it u_1 - u_0 = -0 in row 0,
@@ -81,7 +81,7 @@ step's u is that very array, it saves two passes:
   -0 as well).  Each of these gives u_i = +0, where 0 u = +0.
 
 Any other level takes |u| and the mass pass afresh, as does the run's
-first step, whose levels ``init_state`` made.  For dr^2 >= 2 a tiny
+first step, whose levels ``init_state`` made.  For D >= 2 a tiny
 numerator can round to -0; on a level that is not finite, 0 u is NaN; for
 mu2sq = -0.0, 0 u is -0 at u = +0: the mass pass stays in all three cases.
 
@@ -98,17 +98,17 @@ every operation, operand and order stays, so the levels keep every bit:
   as float64 anyway, so the loop and its bits are the same; a 0-d
   operand only skips the conversion, about 0.2 us a call (numpy 2.4 on
   a 2-core x86-64 VM).
-- The step's ufuncs are closure locals and take ``out`` positionally,
-  ``_power_source`` zeroes the tail only when it is non-empty, and ``run``
-  reads the blow-up threshold once.
+- The ufuncs and the grid's ``laplacian_into``, bound once, are closure
+  locals; ufuncs take ``out`` positionally, ``_power_source`` zeroes the
+  tail only when it is non-empty, and ``run`` reads the threshold once.
 
-What remains per step is ``model.coefficients`` (still called on every
-step, so its call count still counts steps), ``grid.laplacian_into`` and
-``_power_source``, and their ufunc calls: 2u, the Laplacian's three (seven
-for n > 1), the mass pass's two where it stays, |u| where it is not shared,
-the source's comparison, power and sum, the update's six, and the sup
-pass's |u+| and reduction.  ``TestPerCallCost`` in ``test_solver`` checks
-the doubling and the 0-d operands on the running numpy.
+What remains per step is ``model.coefficients`` (its call count still
+counts steps), ``laplacian_into``, ``_power_source`` and their ufunc
+calls: 2u, the Laplacian's three (seven for n > 1), the mass pass's two
+where it stays, |u| where it is not shared, the source's comparison, power
+and sum, the update's six, and the sup pass's |u+| and reduction.
+``TestPerCallCost`` in ``test_solver`` checks the doubling and the 0-d
+operands on the running numpy.
 
 Recording: each sample is one row (t, *SAMPLE_KEYS) of floats, written
 into one float64 array preallocated for the most rows a run can record,
@@ -170,14 +170,7 @@ import numpy as np
 
 from . import lanes
 from .functionals import check_term_exponent, comparison_frame_exponent, norms_of_squares
-from .grid import (
-    RadialGrid,
-    first_order_denominators,
-    integrate,
-    laplacian_apply,
-    laplacian_into,
-    radial_derivative_into,
-)
+from .grid import RadialGrid, integrate, radial_derivative_into
 from .model import ModelParams, coefficients, discriminant, weight_exponent_from_product
 
 OUTCOME_COMPLETED = "completed"
@@ -238,13 +231,13 @@ class RunReport:
         return self.samples[:, 0], self.samples[:, 1 + SAMPLE_KEYS.index(key)]
 
 
-def time_step(dr: float, config: RunConfig) -> tuple[int, float]:
-    """(steps, dt) of a run: the largest dt <= cfl_safety * dr that divides t_max - s.
+def time_step(step_unit: float, config: RunConfig) -> tuple[int, float]:
+    """(steps, dt) of a run: the largest dt <= cfl_safety * step_unit that divides t_max - s.
 
-    The wave speed is 1, so cfl_safety * dr is the CFL step; ``steps`` steps
-    of dt land exactly on t_max.
+    ``step_unit`` is the grid's (``grid.grid_size``); ``steps`` steps of dt
+    land exactly on t_max.
     """
-    cap = config.cfl_safety * dr
+    cap = config.cfl_safety * step_unit
     steps = max(1, math.ceil((config.t_max - config.s) / cap - 1e-9))
     return steps, (config.t_max - config.s) / steps
 
@@ -259,41 +252,41 @@ RUN_BYTES_BUDGET = 4 * 2**30
 _RING_SLOTS = 4
 
 # float64 arrays of the grid's length that one run holds at once: the grid's
-# radii and weights (2), the three levels (3), the step kernel's forcing, scratch
-# and source (|u|, then |u+|) arrays and its (2 dr) r denominators (4), the
+# radii, weights and (2 dr) r denominators (3), the three levels (3), the step
+# kernel's forcing, scratch and source (|u|, then |u+|) arrays (3), the
 # recorder's mu1*r^2, four padded squares, 2W, gradient density, terms and
 # energy density (9), the three arrays a weighted quadrature gathers when its
 # nonzero nodes are not a prefix (3), and u and u_t in each slot of the ring
 # that feeds the lanes (2 per slot)
-_ARRAYS_PER_RUN = 2 + 3 + 4 + 9 + 3 + 2 * _RING_SLOTS
+_ARRAYS_PER_RUN = 3 + 3 + 3 + 9 + 3 + 2 * _RING_SLOTS
 # bytes per node of boolean arrays: the kernel's and the recorder's masks, and
 # the copy of one of them that locates its last set node
 _MASK_BYTES_PER_NODE = 3
 
 
-def run_bytes(num_nodes: int, dr: float, config: RunConfig) -> tuple[int, int]:
+def run_bytes(num_nodes: int, step_unit: float, config: RunConfig) -> tuple[int, int]:
     """(sample rows, bytes) of the most memory one ``run`` holds at once.
 
-    ``num_nodes`` and ``dr`` are those of the grid (``grid.grid_size``).  The
+    ``num_nodes`` and ``step_unit`` are the grid's (``grid.grid_size``).  The
     count covers the grid, the node arrays the run allocates
     (``_ARRAYS_PER_RUN``, which bounds ``init_state``'s as well, and counts
     the ring of a run that forks lanes), the boolean masks and the
     preallocated sample rows, not what the data profiles allocate while
     they are sampled.
     """
-    rows = time_step(dr, config)[0] // config.record_every + 2
+    rows = time_step(step_unit, config)[0] // config.record_every + 2
     need = 8 * (_ARRAYS_PER_RUN * num_nodes + rows * (1 + len(SAMPLE_KEYS)))
     return rows, need + _MASK_BYTES_PER_NODE * num_nodes
 
 
-def check_run_size(num_nodes: int, dr: float, config: RunConfig) -> None:
+def check_run_size(num_nodes: int, step_unit: float, config: RunConfig) -> None:
     """Raise ValueError, before anything is allocated, for a run past RUN_BYTES_BUDGET.
 
-    The estimate is ``run_bytes``: the grid's two arrays, the levels, the
+    The estimate is ``run_bytes``: the grid's arrays, the levels, the
     step kernel's scratch, the recorder's rows and its quadrature's gathers,
     the ring that feeds lanes, the boolean masks and the sample rows.
     """
-    rows, need = run_bytes(num_nodes, dr, config)
+    rows, need = run_bytes(num_nodes, step_unit, config)
     if need > RUN_BYTES_BUDGET:
         raise ValueError(
             f"run too large: {num_nodes} nodes and {rows} sample rows would preallocate "
@@ -302,9 +295,9 @@ def check_run_size(num_nodes: int, dr: float, config: RunConfig) -> None:
         )
 
 
-def lanes_that_fit(num_nodes: int, dr: float, config: RunConfig) -> int:
+def lanes_that_fit(num_nodes: int, step_unit: float, config: RunConfig) -> int:
     """How many processes can each hold one such run within RUN_BYTES_BUDGET at once."""
-    return RUN_BYTES_BUDGET // run_bytes(num_nodes, dr, config)[1]
+    return RUN_BYTES_BUDGET // run_bytes(num_nodes, step_unit, config)[1]
 
 
 def _sample_profile(profile, r: np.ndarray) -> np.ndarray:
@@ -382,7 +375,7 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
             )
 
     b, m_sq = coefficients(params, config.s)
-    accel = laplacian_apply(grid, u0v) - b * u1v - m_sq * u0v
+    accel = grid.laplacian(u0v) - b * u1v - m_sq * u0v
     if config.nonlinear:
         accel = accel + _power_source(np.abs(u0v), params.p, _source_cutoff(params.p),
                                       np.empty(u0v.shape, dtype=bool))
@@ -410,15 +403,14 @@ def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
     raised nor warned.
     """
     params, nonlinear = config.params, config.nonlinear
-    n, size, p = grid.n, grid.num_nodes, params.p
-    dr_sq = grid.dr**2
-    denominators = first_order_denominators(grid)
+    size, p, laplacian_into = grid.num_nodes, params.p, grid.laplacian_into
     # scalar operands as 0-d float64 arrays (module notes, "Per-call cost"): dt^2 and
     # c_p for the run, and m^2, h and 1 + h, which each step writes
     dt_sq, c_p = np.array(dt**2), np.array(_source_cutoff(p))
     m_sq_now, h_now, one_plus_h = np.empty(()), np.empty(()), np.empty(())
-    # without mass and for dr^2 < 2, f - m^2 u is f itself on a finite level (module notes)
-    mass_free = params.mu2sq == 0.0 and math.copysign(1.0, params.mu2sq) > 0.0 and dr_sq < 2.0
+    # f - m^2 u is f on a finite level (module notes, "Shared passes")
+    mass_free = (params.mu2sq == 0.0 and math.copysign(1.0, params.mu2sq) > 0.0
+                 and grid.row_divisor < 2.0)
     forcing, scratch = np.empty((2, size))
     # after a step, |u+| on its window; +0.0 from node ``reach`` on, where no
     # window has reached yet.  A linear run has no source term, and its sup pass
@@ -449,7 +441,7 @@ def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
         # then u+ is formed on it
         add(u, u, u_p)
         # forcing = (Lap u - m^2 u) + [nl] |u|^p
-        laplacian_into(n, dr_sq, denominators, u, u_p, f, scratch)
+        laplacian_into(u, u_p, f, scratch)
         if not (mass_free and written and last_finite):
             m_sq_now[()] = m_sq
             subtract(f, multiply(m_sq_now, u, tmp), f)
@@ -690,7 +682,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
     # which ends as such; numpy warns of neither
     with np.errstate(over="ignore", invalid="ignore"), lanes.Lanes() as forked:
         params, every, size = config.params, config.record_every, grid.num_nodes
-        steps, dt = time_step(grid.dr, config)
+        steps, dt = time_step(grid.step_unit, config)
         u0v, u1v, u_first, width, (sup_u0, sup_u1, sup_curr) = init_state(
             grid, u0, u1, config, dt)
         record = _Recorder(grid, params, discriminant(params) >= 0.0)
@@ -745,7 +737,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
                             watch = False
                             # a lane past the ring's slots could only wait for one
                             count = min(jobs, _RING_SLOTS + 1, total_rows - rows,
-                                        lanes_that_fit(size, grid.dr, config))
+                                        lanes_that_fit(size, grid.step_unit, config))
                             if count > 1:
                                 ring = _Ring(size, samples)
                                 ring.fork(forked, count - 1, record)

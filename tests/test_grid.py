@@ -5,7 +5,6 @@ import pytest
 
 from scalewave.grid import (
     integrate,
-    laplacian_apply,
     make_radial_grid,
     radial_derivative_into,
     surface_measure,
@@ -77,9 +76,10 @@ class TestIntegrate:
 
 
 class TestLaplacian:
-    def test_constant_interior(self):
-        g = make_radial_grid(3, 5.0, 0.05)
-        lap = laplacian_apply(g, np.full_like(g.r, 2.5))
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_constant_interior(self, n):
+        g = make_radial_grid(n, 5.0, 0.05)
+        lap = g.laplacian(np.full_like(g.r, 2.5))
         assert np.max(np.abs(lap[:-1])) == 0.0  # boundary node sees the Dirichlet ghost
 
     def test_gaussian_analytic_oracle(self):
@@ -88,12 +88,12 @@ class TestLaplacian:
             g = make_radial_grid(n, 10.0, 0.02)
             u = np.exp(-g.r**2)
             exact = (4.0 * g.r**2 - 2.0 * n) * np.exp(-g.r**2)
-            err = np.max(np.abs(laplacian_apply(g, u)[:-1] - exact[:-1]))
+            err = np.max(np.abs(g.laplacian(u)[:-1] - exact[:-1]))
             assert err <= 5.0 * g.dr**2
 
     def test_quadratic_exact(self):
         g = make_radial_grid(3, 5.0, 0.1)
-        lap = laplacian_apply(g, g.r**2)
+        lap = g.laplacian(g.r**2)
         assert np.max(np.abs(lap[:-1] - 6.0)) <= 1e-9
 
     def test_second_order_refinement(self):
@@ -102,32 +102,32 @@ class TestLaplacian:
             g = make_radial_grid(2, 10.0, dr)
             u = np.exp(-g.r**2)
             exact = (4.0 * g.r**2 - 4.0) * np.exp(-g.r**2)
-            errors.append(np.max(np.abs(laplacian_apply(g, u)[:-1] - exact[:-1])))
+            errors.append(np.max(np.abs(g.laplacian(u)[:-1] - exact[:-1])))
         assert math.log2(errors[0] / errors[1]) >= 1.9
 
     def test_symmetric_negative(self):
         g = make_radial_grid(2, 10.0, 0.01)
         u = np.exp(-((g.r - 2.0) ** 2)) + np.exp(-((g.r + 2.0) ** 2))
         v = np.exp(-(g.r**2)) * (1.0 + 0.3 * g.r**2)
-        asym = integrate(g, laplacian_apply(g, u) * v) - integrate(g, u * laplacian_apply(g, v))
+        asym = integrate(g, g.laplacian(u) * v) - integrate(g, u * g.laplacian(v))
         assert abs(asym) <= 50.0 * g.dr**2
-        assert integrate(g, laplacian_apply(g, u) * u) < 0.0
+        assert integrate(g, g.laplacian(u) * u) < 0.0
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
     def test_prefix_matches_full_grid_bitwise(self, n):
         # the last row of a prefix is the interior row with a zero ghost
         g = make_radial_grid(n, 5.0, 0.05)
         size = g.num_nodes
         for m in (2, size // 2, size):
             u = np.where(np.arange(size) < m, 1.5 + np.cos(3.0 * g.r), 0.0)
-            full = laplacian_apply(g, u)
-            assert laplacian_apply(g, u[:m]).tobytes() == full[:m].tobytes()
+            full = g.laplacian(u)
+            assert g.laplacian(u[:m]).tobytes() == full[:m].tobytes()
 
     def test_prefix_length_checked(self):
         g = make_radial_grid(1, 1.0, 0.1)
         for bad in (np.zeros(1), np.zeros(g.num_nodes + 1), np.zeros((2, 2))):
             with pytest.raises(ValueError):
-                laplacian_apply(g, bad)
+                g.laplacian(bad)
 
 
 def derivative_row(g, u):

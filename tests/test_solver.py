@@ -15,7 +15,7 @@ from scalewave.functionals import (
     weighted_lq,
     weighted_quadrature,
 )
-from scalewave.grid import grid_size, integrate, laplacian_apply, make_radial_grid
+from scalewave.grid import grid_size, integrate, make_radial_grid
 from scalewave.model import ModelParams, coefficients, discriminant, weight_exponent
 from scalewave.solver import (
     OUTCOME_BLOWUP,
@@ -88,7 +88,7 @@ class Levels:
 
 def first_levels(grid, u0, u1, config):
     # the levels a run starts from: the data at s and init_state's first level at s + dt
-    dt = time_step(grid.dr, config)[1]
+    dt = time_step(grid.step_unit, config)[1]
     u0v, _, first, active, _ = init_state(grid, u0, u1, config, dt)
     return Levels(t=config.s + dt, dt=dt, u_prev=u0v, u_curr=first, step_index=1, active=active)
 
@@ -134,7 +134,7 @@ def reference_step(state, grid, config):
     u_next = np.zeros_like(state.u_curr)
     # overflow here means the run is diverging; it is flagged below, not raised
     with np.errstate(over="ignore", invalid="ignore"):
-        forcing = laplacian_apply(grid, u_curr) - m_sq * u_curr
+        forcing = grid.laplacian(u_curr) - m_sq * u_curr
         if config.nonlinear:
             forcing = forcing + np.abs(u_curr) ** params.p
         u_next[:width] = (
@@ -260,7 +260,7 @@ def reference_run(grid, u0, u1, config):
     params = config.params
     state = first_levels(grid, u0, u1, config)
     dt = state.dt
-    steps = time_step(grid.dr, config)[0]
+    steps = time_step(grid.step_unit, config)[0]
     frame_ok = discriminant(params) >= 0.0
     u1v = np.asarray(u1(grid.r), dtype=float)
     rows = [reference_record(grid, params, config.s, state.u_prev, u1v, frame_ok)]
@@ -336,12 +336,12 @@ def blowup_states():
 
 class TestTimeStep:
     @pytest.mark.parametrize(
-        "dr,safety,expected", [(0.05, 0.5, 0.025), (0.1, 1.0, 0.1), (0.01, 0.9, 0.009)]
+        "step_unit,safety,expected", [(0.05, 0.5, 0.025), (0.1, 1.0, 0.1), (0.01, 0.9, 0.009)]
     )
-    def test_cfl_dt(self, dr, safety, expected):
-        # where cfl_safety * dr divides the horizon, it is the step
+    def test_cfl_dt(self, step_unit, safety, expected):
+        # where cfl_safety * step_unit divides the horizon, it is the step
         cfg = RunConfig(params=params(), t_max=100.0 * expected, cfl_safety=safety)
-        steps, dt = time_step(dr, cfg)
+        steps, dt = time_step(step_unit, cfg)
         assert steps == 100 and dt == pytest.approx(expected, rel=1e-12)
 
     def test_cfl_domain(self):
@@ -353,8 +353,8 @@ class TestTimeStep:
     def test_effective_dt_lands_exactly(self):
         g = make_radial_grid(1, 10.0, 0.1)
         cfg = RunConfig(params=params(), s=0.0, t_max=1.0, cfl_safety=0.9)
-        steps, dt = time_step(g.dr, cfg)
-        assert dt <= 0.9 * g.dr + 1e-15
+        steps, dt = time_step(g.step_unit, cfg)
+        assert dt <= 0.9 * g.step_unit + 1e-15
         assert steps * dt == pytest.approx(1.0, rel=1e-14)
 
 
@@ -381,7 +381,8 @@ class TestInitState:
     def test_zero_data(self):
         g = make_radial_grid(1, 10.0, 0.05)
         cfg = RunConfig(params=params(mu1=2.0), t_max=1.0)
-        u0v, u1v, first, active, sups = init_state(g, zero, zero, cfg, time_step(g.dr, cfg)[1])
+        dt = time_step(g.step_unit, cfg)[1]
+        u0v, u1v, first, active, sups = init_state(g, zero, zero, cfg, dt)
         assert not u0v.any() and not u1v.any() and not first.any() and active == 0
         assert sups == (0.0, 0.0, 0.0)
 
@@ -392,7 +393,7 @@ class TestInitState:
         diffs = []
         for safety in (0.5, 0.25):
             cfg = RunConfig(params=p, t_max=10.0, cfl_safety=safety)
-            u0v, _, first, _, _ = init_state(g, bump, zero, cfg, time_step(g.dr, cfg)[1])
+            u0v, _, first, _, _ = init_state(g, bump, zero, cfg, time_step(g.step_unit, cfg)[1])
             diffs.append(np.max(np.abs(first - u0v)))
         assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.05)
 
@@ -401,7 +402,7 @@ class TestInitState:
         # u(dt, 0) = 1 + (dt^2/2) * Lap u0(0) = 1 - dt^2 for n = 1
         g = make_radial_grid(1, 20.0, 0.02)
         cfg = RunConfig(params=params(), t_max=10.0, nonlinear=False, cfl_safety=0.5)
-        dt = time_step(g.dr, cfg)[1]
+        dt = time_step(g.step_unit, cfg)[1]
         first = init_state(g, lambda r: np.exp(-(r**2)), zero, cfg, dt)[2]
         assert first[0] == pytest.approx(1.0 - dt**2, abs=5e-4 * dt**2 + 1e-12)
 
@@ -409,7 +410,7 @@ class TestInitState:
         g = make_radial_grid(1, 10.0, 0.05)
         cfg = RunConfig(params=params(), t_max=9.0)  # safe radius 1.0 < support 3.0
         with pytest.warns(SupportViolationWarning):
-            init_state(g, bump, zero, cfg, time_step(g.dr, cfg)[1])
+            init_state(g, bump, zero, cfg, time_step(g.step_unit, cfg)[1])
 
     def test_no_safe_radius_rejected(self):
         # r_max <= t_max - s: the Dirichlet cut-off reaches every node
@@ -417,13 +418,13 @@ class TestInitState:
         for s, t_max in ((0.0, 10.0), (0.0, 60.0), (2.0, 12.0)):
             cfg = RunConfig(params=params(), s=s, t_max=t_max)
             with pytest.raises(ValueError, match="no safe radius"):
-                init_state(g, bump, zero, cfg, time_step(g.dr, cfg)[1])
+                init_state(g, bump, zero, cfg, time_step(g.step_unit, cfg)[1])
 
     def test_squares_past_the_float_range_rejected(self):
         # 1e160**2 overflows: the error names the datum and its value
         g = make_radial_grid(1, 10.0, 0.05)
         cfg = RunConfig(params=params(), t_max=1.0)
-        dt = time_step(g.dr, cfg)[1]
+        dt = time_step(g.step_unit, cfg)[1]
         huge = lambda r: 1e160 * bump(r)
         for u0, u1, name in ((huge, zero, "u0"), (bump, huge, "u1")):
             with pytest.raises(ValueError, match=rf"max \|{name}\| = 1e\+160 squares past"):
@@ -436,7 +437,7 @@ class TestInitState:
         cfg = RunConfig(params=params(mu1=2.0), s=3.0, t_max=4.0)
         rep, calls = run_levels(monkeypatch, g, bump, zero, cfg)
         assert rep.samples[0, 0] == 3.0
-        assert calls[0][0] == pytest.approx(3.0 + time_step(g.dr, cfg)[1])
+        assert calls[0][0] == pytest.approx(3.0 + time_step(g.step_unit, cfg)[1])
 
 
 class TestStep:
@@ -453,7 +454,7 @@ class TestStep:
         cfg = RunConfig(params=params(), t_max=30.0, nonlinear=False, cfl_safety=1.0)
         rep, calls = run_levels(monkeypatch, g, bump, zero, cfg)
         sup0 = np.max(np.abs(bump(g.r)))
-        assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.dr, cfg)[0]
+        assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.step_unit, cfg)[0]
         assert np.max(np.abs(calls[-1][1])) <= 2.0 * sup0
 
     def test_dalembert_oracle(self, monkeypatch):
@@ -464,7 +465,8 @@ class TestStep:
             g = make_radial_grid(1, 20.0, dr)
             cfg = RunConfig(params=params(), t_max=2.0, nonlinear=False, cfl_safety=0.5)
             rep, calls = run_levels(monkeypatch, g, zero, u1, cfg)
-            assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.dr, cfg)[0]
+            steps = time_step(g.step_unit, cfg)[0]
+            assert rep.outcome == OUTCOME_COMPLETED and len(calls) == steps
             exact = 0.5 * math.sqrt(math.pi) * width * math.erf(2.0 / width)
             assert calls[-1][1][0] == pytest.approx(exact, abs=10.0 * dr**2)
 
@@ -767,7 +769,7 @@ class TestRunLoop:
         cfg = RunConfig(params=params(mu1=3.0, mu2sq=1.5), t_max=6.5, nonlinear=False,
                         cfl_safety=0.5, record_every=1)
         rep, calls = run_levels(monkeypatch, g, bump, zero, cfg)
-        assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.dr, cfg)[0]
+        assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.step_unit, cfg)[0]
         assert calls[-1][2] == g.num_nodes
 
     def test_levels_rotate_without_aliasing(self, monkeypatch):
@@ -792,7 +794,8 @@ class TestRunLoop:
         g = make_radial_grid(2, 20.0, 0.05)
         cfg = RunConfig(params=params(n=2, mu1=3.0, p=2.5), t_max=5.0, record_every=1)
         rep = run(g, bump, bump, cfg)
-        assert len(seen) == time_step(g.dr, cfg)[0] and len({frozenset(ids) for ids in seen}) == 1
+        assert len(seen) == time_step(g.step_unit, cfg)[0]
+        assert len({frozenset(ids) for ids in seen}) == 1
         for (prev, curr, out), (prev2, curr2, out2) in zip(seen, seen[1:]):
             assert (prev2, curr2, out2) == (curr, out, prev)
         # the levels a sample reads are those of its own step, not a rotated-away one
@@ -850,7 +853,7 @@ class TestSharedPasses:
         cfg = RunConfig(params=params(n=n, mu1=mu1, mu2sq=mu2sq, p=2.0), t_max=t_max,
                         nonlinear=nonlinear, cfl_safety=0.5, record_every=50)
         levels = written_levels(monkeypatch, g, u0, zero, cfg)
-        assert len(levels) == time_step(g.dr, cfg)[0]
+        assert len(levels) == time_step(g.step_unit, cfg)[0]
         # the steps ran over a tail of negative subnormals
         first = np.frombuffer(levels[0])
         assert ((first < 0.0) & (first > -2.0**-1022)).any()
@@ -861,12 +864,12 @@ class TestSharedPasses:
         # Linear, massless and undamped with mu1 = -0.0, so h = -0.0.  The kernel writes a
         # level on a narrow window into a buffer holding -0.0 beyond it, then steps on it
         # over the whole grid.  Next to the last written node, -2**-1074, the Laplacian is
-        # -2**-1074 / dr^2: nonzero for dr^2 < 2, and -0.0 for dr^2 >= 2, where
+        # -2**-1074 over the grid's row divisor: nonzero below 2, and -0.0 from 2 on, where
         # f - 0 * (-0.0) is +0.0, not f, and changes the level.
         tiny = 2.0**-1074
         g = make_radial_grid(1, 42.0, dr)
         cfg = RunConfig(params=params(mu1=-0.0), t_max=10.0, nonlinear=False, cfl_safety=0.5)
-        dt = time_step(g.dr, cfg)[1]
+        dt = time_step(g.step_unit, cfg)[1]
         u_prev, u_curr = np.zeros(g.num_nodes), np.zeros(g.num_nodes)
         u_curr[5] = -4.0 * tiny
         advance = leapfrog_kernel(g, cfg, dt)
@@ -874,8 +877,8 @@ class TestSharedPasses:
         width, _ = advance(1.0, u_prev, u_curr, written, 6)
         advance(1.0 + dt, u_curr, written, later, g.num_nodes)
         assert written[width - 1] == -tiny and np.signbit(written[width])
-        laplacian = laplacian_apply(g, written)[width]
-        assert np.signbit(laplacian) and (laplacian == 0.0) == (g.dr**2 >= 2.0)
+        laplacian = g.laplacian(written)[width]
+        assert np.signbit(laplacian) and (laplacian == 0.0) == (g.row_divisor >= 2.0)
         st = Levels(t=1.0 + dt, dt=dt, u_prev=u_curr, u_curr=written, step_index=2)
         assert later.tobytes() == parent_step(st, g, cfg).u_curr.tobytes()
 
@@ -1014,7 +1017,7 @@ class TestDetectBlowup:
         g = make_radial_grid(1, 10.0, 0.1)
         cfg = RunConfig(params=params(mu1=2.0, p=3.0), t_max=2.0, nonlinear=nonlinear,
                         blowup_threshold=10.0, record_every=1)
-        return run(g, lambda r: 0.5 * bump(r), zero, cfg), times, time_step(g.dr, cfg)[1]
+        return run(g, lambda r: 0.5 * bump(r), zero, cfg), times, time_step(g.step_unit, cfg)[1]
 
     def test_bounded(self, monkeypatch):
         rep, times, _ = self.run_with_sup(monkeypatch, 2.0)
@@ -1079,7 +1082,7 @@ class TestRun:
         cfg = RunConfig(params=params(), t_max=50.0, nonlinear=False,
                         cfl_safety=0.5, record_every=50)
         rep = run(g, bump, zero, cfg)
-        assert time_step(g.dr, cfg)[0] >= 5000
+        assert time_step(g.step_unit, cfg)[0] >= 5000
         t, grad = rep.series("grad_l2")
         _, ut = rep.series("ut_l2")
         energy = 0.5 * (grad**2 + ut**2)
@@ -1120,7 +1123,8 @@ class TestRun:
             cfg = RunConfig(params=params(mu1=mu1, mu2sq=mu2sq), t_max=5.0,
                             nonlinear=False, cfl_safety=1.0, record_every=10**9)
             rep, calls = run_levels(monkeypatch, g, bump, zero, cfg)
-            assert rep.outcome == OUTCOME_COMPLETED and len(calls) == time_step(g.dr, cfg)[0]
+            steps = time_step(g.step_unit, cfg)[0]
+            assert rep.outcome == OUTCOME_COMPLETED and len(calls) == steps
             beyond = np.abs(calls[-1][1]) > 1e-12
             assert g.r[beyond].max() <= 3.0 + 5.0 + 2.0 * g.dr
 
@@ -1137,7 +1141,7 @@ class TestRun:
                         record_every=4)
         rep = run(g, bump, zero, cfg)
         assert isinstance(rep.samples, np.ndarray) and rep.samples.dtype == np.float64
-        assert rep.samples.shape == (time_step(g.dr, cfg)[0] // 4 + 2, len(CSV_COLUMNS))
+        assert rep.samples.shape == (time_step(g.step_unit, cfg)[0] // 4 + 2, len(CSV_COLUMNS))
         for column, key in enumerate(CSV_COLUMNS[1:], start=1):
             t, values = rep.series(key)
             assert np.shares_memory(t, rep.samples) and np.shares_memory(values, rep.samples)
@@ -1169,7 +1173,7 @@ class TestRun:
         cfg = RunConfig(params=p, s=1.0, t_max=2.0, cfl_safety=0.8, record_every=5)
         rep, calls = run_levels(monkeypatch, g, bump, bump, cfg)
         t, wl2 = rep.series("wl2")
-        u0v = init_state(g, bump, bump, cfg, time_step(g.dr, cfg)[1])[0]
+        u0v = init_state(g, bump, bump, cfg, time_step(g.step_unit, cfg)[1])[0]
         assert wl2[0] == weighted_lq(g, u0v, p, 1.0, t[0], 2.0)
         # the fifth step starts from the level at s + 5 dt, the second sample
         t5, u5, _ = calls[4]
@@ -1181,7 +1185,7 @@ class TestRun:
         # 200,001 nodes, so the node arrays dwarf everything of fixed size; the
         # zero u1 leaves the gradient density 0 at the origin, which the first
         # sample's quadrature gathers around
-        num_nodes, spacing = grid_size(n, 20.0, 1e-4)
+        num_nodes, _, step_unit = grid_size(n, 20.0, 1e-4)
         cfg = RunConfig(params=params(n=n, mu1=4.0, p=3.0), t_max=2e-3, nonlinear=nonlinear,
                         cfl_safety=0.5, record_every=10)
         gaussian = lambda r: np.exp(-((r / 0.4) ** 2))  # noqa: E731
@@ -1194,7 +1198,17 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert num_nodes == 200_001 and rep.outcome == OUTCOME_COMPLETED
-        assert peak <= run_bytes(num_nodes, spacing, cfg)[1]
+        assert peak <= run_bytes(num_nodes, step_unit, cfg)[1]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_size_check_counts_the_rows_run_allocates(self, n):
+        # the check before allocation reads grid_size, and run allocates on the built grid
+        num_nodes, _, step_unit = grid_size(n, 5.0, 0.07)
+        cfg = RunConfig(params=params(n=n, mu1=4.0, p=3.0), t_max=1.3, record_every=3)
+        g = make_radial_grid(n, 5.0, 0.07)
+        rep = run(g, bump, zero, cfg)
+        assert num_nodes == g.num_nodes and step_unit == g.step_unit
+        assert rep.samples.base.shape[0] == run_bytes(num_nodes, step_unit, cfg)[0]
 
     def test_unstable_linear_run_is_diverged_not_blowup(self):
         # cfl_safety 0.9 exceeds the leapfrog bound in n = 3 (about 0.816); a
@@ -1223,7 +1237,7 @@ class TestLanes:
     def test_lanes_never_outnumber_the_rows_left(self, forks, forced_lanes):
         # lanes fork after the second row, so 3 of the run's 5 rows are left
         cfg = dataclasses.replace(self.DENSE, t_max=0.36)
-        steps = time_step(self.GRID.dr, cfg)[0]
+        steps = time_step(self.GRID.step_unit, cfg)[0]
         assert steps == 4
         rep = run(self.GRID, bump, bump, cfg, jobs=64)
         assert forks == [2]
@@ -1234,7 +1248,7 @@ class TestLanes:
                                        monkeypatch):
         import scalewave.solver as solver
 
-        need = run_bytes(self.GRID.num_nodes, self.GRID.dr, self.DENSE)[1]
+        need = run_bytes(self.GRID.num_nodes, self.GRID.step_unit, self.DENSE)[1]
         monkeypatch.setattr(solver, "RUN_BYTES_BUDGET", runs_that_fit * need)
         rep = run(self.GRID, bump, bump, self.DENSE, jobs=8)
         assert forks == lanes_forked
@@ -1273,7 +1287,7 @@ class TestLanes:
         monkeypatch.setattr(_Recorder, "__call__", ticking(3.0, _Recorder.__call__))
         monkeypatch.setattr(scalewave.lanes, "LANE_START_S", 10.0)
         cfg = dataclasses.replace(self.DENSE, t_max=5 * every * 0.09, record_every=every)
-        assert time_step(self.GRID.dr, cfg)[0] == 5 * every
+        assert time_step(self.GRID.step_unit, cfg)[0] == 5 * every
         rep = run(self.GRID, bump, bump, cfg, jobs=64)
         assert forks == lanes_forked
         monkeypatch.undo()
