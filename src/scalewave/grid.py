@@ -6,13 +6,14 @@ carry the surface measure omega_{n-1} r^(n-1) dr with trapezoidal weights
 u_rr + (n-1)/r u_r with the even-extension regularization n*u_rr(0) at the
 origin.  The outer boundary is a homogeneous Dirichlet cut-off: callers
 size r_max so nothing reaches it within the time horizon (finite speed of
-propagation).  Grids are immutable and hold all that defines the operator.
+propagation).  Grids are immutable and define the operator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,22 +25,36 @@ class RadialGrid:
     dr: float
     r: np.ndarray
     quad_weights: np.ndarray
-    dr_sq: float  # dr**2, which the Laplacian's rows divide by
-    denominators: np.ndarray | None  # (2 dr) r of the (n-1)/r u_r term; None in n = 1
-    step_unit: float  # stable time step per unit cfl_safety (``grid_size``)
-    row_divisor: float  # largest divisor of a Laplacian row (solver notes, "Shared passes")
 
     @property
     def num_nodes(self) -> int:
         return self.r.size
 
-    def laplacian(self, u) -> np.ndarray:
-        """Second-order radial Laplacian u_rr + (n-1)/r u_r of 2 <= m <= num_nodes values.
+    @property
+    def step_unit(self) -> float:
+        """Stable time step per unit ``cfl_safety``, as ``grid_size`` gives it."""
+        return _step_unit(self.dr)
 
-        At r = 0 the even extension gives n*u_rr(0), and the ghost beyond
-        node m - 1 is 0: the Dirichlet cut-off at m = num_nodes, and below
-        it, for a profile that is 0 beyond the prefix, the prefix of the
-        full-grid result bit for bit (up to the sign of a zero).
+    @property
+    def row_divisor(self) -> float:
+        """Largest divisor of a Laplacian row (``solver`` notes, "Shared passes")."""
+        return self.dr_sq
+
+    @cached_property  # formed on first use, as are the denominators
+    def dr_sq(self) -> float:
+        return self.dr**2
+
+    @cached_property
+    def denominators(self) -> np.ndarray | None:
+        """(2 dr) r of the (n-1)/r u_r term; None in n = 1."""
+        return 2.0 * self.dr * self.r if self.n > 1 else None
+
+    def laplacian(self, u) -> np.ndarray:
+        """The Laplacian (module notes) of 2 <= m <= num_nodes nodal values.
+
+        The ghost beyond node m - 1 is 0: for a profile that is 0 beyond the
+        prefix, the result is the prefix of the full-grid one bit for bit
+        (up to the sign of a zero).
         """
         u = np.asarray(u, dtype=float)
         if u.ndim != 1 or not 2 <= u.size <= self.num_nodes:
@@ -82,12 +97,12 @@ def surface_measure(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float, float]:
-    """(node count, snapped spacing, step unit) of ``make_radial_grid(n, r_max, dr)``.
+def _step_unit(spacing: float) -> float:
+    return spacing  # the wave speed is 1
 
-    Allocates nothing.  The step unit is the stable time step per unit
-    ``cfl_safety``: the wave speed is 1, so the spacing.
-    """
+
+def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float, float]:
+    """(nodes, spacing, step unit) of ``make_radial_grid(n, r_max, dr)``, allocating nothing."""
     if int(n) != n or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if not r_max > 0.0:
@@ -98,7 +113,7 @@ def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float, float]:
         raise ValueError(f"need 0 < dr < r_max, got dr={dr}, r_max={r_max}")
     num = int(round(r_max / dr)) + 1
     spacing = r_max / (num - 1)
-    return num, spacing, spacing
+    return num, spacing, _step_unit(spacing)
 
 
 def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
@@ -107,15 +122,12 @@ def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
     The requested spacing is snapped minimally so that the last node sits
     exactly on r_max.
     """
-    num, spacing, step_unit = grid_size(n, r_max, dr)
-    n, spacing = int(n), float(spacing)
+    num, spacing, _ = grid_size(n, r_max, dr)
     r = spacing * np.arange(num)
-    weights = surface_measure(n) * r ** (n - 1) * spacing
+    weights = surface_measure(int(n)) * r ** (n - 1) * spacing
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return RadialGrid(n=n, r_max=float(r_max), dr=spacing, r=r, quad_weights=weights,
-                      dr_sq=spacing**2, denominators=2.0 * spacing * r if n > 1 else None,
-                      step_unit=float(step_unit), row_divisor=spacing**2)
+    return RadialGrid(n=int(n), r_max=float(r_max), dr=float(spacing), r=r, quad_weights=weights)
 
 
 def integrate(grid: RadialGrid, values) -> float:

@@ -280,12 +280,7 @@ def run_bytes(num_nodes: int, step_unit: float, config: RunConfig) -> tuple[int,
 
 
 def check_run_size(num_nodes: int, step_unit: float, config: RunConfig) -> None:
-    """Raise ValueError, before anything is allocated, for a run past RUN_BYTES_BUDGET.
-
-    The estimate is ``run_bytes``: the grid's arrays, the levels, the
-    step kernel's scratch, the recorder's rows and its quadrature's gathers,
-    the ring that feeds lanes, the boolean masks and the sample rows.
-    """
+    """Raise ValueError, before anything is allocated, if ``run_bytes`` exceeds RUN_BYTES_BUDGET."""
     rows, need = run_bytes(num_nodes, step_unit, config)
     if need > RUN_BYTES_BUDGET:
         raise ValueError(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ class TestConstruction:
             vol = surface_measure(n) / n * 5.0**n
             # trapezoid order: exact for n <= 2, O(dr^2) for the r^2 measure
             assert integrate(g, np.ones_like(g.r)) == pytest.approx(vol, rel=1e-5)
+
+    def test_operator_constants_derived_from_the_fields(self):
+        # formed on first use, so a grid that never applies the operator holds no
+        # denominators, and a replaced grid derives its own
+        g = make_radial_grid(3, 5.0, 0.1)
+        assert "denominators" not in vars(g)
+        g.laplacian(np.zeros(g.num_nodes))
+        assert np.array_equal(g.denominators, 2.0 * g.dr * g.r)
+        h = replace(g, dr=2.0 * g.dr, r=2.0 * g.r)
+        assert "denominators" not in vars(h) and h.dr_sq == (2.0 * g.dr) ** 2
+        assert np.array_equal(h.denominators, 2.0 * h.dr * h.r)
 
 
 class TestIntegrate:
