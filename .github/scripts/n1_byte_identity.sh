@@ -54,6 +54,15 @@ commands() {
     # a diverging run: its last sample takes the two-level u_t and records inf/nan (exit 3)
     sw simulate --set mu1=0 --set p=2 --set blowup_threshold=1e300 --set t_max=20 \
         --set r_max=40 --set record_every=1 --out diverged.csv
+    # weighted quadrature terms past e^600, summed relative to the largest and scaled
+    # back: a blow-up run whose weighted columns stay finite
+    sw simulate --set mu1=6 --set t_max=20 --set r_max=40 --set record_every=1 \
+        --out weighted-past-budget.csv
+    # weighted columns summed past e^600 up to 2e305, in a run that ends diverged
+    # (exit 3)
+    sw simulate --set u0_kind=bump --set u0_width=3 --set u1_kind=bump --set u1_width=3 \
+        --set u1_amplitude=1 --set t_max=20 --set r_max=60 --set blowup_threshold=1e300 \
+        --set record_every=1 --set p=3 --out weighted-large.csv
     # a dense linear run of the record-dense benchmark's shape at half its length:
     # its samples cost more than its steps, so it forks lanes early
     sw simulate --set mu1=4 --set r_max=230 --set dr=0.05 --set t_max=100 --set u0_width=0.4 \

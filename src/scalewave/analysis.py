@@ -60,8 +60,9 @@ def fit_decay(times, values, window: tuple[float, float], log_factor=None) -> De
         raise ValueError(f"fit window [{lo}, {hi}] contains {int(sel.sum())} samples; need >= 8")
     tw = times[sel]
     vw = values[sel]
-    if np.any(vw <= 0.0):
-        raise ValueError("decay fit needs positive values inside the window")
+    # NaN fails both comparisons
+    if not np.all((vw > 0.0) & (vw < math.inf)):
+        raise ValueError("decay fit needs finite positive values inside the window")
     if log_factor is not None:
         vw = vw / np.asarray(log_factor(tw), dtype=float)
     x = np.log1p(tw)
@@ -89,10 +90,11 @@ def classify_run(report: RunReport) -> tuple[str, DecayFit | None]:
 
     A run that did not complete keeps its solver outcome (blow-up or
     diverged).  A completed run is global-looking if its weighted gradient
-    norm stayed within ``ENERGY_GROWTH_BOUND`` times its initial value and
-    the L2 series fitted over [t_max/10, t_max] decays; it is undecided
-    otherwise.  The fit is None unless the label is global-looking, and
-    also for identically zero data, which have no L2 series to fit.
+    norm started finite and nonzero, stayed within ``ENERGY_GROWTH_BOUND``
+    times that initial value, and the L2 series fitted over [t_max/10, t_max]
+    decays; it is undecided otherwise.  The fit is None unless the label is
+    global-looking, and also for identically zero data, which have no L2
+    series to fit.
     """
     if report.outcome != OUTCOME_COMPLETED:
         return report.outcome, None
@@ -101,7 +103,8 @@ def classify_run(report: RunReport) -> tuple[str, DecayFit | None]:
         return GLOBAL_LOOKING, None
     _, wgrad = report.series("wgrad_l2")
     initial = float(wgrad[0])
-    if initial == 0.0 or float(np.max(wgrad)) / initial > ENERGY_GROWTH_BOUND:
+    # an initial norm of 0 or +inf (data outside the weighted space) bounds nothing
+    if not 0.0 < initial < math.inf or float(np.max(wgrad)) / initial > ENERGY_GROWTH_BOUND:
         return UNDECIDED, None
     try:
         fit = fit_decay(t, l2, (report.config.t_max / 10.0, report.config.t_max))

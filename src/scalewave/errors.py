@@ -16,4 +16,6 @@ class WeightOverflowError(ArithmeticError):
     Raised when some term exp(expo)*density has exponent expo + log density
     above the budget; a large weight alone is harmless where the integrand
     decays faster.  The data do not lie in the weighted space on this grid.
+    Only ``functionals.weighted_quadrature`` raises it; a run records such a
+    norm as +inf instead.
     """

@@ -7,8 +7,9 @@ quadrature term exp(expo)*density is formed as exp(expo + log density), so
 the weight may be astronomically large wherever the integrand is not.
 Overflow is judged on that combined exponent, never on the weight alone.
 Past a budget, a term is summed relative to the largest one and scaled
-back, so the recorder of a growing run records a weighted norm up to the
-float range and +inf beyond it, and never aborts the run;
+back, so the recorder records a weighted norm up to the float range and
++inf beyond it, at every sample of a run, the first included: data the
+weight cannot represent still run, and only their weighted columns say so.
 ``weighted_quadrature`` instead raises WeightOverflowError there, because
 its callers (the verify suites) test data that must lie in the weighted
 space.
@@ -64,33 +65,13 @@ def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
     if density.shape != grid.r.shape:
         raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
     value, peak = _log_quadrature(grid.quad_weights, np.asarray(expo, dtype=float), density)
-    check_term_exponent(peak)
-    return value
-
-
-def check_term_exponent(peak: float, data: tuple[float, str] | None = None) -> None:
-    """Raise WeightOverflowError when a quadrature term's exponent exceeds the budget.
-
-    ``data`` is (max |datum|, name) of the larger datum.  A term's exponent
-    is the weight's plus the log of a density quadratic in the data, so data
-    of size s carry about 2 log s of it; when the exponent less that share
-    is within the budget, the weight alone fits and the message blames the
-    data's size instead of the weight.
-    """
-    if not peak > EXPONENT_BUDGET:
-        return
-    if data is not None and peak - 2.0 * math.log(data[0]) <= EXPONENT_BUDGET:
+    if peak > EXPONENT_BUDGET:
         raise WeightOverflowError(
-            f"weighted integral not representable: the data's size overflows the "
-            f"quadrature (max |{data[1]}| = {data[0]:.4g} puts a term's exponent at "
-            f"{peak:.4g} > {EXPONENT_BUDGET:.0f}, where the weight alone fits); "
-            "scale the data down"
+            f"weighted integral not representable: a quadrature term has exponent "
+            f"{peak:.4g} > {EXPONENT_BUDGET:.0f}; the data do not decay fast enough "
+            "for the weight on this grid"
         )
-    raise WeightOverflowError(
-        f"weighted integral not representable: a quadrature term has exponent "
-        f"{peak:.4g} > {EXPONENT_BUDGET:.0f}; the data do not decay fast enough "
-        "for the weight on this grid"
-    )
+    return value
 
 
 def _log_quadrature(weights: np.ndarray, expo: np.ndarray, density: np.ndarray,
@@ -150,17 +131,15 @@ def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: 
 def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,
                      grad_sq: np.ndarray, m_sq: float, u_sq_max: float,
                      scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
-    """(wl2, wgrad_l2, wenergy, peaks) from the nodal squares u^2 and u_r^2 + u_t^2.
+    """(wl2, wgrad_l2, wenergy) from the nodal squares u^2 and u_r^2 + u_t^2.
 
     Under the weight exp(2W) = exp(``expo``): wl2 = ||exp(W) u||_2,
     wgrad_l2 = ||exp(W) (grad u, u_t)||_2 and wenergy = (1/2) * integral of
-    exp(2W) * (u_t^2 + |grad u|^2 + m^2(t) u^2).  The fourth value holds
-    the largest term exponent of each quadrature taken, in order, for a
-    caller that must reject data outside the weighted space; past the
-    budget the norms are still formed, +inf where they overflow.  All
-    arrays may be one prefix of the grid's (weights, the exponent 2W and
-    the squares) when both squares are 0 beyond it: the
-    quadratures see the same nonzero terms, so the values keep every bit.
+    exp(2W) * (u_t^2 + |grad u|^2 + m^2(t) u^2).  Past the budget the
+    norms are still formed, +inf where they overflow.  All arrays may be
+    one prefix of the grid's (weights, the exponent 2W and the squares)
+    when both squares are 0 beyond it: the quadratures see the same
+    nonzero terms, so the values keep every bit.
     ``u_sq_max`` is the largest u^2.  Without mass (m_sq == 0) and with u^2
     finite, the energy density grad_sq + 0*u_sq is grad_sq bit for bit, so
     the energy reuses the gradient quadrature; where u^2 overflows or is
@@ -173,16 +152,14 @@ def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,
         size = u_sq.size
         scratch = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
     quadrature_scratch, energy = scratch[:2], scratch[2][:u_sq.size]
-    u_integral, u_peak = _log_quadrature(weights, expo, u_sq, quadrature_scratch)
-    grad_integral, grad_peak = _log_quadrature(weights, expo, grad_sq, quadrature_scratch)
-    peaks = (u_peak, grad_peak)
+    u_integral = _log_quadrature(weights, expo, u_sq, quadrature_scratch)[0]
+    grad_integral = _log_quadrature(weights, expo, grad_sq, quadrature_scratch)[0]
     if m_sq == 0.0 and math.isfinite(u_sq_max):
         energy_integral = grad_integral
     else:
         np.add(grad_sq, np.multiply(m_sq, u_sq, out=energy), out=energy)
-        energy_integral, energy_peak = _log_quadrature(weights, expo, energy, quadrature_scratch)
-        peaks += (energy_peak,)
-    return u_integral ** (1.0 / 2.0), math.sqrt(grad_integral), 0.5 * energy_integral, peaks
+        energy_integral = _log_quadrature(weights, expo, energy, quadrature_scratch)[0]
+    return u_integral ** (1.0 / 2.0), math.sqrt(grad_integral), 0.5 * energy_integral
 
 
 def comparison_frame_exponent(params: ModelParams) -> float:

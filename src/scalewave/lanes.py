@@ -96,11 +96,6 @@ class IndexPipe:
         index = os.read(self.read_end, _INDEX_BYTES)
         return int.from_bytes(index, "little") if index else None
 
-    def drain(self) -> None:
-        """Take every index left, until every write end is closed."""
-        while self.take() is not None:
-            pass
-
     def close(self, read: bool = True, write: bool = True) -> None:
         """Close this process's read end, write end or both; each end closes once."""
         if read and self.read_end >= 0:

@@ -108,7 +108,7 @@ def select_nu(problem: OdiProblem) -> float:
         nu*(alpha+1+k0)*G(t)^(-(p-1)/2) + nu^2*(p+1)/2*(1+t)^(alpha+2) <= k1,
 
     and eliminating (1+t)^(alpha+2) through the closed form of G makes the
-    left side linear in G^(-(p-1)/2) in (0, f0^(-(p-1)/2)], so it peaks at
+    left side linear in G^(-(p-1)/2) in (0, f0^(-(p-1)/2)], so it is largest at
     an endpoint.  Both endpoints give a quadratic constraint in nu with the
     same leading coefficient (p+1)/2 and linear coefficient
 

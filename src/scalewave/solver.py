@@ -169,7 +169,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lanes
-from .functionals import check_term_exponent, comparison_frame_exponent, norms_of_squares
+from .functionals import comparison_frame_exponent, norms_of_squares
 from .grid import RadialGrid, integrate, radial_derivative_into
 from .model import ModelParams, coefficients, discriminant, weight_exponent_from_product
 
@@ -324,14 +324,14 @@ def _power_source(source: np.ndarray, p: float, c_p: float, below: np.ndarray) -
 
 
 def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, tuple[float, float, float]]:
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, tuple[float, float]]:
     """Sample the data at time s and take the second-order Taylor first step.
 
     ``u0`` and ``u1`` are radial profiles (callables of r).  Returns the
     sampled u0 and u1, the first level at s + dt,
     u0 + dt*u1 + (dt^2/2)*(Lap u0 - b(s) u1 - m^2(s) u0 + [nl] |u0|^p),
     ``active``, one past the last node where u0 or the first level is
-    nonzero, and the sups (max |u0|, max |u1|, max |first level|).  Data
+    nonzero, and the sups (max |u0|, max |first level|).  Data
     must be supported inside r_max - (t_max - s) so the Dirichlet cut-off
     never influences the solution; a violation only warns, since the
     caller may knowingly accept a graded tail.  Without a
@@ -348,10 +348,8 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
     params = config.params
     u0v = _sample_profile(u0, grid.r)
     u1v = _sample_profile(u1, grid.r)
-    sups = []
-    for name, values in (("u0", u0v), ("u1", u1v)):
-        peak = float(np.max(np.abs(values)))
-        sups.append(peak)
+    sup_u0 = float(np.max(np.abs(u0v)))
+    for name, peak in (("u0", sup_u0), ("u1", float(np.max(np.abs(u1v))))):
         if peak * peak == math.inf:
             raise ValueError(
                 f"initial data out of range: max |{name}| = {peak:.4g} squares past the "
@@ -378,8 +376,7 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
     u_first[-1] = 0.0
     nonzero = np.flatnonzero((u0v != 0.0) | (u_first != 0.0))
     active = int(nonzero[-1]) + 1 if nonzero.size else 0
-    sups.append(float(np.max(np.abs(u_first))))
-    return u0v, u1v, u_first, active, tuple(sups)
+    return u0v, u1v, u_first, active, (sup_u0, float(np.max(np.abs(u_first))))
 
 
 def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
@@ -463,9 +460,9 @@ def leapfrog_kernel(grid: RadialGrid, config: RunConfig, dt: float):
 class _Recorder:
     """The sample rows of one run, each one pass over the active window (see the module notes).
 
-    ``peaks`` holds the largest term exponent of each weighted quadrature of
-    the last sample.  ``u_t`` is the row of u_t^2, where ``run`` forms u_t
-    for the sample to square in place.
+    A weighted norm that overflows is recorded as +inf, at every sample.
+    ``u_t`` is the row of u_t^2, where ``run`` forms u_t for the sample to
+    square in place.
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams, frame_ok: bool) -> None:
@@ -482,7 +479,6 @@ class _Recorder:
         # 2W, u_r^2 + u_t^2, and the quadratures' terms and energy density
         self.expo, self.grad_sq, terms, energy = np.empty((4, size))
         self.scratch = (np.empty(size, dtype=bool), terms, energy)
-        self.peaks = ()
 
     def __call__(self, t: float, u: np.ndarray, u_t: np.ndarray, w: int,
                  sup: float) -> tuple[float, ...]:
@@ -505,7 +501,7 @@ class _Recorder:
         np.add(expo, expo, expo)
         grad_sq = np.add(ur_sq, ut_sq, self.grad_sq[:w])
         _, m_sq = coefficients(self.params, t)
-        wl2, wgrad_l2, wenergy, self.peaks = norms_of_squares(
+        wl2, wgrad_l2, wenergy = norms_of_squares(
             weights[:w], expo, u_sq, grad_sq, m_sq, sup * sup, self.scratch)
         if self.frame_exponent is not None:
             np.multiply((1.0 + t) ** self.frame_exponent, u, frame)
@@ -650,15 +646,15 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
     Samples are taken every ``record_every`` steps (plus the initial and
     final levels) with the time derivative from the centered two-level
     difference.  The comparison-frame integral F is recorded as NaN when
-    the discriminant is negative and the frame does not exist.  Data whose
-    weighted norms at t = s have a quadrature term past the exponent budget
-    raise WeightOverflowError before any step: they lie outside the
-    weighted space, or, where the weight alone fits, are too large in size.
-    Later samples record a weighted norm that overflows as +inf.  A step
-    whose sup |u+| is not finite ends the run ``diverged``; one whose sup
-    exceeds ``blowup_threshold`` ends it ``blowup`` at that level's time, or
-    ``diverged`` on a linear run: a linear solution cannot blow up, so the
-    scheme is unstable.
+    the discriminant is negative and the frame does not exist.  Every
+    sample, the first included, records a weighted norm that overflows as
+    +inf: data outside the weighted space run, and their weighted columns
+    say so.  Data whose max |u0| already exceeds ``blowup_threshold`` raise
+    ValueError before any step, since the detector would fire on the data
+    themselves.  A step whose sup |u+| is not finite ends the run
+    ``diverged``; one whose sup exceeds ``blowup_threshold`` ends it
+    ``blowup`` at that level's time, or ``diverged`` on a linear run: a
+    linear solution cannot blow up, so the scheme is unstable.
 
     ``jobs`` counts the processes that may record samples, this one
     included; from 2 on, a run whose samples cost more than its steps
@@ -667,7 +663,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
 
     ``progress``, if given, is called with a sample's time once the steps
     have reached that sample (the first one once the data have passed the
-    check above), so once per row of the report, in order.  A sweep uses it
+    checks above), so once per row of the report, in order.  A sweep uses it
     to watch a cell's wall time while the cell runs.
     """
     clock = time.perf_counter
@@ -678,14 +674,17 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
     with np.errstate(over="ignore", invalid="ignore"), lanes.Lanes() as forked:
         params, every, size = config.params, config.record_every, grid.num_nodes
         steps, dt = time_step(grid.step_unit, config)
-        u0v, u1v, u_first, width, (sup_u0, sup_u1, sup_curr) = init_state(
-            grid, u0, u1, config, dt)
+        u0v, u1v, u_first, width, (sup_u0, sup_curr) = init_state(grid, u0, u1, config, dt)
+        threshold = config.blowup_threshold
+        if sup_u0 > threshold:
+            raise ValueError(
+                f"initial data past the blow-up threshold: max |u0| = {sup_u0:.4g} > "
+                f"blowup_threshold = {threshold:.4g}; scale the data down or raise "
+                "blowup_threshold"
+            )
         record = _Recorder(grid, params, discriminant(params) >= 0.0)
         samples = np.empty((steps // every + 2, 1 + len(SAMPLE_KEYS)))
         samples[0] = record(config.s, u0v, u1v, size, sup_u0)
-        data = max((sup_u0, "u0"), (sup_u1, "u1"))
-        for peak in record.peaks:
-            check_term_exponent(peak, data)
         if progress is not None:
             progress(config.s)
         # the data arrays are dropped once copied, as ``run_bytes`` counts
@@ -704,7 +703,6 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
         total_rows = 1 + steps // every + (steps % every != 0)
         watch = jobs > 1 and lanes.forks()
         outcome, blowup_time = OUTCOME_COMPLETED, None
-        threshold = config.blowup_threshold
         t = config.s + dt
         rows = 1  # rows passed
         sampled = 0.0  # wall time of the in-loop samples recorded here

@@ -60,6 +60,12 @@ class TestFitDecay:
         t = np.linspace(0.0, 10.0, 100)
         with pytest.raises(ValueError):
             fit_decay(t, np.ones_like(t) - 2.0, (1.0, 9.0))  # nonpositive values
+        # an inf or a NaN sample in the window, as a diverging run records them
+        for bad in (np.inf, np.nan):
+            values = (1.0 + t) ** -0.5
+            values[50] = bad
+            with pytest.raises(ValueError, match="finite positive values"):
+                fit_decay(t, values, (1.0, 9.0))
         with pytest.raises(ValueError):
             fit_decay(t, np.ones_like(t), (9.99, 10.0))  # too few samples
 
@@ -120,6 +126,12 @@ class TestClassifyRun:
         ones = np.ones_like(t)
         rep = make_report(t, {"l2": ones, "wgrad_l2": ones}, outcome=OUTCOME_DIVERGED)
         assert classify_run(rep) == (OUTCOME_DIVERGED, None)
+
+    def test_weighted_norm_infinite_from_the_start_undecided(self):
+        # data outside the weighted space: inf/inf bounds nothing, though l2 decays
+        t = np.linspace(0.0, 10.0, 50)
+        rep = make_report(t, {"l2": (1.0 + t) ** -0.5, "wgrad_l2": np.full_like(t, np.inf)})
+        assert classify_run(rep) == (UNDECIDED, None)
 
     def test_single_distinct_time_in_window_undecided(self):
         t = np.array([0.0] + [5.0] * 8)

@@ -493,6 +493,21 @@ class TestBadInputsExitConfig:
         assert parse_and_dispatch(["decay-fit", str(csv)]) == EXIT_CONFIG
         assert "length differs from its header" in capsys.readouterr().err
 
+    def test_decay_fit_of_a_diverged_run(self, tmp_path, capsys):
+        # the last row of a diverging run is inf/nan: the fit refuses it cleanly,
+        # with no numpy warning and no NaN in a report
+        csv, out = tmp_path / "div.csv", tmp_path / "fit.json"
+        argv = ["simulate", "--set", "mu1=0", "--set", "p=2", "--set", "blowup_threshold=1e300",
+                "--set", "t_max=20", "--set", "r_max=40", "--set", "record_every=1",
+                "--out", str(csv)]
+        assert parse_and_dispatch(argv) == EXIT_DIVERGED
+        capsys.readouterr()
+        argv = ["decay-fit", str(csv), "--set", "column=l2", "--out", str(out)]
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "error: decay fit needs finite positive values inside the window\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", ["k0=inf", "k1=inf", "alpha=inf", "p=inf", "f0=inf",
                                          "df0=inf", "dt=inf"])
     def test_odi_non_finite_input(self, setting, tmp_path, capsys):
@@ -621,11 +636,39 @@ class TestBadInputsExitConfig:
     @pytest.mark.parametrize("argv", [
         # width-3 Gaussian data at mu1 = 40: e^{2W} u^2 passes e^600 at t = s
         ["simulate", "--set", "mu1=40", "--set", "u0_width=3"],
-        # large as well as wide: scaling them down would not help, so the weight is named
+        # large as well as wide, and linear
+        ["simulate", "--set", "mu1=40", "--set", "u0_width=3", "--set", "u0_amplitude=1e7",
+         "--set", "nonlinear=false"],
+        # width-4 data at the default mu1 = 4: a term's exponent reaches 1.4e4
+        ["simulate", "--set", "u0_width=4", "--set", "r_max=60", "--set", "t_max=10",
+         "--set", "nonlinear=false"],
+    ])
+    def test_data_outside_the_weighted_space_run_and_record_inf(self, argv, tmp_path,
+                                                                 monkeypatch, capsys):
+        # the weight cannot represent these data, but the PDE is well-posed for them:
+        # the run goes on, and its weighted columns read +inf from the first row on
+        monkeypatch.chdir(tmp_path)
+        assert parse_and_dispatch(argv) == EXIT_OK
+        assert capsys.readouterr() == ("outcome: completed\n", "")
+        first = dict(zip(CSV_COLUMNS, np.loadtxt("run.csv", delimiter=",", skiprows=1,
+                                                 max_rows=1)))
+        assert first["wl2"] == first["wgrad_l2"] == first["wenergy"] == math.inf
+        assert all(math.isfinite(first[key]) for key in ("t", "sup", "l2", "grad_l2", "ut_l2", "F"))
+
+    @pytest.mark.parametrize("argv", [
+        # no weight at all (mu1 = 0), where u^2 alone put a term's exponent at 644.7
+        ["simulate", "--set", "mu1=0", "--set", "u0_amplitude=1e140", "--set", "t_max=2"],
+        ["simulate", "--set", "u0_amplitude=1e140", "--set", "t_max=2"],
+        # large as well as outside the weighted space
         ["simulate", "--set", "mu1=40", "--set", "u0_width=3", "--set", "u0_amplitude=1e140"],
+        # a linear run, which would read diverged
+        ["simulate", "--set", "nonlinear=false", "--set", "u0_amplitude=1e140", "--set", "t_max=2"],
+        ["sweep", "--set", "amplitudes=[1e140]", "--set", "t_max=2"],
     ])
-    def test_data_outside_the_weighted_space_rejected_before_any_step(self, argv, tmp_path,
-                                                                      monkeypatch, capsys):
+    def test_data_past_the_blowup_threshold_rejected_before_any_step(self, argv, tmp_path,
+                                                                     monkeypatch, capsys):
+        # the detector would fire on the data themselves: a linear run would read
+        # diverged, a nonlinear one blowup at the first step
         monkeypatch.chdir(tmp_path)
 
         def no_step(*args, **kwargs):
@@ -634,38 +677,22 @@ class TestBadInputsExitConfig:
         monkeypatch.setattr("scalewave.solver.leapfrog_kernel", no_step)
         assert parse_and_dispatch(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(
-            "error: weighted integral not representable: a quadrature term has exponent")
-        assert err.count("\n") == 1
+        assert err == ("error: initial data past the blow-up threshold: max |u0| = 1e+140 > "
+                       "blowup_threshold = 1e+08; scale the data down or raise blowup_threshold\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, datum", [
-        # no weight at all (mu1 = 0): u^2 alone carries the exponent 2 log 1e140
-        (["simulate", "--set", "mu1=0", "--set", "u0_amplitude=1e140", "--set", "t_max=2"],
-         "u0| = 1e+140 puts a term's exponent at 644.7"),
-        (["simulate", "--set", "u0_amplitude=1e140", "--set", "t_max=2"],
-         "u0| = 1e+140 puts a term's exponent at 644.7"),
-        (["simulate", "--set", "u1_kind=gaussian", "--set", "u1_amplitude=1e150",
-          "--set", "t_max=2"], "u1| = 1e+150 puts a term's exponent at 690.8"),
-        (["sweep", "--set", "amplitudes=[1e140]", "--set", "t_max=2"],
-         "u0| = 1e+140 puts a term's exponent at 644.7"),
-    ])
-    def test_data_too_large_for_the_quadrature_rejected_before_any_step(self, argv, datum,
-                                                                        tmp_path, monkeypatch,
-                                                                        capsys):
-        # the squares are finite and the weight fits; the data's size overflows a term
+    def test_data_too_large_for_the_quadrature_run(self, tmp_path, monkeypatch, capsys):
+        # u1^2 = 1e300 is finite and puts a term's exponent at 690.8, past the budget;
+        # the first row is summed scaled back, and the first step passes the threshold
         monkeypatch.chdir(tmp_path)
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("a step was taken")
-
-        monkeypatch.setattr("scalewave.solver.leapfrog_kernel", no_step)
-        assert parse_and_dispatch(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == ("error: weighted integral not representable: the data's size overflows "
-                       f"the quadrature (max |{datum} > 600, where the weight alone fits); "
-                       "scale the data down\n")
-        assert list(tmp_path.iterdir()) == []
+        argv = ["simulate", "--set", "u1_kind=gaussian", "--set", "u1_amplitude=1e150",
+                "--set", "t_max=2"]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        assert capsys.readouterr().out == "outcome: blowup (blow-up at t=0.088888888888888892)\n"
+        first = dict(zip(CSV_COLUMNS, np.loadtxt("run.csv", delimiter=",", skiprows=1,
+                                                 max_rows=1)))
+        assert all(math.isfinite(first[key]) for key in ("wl2", "wgrad_l2", "wenergy"))
+        assert first["ut_l2"] <= first["wgrad_l2"] and first["wenergy"] > 1e299
 
     @pytest.mark.parametrize("argv, name", [
         (["simulate", "--set", "u0_amplitude=1e160", "--out", "run.csv"], "u0"),
@@ -861,11 +888,11 @@ class TestSweepJobs:
     def test_raising_cell_exits_as_serially_and_leaves_no_lane(self, jobs, forks, tmp_path,
                                                                forced_lanes, capsys,
                                                                no_child_left):
-        # the third cell's data overflow the quadrature; the other cells are fine
+        # the third cell's data are past the blow-up threshold; the other cells are fine
         argv = self.RAISING + ["--out", str(tmp_path / "sweep.csv")]
         assert parse_and_dispatch(argv + ["--jobs", "1"]) == EXIT_CONFIG
         serial = capsys.readouterr()
-        assert serial.err.startswith("error: weighted integral not representable")
+        assert serial.err.startswith("error: initial data past the blow-up threshold")
         assert parse_and_dispatch(argv + ["--jobs", jobs]) == EXIT_CONFIG
         assert capsys.readouterr() == serial
         assert forks == [int(jobs) - 1]

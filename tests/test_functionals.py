@@ -9,7 +9,6 @@ from scalewave.errors import RegimeError, WeightOverflowError
 from scalewave.functionals import (
     EXPONENT_BUDGET,
     _log_quadrature,
-    check_term_exponent,
     comparison_frame_factor,
     norms_of_squares,
     to_comparison_frame,
@@ -91,16 +90,18 @@ class TestPastTheBudget:
             assert math.isnan(_log_quadrature(g.quad_weights, np.full(5, 800.0),
                                               np.array([1.0, math.nan, 1.0, 0.0, 0.0]))[0])
 
-    def test_norms_report_each_quadrature_peak(self):
+    def test_norms_past_the_budget_are_formed(self):
+        # a term past the budget is summed scaled back, with or without mass
         g = make_radial_grid(1, 4.0, 1.0)
         expo = np.array([0.0, 700.0, 0.0, 0.0, 0.0])
         u_sq, grad_sq = np.array([1.0, 1.0, 0, 0, 0]), np.array([0.0, 0.0, 2.0, 0, 0])
-        *_, peaks = norms_of_squares(g.quad_weights, expo, u_sq, grad_sq, 0.0, 1.0)
-        assert peaks == (700.0, math.log(2.0))
-        wl2, _, wenergy, peaks = norms_of_squares(g.quad_weights, expo, u_sq, grad_sq, 0.5, 1.0)
-        assert peaks == (700.0, math.log(2.0), 700.0 + math.log(0.5))
+        wl2_massless, wgrad_l2, wenergy = norms_of_squares(g.quad_weights, expo, u_sq, grad_sq,
+                                                           0.0, 1.0)
+        assert wgrad_l2 == math.sqrt(2.0 * g.quad_weights[2]) and wenergy == g.quad_weights[2]
+        wl2, _, wenergy = norms_of_squares(g.quad_weights, expo, u_sq, grad_sq, 0.5, 1.0)
+        assert wl2 == wl2_massless
         assert wl2 == pytest.approx(math.sqrt(g.quad_weights[1] * math.exp(700.0)), rel=1e-13)
-        assert wenergy > 0.0
+        assert wenergy == pytest.approx(0.25 * g.quad_weights[1] * math.exp(700.0), rel=1e-13)
 
     @pytest.mark.parametrize("path", ["prefix", "gather"])
     def test_reused_scratch_matches_fresh_arrays(self, path):
@@ -161,16 +162,17 @@ class TestWeightedL2:
         with pytest.raises(WeightOverflowError):
             weighted_lq(g, f, params(mu1=4.0), 1.0, 0.0, 2.0)
 
-    def test_term_exponent_blames_the_data_only_where_their_size_carries_the_excess(self):
-        check_term_exponent(EXPONENT_BUDGET, (1e140, "u0"))
-        check_term_exponent(math.nan, (1e140, "u0"))
-        # 2 log 1e140 = 644.7: the rest of a 700 exponent fits the budget
-        with pytest.raises(WeightOverflowError, match=r"max \|u1\| = 1e\+140 .*scale the data"):
-            check_term_exponent(700.0, (1e140, "u1"))
-        # data of size 1 or less never take the blame, nor does data past the rest
-        for data in ((1.0, "u0"), (0.5, "u0"), (1e10, "u0"), None):
-            with pytest.raises(WeightOverflowError, match="do not decay fast enough"):
-                check_term_exponent(700.0, data)
+    def test_overflow_blames_the_decay_only_past_the_budget(self):
+        g = make_radial_grid(1, 4.0, 1.0)
+        ones = np.ones(5)
+        # a term exactly at the budget is summed, a NaN term propagates
+        assert weighted_quadrature(g, np.full(5, EXPONENT_BUDGET), ones) == pytest.approx(
+            g.quad_weights.sum() * math.exp(EXPONENT_BUDGET), rel=1e-13)
+        assert math.isnan(weighted_quadrature(g, np.full(5, EXPONENT_BUDGET), ones * math.nan))
+        # however large the data, past the budget the message names their decay
+        for size in (1.0, 0.5, 1e10, 1e140):
+            with pytest.raises(WeightOverflowError, match=r"exponent 7\d\d.* do not decay fast"):
+                weighted_quadrature(g, np.full(5, 700.0 - 2.0 * math.log(size)), ones * size**2)
 
     def test_lower_bounds_plain_l2(self, grid):
         # pointwise weight >= 1, so the weighted norm dominates the plain one

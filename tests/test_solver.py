@@ -21,6 +21,7 @@ from scalewave.solver import (
     OUTCOME_BLOWUP,
     OUTCOME_COMPLETED,
     OUTCOME_DIVERGED,
+    SAMPLE_KEYS,
     RunConfig,
     SupportViolationWarning,
     _Recorder,
@@ -384,7 +385,7 @@ class TestInitState:
         dt = time_step(g.step_unit, cfg)[1]
         u0v, u1v, first, active, sups = init_state(g, zero, zero, cfg, dt)
         assert not u0v.any() and not u1v.any() and not first.any() and active == 0
-        assert sups == (0.0, 0.0, 0.0)
+        assert sups == (0.0, 0.0)
 
     def test_taylor_structure_quadratic_in_dt(self):
         # with u1 = 0 the first level differs from the data at O(dt^2)
@@ -1218,6 +1219,37 @@ class TestRun:
         rep = run(g, lambda r: np.exp(-((r / 0.4) ** 2)), zero, cfg)
         assert rep.outcome == OUTCOME_DIVERGED
         assert rep.blowup_time is None
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_data_outside_the_weighted_space_run(self, nonlinear):
+        # e^{2W} u0^2 passes e^600 at t = s: the run goes on, and every sample, the
+        # first included, records the weighted norms that overflow as +inf
+        g = make_radial_grid(1, 20.0, 0.1)
+        cfg = RunConfig(params=params(mu1=40.0, p=4.0), t_max=2.0, nonlinear=nonlinear,
+                        record_every=5)
+        rep = run(g, lambda r: 0.01 * np.exp(-((r / 3.0) ** 2)), zero, cfg)
+        assert rep.outcome == OUTCOME_COMPLETED
+        first = dict(zip(SAMPLE_KEYS, rep.samples[0, 1:]))
+        assert first["wl2"] == first["wgrad_l2"] == first["wenergy"] == math.inf
+        assert all(math.isfinite(first[key]) for key in ("sup", "l2", "grad_l2", "ut_l2", "F"))
+        assert np.all(np.isfinite(rep.samples[:, 1:5]))
+
+    def test_data_past_the_blowup_threshold_rejected_before_any_step(self, monkeypatch):
+        # the detector would fire on the data themselves, so a linear run would read
+        # diverged and a nonlinear one blowup at the first step
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr("scalewave.solver.leapfrog_kernel", no_step)
+        g = make_radial_grid(1, 10.0, 0.1)
+        for nonlinear in (False, True):
+            cfg = RunConfig(params=params(mu1=2.0), t_max=2.0, nonlinear=nonlinear,
+                            blowup_threshold=1e8)
+            with pytest.raises(ValueError, match=r"max \|u0\| = 1e\+09 > blowup_threshold = 1e\+08"):
+                run(g, lambda r: 1e9 * bump(r), zero, cfg)
+        # u1 alone is not checked: the first step is what the detector judges
+        with pytest.raises(AssertionError, match="a step was taken"):
+            run(g, bump, lambda r: 1e9 * bump(r), cfg)
 
 
 class TestLanes:
