@@ -19,9 +19,8 @@ work=$3
 # these commands (as measured on a 2-CPU machine): every simulate that
 # records every step, once its samples have cost more than its steps (all
 # but the coarse dr=1.5 run, which ends first), and every sweep but the one
-# with --jobs 1, once a running cell outlasts the lane-start cost.  The
-# README simulate, which records every fifth step, and the other commands
-# fork nothing.
+# with --jobs 1, before its first cell.  The README simulate, which records
+# every fifth step, and the other commands fork nothing.
 commands() {
     # the README examples (simulate, decay-fit, sweep)
     sw simulate --set t_max=50 --set r_max=60 --set dr=0.05 \
@@ -77,13 +76,13 @@ commands() {
     # (inf/nan, exit 3) may land in a lane
     sw simulate --set mu1=0 --set p=2 --set blowup_threshold=1e300 --set u0_amplitude=0.1 \
         --set t_max=100 --set r_max=120 --set record_every=1 --out diverged-lanes.csv
-    # a global-band sweep whose first cell (about 0.35 s) outlasts the lane-start
-    # cost, so a tree that fans sweeps out does so within that cell
+    # a global-band sweep of slow cells (about 0.35 s each), whose lanes take cells
+    # while this process runs its own
     sw sweep --set "p_values=[3.5,4]" --set "amplitudes=[0.5,1]" --set u0_amplitude=0.01 \
         --set r_max=230 --set t_max=200 --out global-sweep.csv
     # a sweep in p ascending across p_crit = 3: its first cells blow up within
-    # milliseconds, and on a tree whose fan-out cost is higher than theirs a later
-    # global cell fans the sweep out while it runs
+    # milliseconds and its later global cells run long, so the processes that take
+    # them finish at different times
     sw sweep --set "p_values=[1.5,2,3.5,4,4.5]" --set "amplitudes=[0.05,0.1]" \
         --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
         --set dr=0.05 --set mu1=4 --set record_every=25 \

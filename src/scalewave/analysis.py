@@ -5,14 +5,14 @@ computation cannot certify global existence, so the label encodes the
 epistemic limit of a desk-scale run.  A sweep cell fits its L2 series once,
 in ``classify_run``, and the global-looking verdict and the reported decay
 exponent both come from that fit.  A sweep's cells are (p, amplitude)
-pairs, run in one loop by this process and by the lanes it may fork, each
-lane sending back the rows of the cells it ran (see ``sweep``).
+pairs, run in one loop by this process and by the lanes it may fork before
+the first cell, each lane sending back the rows of the cells it ran (see
+``sweep``).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,7 +126,7 @@ class SweepRow:
 
 
 def _sweep_one(grid: RadialGrid, config: RunConfig, p: float, amplitude: float, u0_profile,
-               u1_profile, progress) -> SweepRow:
+               u1_profile) -> SweepRow:
     params = replace(config.params, p=p)
     cfg = replace(config, params=params)
     u0 = (lambda r: amplitude * np.asarray(u0_profile(r), dtype=float))
@@ -134,7 +134,7 @@ def _sweep_one(grid: RadialGrid, config: RunConfig, p: float, amplitude: float, 
         u1 = (lambda r: np.zeros_like(np.asarray(r, dtype=float)))
     else:
         u1 = (lambda r: amplitude * np.asarray(u1_profile(r), dtype=float))
-    report = run(grid, u0, u1, cfg, progress)
+    report = run(grid, u0, u1, cfg)
     outcome, fit = classify_run(report)
     return SweepRow(
         params=params,
@@ -152,49 +152,37 @@ def sweep(grid: RadialGrid, p_values, amplitudes, config: RunConfig, u0_profile,
 
     A cell runs ``config`` with its own power p, and with its amplitude times
     each profile as data.  ``jobs`` counts the processes that run cells, this
-    one included.  This process and every lane run cells in one loop, which
-    takes the index of the next cell from a counter until lanes fork and from
-    one pipe after.  Cells run here in input order, each watched at every
-    recorded sample.  The first time the running cell has taken longer than
-    ``lanes.LANE_START_S`` while cells are left and ``jobs >= 2``, the sweep
-    forks ``min(jobs - 1, cells left)`` lanes (``lanes.Lanes``; Linux only),
-    fewer where their runs would not fit ``RUN_BYTES_BUDGET`` at once, and
-    writes the indices of the cells left into the pipe.  This process
-    finishes its cell, and then it and every lane take indices from the pipe,
-    in input order, until it is empty; a lane first restores the caller's
-    numpy error state, and sends back the rows it ran.  Every cell runs
-    ``run`` with ``jobs=1``, so each row carries the same bits either way.  A
-    cell that raises takes every index left, so that no cell starts after
-    it; once every lane has ended, the error of the lowest-index raising cell
-    is raised, as a serial sweep would raise it.  A non-finite amplitude is
+    one included.  Before any cell runs, the sweep forks
+    ``min(jobs, cells, lanes_that_fit(...)) - 1`` lanes (``lanes.Lanes``;
+    Linux only), so that every lane's run fits ``RUN_BYTES_BUDGET`` at once,
+    and writes the index of every cell into one pipe.  This process and
+    every lane then take indices from that pipe, in input order, in one loop
+    until it is empty, and each lane sends back the rows it ran.  With no
+    lane (``jobs`` 1, one cell, another platform or a refused fork), the
+    cells run here in input order.  Every cell runs ``run`` with
+    ``jobs=1``, so each row carries the same bits either way.  A cell that
+    raises takes every index left, so that no cell starts after it; once
+    every lane has ended, the error of the lowest-index raising cell is
+    raised, as a serial sweep would raise it.  A non-finite amplitude is
     rejected before any cell runs.
     """
     if not all(math.isfinite(a) for a in amplitudes):
         raise ValueError(f"sweep amplitudes must be finite, got {list(amplitudes)}")
     cells = [(float(p), float(a)) for p in p_values for a in amplitudes]
-    counted = 0  # cells taken from the counter, before lanes fork
-    pipe = None  # the pipe of unstarted cell indices, once lanes fork
-    cell_start = 0.0
-    caller_errors = np.geterr()
+    count = min(jobs, len(cells), lanes_that_fit(grid.num_nodes, grid.step_unit, config)) - 1
+    pipe = lanes.IndexPipe() if count > 0 and lanes.forks() else None
+    serial = iter(range(len(cells)))  # the cells in input order, while no lane forked
 
     def take() -> int | None:
-        nonlocal counted
-        if pipe is not None:
-            return pipe.take()
-        if counted == len(cells):
-            return None
-        counted += 1
-        return counted - 1
+        return next(serial, None) if pipe is None else pipe.take()
 
     def run_cells() -> tuple[list, tuple | None]:
         # the cells left, until none is: ([(index, row)], first failure or None)
-        nonlocal cell_start
         done = []
         while (index := take()) is not None:
-            cell_start = time.perf_counter()
             try:
                 done.append((index, _sweep_one(grid, config, *cells[index], u0_profile,
-                                               u1_profile, watch)))
+                                               u1_profile)))
             except Exception as exc:
                 # no cell starts after a raising one
                 while take() is not None:
@@ -202,36 +190,20 @@ def sweep(grid: RadialGrid, p_values, amplitudes, config: RunConfig, u0_profile,
                 return done, (index, exc)
         return done, None
 
-    def fan_out(_t) -> None:
-        nonlocal watch, pipe
-        left = range(counted, len(cells))
-        if watch is None or not left or time.perf_counter() - cell_start <= lanes.LANE_START_S:
-            return
-        # the sweep forks lanes once; the cells after this one run unwatched
-        watch = None
-        pipe = lanes.IndexPipe()
+    def lane() -> tuple[list, tuple | None]:
+        pipe.close(read=False)
+        return run_cells()
 
-        def lane() -> tuple[list, tuple | None]:
-            pipe.close(read=False)
-            np.seterr(**caller_errors)
-            return run_cells()
-
-        try:
-            if forked.fork(min(jobs - 1, len(left), fit - 1), lane):
-                pipe.put(left)
-            else:
-                # no lane forked: the cells left run here, as in a serial sweep
-                pipe.close()
-                pipe = None
-        finally:
-            if pipe is not None:
-                pipe.close(read=False)
-
-    fit = lanes_that_fit(grid.num_nodes, grid.step_unit, config)
-    # what watches each cell while it runs, until the sweep has tried to fork lanes
-    watch = fan_out if jobs >= 2 and fit >= 2 and lanes.forks() else None
     with lanes.Lanes() as forked:
         try:
+            if pipe is not None:
+                if forked.fork(count, lane):
+                    pipe.put(range(len(cells)))
+                    # the loops see the pipe's end once it is empty
+                    pipe.close(read=False)
+                else:
+                    pipe.close()
+                    pipe = None
             ran = [run_cells()] + forked.collect()
         finally:
             if pipe is not None:

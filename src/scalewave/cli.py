@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 regime/config error, 3 run diverged.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import logging
@@ -165,11 +166,21 @@ class DataProfile:
         return self.amplitude * (1.0 - s**2) ** 3
 
 
+@contextlib.contextmanager
+def _output(path):
+    """``path`` opened for writing with '\\n' line endings; an OSError is a ConfigError."""
+    try:
+        with open(path, "w", newline="\n") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_run_csv(report: RunReport, path) -> None:
     """Serialize the recorded samples with the canonical column set."""
     # '%.17g' % x is format_float(x) for every float, NaN, infinities and -0.0 included
     template = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
-    with open(path, "w", newline="\n") as handle:
+    with _output(path) as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         # one row at a time: a whole-array tolist() would hold every float as an object
         for row in report.samples:
@@ -200,7 +211,7 @@ def _write_json(payload: dict, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", newline="\n") as handle:
+        with _output(out_path) as handle:
             handle.write(text)
 
 
@@ -258,7 +269,7 @@ def _cmd_sweep(args) -> int:
         ]
         lines.append(",".join(cells))
     out = args.out or "sweep.csv"
-    with open(out, "w", newline="\n") as handle:
+    with _output(out) as handle:
         handle.write("\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows -> {out}")
     diverged = any(row.outcome == OUTCOME_DIVERGED for row in rows)

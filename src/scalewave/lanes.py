@@ -1,25 +1,25 @@
 """Forked lanes: the one parallel mechanism, shared by ``solver.run`` and ``analysis.sweep``.
 
-A lane is a child process forked from this one in the middle of the work.
-It inherits the whole state of the computation at that point, runs a body
-and sends back the value the body returns, pickled, through a pipe of its
-own.  Every child leaves through ``os._exit`` in a ``finally``, so it never
-unwinds into the stack it was forked from: it runs none of its caller's
-``finally`` blocks or exit handlers and flushes none of its inherited output
-buffers.  A body that raises, or returns a value that does not pickle, sends
-the pickled exception instead, which ``Lanes.collect`` raises here.  The
-owner uses ``Lanes`` as a context manager, whose exit kills and reaps every
-lane not yet collected, so no lane outlives the call that forked it,
-whether that call returns or raises (an interrupt included).
+A lane is a child process forked from this one: by a sweep before its
+first cell, by a run in the middle of its steps.  It inherits the whole
+state of the computation at that point, runs a body and sends back the
+value the body returns, pickled, through a pipe of its own.  Every child
+leaves through ``os._exit`` in a ``finally``, so it never unwinds into the
+stack it was forked from: it runs none of its caller's ``finally`` blocks
+or exit handlers and flushes none of its inherited output buffers.  A body
+that raises, or returns a value that does not pickle, sends the pickled
+exception instead, which ``Lanes.collect`` raises here.  The owner uses
+``Lanes`` as a context manager, whose exit kills and reaps every lane not
+yet collected, so no lane outlives the call that forked it, whether that
+call returns or raises (an interrupt included).
 
 Work reaches the lanes as 4-byte indices through an ``IndexPipe``.  A
-sweep's lanes, and this process with them, take the indices of the cells
-left from one such pipe, and each lane sends back the rows of the cells it
-ran.  A run's lanes never step and send back nothing: they take the
-indices of the ring slots this process has filled with sample rows from a
-ready pipe, record each row into its slot and hand the slot back through a
-free pipe, from which this process places the row (see the ``solver``
-module notes).
+sweep's lanes, and this process with them, take the index of every cell
+from one such pipe, and each lane sends back the rows of the cells it ran.
+A run's lanes never step and send back nothing: they take the indices of
+the ring slots this process has filled with sample rows from a ready pipe,
+record each row into its slot and hand the slot back through a free pipe,
+from which this process places the row (see the ``solver`` module notes).
 
 Lanes fork only on Linux (``forks``): CPython calls fork unsafe on macOS,
 and Windows has none.  Elsewhere ``run`` and ``sweep`` run serially, with
@@ -35,8 +35,9 @@ import sys
 #: Measured cost of forking one lane and merging what it sends: a bare fork,
 #: pipe and join of a 40 MB process took 3.5-3.7 ms on a 2-core Linux VM
 #: (Python 3.11, numpy 2.4), against 8.6 ms to start a one-worker process
-#: pool plus 24.5 ms to import it.  ``run`` and ``sweep`` fork lanes only once
-#: their work has lasted longer than this.
+#: pool plus 24.5 ms to import it.  Only ``run`` reads it: a run forks lanes
+#: only once it has lasted longer than this, while a sweep forks its lanes
+#: before its first cell.
 LANE_START_S = 0.004
 
 # the signal number of SIGKILL on Linux, the only platform that forks lanes;

@@ -640,6 +640,16 @@ def _lanes_pay(run_s: float, sampled_s: float, stepped_s: float) -> bool:
     return sampled_s > stepped_s and run_s > lanes.LANE_START_S
 
 
+def _ended(sup: float, t: float, nonlinear: bool) -> tuple[str, float | None]:
+    """The outcome and blow-up time of a run ended by a level at ``t`` whose sup
+    ``sup`` is not finite (``diverged``) or past the blow-up threshold: ``blowup``
+    at t, or ``diverged`` on a linear run, since a linear solution cannot blow up
+    and the scheme is unstable."""
+    if not math.isfinite(sup):
+        return OUTCOME_DIVERGED, None
+    return (OUTCOME_BLOWUP, t) if nonlinear else (OUTCOME_DIVERGED, None)
+
+
 def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 1) -> RunReport:
     """Integrate from s to t_max, recording norm samples along the way.
 
@@ -651,10 +661,12 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
     +inf: data outside the weighted space run, and their weighted columns
     say so.  Data whose max |u0| already exceeds ``blowup_threshold`` raise
     ValueError before any step, since the detector would fire on the data
-    themselves.  A step whose sup |u+| is not finite ends the run
-    ``diverged``; one whose sup exceeds ``blowup_threshold`` ends it
-    ``blowup`` at that level's time, or ``diverged`` on a linear run: a
-    linear solution cannot blow up, so the scheme is unstable.
+    themselves.  A level whose sup is not finite ends the run ``diverged``;
+    one whose sup exceeds ``blowup_threshold`` ends it ``blowup`` at that
+    level's time, or ``diverged`` on a linear run: a linear solution cannot
+    blow up, so the scheme is unstable.  The first level, at s + dt, is
+    judged so too, before any step, and a run it ends records the data's
+    row alone.
 
     ``jobs`` counts the processes that may record samples, this one
     included; from 2 on, a run whose samples cost more than its steps
@@ -663,8 +675,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
 
     ``progress``, if given, is called with a sample's time once the steps
     have reached that sample (the first one once the data have passed the
-    checks above), so once per row of the report, in order.  A sweep uses it
-    to watch a cell's wall time while the cell runs.
+    checks above), so once per row of the report, in order.
     """
     clock = time.perf_counter
     started = clock()
@@ -682,6 +693,11 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
                 f"blowup_threshold = {threshold:.4g}; scale the data down or raise "
                 "blowup_threshold"
             )
+        outcome, blowup_time = OUTCOME_COMPLETED, None
+        if not math.isfinite(sup_curr) or sup_curr > threshold:
+            # the first level is judged as the loop judges every later one
+            outcome, blowup_time = _ended(sup_curr, config.s + dt, config.nonlinear)
+            steps = 0  # no step is taken
         record = _Recorder(grid, params, discriminant(params) >= 0.0)
         samples = np.empty((steps // every + 2, 1 + len(SAMPLE_KEYS)))
         samples[0] = record(config.s, u0v, u1v, size, sup_u0)
@@ -702,7 +718,6 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
         u_t = record.u_t
         total_rows = 1 + steps // every + (steps % every != 0)
         watch = jobs > 1 and lanes.forks()
-        outcome, blowup_time = OUTCOME_COMPLETED, None
         t = config.s + dt
         rows = 1  # rows passed
         sampled = 0.0  # wall time of the in-loop samples recorded here
@@ -736,14 +751,9 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
                                 ring.fork(forked, count - 1, record)
                 if index == steps:
                     break
-                if diverged:
-                    outcome = OUTCOME_DIVERGED
-                    break
                 t += dt
-                if sup > threshold:
-                    # a linear solution cannot blow up, so the scheme is unstable
-                    outcome, blowup_time = ((OUTCOME_BLOWUP, t) if config.nonlinear
-                                            else (OUTCOME_DIVERGED, None))
+                if diverged or sup > threshold:
+                    outcome, blowup_time = _ended(sup, t, config.nonlinear)
                     break
                 prev, curr, nxt = curr, nxt, prev
                 sup_curr = sup

@@ -8,13 +8,12 @@ import scalewave.solver
 
 @pytest.fixture
 def forced_lanes(monkeypatch):
-    """Lanes fork at the first chance: a sweep at its first sample, a run at its second row.
+    """A run's lanes fork at the first chance, at its second row.
 
-    The sweep's rule then always holds with a zero lane-start threshold; the
-    run's rule also weighs the wall time of samples against steps, so it is
-    replaced by one that always holds.
+    The run's rule weighs the wall time of samples against steps, and the
+    run's own against ``lanes.LANE_START_S``, so it is replaced by one that
+    always holds.  A sweep forks its lanes before its first cell anyway.
     """
-    monkeypatch.setattr(scalewave.lanes, "LANE_START_S", 0.0)
     monkeypatch.setattr(scalewave.solver, "_lanes_pay", lambda *times: True)
 
 

@@ -161,8 +161,8 @@ class TestSweep:
         assert by_cell[(4.0, 1.0)].regime.global_existence_applicable
         assert by_cell[(1.5, 1.0)].regime.blowup_range_applicable
 
-    def test_parallel_matches_serial(self, forks, forced_lanes):
-        # a zero threshold forks a lane for the cells after the first
+    def test_parallel_matches_serial(self, forks):
+        # two jobs fork one lane before the first cell
         grid = make_radial_grid(1, 12.0, 0.1)
         base = ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0)
         cfg = RunConfig(params=base, t_max=4.0, record_every=4)

@@ -1247,9 +1247,29 @@ class TestRun:
                             blowup_threshold=1e8)
             with pytest.raises(ValueError, match=r"max \|u0\| = 1e\+09 > blowup_threshold = 1e\+08"):
                 run(g, lambda r: 1e9 * bump(r), zero, cfg)
-        # u1 alone is not checked: the first step is what the detector judges
+        # u1 alone is not checked: the detector judges the first level, u0 + dt u1 + ...,
+        # which these data keep below the threshold
         with pytest.raises(AssertionError, match="a step was taken"):
             run(g, bump, lambda r: 1e9 * bump(r), cfg)
+
+    @pytest.mark.parametrize("u0, u1, p, nonlinear, threshold, outcome", [
+        (bump, lambda r: 1e10 * bump(r), 2.0, True, 1e8, OUTCOME_BLOWUP),
+        (bump, lambda r: 1e10 * bump(r), 2.0, False, 1e8, OUTCOME_DIVERGED),
+        # |u0|^p overflows in the Taylor step, so the first level is not finite
+        (lambda r: 1e7 * bump(r), zero, 50.0, True, math.inf, OUTCOME_DIVERGED),
+    ])
+    def test_first_level_judged_before_any_step(self, u0, u1, p, nonlinear, threshold, outcome):
+        # the level at s + dt, which init_state takes, ends the run by the rule every
+        # later level follows: the report holds the data's row alone
+        g = make_radial_grid(1, 10.0, 0.1)
+        cfg = RunConfig(params=params(mu1=2.0, p=p), t_max=2.0, nonlinear=nonlinear,
+                        blowup_threshold=threshold, record_every=1)
+        dt = time_step(g.step_unit, cfg)[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = run(g, u0, u1, cfg)
+        assert rep.outcome == outcome
+        assert rep.blowup_time == (cfg.s + dt if outcome == OUTCOME_BLOWUP else None)
+        assert len(rep.samples) == 1
 
 
 class TestLanes:
