@@ -98,6 +98,10 @@ commands() {
     # the other commands' reports
     sw verify identities --out identities.json
     sw verify inequalities --out inequalities.json
+    # the Gaussians and powers skipped past their exact zero, beyond seed 0 and the
+    # default q
+    sw verify inequalities --seed 7 --set q=3 --out inequalities-seed7-q3.json
+    sw verify inequalities --seed 123 --set mu1=4 --out inequalities-seed123-mu1.json
     sw verify bihari --out bihari.json
     sw odi --out odi.json
     # odi runs whose checked samples span many of the dominance check's slices: 49555

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import json
 import logging
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -29,6 +31,7 @@ import numpy as np
 from . import __version__
 from .analysis import fit_decay, sweep
 from .errors import RegimeError, WeightOverflowError
+from .functionals import _gaussian
 from .grid import grid_size, make_radial_grid
 from .model import ModelParams, borderline_log_factor, decay_exponents, regime_check
 from .odi import OdiProblem, comparison_check, solve
@@ -72,6 +75,8 @@ FIT_DEFAULTS = {"column": "l2", "t_min": 0.0, "t_max": math.inf,
                 "log_corrected": False, "n": 1, "mu1": 1.0, "mu2sq": 0.0}
 VERIFY_DEFAULTS = {"n": 1, "mu1": 1.0, "mu2sq": 0.0, "sigma": 0.5,
                    "q": 4.0, "r_max": 40.0, "dr": 0.02}
+# the file a command writes without --out (the other commands then write to stdout)
+DEFAULT_OUT = {"simulate": "run.csv", "sweep": "sweep.csv"}
 
 
 class ConfigError(ValueError):
@@ -161,9 +166,28 @@ class DataProfile:
         if self.kind == "zero":
             return np.zeros_like(r)
         if self.kind == "gaussian":
-            return self.amplitude * np.exp(-((r / self.width) ** 2))
+            return self.amplitude * _gaussian(r, self.width)
         s = np.clip(r / self.width, 0.0, 1.0)
         return self.amplitude * (1.0 - s**2) ** 3
+
+
+def _check_out(path) -> None:
+    """Raise now the ConfigError that writing ``path`` would, where a stat can tell.
+
+    That is a parent that is missing or not a directory, or a directory at
+    ``path``; a command checks its output so before any work.
+    """
+    if path is None:
+        return
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or os.curdir).st_mode):
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        # worded as the error open() raises for ``path``
+        error = OSError(exc.errno, exc.strerror, path)
+        raise ConfigError(f"cannot write {path}: {error}") from None
 
 
 @contextlib.contextmanager
@@ -239,7 +263,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(SIMULATE_DEFAULTS, args.config, args.set)
     grid, config, u0, u1 = _build_run(cfg)
     report = run(grid, u0, u1, config, jobs=args.jobs)
-    out = args.out or "run.csv"
+    out = args.out or DEFAULT_OUT["simulate"]
     write_run_csv(report, out)
     log.info("simulate: outcome=%s samples=%d -> %s", report.outcome, len(report.samples), out)
     print(f"outcome: {report.outcome}"
@@ -268,7 +292,7 @@ def _cmd_sweep(args) -> int:
             format_float(row.regime.delta),
         ]
         lines.append(",".join(cells))
-    out = args.out or "sweep.csv"
+    out = args.out or DEFAULT_OUT["sweep"]
     with _output(out) as handle:
         handle.write("\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows -> {out}")
@@ -293,10 +317,12 @@ def _verify_identities(cfg: dict, seed: int) -> list:
 
 # float64 arrays of a grid's length that the inequality suite holds at once, one
 # family member at a time: on the first grid 38 (its radii and weights, the weight
-# exponents of the 12 (sigma, t) cases and w_r of the 4 times, one member's jet and
-# one case's quadrature); on the wide grid, the first grid's radii and weights and
-# 24 of its own length (its radii and weights, one dilated member's jet, its
-# weights and quadratures).  tracemalloc measured 37.2 and 21.1.
+# exponents of the 12 (sigma, t) cases and w_r of the 4 times, one member's jet with
+# its v^2 and v_r^2, and one case's quadrature; the embeddings, with the exponents of
+# the 4 times and one member's values, hold 13); on the wide grid, the first grid's
+# radii and weights and 24 of its own length (its radii and weights, one time's two
+# exponents, one dilated member's jet with its v_r^2 and |v|^q, and one quadrature).
+# tracemalloc measured 37.2 and 22.1 for n = 1, 2 and 3 at dr = 0.01.
 _INEQUALITY_ARRAYS = 38
 _INEQUALITY_WIDE_ARRAYS = 24
 
@@ -323,9 +349,8 @@ def _verify_inequalities(cfg: dict, seed: int) -> list:
     grid = make_radial_grid(n, r_max, dr)
     sigmas = (0.25, 0.5, 1.0)
     times = (0.0, 1.0, 4.0, 9.0)
-    checks = [check_weighted_gradient_bound(family, params, sigmas, times, grid)]
-    for t in times:
-        checks.append(check_embeddings(family, params, cfg["sigma"], t, grid))
+    checks = [check_weighted_gradient_bound(family, params, sigmas, times, grid),
+              *check_embeddings(family, params, cfg["sigma"], times, grid)]
     wide = make_radial_grid(n, 4.0 * r_max, 2.0 * dr)
     checks.append(gn_ratio_check(family, params, cfg["sigma"], cfg["q"], times, wide))
     return checks
@@ -496,6 +521,7 @@ def parse_and_dispatch(argv) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
+        _check_out(args.out or DEFAULT_OUT.get(args.command))
         return args.handler(args)
     except (ConfigError, RegimeError, WeightOverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

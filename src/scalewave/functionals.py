@@ -35,6 +35,28 @@ The comparison frame rescales the solution by (1+t)^((mu1-1)/2 -
 sqrt(delta)/2); in that frame the mass term drops out and the spatial
 integral of the rescaled solution obeys the blow-up comparison inequality
 implemented in the odi module.
+
+Exactly zero: the package's one rule for skipping powers and Gaussians
+whose value is +0.0.  Any real at most 2**-1100, 26 binades below the
+smallest subnormal, rounds to +0.0, and in the far tails, where that
+happens, ``np.power`` and ``np.exp`` leave their vector paths and cost
+tens of times more per element.  So:
+
+- |u|**p is taken only where |u| >= c_p = 2**(-1100/p): below it the
+  power is at most 2**-1100 (``_source_cutoff``, ``_power_source``).
+  For p < 1100/1074, c_p underflows to 0 and only zeros are skipped.
+- exp(-(s/w)**2) is taken only where (s/w)**2 < 1100*ln 2: past it the
+  exponential is at most 2**-1100 (``_gaussian``).
+
+Each evaluates its function only on the span of nodes from the first to
+the last that may be nonzero (for the power, from node 0) and writes +0.0
+outside it, so every bit, the signs of zeros included, is that of the
+plain expression; a NaN compares false, so it counts as inside and is
+evaluated.  The solver's step and first level,
+``weighted_lq``, the verify suites' Gaussians and powers and the CLI's
+Gaussian data all go through these helpers; ``test_functionals`` and
+``test_solver`` check the underflow assumption on the running numpy.  The
+helpers are private, so the tracer wraps none of them.
 """
 
 from __future__ import annotations
@@ -61,10 +83,8 @@ def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
     WeightOverflowError when some term's exponent exceeds the budget.  A
     NaN density propagates into the result instead of being dropped.
     """
-    density = np.asarray(density, dtype=float)
-    if density.shape != grid.r.shape:
-        raise ValueError(f"expected {grid.r.size} nodal values, got shape {density.shape}")
-    value, peak = _log_quadrature(grid.quad_weights, np.asarray(expo, dtype=float), density)
+    value, peak = _log_quadrature(grid.quad_weights, np.asarray(expo, dtype=float),
+                                  _nodal(grid, density))
     if peak > EXPONENT_BUDGET:
         raise WeightOverflowError(
             f"weighted integral not representable: a quadrature term has exponent "
@@ -123,9 +143,71 @@ def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: 
         raise ValueError(f"sigma must be positive, got {sigma}")
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
+    values = _nodal(grid, values)
     expo = q * sigma * weight_exponent(params, t, grid.r**2)
-    density = np.abs(np.asarray(values, dtype=float)) ** q
-    return weighted_quadrature(grid, expo, density) ** (1.0 / q)
+    return weighted_quadrature(grid, expo, _power_source(np.abs(values), q)) ** (1.0 / q)
+
+
+def _nodal(grid: RadialGrid, values) -> np.ndarray:
+    """``values`` as a float array, which must hold one value per node of ``grid``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.r.shape:
+        raise ValueError(f"expected {grid.r.size} nodal values, got shape {values.shape}")
+    return values
+
+
+def _source_cutoff(p: float) -> float:
+    """c_p: every |u| below it has |u|**p exactly +0.0 (see the module notes)."""
+    return 2.0 ** (-1100.0 / p)
+
+
+def _power_source(source: np.ndarray, p: float, c_p: float | np.ndarray | None = None,
+                  below: np.ndarray | None = None) -> np.ndarray:
+    """|u|**p in place from the 1-d ``source`` = |u|, taken only where it can be nonzero.
+
+    See the module notes.  ``c_p`` is ``_source_cutoff(p)`` and the boolean
+    ``below`` has the length of ``source``; a caller that powers many
+    arrays forms them once, and without them they are formed here.
+    """
+    if c_p is None:
+        c_p = _source_cutoff(p)
+    if below is None:
+        below = np.empty(source.size, dtype=bool)
+    np.less(source, c_p, below)  # NaN compares false, so it counts as inside
+    # one past the last node not below c_p (a numpy bool is the byte 0 or 1)
+    end = below.tobytes().rfind(b"\x00") + 1
+    if end < source.size:
+        source[end:].fill(0.0)
+    # one view, powered in place (``source[:end] **= p`` also assigns it back)
+    head = source[:end]
+    head **= p
+    return source
+
+
+# past this (s/w)^2, exp(-(s/w)^2) is at most 2**-1100 and so +0.0 (module notes)
+_GAUSSIAN_LIMIT = 1100.0 * math.log(2.0)
+
+
+def _gaussian(s, width: float):
+    """exp(-(s/width)^2), the exponential taken only where it can be nonzero.
+
+    Bit for bit ``np.exp(-((s / width) ** 2))``, on arrays of any layout and
+    on scalars, which take the plain expression (see the module notes).
+    """
+    x = (s / width) ** 2
+    if not isinstance(x, np.ndarray) or not x.flags.c_contiguous:
+        return np.exp(-x)
+    flat = x.reshape(-1)
+    # the bytes of ``past``: 1 where the exponential is +0.0 (NaN compares false)
+    past = np.greater_equal(flat, _GAUSSIAN_LIMIT).tobytes()
+    start, end = past.find(b"\x00"), past.rfind(b"\x00") + 1
+    if start < 0:
+        start = end = flat.size
+    head = flat[start:end]
+    np.exp(np.negative(head, head), head)
+    flat[:start].fill(0.0)
+    flat[end:].fill(0.0)
+    return x
 
 
 def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,

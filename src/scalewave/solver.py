@@ -42,16 +42,13 @@ it there, and u+ is then formed on it.
 
 Source window: the same idea applied to the source term.  Ahead of the
 light cone the leapfrog precursor leaves a tail of tiny values (down to
-subnormals), and there ``np.power`` leaves its vector path and costs tens
-of times more per element, only to return +0.0.  With c_p = 2**(-1100/p),
-every |u| < c_p has |u|**p <= 2**-1100, 26 binades below the smallest
-subnormal, so its power is exactly +0.0.  ``_power_source`` therefore
-takes the power only on the prefix that ends at the last node where
-|u| < c_p fails (NaN counts as inside) and leaves +0.0 beyond it; the
-forcing still adds the whole array, so every bit, the signs of zeros
-included, is that of the plain power.  For p < 1100/1074, c_p underflows
-to 0 and only zeros are skipped.  ``test_solver`` checks the underflow
-assumption on the running numpy.
+subnormals), whose powers are exactly +0.0 and cost tens of times more
+per element than a normal one.  The step and the first level take |u|**p
+through ``functionals._power_source``, which powers only the prefix that
+ends at the last node where |u| >= c_p = 2**(-1100/p) and writes +0.0
+beyond it, under the package's exact-zero rule (see the functionals
+module notes); the forcing still adds the whole array, so every bit, the
+signs of zeros included, is that of the plain power.
 
 One sup pass: the step forms |u+| over the window once, into the source
 buffer, and reduces it to sup |u+| (np.maximum propagates NaN); ``run``
@@ -169,7 +166,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lanes
-from .functionals import comparison_frame_exponent, norms_of_squares
+from .functionals import (
+    _power_source, _source_cutoff, comparison_frame_exponent, norms_of_squares,
+)
 from .grid import RadialGrid, integrate, radial_derivative_into
 from .model import ModelParams, coefficients, discriminant, weight_exponent_from_product
 
@@ -302,27 +301,6 @@ def _sample_profile(profile, r: np.ndarray) -> np.ndarray:
     return values.copy()
 
 
-def _source_cutoff(p: float) -> float:
-    """c_p: every |u| below it has |u|**p exactly +0.0 (see the module notes)."""
-    return 2.0 ** (-1100.0 / p)
-
-
-def _power_source(source: np.ndarray, p: float, c_p: float, below: np.ndarray) -> np.ndarray:
-    """|u|**p in place from ``source`` = |u|, the power taken only where it can be nonzero.
-
-    See the module notes; the boolean ``below`` has the length of ``source``.
-    """
-    np.less(source, c_p, below)  # NaN compares false, so it counts as inside
-    # one past the last node not below c_p (a numpy bool is the byte 0 or 1)
-    end = below.tobytes().rfind(b"\x00") + 1
-    if end < source.size:
-        source[end:].fill(0.0)
-    # one view, powered in place (``source[:end] **= p`` also assigns it back)
-    head = source[:end]
-    head **= p
-    return source
-
-
 def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, tuple[float, float]]:
     """Sample the data at time s and take the second-order Taylor first step.
@@ -370,8 +348,7 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
     b, m_sq = coefficients(params, config.s)
     accel = grid.laplacian(u0v) - b * u1v - m_sq * u0v
     if config.nonlinear:
-        accel = accel + _power_source(np.abs(u0v), params.p, _source_cutoff(params.p),
-                                      np.empty(u0v.shape, dtype=bool))
+        accel = accel + _power_source(np.abs(u0v), params.p)
     u_first = u0v + dt * u1v + 0.5 * dt * dt * accel
     u_first[-1] = 0.0
     nonzero = np.flatnonzero((u0v != 0.0) | (u_first != 0.0))

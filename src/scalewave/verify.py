@@ -39,7 +39,7 @@ import numpy as np
 
 from .checks import CheckReport
 from .errors import WeightOverflowError
-from .functionals import weighted_quadrature
+from .functionals import _gaussian, _power_source, weighted_quadrature
 from .grid import RadialGrid, integrate
 from .model import (
     ModelParams,
@@ -94,7 +94,7 @@ class RadialProfile:
             raise ValueError(f"half_degree must be >= 0, got {self.half_degree}")
 
     def _g(self, s):
-        return np.exp(-((s / self.width) ** 2))
+        return _gaussian(s, self.width)
 
     def __call__(self, r):
         return self.value(r)
@@ -313,9 +313,9 @@ def check_weighted_gradient_bound(family: Sequence[RadialProfile], params: Model
 
     Each case is evaluated by quadrature with closed-form v and grad v; the
     pass condition allows the quadrature margin on the ratio.  The weights of
-    every (sigma, t) are formed once, and one member's jet at a time is
-    evaluated on the grid and serves them all; the skip notes keep the
-    (sigma, t, member) order.
+    every (sigma, t) are formed once, and one member's jet at a time, with
+    v^2 and v_r^2, is evaluated on the grid and serves them all; the skip
+    notes keep the (sigma, t, member) order.
     """
     worst = -math.inf
     n_cases = 0
@@ -325,11 +325,12 @@ def check_weighted_gradient_bound(family: Sequence[RadialProfile], params: Model
     skipped: list[list[str]] = [[] for _ in cases]
     for k, member in enumerate(family):
         v, v_r, _ = member.jet(grid.r)
+        v_sq, v_r_sq = v * v, v_r * v_r
         for (sigma, t, expo, w_r), notes in zip(cases, skipped):
             try:
-                lhs_norm_sq = weighted_quadrature(grid, expo, v * v)
+                lhs_norm_sq = weighted_quadrature(grid, expo, v_sq)
                 grad_weighted = weighted_quadrature(grid, expo, (sigma * w_r * v + v_r) ** 2)
-                rhs = weighted_quadrature(grid, expo, v_r * v_r)
+                rhs = weighted_quadrature(grid, expo, v_r_sq)
             except WeightOverflowError:
                 notes.append(f"skipped member {k} at sigma={sigma}, t={t}: weight overflow")
                 continue
@@ -343,38 +344,44 @@ def check_weighted_gradient_bound(family: Sequence[RadialProfile], params: Model
 
 
 def check_embeddings(family: Sequence[RadialProfile], params: ModelParams,
-                     sigma: float, t: float, grid: RadialGrid) -> CheckReport:
-    """Weighted-space embeddings with the explicit Gaussian constant.
+                     sigma: float, times: Sequence[float], grid: RadialGrid) -> list[CheckReport]:
+    """Weighted-space embeddings with the explicit Gaussian constant, one report per time.
 
     L1 control: ||f||_L1 <= (pi*(1+t)^2/(sigma*mu1))^(n/4) * ||e^(sW) f||_L2,
     and the trivial L2 control ||f||_L2 <= ||e^(sW) f||_L2 (the weight is
-    >= 1).  The L1 constant is undefined for mu1 = 0; the check is then
-    skipped.
+    >= 1).  The L1 constant is undefined for mu1 = 0; each time's check is
+    then skipped.  The weights of every t are formed once, and one member's
+    values, square and plain integrals at a time serve them all.
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
     if params.mu1 == 0.0:
-        return CheckReport("weighted-embeddings", 0, math.nan, INEQUALITY_MARGIN,
-                           ["skipped: L1 embedding constant undefined for mu1 = 0"], skipped=True)
-    const = (math.pi * (1.0 + t) ** 2 / (sigma * params.mu1)) ** (params.n / 4.0)
-    expo = 2.0 * sigma * weight_exponent(params, t, grid.r**2)
-    worst = -math.inf
-    n_cases = 0
-    notes: list[str] = []
+        return [CheckReport("weighted-embeddings", 0, math.nan, INEQUALITY_MARGIN,
+                            ["skipped: L1 embedding constant undefined for mu1 = 0"], skipped=True)
+                for _ in times]
+    r_sq = grid.r**2
+    cases = [((math.pi * (1.0 + t) ** 2 / (sigma * params.mu1)) ** (params.n / 4.0),
+              2.0 * sigma * weight_exponent(params, t, r_sq)) for t in times]
+    worst = [-math.inf] * len(cases)
+    n_cases = [0] * len(cases)
+    notes: list[list[str]] = [[] for _ in cases]
     for k, member in enumerate(family):
         f = member.value(grid.r)
-        try:
-            wl2 = math.sqrt(weighted_quadrature(grid, expo, f * f))
-        except WeightOverflowError:
-            notes.append(f"skipped member {k}: weight overflow")
-            continue
-        if wl2 == 0.0:
-            continue
+        f_sq = f * f
         l1 = integrate(grid, np.abs(f))
-        l2 = math.sqrt(max(integrate(grid, f * f), 0.0))
-        worst = max(worst, l1 / (const * wl2), l2 / wl2)
-        n_cases += 2
-    return CheckReport("weighted-embeddings", n_cases, worst, INEQUALITY_MARGIN, notes)
+        l2 = math.sqrt(max(integrate(grid, f_sq), 0.0))
+        for i, (const, expo) in enumerate(cases):
+            try:
+                wl2 = math.sqrt(weighted_quadrature(grid, expo, f_sq))
+            except WeightOverflowError:
+                notes[i].append(f"skipped member {k}: weight overflow")
+                continue
+            if wl2 == 0.0:
+                continue
+            worst[i] = max(worst[i], l1 / (const * wl2), l2 / wl2)
+            n_cases[i] += 2
+    return [CheckReport("weighted-embeddings", count, value, INEQUALITY_MARGIN, time_notes)
+            for count, value, time_notes in zip(n_cases, worst, notes)]
 
 
 def gn_ratio_check(family: Sequence[RadialProfile], params: ModelParams,
@@ -400,14 +407,17 @@ def gn_ratio_check(family: Sequence[RadialProfile], params: ModelParams,
     n_cases = 0
     for t in times:
         scale = 1.0 + t
-        expo_q = q * sigma * weight_exponent(params, t, grid.r**2)
-        expo_full = 2.0 * weight_exponent(params, t, grid.r**2)
+        expo_full = weight_exponent(params, t, grid.r**2)
+        expo_q = q * sigma * expo_full
+        expo_full *= 2.0
         best = 0.0
         for member in family:
             v, v_r, _ = member.dilate(scale).jet(grid.r)
-            numerator = weighted_quadrature(grid, expo_q, np.abs(v) ** q) ** (1.0 / q)
-            grad_plain = math.sqrt(max(integrate(grid, v_r * v_r), 0.0))
-            grad_weighted = math.sqrt(weighted_quadrature(grid, expo_full, v_r * v_r))
+            v_r_sq = v_r * v_r
+            lq = weighted_quadrature(grid, expo_q, _power_source(np.abs(v), q))
+            numerator = lq ** (1.0 / q)
+            grad_plain = math.sqrt(max(integrate(grid, v_r_sq), 0.0))
+            grad_weighted = math.sqrt(weighted_quadrature(grid, expo_full, v_r_sq))
             if grad_plain == 0.0 or grad_weighted == 0.0:
                 continue
             denom = scale ** (1.0 - theta) * grad_plain ** (1.0 - sigma) * grad_weighted**sigma

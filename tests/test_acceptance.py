@@ -233,8 +233,9 @@ def test_criterion_07_inequality_suite():
         assert bound_rep.passed and bound_rep.worst <= 1.01
         worst_ratio = max(worst_ratio, bound_rep.worst)
         for sigma in sigmas:
-            for t in times:
-                embed = check_embeddings(family, params, sigma, t, grid)
+            embeds = check_embeddings(family, params, sigma, times, grid)
+            assert len(embeds) == len(times)
+            for embed in embeds:
                 assert embed.passed and embed.worst <= 1.01
     worst_spread = 0.0
     for n, q in ((1, 4.0), (2, 4.0), (3, 3.0)):

@@ -379,14 +379,52 @@ class TestErrors:
         ["verify", "bihari"],
     ])
     def test_unwritable_out_is_a_config_error(self, argv, tmp_path, capsys):
-        # the command runs, then its output cannot be written: one line, as for an
-        # unreadable --config, and nothing on stdout
+        # the output cannot be written: one line, as for an unreadable --config, and
+        # nothing on stdout
         out = tmp_path / "missing" / "out.txt"
         assert parse_and_dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, work", [
+        (["simulate", "--set", "t_max=2", "--set", "r_max=10"], "run"),
+        (["sweep", "--set", "p_values=[2.0]", "--set", "t_max=2", "--set", "r_max=10"], "sweep"),
+        (["verify", "inequalities"], "_verify_inequalities"),
+        (["verify", "bihari"], "_verify_bihari"),
+    ], ids=["simulate", "sweep", "verify-inequalities", "verify-bihari"])
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/out.txt", "[Errno 2] No such file or directory"),
+        ("a-directory", "[Errno 21] Is a directory"),
+        ("a-file/out.txt", "[Errno 20] Not a directory"),
+    ], ids=["missing-parent", "directory", "file-parent"])
+    def test_unwritable_out_refused_before_any_work(self, argv, work, where, reason,
+                                                    tmp_path, monkeypatch, capsys):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "a-file").write_text("")
+
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{work} called for an unwritable --out")
+
+        monkeypatch.setattr(scalewave.cli, work, refused)
+        out = tmp_path / where
+        assert parse_and_dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: {reason}: '{out}'\n"
+        assert sorted(os.listdir(tmp_path)) == ["a-directory", "a-file"]
+
+    def test_default_out_that_is_a_directory_refused_before_any_work(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        # simulate writes run.csv without --out: a directory of that name is refused first
+        (tmp_path / "run.csv").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(scalewave.cli, "run", None)
+        assert parse_and_dispatch(["simulate", "--set", "t_max=2", "--set", "r_max=10"]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: cannot write run.csv: [Errno 21] Is a directory: 'run.csv'\n")
 
 
 def test_log_env_var_accepted(monkeypatch, capsys):

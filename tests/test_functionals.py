@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scalewave.errors import RegimeError, WeightOverflowError
 from scalewave.functionals import (
     EXPONENT_BUDGET,
+    _gaussian,
     _log_quadrature,
     comparison_frame_factor,
     norms_of_squares,
@@ -277,6 +278,60 @@ class TestComparisonFrame:
     def test_negative_discriminant(self):
         with pytest.raises(RegimeError):
             to_comparison_frame(np.ones(3), 1.0, params(mu1=2.0, mu2sq=1.0))
+
+
+def gaussian_inputs(width):
+    # s with (s/width)^2 across normal, subnormal and underflowing results of exp, the
+    # mask's edge, +-0, +-inf and NaN, shuffled so that the skipped nodes are no suffix
+    rng = np.random.default_rng(5)
+    edge = math.sqrt(1100.0 * math.log(2.0))
+    ratios = np.concatenate([
+        rng.uniform(0.0, 26.0, 1000),     # normal results
+        rng.uniform(26.62, 27.3, 400),    # subnormal results: (s/w)^2 in (708.4, 745.1)
+        rng.uniform(27.3, edge, 200),     # +0.0, but before the edge: exp is taken
+        [np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)],
+        rng.uniform(edge, 1e3, 400),      # past the edge: skipped
+        [0.0, 1e-300, 1e200, math.inf, math.nan],
+    ])
+    signs = rng.choice([-1.0, 1.0], ratios.size)
+    s = np.concatenate([signs * ratios * width, [-0.0, -math.inf, -math.nan]])
+    return s[rng.permutation(s.size)]
+
+
+class TestExactZeroGaussian:
+    """``_gaussian`` keeps every bit of exp(-(s/w)^2) on the running numpy."""
+
+    @staticmethod
+    def assert_plain(s, width):
+        with np.errstate(over="ignore"):  # the square of 1e200 is inf in both
+            got, want = _gaussian(s, width), np.exp(-((s / width) ** 2))
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("width", [1.0, 0.37, 3.0, 12.5])
+    def test_contiguous_strided_and_nd(self, width):
+        s = gaussian_inputs(width)
+        with np.errstate(over="ignore"):
+            past = (s / width) ** 2 >= 1100.0 * math.log(2.0)
+        assert past.any() and not past.all()
+        ordered = np.sort(np.abs(s))  # the skipped nodes form a suffix
+        for form in (s, s[::3], s[::-1], ordered, ordered[::-1], s[:2000].reshape(40, 50),
+                     s[:2000].reshape(40, 50).T, s[:0], s[past], s[~past]):
+            self.assert_plain(form, width)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.0, 26.9, 27.5, 27.7, 1e3,
+                                       math.inf, -math.inf, math.nan])
+    def test_scalars_and_0d(self, value):
+        for form in (value, np.float64(value), np.asarray(value)):
+            self.assert_plain(form, 1.0)
+
+    def test_grid_radii(self):
+        # the verify family's use: r - center on a grid, with the tail past the edge
+        r = make_radial_grid(1, 40.0, 0.02).r
+        for center in (0.0, 0.9):
+            self.assert_plain(r - center, 0.5)
+            self.assert_plain(r + center, 0.5)
 
 
 class TestSpatialIntegral:

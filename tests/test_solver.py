@@ -11,6 +11,7 @@ from scalewave.cli import CSV_COLUMNS
 from scalewave.errors import WeightOverflowError
 from scalewave.functionals import (
     EXPONENT_BUDGET,
+    _power_source,
     to_comparison_frame,
     weighted_lq,
     weighted_quadrature,
@@ -526,8 +527,8 @@ class TestActiveWindow:
 
 
 class TestSourceWindow:
-    @pytest.mark.parametrize("p", [1.01, 1.0242, 1.03, 1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0,
-                                   4.5, 5.0, 7.0, 10.0, 50.0])
+    @pytest.mark.parametrize("p", [1.0 + 1e-7, 1.01, 1.0242, 1.03, 1.1, 1.5, 2.0, 2.5, 3.0,
+                                   3.5, 4.0, 4.5, 5.0, 7.0, 10.0, 50.0])
     def test_power_below_c_p_is_positive_zero(self, p):
         # the platform assumption behind skipping the power: below c_p it is +0.0
         rng = np.random.default_rng(0)
@@ -537,6 +538,16 @@ class TestSourceWindow:
             x = np.concatenate([x, 2.0 ** rng.uniform(-1074.0, math.log2(top), 20_000)])
         for powered in (np.power(x, p), x ** p):
             assert not powered.any() and not np.signbit(powered).any()
+        # and so the skipping power is the plain one bit for bit, on signed values
+        # below, at and above c_p, +-0, +-inf and NaN, in and out of order
+        edge = [top, np.nextafter(top, math.inf), 1e-300, 0.5, 1.0, 3.0, 1e10]
+        mixed = np.concatenate([x[:500], -x[500:1000], edge, [-0.0, math.inf, -math.inf, math.nan],
+                                -(2.0 ** rng.uniform(-1074.0, 20.0, 2000))])
+        for values in (mixed, mixed[rng.permutation(mixed.size)], np.sort(np.abs(mixed))[::-1],
+                       x, x[::-1]):
+            with np.errstate(over="ignore"):
+                plain = np.abs(values) ** p
+                assert _power_source(np.abs(values), p).tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("n, cfl_safety, p", [
         (1, 0.9, 1.01), (1, 0.9, 1.05), (1, 0.9, 1.1), (1, 0.9, 1.5), (1, 0.9, 2.0),

@@ -338,14 +338,62 @@ class TestWeightedGradientBoundEvaluation:
         assert rep.to_dict() == reference_weighted_gradient_bound(family, *args).to_dict()
         assert (len(rep.notes) > 0) == (mu1 > 4.0)
 
+# The embeddings check as it stood for one time, every member evaluated per call, kept
+# as the reference for the time list's member-outer loop.
+def reference_embeddings(family, params, sigma, t, grid):
+    const = (math.pi * (1.0 + t) ** 2 / (sigma * params.mu1)) ** (params.n / 4.0)
+    expo = 2.0 * sigma * weight_exponent(params, t, grid.r**2)
+    worst = -math.inf
+    n_cases = 0
+    notes = []
+    for k, member in enumerate(family):
+        f = member.value(grid.r)
+        try:
+            wl2 = math.sqrt(weighted_quadrature(grid, expo, f * f))
+        except WeightOverflowError:
+            notes.append(f"skipped member {k}: weight overflow")
+            continue
+        if wl2 == 0.0:
+            continue
+        l1 = integrate(grid, np.abs(f))
+        l2 = math.sqrt(max(integrate(grid, f * f), 0.0))
+        worst = max(worst, l1 / (const * wl2), l2 / wl2)
+        n_cases += 2
+    return CheckReport("weighted-embeddings", n_cases, worst, 1.01, notes)
+
+
 class TestEmbeddings:
+    TIMES = (0.0, 1.0, 4.0, 9.0)
+
     def test_family_passes(self, family):
         for n in (1, 2, 3):
             grid = make_radial_grid(n, 40.0, 0.02)
             for sigma in (0.25, 0.5, 1.0):
-                for t in (0.0, 1.0, 4.0, 9.0):
-                    rep = check_embeddings(family, params(n=n, mu1=1.0), sigma, t, grid)
+                reps = check_embeddings(family, params(n=n, mu1=1.0), sigma, self.TIMES, grid)
+                assert len(reps) == len(self.TIMES)
+                for t, rep in zip(self.TIMES, reps):
                     assert rep.passed, (n, sigma, t, rep.worst)
+
+    @pytest.mark.parametrize("n, mu1", [(1, 1.0), (2, 4.0), (1, 400.0)])
+    def test_each_time_reports_as_alone(self, family, n, mu1):
+        # mu1 = 400 skips 50, 50 and 25 members with overflow notes at the first three
+        # times: the member-outer loop must keep each time's ratio, count and notes apart
+        grid = make_radial_grid(n, 40.0, 0.05)
+        p = params(n=n, mu1=mu1)
+        reps = check_embeddings(family, p, 0.5, self.TIMES, grid)
+        assert len(reps) == len(self.TIMES)
+        for t, rep in zip(self.TIMES, reps):
+            alone = check_embeddings(family, p, 0.5, (t,), grid)
+            assert [r.to_dict() for r in alone] == [rep.to_dict()]
+            assert rep.to_dict() == reference_embeddings(family, p, 0.5, t, grid).to_dict()
+        assert [len(rep.notes) > 0 for rep in reps] == [mu1 > 4.0] * 3 + [False]
+
+    def test_each_member_evaluated_once(self, family):
+        grid = make_radial_grid(1, 40.0, 0.05)
+        counted = [CountingProfile(member) for member in family[:4]]
+        reps = check_embeddings(counted, params(mu1=1.0), 0.5, self.TIMES, grid)
+        assert [m.calls for m in counted] == [{"value": 1, "jet": 0}] * 4
+        assert [r.n_cases for r in reps] == [8] * 4
 
     def test_cauchy_schwarz_tightness(self):
         # e^{sigma W} f proportional to the Gaussian dual weight makes the
@@ -363,14 +411,23 @@ class TestEmbeddings:
 
     def test_zero_damping_skipped(self, family):
         grid = make_radial_grid(1, 40.0, 0.05)
-        rep = check_embeddings(family, params(mu1=0.0), 0.5, 0.0, grid)
+        rep, = check_embeddings(family, params(mu1=0.0), 0.5, (0.0,), grid)
         assert rep.skipped and rep.passed
+
+    def test_zero_damping_skips_every_time(self, family):
+        grid = make_radial_grid(1, 40.0, 0.05)
+        reps = check_embeddings(family, params(mu1=0.0), 0.5, self.TIMES, grid)
+        assert len(reps) == len(self.TIMES)
+        skipped, = check_embeddings(family, params(mu1=0.0), 0.5, (0.0,), grid)
+        for rep in reps:
+            assert rep.skipped and rep.passed and rep.n_cases == 0
+            assert rep.to_dict() == skipped.to_dict()
 
     @pytest.mark.parametrize("sigma", [0.0, -0.5, 1.5])
     def test_sigma_outside_unit_interval_rejected(self, family, sigma):
         grid = make_radial_grid(1, 10.0, 0.1)
         with pytest.raises(ValueError, match="sigma must lie in"):
-            check_embeddings(family, params(mu1=1.0), sigma, 0.0, grid)
+            check_embeddings(family, params(mu1=1.0), sigma, (0.0,), grid)
 
 
 class TestGnRatio:
