@@ -102,6 +102,9 @@ commands() {
     # default q
     sw verify inequalities --seed 7 --set q=3 --out inequalities-seed7-q3.json
     sw verify inequalities --seed 123 --set mu1=4 --out inequalities-seed123-mu1.json
+    # the largest quadrature term exponent of any passing setting measured, 527.3, just
+    # below the e^600 past which the terms are summed scaled: those sums keep every bit
+    sw verify inequalities --set mu1=4.6 --out inequalities-mu1-4.6.json
     sw verify bihari --out bihari.json
     sw odi --out odi.json
     # odi runs whose checked samples span many of the dominance check's slices: 49555

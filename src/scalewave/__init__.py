@@ -15,7 +15,7 @@ scale.
 __version__ = "0.1.0"
 
 from .checks import CheckReport
-from .errors import RegimeError, WeightOverflowError
+from .errors import RegimeError
 from .grid import RadialGrid, integrate, make_radial_grid
 from .model import (
     DecayExponentTable,

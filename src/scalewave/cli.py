@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import fit_decay, sweep
-from .errors import RegimeError, WeightOverflowError
+from .errors import RegimeError
 from .functionals import _gaussian
 from .grid import grid_size, make_radial_grid
 from .model import ModelParams, borderline_log_factor, decay_exponents, regime_check
@@ -523,7 +523,7 @@ def parse_and_dispatch(argv) -> int:
     try:
         _check_out(args.out or DEFAULT_OUT.get(args.command))
         return args.handler(args)
-    except (ConfigError, RegimeError, WeightOverflowError, ValueError) as exc:
+    except (ConfigError, RegimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as exc:

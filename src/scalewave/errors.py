@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""The exception type shared across the package."""
 
 
 class RegimeError(ValueError):
@@ -7,15 +7,4 @@ class RegimeError(ValueError):
     Typical causes: sqrt of the discriminant requested while it is negative,
     or the logarithmic borderline correction requested away from the
     borderline.
-    """
-
-
-class WeightOverflowError(ArithmeticError):
-    """A weighted integral has a quadrature term too large to represent.
-
-    Raised when some term exp(expo)*density has exponent expo + log density
-    above the budget; a large weight alone is harmless where the integrand
-    decays faster.  The data do not lie in the weighted space on this grid.
-    Only ``functionals.weighted_quadrature`` raises it; a run records such a
-    norm as +inf instead.
     """

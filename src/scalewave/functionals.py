@@ -6,13 +6,13 @@ integral goes through one log-domain kernel, ``weighted_quadrature``: each
 quadrature term exp(expo)*density is formed as exp(expo + log density), so
 the weight may be astronomically large wherever the integrand is not.
 Overflow is judged on that combined exponent, never on the weight alone.
-Past a budget, a term is summed relative to the largest one and scaled
-back, so the recorder records a weighted norm up to the float range and
-+inf beyond it, at every sample of a run, the first included: data the
-weight cannot represent still run, and only their weighted columns say so.
-``weighted_quadrature`` instead raises WeightOverflowError there, because
-its callers (the verify suites) test data that must lie in the weighted
-space.
+The one rule: past a budget, the terms are summed relative to the largest
+one and scaled back, so a weighted integral is represented up to the float
+range and is +inf beyond it; nothing raises.  The recorder records such a
+norm as +inf at every sample of a run, the first included, so data the
+weight cannot represent still run and only their weighted columns say so;
+the verify suites leave out a case whose weighted integrals are not all
+finite, with a note.
 
 The recorder's three weighted quantities, the L2 norm of u, the norm of
 the pair (grad u, u_t) and the energy, all integrate squares against
@@ -65,13 +65,12 @@ import math
 
 import numpy as np
 
-from .errors import RegimeError, WeightOverflowError
-from .grid import RadialGrid
+from .errors import RegimeError
+from .grid import RadialGrid, _nodal
 from .model import ModelParams, discriminant, weight_exponent
 
-# Largest admissible exponent of a single quadrature term; its exponential,
-# about 1e260, leaves headroom below the float overflow at exp(709) for the
-# weighted sum.
+# Largest term exponent summed as it is; past it the terms are summed relative to
+# the largest and scaled back, since exp(709.8) overflows a float.
 EXPONENT_BUDGET = 600.0
 
 
@@ -79,32 +78,23 @@ def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
     """Quadrature of exp(expo)*density for a nonnegative nodal density.
 
     Sums w_i*exp(expo_i + log density_i) over the nodes where the density
-    is nonzero, so a vanishing density never evaluates its weight.  Raises
-    WeightOverflowError when some term's exponent exceeds the budget.  A
+    is nonzero, so a vanishing density never evaluates its weight; the one
+    rule of the module notes applies past the budget, and nothing raises.  A
     NaN density propagates into the result instead of being dropped.
     """
-    value, peak = _log_quadrature(grid.quad_weights, np.asarray(expo, dtype=float),
-                                  _nodal(grid, density))
-    if peak > EXPONENT_BUDGET:
-        raise WeightOverflowError(
-            f"weighted integral not representable: a quadrature term has exponent "
-            f"{peak:.4g} > {EXPONENT_BUDGET:.0f}; the data do not decay fast enough "
-            "for the weight on this grid"
-        )
-    return value
+    return _log_quadrature(grid.quad_weights, np.asarray(expo, dtype=float),
+                           _nodal(grid, density))
 
 
 def _log_quadrature(weights: np.ndarray, expo: np.ndarray, density: np.ndarray,
-                    scratch: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
-    """(quadrature, largest term exponent) of ``weighted_quadrature`` with explicit weights.
+                    scratch: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """``weighted_quadrature`` with explicit weights.
 
     The weights may be a prefix of the grid's.  The terms, and so their
     sum, depend only on the nonzero density nodes in order; where those form
-    a prefix they are sliced instead of gathered.  Past the budget the terms
-    are summed relative to the largest and scaled back, so only an integral
-    past the float range overflows, to +inf.  ``scratch`` is a boolean and a
-    float array, each at least as long as the density, which receive the
-    nonzero mask and the terms; without it both are fresh arrays.
+    a prefix they are sliced instead of gathered.  ``scratch`` is a boolean
+    and a float array, each at least as long as the density, which receive
+    the nonzero mask and the terms; without it both are fresh arrays.
     """
     size = density.size
     if scratch is None:
@@ -123,16 +113,16 @@ def _log_quadrature(weights: np.ndarray, expo: np.ndarray, density: np.ndarray,
     np.add(expo, np.log(density, terms), terms)
     peak = float(np.maximum.reduce(terms)) if terms.size else -math.inf
     if not peak > EXPONENT_BUDGET:
-        return float(weights @ np.exp(terms, terms)), peak
+        return float(weights @ np.exp(terms, terms))
     if peak == math.inf:
-        return math.inf, peak
+        return math.inf
     terms -= peak
     scaled = float(weights @ np.exp(terms, terms))
     try:
         half = math.exp(0.5 * peak)
     except OverflowError:
-        return (math.inf if scaled > 0.0 else 0.0), peak
-    return scaled * half * half, peak
+        return math.inf if scaled > 0.0 else 0.0
+    return scaled * half * half
 
 
 def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: float, q: float) -> float:
@@ -146,14 +136,6 @@ def weighted_lq(grid: RadialGrid, values, params: ModelParams, sigma: float, t: 
     values = _nodal(grid, values)
     expo = q * sigma * weight_exponent(params, t, grid.r**2)
     return weighted_quadrature(grid, expo, _power_source(np.abs(values), q)) ** (1.0 / q)
-
-
-def _nodal(grid: RadialGrid, values) -> np.ndarray:
-    """``values`` as a float array, which must hold one value per node of ``grid``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.r.shape:
-        raise ValueError(f"expected {grid.r.size} nodal values, got shape {values.shape}")
-    return values
 
 
 def _source_cutoff(p: float) -> float:
@@ -217,11 +199,11 @@ def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,
 
     Under the weight exp(2W) = exp(``expo``): wl2 = ||exp(W) u||_2,
     wgrad_l2 = ||exp(W) (grad u, u_t)||_2 and wenergy = (1/2) * integral of
-    exp(2W) * (u_t^2 + |grad u|^2 + m^2(t) u^2).  Past the budget the
-    norms are still formed, +inf where they overflow.  All arrays may be
-    one prefix of the grid's (weights, the exponent 2W and the squares)
-    when both squares are 0 beyond it: the quadratures see the same
-    nonzero terms, so the values keep every bit.
+    exp(2W) * (u_t^2 + |grad u|^2 + m^2(t) u^2), each +inf where it
+    overflows (module notes).  All arrays may be one prefix of the grid's
+    (weights, the exponent 2W and the squares) when both squares are 0
+    beyond it: the quadratures see the same nonzero terms, so the values
+    keep every bit.
     ``u_sq_max`` is the largest u^2.  Without mass (m_sq == 0) and with u^2
     finite, the energy density grad_sq + 0*u_sq is grad_sq bit for bit, so
     the energy reuses the gradient quadrature; where u^2 overflows or is
@@ -234,13 +216,13 @@ def norms_of_squares(weights: np.ndarray, expo: np.ndarray, u_sq: np.ndarray,
         size = u_sq.size
         scratch = np.empty(size, dtype=bool), np.empty(size), np.empty(size)
     quadrature_scratch, energy = scratch[:2], scratch[2][:u_sq.size]
-    u_integral = _log_quadrature(weights, expo, u_sq, quadrature_scratch)[0]
-    grad_integral = _log_quadrature(weights, expo, grad_sq, quadrature_scratch)[0]
+    u_integral = _log_quadrature(weights, expo, u_sq, quadrature_scratch)
+    grad_integral = _log_quadrature(weights, expo, grad_sq, quadrature_scratch)
     if m_sq == 0.0 and math.isfinite(u_sq_max):
         energy_integral = grad_integral
     else:
         np.add(grad_sq, np.multiply(m_sq, u_sq, out=energy), out=energy)
-        energy_integral = _log_quadrature(weights, expo, energy, quadrature_scratch)[0]
+        energy_integral = _log_quadrature(weights, expo, energy, quadrature_scratch)
     return u_integral ** (1.0 / 2.0), math.sqrt(grad_integral), 0.5 * energy_integral
 
 

@@ -130,12 +130,17 @@ def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
     return RadialGrid(n=int(n), r_max=float(r_max), dr=float(spacing), r=r, quad_weights=weights)
 
 
-def integrate(grid: RadialGrid, values) -> float:
-    """Quadrature approximation of the integral of a radial profile over R^n."""
+def _nodal(grid: RadialGrid, values) -> np.ndarray:
+    """``values`` as a float array, which must hold one value per node of ``grid``."""
     values = np.asarray(values, dtype=float)
     if values.shape != grid.r.shape:
         raise ValueError(f"expected {grid.r.size} nodal values, got shape {values.shape}")
-    return float(grid.quad_weights @ values)
+    return values
+
+
+def integrate(grid: RadialGrid, values) -> float:
+    """Quadrature approximation of the integral of a radial profile over R^n."""
+    return float(grid.quad_weights @ _nodal(grid, values))
 
 
 def radial_derivative_into(two_dr: float, u: np.ndarray, out: np.ndarray) -> None:

@@ -8,7 +8,9 @@ margin: discretization can flip a tight inequality, and the continuum
 statements are exact only in the limit.  Each check reports its worst
 residual or ratio with a fixed module tolerance (``bihari_check`` alone
 takes one, as it runs both with slack and exactly); the verdict follows
-from the two (``CheckReport.passed``).
+from the two (``CheckReport.passed``).  An inequality check leaves out, with
+a note, a case whose weighted integrals are not all finite; a check left
+with nothing to compare is skipped with a note, never passed over 0 cases.
 
 Two protocols deserve a note.
 
@@ -38,7 +40,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .checks import CheckReport
-from .errors import WeightOverflowError
 from .functionals import _gaussian, _power_source, weighted_quadrature
 from .grid import RadialGrid, integrate
 from .model import (
@@ -304,6 +305,19 @@ def check_energy_identity(ms: ManufacturedSolution, params: ModelParams,
 # Inequality checks
 # ---------------------------------------------------------------------------
 
+def _finite(*integrals: float) -> bool:
+    """Whether a case's weighted integrals are all finite, so that it can be compared."""
+    return all(map(math.isfinite, integrals))
+
+
+def _report(check_id: str, n_cases: int, worst: float, notes: list) -> CheckReport:
+    """An inequality's report, skipped with a note when no case was left to compare."""
+    if n_cases:
+        return CheckReport(check_id, n_cases, worst, INEQUALITY_MARGIN, notes)
+    return CheckReport(check_id, 0, math.nan, INEQUALITY_MARGIN,
+                       notes + ["skipped: no case left to compare"], skipped=True)
+
+
 def check_weighted_gradient_bound(family: Sequence[RadialProfile], params: ModelParams,
                                   sigmas: Sequence[float], times: Sequence[float],
                                   grid: RadialGrid) -> CheckReport:
@@ -323,24 +337,25 @@ def check_weighted_gradient_bound(family: Sequence[RadialProfile], params: Model
     cases = [(sigma, t, 2.0 * sigma * weight_exponent(params, t, grid.r**2), w_r)
              for sigma in sigmas for t, w_r in zip(times, w_rs)]
     skipped: list[list[str]] = [[] for _ in cases]
-    for k, member in enumerate(family):
-        v, v_r, _ = member.jet(grid.r)
-        v_sq, v_r_sq = v * v, v_r * v_r
-        for (sigma, t, expo, w_r), notes in zip(cases, skipped):
-            try:
+    # a density that overflows has a non-finite integral, and its case is noted
+    with np.errstate(over="ignore"):
+        for k, member in enumerate(family):
+            v, v_r, _ = member.jet(grid.r)
+            v_sq, v_r_sq = v * v, v_r * v_r
+            for (sigma, t, expo, w_r), notes in zip(cases, skipped):
                 lhs_norm_sq = weighted_quadrature(grid, expo, v_sq)
                 grad_weighted = weighted_quadrature(grid, expo, (sigma * w_r * v + v_r) ** 2)
                 rhs = weighted_quadrature(grid, expo, v_r_sq)
-            except WeightOverflowError:
-                notes.append(f"skipped member {k} at sigma={sigma}, t={t}: weight overflow")
-                continue
-            lhs = sigma * params.mu1 * params.n / (1.0 + t) ** 2 * lhs_norm_sq + grad_weighted
-            if rhs <= 0.0:
-                continue
-            worst = max(worst, lhs / rhs)
-            n_cases += 1
-    return CheckReport("weighted-gradient-domination", n_cases, worst, INEQUALITY_MARGIN,
-                       [note for notes in skipped for note in notes])
+                if not _finite(lhs_norm_sq, grad_weighted, rhs):
+                    notes.append(f"skipped member {k} at sigma={sigma}, t={t}: weight overflow")
+                    continue
+                lhs = sigma * params.mu1 * params.n / (1.0 + t) ** 2 * lhs_norm_sq + grad_weighted
+                if rhs <= 0.0:
+                    continue
+                worst = max(worst, lhs / rhs)
+                n_cases += 1
+    return _report("weighted-gradient-domination", n_cases, worst,
+                   [note for notes in skipped for note in notes])
 
 
 def check_embeddings(family: Sequence[RadialProfile], params: ModelParams,
@@ -371,16 +386,15 @@ def check_embeddings(family: Sequence[RadialProfile], params: ModelParams,
         l1 = integrate(grid, np.abs(f))
         l2 = math.sqrt(max(integrate(grid, f_sq), 0.0))
         for i, (const, expo) in enumerate(cases):
-            try:
-                wl2 = math.sqrt(weighted_quadrature(grid, expo, f_sq))
-            except WeightOverflowError:
+            wl2 = math.sqrt(weighted_quadrature(grid, expo, f_sq))
+            if not _finite(wl2):
                 notes[i].append(f"skipped member {k}: weight overflow")
                 continue
             if wl2 == 0.0:
                 continue
             worst[i] = max(worst[i], l1 / (const * wl2), l2 / wl2)
             n_cases[i] += 2
-    return [CheckReport("weighted-embeddings", count, value, INEQUALITY_MARGIN, time_notes)
+    return [_report("weighted-embeddings", count, value, time_notes)
             for count, value, time_notes in zip(n_cases, worst, notes)]
 
 
@@ -396,7 +410,8 @@ def gn_ratio_check(family: Sequence[RadialProfile], params: ModelParams,
     theta = n*(1/2 - 1/q), is maximized over the members.  Asserted: every
     ratio is finite, and the supremum is stable (relative spread below
     GN_SPREAD_TOLERANCE) across the time list, as it must be when the
-    inequality's time power is exact.
+    inequality's time power is exact.  A time where no member gives a
+    positive ratio leaves no supremum, and the check is then skipped.
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
@@ -405,32 +420,39 @@ def gn_ratio_check(family: Sequence[RadialProfile], params: ModelParams,
         raise ValueError(f"q={q} gives interpolation exponent {theta} outside [0, 1]")
     sups = []
     n_cases = 0
+    notes: list[str] = []
     for t in times:
         scale = 1.0 + t
         expo_full = weight_exponent(params, t, grid.r**2)
         expo_q = q * sigma * expo_full
         expo_full *= 2.0
         best = 0.0
-        for member in family:
+        for k, member in enumerate(family):
             v, v_r, _ = member.dilate(scale).jet(grid.r)
             v_r_sq = v_r * v_r
             lq = weighted_quadrature(grid, expo_q, _power_source(np.abs(v), q))
+            grad_weighted = math.sqrt(weighted_quadrature(grid, expo_full, v_r_sq))
+            if not _finite(lq, grad_weighted):
+                notes.append(f"skipped member {k} at t={t}: weight overflow")
+                continue
             numerator = lq ** (1.0 / q)
             grad_plain = math.sqrt(max(integrate(grid, v_r_sq), 0.0))
-            grad_weighted = math.sqrt(weighted_quadrature(grid, expo_full, v_r_sq))
             if grad_plain == 0.0 or grad_weighted == 0.0:
                 continue
             denom = scale ** (1.0 - theta) * grad_plain ** (1.0 - sigma) * grad_weighted**sigma
             ratio = numerator / denom
             if not math.isfinite(ratio):
                 return CheckReport("gn-ratio-supremum", n_cases, math.inf, GN_SPREAD_TOLERANCE,
-                                   [f"non-finite ratio at t={t}"])
+                                   notes + [f"non-finite ratio at t={t}"])
             best = max(best, ratio)
             n_cases += 1
         sups.append(best)
-    spread = max(sups) / min(sups) - 1.0
-    notes = [f"supremum at t={t}: {s:.6g}" for t, s in zip(times, sups)]
-    return CheckReport("gn-ratio-supremum", n_cases, spread, GN_SPREAD_TOLERANCE, notes)
+    notes += [f"supremum at t={t}: {s:.6g}" if s > 0.0 else f"skipped: no positive ratio at t={t}"
+              for t, s in zip(times, sups)]
+    bare = not min(sups) > 0.0  # some time has no supremum, so there is no spread
+    spread = math.nan if bare else max(sups) / min(sups) - 1.0
+    return CheckReport("gn-ratio-supremum", n_cases, spread, GN_SPREAD_TOLERANCE, notes,
+                       skipped=bare)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,45 @@ class TestVerifyCli:
         payload = validate(out, schema)
         assert all(c["passed"] or c["skipped"] for c in payload["checks"])
 
+    def test_inequalities_in_the_global_regime_of_n3(self, tmp_path, schema, capsys):
+        # the global theorem needs delta >= (n + 1)^2, so mu1 >= 5 in n = 3 without mass;
+        # there some quadrature terms pass e^600 and are summed scaled, not refused
+        out = tmp_path / "ineq.json"
+        argv = ["verify", "inequalities", "--set", "n=3", "--set", "mu1=5", "--out", str(out)]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        checks = validate(out, schema)["checks"]
+        assert all(c["passed"] and not c["skipped"] and c["n_cases"] > 0 for c in checks)
+        assert not any("weight overflow" in note for c in checks for note in c["notes"])
+        out_text, err = capsys.readouterr()
+        assert err == "" and out_text.count("PASS ") == len(checks) == 6
+
+    @pytest.mark.parametrize("setting, code, bare_times", [
+        # a grid too coarse for the undilated members: no member gives a ratio at t = 0
+        # (the gradient and two embeddings checks fail on this grid)
+        ("dr=10", EXIT_CONFIG, ["0.0"]),
+        # every member's integrals on the wide grid pass the float range at every time
+        ("mu1=40", EXIT_OK, ["0.0", "1.0", "4.0", "9.0"]),
+        # and every case of every check
+        ("mu1=1e300", EXIT_OK, ["0.0", "1.0", "4.0", "9.0"]),
+    ])
+    def test_inequalities_with_nothing_to_compare_skip(self, setting, code, bare_times,
+                                                       tmp_path, schema, capsys):
+        # a check left with nothing to compare is skipped with a note: no traceback, and
+        # no PASS over zero cases
+        out = tmp_path / "ineq.json"
+        argv = ["verify", "inequalities", "--set", setting, "--out", str(out)]
+        assert parse_and_dispatch(argv) == code
+        checks = validate(out, schema)["checks"]
+        gn = checks[-1]
+        assert gn["check_id"] == "gn-ratio-supremum" and gn["skipped"] and gn["worst"] is None
+        assert [note for note in gn["notes"] if note.startswith("skipped: no positive")] == [
+            f"skipped: no positive ratio at t={t}" for t in bare_times]
+        assert all(c["n_cases"] > 0 or c["skipped"] for c in checks)
+        for c in checks:
+            if c["skipped"] and c["check_id"] != "gn-ratio-supremum":
+                assert c["notes"][-1] == "skipped: no case left to compare"
+        assert "SKIP gn-ratio-supremum: worst=nan tol=0.05\n" in capsys.readouterr().out
+
 
 class TestOdiCli:
     def test_standard_report(self, tmp_path, schema):
@@ -678,6 +717,9 @@ class TestBadInputsExitConfig:
         nodes = scalewave.grid.grid_size(n, cfg["r_max"], cfg["dr"])[0]
         wide_nodes = scalewave.grid.grid_size(n, 4.0 * cfg["r_max"], 2.0 * cfg["dr"])[0]
         estimate = scalewave.cli.inequality_suite_bytes(nodes, wide_nodes)
+        # the first generator imports numpy.random's lazy modules (secrets, hashlib, ...),
+        # about 690 KB that are no part of the suite: import them before tracing starts
+        np.random.default_rng(0)
         tracemalloc.start()
         try:
             scalewave.cli._verify_inequalities(cfg, 0)

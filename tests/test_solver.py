@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from scalewave.cli import CSV_COLUMNS
-from scalewave.errors import WeightOverflowError
 from scalewave.functionals import (
     EXPONENT_BUDGET,
     _power_source,
@@ -230,9 +229,15 @@ def reference_quadrature(grid, expo, density):
     terms = np.asarray(expo, dtype=float)[active]
     terms += np.log(density[active])
     peak = terms.max() if terms.size else -math.inf
-    if peak > EXPONENT_BUDGET:
-        raise WeightOverflowError(f"exponent {peak:.4g} > {EXPONENT_BUDGET:.0f}")
-    return float(grid.quad_weights[active] @ np.exp(terms, out=terms))
+    if not peak > EXPONENT_BUDGET:
+        return float(grid.quad_weights[active] @ np.exp(terms, out=terms))
+    # past the budget: the terms relative to the largest, scaled back; +inf past the range
+    if peak == math.inf:
+        return math.inf
+    with np.errstate(over="ignore"):
+        half = np.exp(0.5 * peak)
+    terms -= peak
+    return float(grid.quad_weights[active] @ np.exp(terms, out=terms)) * float(half) * float(half)
 
 
 def reference_record(grid, params, t, u, u_t, frame_ok):
@@ -704,18 +709,16 @@ class TestRecorder:
             u_t[7] = math.nan
         sup = float(np.max(np.abs(u[:w])))
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                want = np.array(reference_record(g, p, 1.25, u, u_t, True))
-            except WeightOverflowError:
-                # u^2 overflows: the recorder records the overflowing weighted
-                # norms as +inf (the energy density inf*0 is NaN) instead of aborting
-                assert bad == "overflow"
-                got = _Recorder(g, p, True)(1.25, u, u_t, w, sup)
-                assert got[5:7] == (math.inf, math.inf) and math.isnan(got[7])
-                assert got[1] == 2e154 and got[2] == math.inf and math.isfinite(got[8])
-                return
+            want = np.array(reference_record(g, p, 1.25, u, u_t, True))
             got = np.array(_Recorder(g, p, True)(1.25, u, u_t, w, sup))
         assert got.tobytes() == want.tobytes()
+        if np.isinf(want[5:7]).all():
+            # u^2 overflows: the recorder records the overflowing weighted
+            # norms as +inf (the energy density inf*0 is NaN) instead of aborting
+            assert bad == "overflow"
+            assert tuple(got[5:7]) == (math.inf, math.inf) and math.isnan(got[7])
+            assert got[1] == 2e154 and got[2] == math.inf and math.isfinite(got[8])
+            return
         assert np.isnan(got[6:8]).all()
 
 
@@ -1177,20 +1180,33 @@ class TestRun:
         # watching a run changes none of its bits
         assert run(g, bump, bump, cfg).samples.tobytes() == rep.samples.tobytes()
 
-    def test_recorded_wl2_is_weighted_lq_bitwise(self, monkeypatch):
+    @pytest.mark.parametrize("mu1, data, first", [
+        (3.0, bump, "within"),
+        # unit-width Gaussian data: the first sample's largest term exponent is about
+        # 675, past the budget, so both sum the terms scaled back
+        (20.0, lambda r: np.exp(-(r**2)), "past"),
+        # and at mu1 = 40 about 1800, past the float range: both are +inf
+        (40.0, lambda r: np.exp(-(r**2)), "inf"),
+    ])
+    def test_recorded_wl2_is_weighted_lq_bitwise(self, monkeypatch, mu1, data, first):
         # massive nonlinear n = 2 run; the clock starts at s = 1 so the weight
         # exponent is not that of t = 0 at any sample
         g = make_radial_grid(2, 15.0, 0.05)
-        p = params(n=2, mu1=3.0, mu2sq=2.0, p=2.5)
+        p = params(n=2, mu1=mu1, mu2sq=2.0, p=2.5)
         cfg = RunConfig(params=p, s=1.0, t_max=2.0, cfl_safety=0.8, record_every=5)
-        rep, calls = run_levels(monkeypatch, g, bump, bump, cfg)
+        rep, calls = run_levels(monkeypatch, g, data, data, cfg)
         t, wl2 = rep.series("wl2")
-        u0v = init_state(g, bump, bump, cfg, time_step(g.step_unit, cfg)[1])[0]
-        assert wl2[0] == weighted_lq(g, u0v, p, 1.0, t[0], 2.0)
+        u0v = init_state(g, data, data, cfg, time_step(g.step_unit, cfg)[1])[0]
+        want = weighted_lq(g, u0v, p, 1.0, t[0], 2.0)
+        assert wl2[0].tobytes() == np.float64(want).tobytes()
+        nonzero = u0v != 0.0
+        peak = np.max(2.0 * weight_exponent(p, t[0], g.r[nonzero] ** 2) + np.log(u0v[nonzero] ** 2))
+        assert (peak > EXPONENT_BUDGET) == (first != "within")
+        assert (want == math.inf) == (first == "inf")
         # the fifth step starts from the level at s + 5 dt, the second sample
         t5, u5, _ = calls[4]
         assert t5 == t[1]
-        assert wl2[1] == weighted_lq(g, u5, p, 1.0, t[1], 2.0)
+        assert wl2[1].tobytes() == np.float64(weighted_lq(g, u5, p, 1.0, t[1], 2.0)).tobytes()
 
     @pytest.mark.parametrize("n, nonlinear", [(1, False), (1, True), (3, False), (3, True)])
     def test_peak_memory_within_run_bytes(self, n, nonlinear):

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from scalewave.checks import CheckReport
-from scalewave.errors import WeightOverflowError
 from scalewave.grid import integrate, make_radial_grid
 from scalewave.functionals import weighted_quadrature
 from scalewave.model import ModelParams, weight_exponent, weight_exponent_dr
@@ -291,6 +290,14 @@ class CountingProfile:
         return self.profile.jet(r)
 
 
+# A reference check's report: skipped with a note when no case was left to compare.
+def reference_report(check_id, n_cases, worst, notes):
+    if n_cases == 0:
+        return CheckReport(check_id, 0, math.nan, 1.01, notes + ["skipped: no case left to compare"],
+                           skipped=True)
+    return CheckReport(check_id, n_cases, worst, 1.01, notes)
+
+
 # The weighted gradient check as it stood with every member's jet held at once and
 # the (sigma, t) cases outside, kept as the reference for its member-outer loop.
 def reference_weighted_gradient_bound(family, params, sigmas, times, grid):
@@ -303,11 +310,10 @@ def reference_weighted_gradient_bound(family, params, sigmas, times, grid):
             expo = 2.0 * sigma * weight_exponent(params, t, grid.r**2)
             w_r = weight_exponent_dr(params, t, grid.r)
             for k, (v, v_r) in enumerate(profiles):
-                try:
-                    lhs_norm_sq = weighted_quadrature(grid, expo, v * v)
-                    grad_weighted = weighted_quadrature(grid, expo, (sigma * w_r * v + v_r) ** 2)
-                    rhs = weighted_quadrature(grid, expo, v_r * v_r)
-                except WeightOverflowError:
+                lhs_norm_sq = weighted_quadrature(grid, expo, v * v)
+                grad_weighted = weighted_quadrature(grid, expo, (sigma * w_r * v + v_r) ** 2)
+                rhs = weighted_quadrature(grid, expo, v_r * v_r)
+                if not all(map(math.isfinite, (lhs_norm_sq, grad_weighted, rhs))):
                     notes.append(f"skipped member {k} at sigma={sigma}, t={t}: weight overflow")
                     continue
                 lhs = sigma * params.mu1 * params.n / (1.0 + t) ** 2 * lhs_norm_sq + grad_weighted
@@ -315,7 +321,7 @@ def reference_weighted_gradient_bound(family, params, sigmas, times, grid):
                     continue
                 worst = max(worst, lhs / rhs)
                 n_cases += 1
-    return CheckReport("weighted-gradient-domination", n_cases, worst, 1.01, notes)
+    return reference_report("weighted-gradient-domination", n_cases, worst, notes)
 
 
 class TestWeightedGradientBoundEvaluation:
@@ -330,8 +336,9 @@ class TestWeightedGradientBoundEvaluation:
 
     @pytest.mark.parametrize("mu1", [4.0, 12.0, 40.0])
     def test_matches_the_all_jets_loop(self, family, mu1):
-        # mu1 = 12 and 40 skip 40 and 158 cases with overflow notes: the member-outer
-        # loop must give the same ratio, count and notes in the same order
+        # mu1 = 12 and 40 skip 40 and 155 cases whose integrals pass the float range, with
+        # overflow notes: the member-outer loop must give the same ratio, count and notes
+        # in the same order
         grid = make_radial_grid(1, 40.0, 0.05)
         args = (params(mu1=mu1), (0.25, 0.5, 1.0), (0.0, 1.0, 4.0, 9.0), grid)
         rep = check_weighted_gradient_bound(family, *args)
@@ -348,9 +355,8 @@ def reference_embeddings(family, params, sigma, t, grid):
     notes = []
     for k, member in enumerate(family):
         f = member.value(grid.r)
-        try:
-            wl2 = math.sqrt(weighted_quadrature(grid, expo, f * f))
-        except WeightOverflowError:
+        wl2 = math.sqrt(weighted_quadrature(grid, expo, f * f))
+        if not math.isfinite(wl2):
             notes.append(f"skipped member {k}: weight overflow")
             continue
         if wl2 == 0.0:
@@ -359,7 +365,7 @@ def reference_embeddings(family, params, sigma, t, grid):
         l2 = math.sqrt(max(integrate(grid, f * f), 0.0))
         worst = max(worst, l1 / (const * wl2), l2 / wl2)
         n_cases += 2
-    return CheckReport("weighted-embeddings", n_cases, worst, 1.01, notes)
+    return reference_report("weighted-embeddings", n_cases, worst, notes)
 
 
 class TestEmbeddings:
@@ -376,8 +382,9 @@ class TestEmbeddings:
 
     @pytest.mark.parametrize("n, mu1", [(1, 1.0), (2, 4.0), (1, 400.0)])
     def test_each_time_reports_as_alone(self, family, n, mu1):
-        # mu1 = 400 skips 50, 50 and 25 members with overflow notes at the first three
-        # times: the member-outer loop must keep each time's ratio, count and notes apart
+        # mu1 = 400 skips 50, 50 and 15 members with overflow notes at the first three
+        # times, so the first two have no case left and are skipped: the member-outer
+        # loop must keep each time's ratio, count and notes apart
         grid = make_radial_grid(n, 40.0, 0.05)
         p = params(n=n, mu1=mu1)
         reps = check_embeddings(family, p, 0.5, self.TIMES, grid)
@@ -387,6 +394,7 @@ class TestEmbeddings:
             assert [r.to_dict() for r in alone] == [rep.to_dict()]
             assert rep.to_dict() == reference_embeddings(family, p, 0.5, t, grid).to_dict()
         assert [len(rep.notes) > 0 for rep in reps] == [mu1 > 4.0] * 3 + [False]
+        assert [rep.skipped for rep in reps] == [mu1 > 4.0] * 2 + [False] * 2
 
     def test_each_member_evaluated_once(self, family):
         grid = make_radial_grid(1, 40.0, 0.05)
@@ -523,9 +531,16 @@ class TestOverflowHandling:
         rep = check_weighted_gradient_bound([wide], params(mu1=4.0), (1.0,), (0.0,), grid)
         assert rep.n_cases == 0
         assert any("weight overflow" in note for note in rep.notes)
+        # with no case left the check is skipped, not passed over zero cases
+        assert rep.skipped and math.isnan(rep.worst)
+        assert rep.notes[-1] == "skipped: no case left to compare"
 
-    def test_gn_ratio_overflow_raises(self):
+    def test_gn_ratio_notes_overflowing_member(self):
         grid = make_radial_grid(1, 120.0, 0.05)
         wide = RadialProfile(amplitude=1.0, width=12.0, center=0.0)
-        with pytest.raises(WeightOverflowError):
-            gn_ratio_check([wide], params(mu1=4.0), 1.0, 2.0, (0.0,), grid)
+        rep = gn_ratio_check([wide], params(mu1=4.0), 1.0, 2.0, (0.0,), grid)
+        # the one member is left out, so t = 0 has no supremum and nothing is compared
+        assert rep.skipped and rep.n_cases == 0 and math.isnan(rep.worst)
+        assert rep.notes == ["skipped member 0 at t=0.0: weight overflow",
+                             "skipped: no positive ratio at t=0.0"]
+
