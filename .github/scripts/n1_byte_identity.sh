@@ -76,6 +76,9 @@ commands() {
     # (inf/nan, exit 3) may land in a lane
     sw simulate --set mu1=0 --set p=2 --set blowup_threshold=1e300 --set u0_amplitude=0.1 \
         --set t_max=100 --set r_max=120 --set record_every=1 --out diverged-lanes.csv
+    # a run from s = 1, whose step unit comes from the same per-dimension rule
+    sw simulate --set s=1 --set t_max=11 --set r_max=20 --set cfl_safety=0.5 \
+        --set record_every=1 --out from-s1.csv
     # a global-band sweep of slow cells (about 0.35 s each), whose lanes take cells
     # while this process runs its own
     sw sweep --set "p_values=[3.5,4]" --set "amplitudes=[0.5,1]" --set u0_amplitude=0.01 \
@@ -95,6 +98,9 @@ commands() {
     sw sweep --set "p_values=[1.5,2,2.5]" --set "amplitudes=[0.4,0.9]" \
         --set u0_kind=bump --set u1_kind=bump --set u0_width=3 --set u1_width=3 \
         --set r_max=80 --set t_max=60 --set record_every=25 --jobs 1 --out blowup-jobs1.csv
+    # delta < 0: no p_crit, written as an empty field
+    sw sweep --set mu1=1 --set mu2sq=1 --set "p_values=[2]" --set "amplitudes=[0.1]" \
+        --set t_max=5 --set r_max=15 --jobs 1 --out negative-delta-sweep.csv
     # the other commands' reports
     sw verify identities --out identities.json
     sw verify inequalities --out inequalities.json

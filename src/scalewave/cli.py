@@ -1,7 +1,8 @@
 """Command-line front end: simulations, sweeps, verification suites, fits.
 
-A command's defaults dict is its config schema (run defaults are those of
-``RunConfig``): a key is allowed exactly when it has a default, and a value
+A command's defaults dict, and each verify suite's, is its config schema
+(run defaults are those of ``RunConfig``): it holds exactly the keys its
+handler reads, a key is allowed exactly when it has a default, and a value
 is coerced to that default's type.  A config file is a flat JSON object of
 such keys, overridden by repeated ``--set key=value``; NaN is rejected.
 CSV and JSON outputs are byte-stable for identical inputs: floats are
@@ -39,6 +40,7 @@ from .solver import (
     OUTCOME_DIVERGED, RUN_BYTES_BUDGET, RunConfig, RunReport, SAMPLE_KEYS, check_run_size, run,
 )
 from .verify import (
+    FAMILY_WIDTHS,
     bihari_check,
     check_dissipativity_signs,
     check_embeddings,
@@ -68,13 +70,15 @@ SIMULATE_DEFAULTS = {
     "u0_kind": "gaussian", "u0_amplitude": 1.0, "u0_width": 0.4,
     "u1_kind": "zero", "u1_amplitude": 0.0, "u1_width": 0.4,
 }
-SWEEP_DEFAULTS = {**SIMULATE_DEFAULTS, "p_values": [2.0], "amplitudes": [1.0]}
+# each cell runs one of p_values, so a sweep takes no p of its own
+SWEEP_DEFAULTS = {**{k: v for k, v in SIMULATE_DEFAULTS.items() if k != "p"},
+                  "p_values": [2.0], "amplitudes": [1.0]}
+SWEEP_COLUMNS = ("p", "amplitude", "outcome", "blowup_time", "l2_exponent", "p_crit",
+                 "global_existence_applicable", "blowup_range_applicable", "delta")
 ODI_DEFAULTS = {"k0": 4.0, "k1": 1.0, "alpha": -2.0, "p": 3.0, "f0": 1.0,
                 "df0": 1.0, "dt": 0.0}
 FIT_DEFAULTS = {"column": "l2", "t_min": 0.0, "t_max": math.inf,
                 "log_corrected": False, "n": 1, "mu1": 1.0, "mu2sq": 0.0}
-VERIFY_DEFAULTS = {"n": 1, "mu1": 1.0, "mu2sq": 0.0, "sigma": 0.5,
-                   "q": 4.0, "r_max": 40.0, "dr": 0.02}
 # the file a command writes without --out (the other commands then write to stdout)
 DEFAULT_OUT = {"simulate": "run.csv", "sweep": "sweep.csv"}
 
@@ -86,6 +90,15 @@ class ConfigError(ValueError):
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit formatting; byte-identical across runs."""
     return f"{float(x):.17g}"
+
+
+def _text(value, none: str = "undefined") -> str:
+    """A report field as text: ``none`` for None, true or false, text as is, else a float."""
+    if value is None:
+        return none
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else format_float(value)
 
 
 def _coerce(key: str, value, target_type):
@@ -244,7 +257,7 @@ def _report_header(kind: str, seed: int = 0) -> dict:
 
 
 def _model_params(cfg: dict) -> ModelParams:
-    # verify and decay-fit take no p: none of their checks or fits reads it
+    # sweep, verify and decay-fit take no p: none of their cells, checks or fits reads it
     return ModelParams(n=cfg["n"], mu1=cfg["mu1"], mu2sq=cfg["mu2sq"], p=cfg.get("p", 2.0))
 
 
@@ -276,22 +289,11 @@ def _cmd_sweep(args) -> int:
     grid, config, u0, u1 = _build_run(cfg)
     rows = sweep(grid, cfg["p_values"], cfg["amplitudes"], config, u0,
                  None if cfg["u1_kind"] == "zero" else u1, jobs=args.jobs)
-    header = ("p,amplitude,outcome,blowup_time,l2_exponent,p_crit,"
-              "global_existence_applicable,blowup_range_applicable,delta")
-    lines = [header]
+    lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        cells = [
-            format_float(row.params.p),
-            format_float(row.amplitude),
-            row.outcome,
-            format_float(row.blowup_time) if row.blowup_time is not None else "",
-            format_float(row.l2_exponent) if row.l2_exponent is not None else "",
-            format_float(row.regime.p_crit) if row.regime.p_crit is not None else "",
-            str(row.regime.global_existence_applicable).lower(),
-            str(row.regime.blowup_range_applicable).lower(),
-            format_float(row.regime.delta),
-        ]
-        lines.append(",".join(cells))
+        cells = asdict(row)
+        cells.update(cells["params"], **cells["regime"])
+        lines.append(",".join(_text(cells[column], none="") for column in SWEEP_COLUMNS))
     out = args.out or DEFAULT_OUT["sweep"]
     with _output(out) as handle:
         handle.write("\n".join(lines) + "\n")
@@ -336,8 +338,10 @@ def inequality_suite_bytes(nodes: int, wide_nodes: int) -> int:
 
 def _verify_inequalities(cfg: dict, seed: int) -> list:
     params = _model_params(cfg)
-    family = standard_family(seed=seed)
     n, r_max, dr = cfg["n"], cfg["r_max"], cfg["dr"]
+    if 2.0 * dr > FAMILY_WIDTHS[0]:
+        raise ValueError(f"dr = {dr} too coarse for verify inequalities: the wide grid's "
+                         f"spacing 2·dr passes the family's narrowest width {FAMILY_WIDTHS[0]}")
     nodes, wide_nodes = grid_size(n, r_max, dr)[0], grid_size(n, 4.0 * r_max, 2.0 * dr)[0]
     need = inequality_suite_bytes(nodes, wide_nodes)
     if need > RUN_BYTES_BUDGET:
@@ -346,6 +350,12 @@ def _verify_inequalities(cfg: dict, seed: int) -> list:
             f"would hold {need / 2**30:.4g} GiB, over the {RUN_BYTES_BUDGET / 2**30:g} GiB "
             "budget; coarsen dr or shorten r_max"
         )
+    # the largest weight exponent the suite forms, on the wide grid at t = 0
+    q_sigma = cfg["q"] * cfg["sigma"]
+    if not math.isfinite(max(2.0, q_sigma) * params.mu1 * (4.0 * r_max) ** 2 / 2.0):
+        raise ValueError("weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
+                         f"inequalities overflows at mu1 = {params.mu1}, q·sigma = {q_sigma:g}")
+    family = standard_family(seed=seed)
     grid = make_radial_grid(n, r_max, dr)
     sigmas = (0.25, 0.5, 1.0)
     times = (0.0, 1.0, 4.0, 9.0)
@@ -372,14 +382,19 @@ def _verify_bihari(cfg: dict, seed: int) -> list:
     return checks
 
 
+_VERIFY_MODEL = {"n": 1, "mu1": 1.0, "mu2sq": 0.0}
+# each suite's config schema and runner
+VERIFY_SUITES = {
+    "identities": (_VERIFY_MODEL, _verify_identities),
+    "inequalities": ({**_VERIFY_MODEL, "sigma": 0.5, "q": 4.0, "r_max": 40.0, "dr": 0.02},
+                     _verify_inequalities),
+    "bihari": ({}, _verify_bihari),
+}
+
+
 def _cmd_verify(args) -> int:
-    cfg = load_config(VERIFY_DEFAULTS, args.config, args.set)
-    suites = {
-        "identities": _verify_identities,
-        "inequalities": _verify_inequalities,
-        "bihari": _verify_bihari,
-    }
-    checks = suites[args.suite](cfg, args.seed)
+    defaults, suite = VERIFY_SUITES[args.suite]
+    checks = suite(load_config(defaults, args.config, args.set), args.seed)
     payload = _report_header("verify", args.seed)
     payload["suite"] = args.suite
     payload["checks"] = [c.to_dict() for c in checks]
@@ -429,33 +444,15 @@ def _cmd_decay_fit(args) -> int:
 def _cmd_info(args) -> int:
     cfg = load_config(MODEL_DEFAULTS, args.config, args.set)
     params = _model_params(cfg)
-    regime = regime_check(params)
+    regime = asdict(regime_check(params))
+    table = asdict(decay_exponents(params)) if regime["delta"] > 0.0 else None
     print(f"n={params.n} mu1={params.mu1} mu2sq={params.mu2sq} p={params.p}")
-    print(f"delta = {format_float(regime.delta)}")
-    print("sqrt_delta = "
-          + (format_float(regime.sqrt_delta) if regime.sqrt_delta is not None else "undefined"))
-    print("p_crit = "
-          + (format_float(regime.p_crit) if regime.p_crit is not None else "undefined"))
-    print(f"global_existence_applicable = {str(regime.global_existence_applicable).lower()}")
-    print(f"blowup_range_applicable = {str(regime.blowup_range_applicable).lower()}")
-    table = None
-    if regime.delta > 0.0:
-        table = decay_exponents(params)
-        print(f"l2_exponent = {format_float(table.l2_exponent)}")
-        print(f"grad_exponent = {format_float(table.grad_exponent)}")
-        print(f"log_correction = {str(table.log_correction).lower()}")
+    for key, value in {**regime, **(table or {})}.items():
+        print(f"{key} = {_text(value)}")
     if args.out:
-        payload = _report_header("info")
-        payload["params"] = asdict(params)
-        payload["delta"] = regime.delta
-        payload["regime"] = {
-            "sqrt_delta": regime.sqrt_delta,
-            "p_crit": regime.p_crit,
-            "global_existence_applicable": regime.global_existence_applicable,
-            "blowup_range_applicable": regime.blowup_range_applicable,
-        }
-        payload["decay_exponents"] = asdict(table) if table is not None else None
-        _write_json(payload, args.out)
+        _write_json({**_report_header("info"), "params": asdict(params),
+                     "delta": regime.pop("delta"), "regime": regime,
+                     "decay_exponents": table}, args.out)
     return EXIT_OK
 
 
@@ -501,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"most processes that {work}, this one included (default: usable CPUs; "
                  "1 runs serially; more than 1 forks only on Linux)")
     verify_p = command("verify", _cmd_verify, "identity/inequality/comparison suites")
-    verify_p.add_argument("suite", choices=["identities", "inequalities", "bihari"])
+    verify_p.add_argument("suite", choices=list(VERIFY_SUITES))
     verify_p.add_argument("--seed", type=int, default=0,
                           help="seed of the sampled test points, recorded in the report")
     command("odi", _cmd_odi, "blow-up comparison toolkit report")

@@ -33,7 +33,7 @@ class RadialGrid:
     @property
     def step_unit(self) -> float:
         """Stable time step per unit ``cfl_safety``, as ``grid_size`` gives it."""
-        return _step_unit(self.dr)
+        return _step_unit(self.n, self.dr)
 
     @property
     def row_divisor(self) -> float:
@@ -97,8 +97,16 @@ def surface_measure(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _step_unit(spacing: float) -> float:
-    return spacing  # the wave speed is 1
+#: Largest stable leapfrog step per unit spacing in n = 1..5: 2/sqrt(rho dr^2) for
+#: the spectral radius rho of ``RadialGrid.laplacian``, rounded down (n = 1 takes
+#: the limit, 1, as the wave speed is 1).  From n = 6 on the spectrum is complex and
+#: no step is stable: runs refuse it (``solver.check_dimension``), and other grids
+#: take 1.
+_STEP_FACTORS = {1: 1.0, 2: 0.908908, 3: 0.816496, 4: 0.744623, 5: 0.688041}
+
+
+def _step_unit(n: int, spacing: float) -> float:
+    return spacing * _STEP_FACTORS.get(n, 1.0)
 
 
 def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float, float]:
@@ -113,7 +121,7 @@ def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float, float]:
         raise ValueError(f"need 0 < dr < r_max, got dr={dr}, r_max={r_max}")
     num = int(round(r_max / dr)) + 1
     spacing = r_max / (num - 1)
-    return num, spacing, _step_unit(spacing)
+    return num, spacing, _step_unit(n, spacing)
 
 
 def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:

@@ -278,8 +278,20 @@ def run_bytes(num_nodes: int, step_unit: float, config: RunConfig) -> tuple[int,
     return rows, need + _MASK_BYTES_PER_NODE * num_nodes
 
 
+def check_dimension(n: int) -> None:
+    """Raise ValueError for n >= 6, where no time step keeps a run stable (``grid._step_unit``)."""
+    if n >= 6:
+        raise ValueError(
+            f"n = {n} cannot run stably: the radial Laplacian has a complex spectrum for "
+            "n >= 6, so no time step is stable (ROADMAP.md item 1, a symmetric flux form, "
+            "would lift this)"
+        )
+
+
 def check_run_size(num_nodes: int, step_unit: float, config: RunConfig) -> None:
-    """Raise ValueError, before anything is allocated, if ``run_bytes`` exceeds RUN_BYTES_BUDGET."""
+    """Raise ValueError, before anything is allocated, for n >= 6 (``check_dimension``)
+    or if ``run_bytes`` exceeds RUN_BYTES_BUDGET."""
+    check_dimension(config.params.n)
     rows, need = run_bytes(num_nodes, step_unit, config)
     if need > RUN_BYTES_BUDGET:
         raise ValueError(
@@ -636,8 +648,9 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
     the discriminant is negative and the frame does not exist.  Every
     sample, the first included, records a weighted norm that overflows as
     +inf: data outside the weighted space run, and their weighted columns
-    say so.  Data whose max |u0| already exceeds ``blowup_threshold`` raise
-    ValueError before any step, since the detector would fire on the data
+    say so.  A grid of n >= 6 (``check_dimension``) raises ValueError before
+    any step, and so do data whose max |u0| already exceeds
+    ``blowup_threshold``, since the detector would fire on the data
     themselves.  A level whose sup is not finite ends the run ``diverged``;
     one whose sup exceeds ``blowup_threshold`` ends it ``blowup`` at that
     level's time, or ``diverged`` on a linear run: a linear solution cannot
@@ -654,6 +667,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
     have reached that sample (the first one once the data have passed the
     checks above), so once per row of the report, in order.
     """
+    check_dimension(grid.n)
     clock = time.perf_counter
     started = clock()
     ring = None

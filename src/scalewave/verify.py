@@ -59,6 +59,8 @@ INEQUALITY_MARGIN = 1.01
 GN_SPREAD_TOLERANCE = 0.05
 FAMILY_BASES = 10
 FAMILY_DEGREES = (0, 1, 2, 3, 4)
+#: The range ``standard_family`` draws its members' widths from.
+FAMILY_WIDTHS = (0.35, 0.8)
 
 
 def _radial_laplacian(r, f_r, f_rr, n: int):
@@ -148,7 +150,7 @@ def standard_family(seed: int = 0) -> list[RadialProfile]:
     rng = np.random.default_rng(seed)
     members = []
     for _ in range(FAMILY_BASES):
-        width = rng.uniform(0.35, 0.8)
+        width = rng.uniform(*FAMILY_WIDTHS)
         center = rng.uniform(0.0, 1.2)
         amplitude = rng.uniform(0.5, 2.0)
         for m in FAMILY_DEGREES:

@@ -33,6 +33,13 @@ from scalewave.model import ModelParams
 from scalewave.solver import RunConfig, RunReport, run
 
 
+@pytest.fixture
+def spacing_step_unit(monkeypatch):
+    """Every grid's step unit is its spacing, past the leapfrog bound of n >= 2: at
+    the default cfl_safety 0.9 an n = 3 run is then unstable (bound 0.816 dr)."""
+    monkeypatch.setattr(scalewave.grid, "_step_unit", lambda n, spacing: spacing)
+
+
 @pytest.fixture(scope="module")
 def schema():
     text = resources.files("scalewave").joinpath("schemas/report.schema.json").read_text()
@@ -110,8 +117,8 @@ class TestSimulate:
             _, vals = read_series_csv(out, column)
             assert vals.size > 1 and np.all(np.isfinite(vals))
 
-    def test_unstable_linear_run_exits_diverged(self, tmp_path, capsys):
-        # default cfl_safety 0.9 is above the n = 3 leapfrog bound
+    def test_unstable_linear_run_exits_diverged(self, tmp_path, capsys, spacing_step_unit):
+        # dt = 0.9 dr is above the n = 3 leapfrog bound (0.816 dr)
         out = tmp_path / "n3.csv"
         code = parse_and_dispatch(
             ["simulate", "--set", "n=3", "--set", "mu1=6", "--set", "nonlinear=false",
@@ -119,6 +126,19 @@ class TestSimulate:
         )
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().out == "outcome: diverged\n"
+
+    @pytest.mark.parametrize("dr", ["0.1", "0.05", "0.025"])
+    @pytest.mark.parametrize("model", [["n=3", "mu1=6", "p=2.5"], ["n=4", "mu1=6", "p=4"],
+                                       ["n=5", "mu1=6", "p=4"]])
+    def test_global_range_runs_complete_at_the_default_cfl(self, model, dr, tmp_path, capsys):
+        # p in the global range (p_crit 2 in n = 3, 1.5 in n = 4 and 5): at each
+        # dimension's step rule these small-data runs complete, where dt = 0.9 dr
+        # labelled them blowup (at t = 1.12 for n = 3, dr = 0.05)
+        argv = ["simulate", *(arg for key in model for arg in ("--set", key)), "--set", "t_max=20",
+                "--set", "r_max=40", "--set", f"dr={dr}", "--jobs", "1",
+                "--out", str(tmp_path / "run.csv")]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        assert capsys.readouterr().out == "outcome: completed\n"
 
     def test_csv_round_trips_every_series_bitwise(self, tmp_path):
         g = make_radial_grid(2, 12.0, 0.1)
@@ -175,7 +195,7 @@ class TestSimulateJobs:
         "massive": ["--set", "mu1=5", "--set", "mu2sq=2", "--set", "u1_kind=gaussian",
                     "--set", "u1_amplitude=0.5"],
     }
-    # n = 1 outcomes; in n = 3 the default cfl_safety is unstable and the linear run diverges
+    # n = 1 outcomes
     OUTCOMES = {"linear": "completed", "nonlinear": "completed", "blowup": "blowup",
                 "diverged": "diverged", "massive": "completed"}
 
@@ -247,8 +267,8 @@ class TestSweep:
         assert forks == [1]
         assert serial.read_bytes() == fanout.read_bytes()
 
-    def test_diverged_cell_labelled_and_exits_diverged(self, tmp_path):
-        # default cfl_safety 0.9 is above the n = 3 leapfrog bound
+    def test_diverged_cell_labelled_and_exits_diverged(self, tmp_path, spacing_step_unit):
+        # dt = 0.9 dr is above the n = 3 leapfrog bound (0.816 dr)
         out = tmp_path / "n3.csv"
         code = parse_and_dispatch(
             ["sweep", "--set", "n=3", "--set", "mu1=6", "--set", "nonlinear=false",
@@ -302,27 +322,23 @@ class TestVerifyCli:
         out_text, err = capsys.readouterr()
         assert err == "" and out_text.count("PASS ") == len(checks) == 6
 
-    @pytest.mark.parametrize("setting, code, bare_times", [
-        # a grid too coarse for the undilated members: no member gives a ratio at t = 0
-        # (the gradient and two embeddings checks fail on this grid)
-        ("dr=10", EXIT_CONFIG, ["0.0"]),
+    @pytest.mark.parametrize("setting", [
         # every member's integrals on the wide grid pass the float range at every time
-        ("mu1=40", EXIT_OK, ["0.0", "1.0", "4.0", "9.0"]),
+        "mu1=40",
         # and every case of every check
-        ("mu1=1e300", EXIT_OK, ["0.0", "1.0", "4.0", "9.0"]),
+        "mu1=1e300",
     ])
-    def test_inequalities_with_nothing_to_compare_skip(self, setting, code, bare_times,
-                                                       tmp_path, schema, capsys):
+    def test_inequalities_with_nothing_to_compare_skip(self, setting, tmp_path, schema, capsys):
         # a check left with nothing to compare is skipped with a note: no traceback, and
         # no PASS over zero cases
         out = tmp_path / "ineq.json"
         argv = ["verify", "inequalities", "--set", setting, "--out", str(out)]
-        assert parse_and_dispatch(argv) == code
+        assert parse_and_dispatch(argv) == EXIT_OK
         checks = validate(out, schema)["checks"]
         gn = checks[-1]
         assert gn["check_id"] == "gn-ratio-supremum" and gn["skipped"] and gn["worst"] is None
         assert [note for note in gn["notes"] if note.startswith("skipped: no positive")] == [
-            f"skipped: no positive ratio at t={t}" for t in bare_times]
+            f"skipped: no positive ratio at t={t}" for t in ("0.0", "1.0", "4.0", "9.0")]
         assert all(c["n_cases"] > 0 or c["skipped"] for c in checks)
         for c in checks:
             if c["skipped"] and c["check_id"] != "gn-ratio-supremum":
@@ -484,11 +500,16 @@ _RUN = {"s": float, "t_max": float, "nonlinear": bool, "cfl_safety": float,
 _GRID = {"r_max": float, "dr": float}
 _DATA = {"u0_kind": str, "u0_amplitude": float, "u0_width": float,
          "u1_kind": str, "u1_amplitude": float, "u1_width": float}
+_VERIFY_MODEL = {"n": int, "mu1": float, "mu2sq": float}
+# by command, and by suite for verify
 SCHEMA = {
     "simulate": {**_MODEL, **_RUN, **_GRID, **_DATA},
-    "sweep": {**_MODEL, **_RUN, **_GRID, **_DATA, "p_values": list, "amplitudes": list},
-    "verify": {"n": int, "mu1": float, "mu2sq": float, "sigma": float, "q": float,
-               "r_max": float, "dr": float},
+    # each cell runs one of p_values: there is no p of its own
+    "sweep": {**_VERIFY_MODEL, **_RUN, **_GRID, **_DATA, "p_values": list, "amplitudes": list},
+    "verify identities": _VERIFY_MODEL,
+    "verify inequalities": {**_VERIFY_MODEL, "sigma": float, "q": float, "r_max": float,
+                            "dr": float},
+    "verify bihari": {},
     "odi": {"k0": float, "k1": float, "alpha": float, "p": float, "f0": float,
             "df0": float, "dt": float},
     "decay-fit": {"column": str, "t_min": float, "t_max": float, "log_corrected": bool,
@@ -505,9 +526,8 @@ class TestConfigSchema:
         csv.write_text("t,l2\n0,1\n1,0.5\n")
         out = str(tmp_path / "never")
         return lambda command: {
-            "verify": ["verify", "identities"],
             "decay-fit": ["decay-fit", str(csv)],
-        }.get(command, [command]) + ["--out", out]
+        }.get(command, command.split()) + ["--out", out]
 
     @pytest.mark.parametrize("command", sorted(SCHEMA))
     def test_each_key_parses_as_its_type(self, command, command_argv, capsys):
@@ -531,10 +551,47 @@ class TestConfigSchema:
             assert code == EXIT_CONFIG, key
             assert f"error: unknown config key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["verify", "identities"], ["decay-fit", "x.csv"]])
+    @pytest.mark.parametrize("argv", [["sweep"], ["verify", "identities"],
+                                      ["decay-fit", "x.csv"]])
     def test_p_is_not_a_key_where_nothing_reads_it(self, argv, capsys):
         assert parse_and_dispatch(argv + ["--set", "p=7"]) == EXIT_CONFIG
         assert "unknown config key 'p'" in capsys.readouterr().err
+
+    # a cheap config that runs each command to completion
+    CHEAP = {
+        "simulate": ["--set", "t_max=1", "--set", "r_max=5", "--set", "dr=0.1"],
+        "sweep": ["--set", "t_max=1", "--set", "r_max=5", "--set", "dr=0.1", "--jobs", "1"],
+        "verify inequalities": ["--set", "r_max=10", "--set", "dr=0.05"],
+        "decay-fit": ["--set", "log_corrected=true", "--set", "mu1=4"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SCHEMA))
+    def test_every_key_is_read(self, command, tmp_path, monkeypatch):
+        # a key that nothing reads is a dead setting: the defaults the command loads,
+        # which are its schema, hold only what its handler reads
+        schema, read = set(), set()
+
+        class Recorded(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        def recorded_load(defaults, *args):
+            schema.update(defaults)
+            return Recorded(plain_load(defaults, *args))
+
+        plain_load = scalewave.cli.load_config
+        monkeypatch.setattr(scalewave.cli, "load_config", recorded_load)
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,l2\n" + "".join(f"{t},{t ** -0.5!r}\n" for t in range(1, 9)))
+        argv = ["decay-fit", str(csv)] if command == "decay-fit" else command.split()
+        argv += self.CHEAP.get(command, []) + ["--out", str(tmp_path / "out")]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        assert schema == set(SCHEMA[command]) and schema <= read
 
 
 class TestNonFiniteSettings:
@@ -667,6 +724,27 @@ class TestBadInputsExitConfig:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "n=6", "--set", "mu1=6", "--set", "t_max=20", "--set", "r_max=40"],
+        ["sweep", "--set", "n=6", "--set", "mu1=6", "--set", "t_max=20", "--set", "r_max=40",
+         "--set", "p_values=[1.2,2]", "--set", "amplitudes=[1]", "--jobs", "2"],
+    ])
+    def test_dimension_without_a_stable_step_rejected_before_any_step(self, argv, tmp_path,
+                                                                      monkeypatch, capsys):
+        # from n = 6 on the operator's spectrum is complex and no dt is stable
+        monkeypatch.chdir(tmp_path)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr("scalewave.solver.leapfrog_kernel", no_step)
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: n = 6 cannot run stably: the radial Laplacian has a "
+                              "complex spectrum for n >= 6") and err.count("\n") == 1
+        assert "ROADMAP.md item 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--set", "dr=1e-12", "--set", "t_max=1"],
         ["simulate", "--set", "t_max=1e9", "--set", "r_max=2e9", "--set", "dr=1e8",
          "--set", "record_every=1", "--set", "cfl_safety=1e-9"],
@@ -710,10 +788,48 @@ class TestBadInputsExitConfig:
         assert " GiB budget; coarsen dr or shorten r_max" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("setting, reason", [
+        # the wide grid's spacing 2 dr passes the family's narrowest width 0.35, and the
+        # suite would read a grid too coarse for its members as a false inequality
+        # (dr = 10 gave three FAILs)
+        ("dr=0.18", "dr = 0.18 too coarse for verify inequalities: "),
+        ("dr=10", "dr = 10.0 too coarse for verify inequalities: "),
+        # the weight exponent overflows a float (numpy warned, and every check skipped)
+        ("mu1=1e304", "weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
+                      "inequalities overflows at mu1 = 1e+304, q·sigma = 2"),
+        ("mu1=1e308", "weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
+                      "inequalities overflows at mu1 = 1e+308, q·sigma = 2"),
+        ("q=1e308", "weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
+                    "inequalities overflows at mu1 = 1.0, q·sigma = 5e+307"),
+    ])
+    def test_inequality_setting_no_check_can_use_rejected_before_any_grid(
+            self, setting, reason, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr("scalewave.cli.make_radial_grid", no_allocation)
+        argv = ["verify", "inequalities", "--set", setting, "--out", "ineq.json"]
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("setting", ["dr=0.175", "mu1=1e303"])
+    def test_inequality_settings_at_the_edge_run_clean(self, setting, tmp_path, capsys):
+        # the coarsest dr and the largest mu1 the suite takes: no warning, and no FAIL
+        out = tmp_path / "ineq.json"
+        argv = ["verify", "inequalities", "--set", setting, "--out", str(out)]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_inequality_suite_bytes_bound_the_suites_peak(self, n):
         # the estimate that gates the suite holds what it allocates, and not much more
-        cfg = dict(scalewave.cli.VERIFY_DEFAULTS, n=n, dr=0.01)
+        cfg = dict(scalewave.cli.VERIFY_SUITES["inequalities"][0], n=n, dr=0.01)
         nodes = scalewave.grid.grid_size(n, cfg["r_max"], cfg["dr"])[0]
         wide_nodes = scalewave.grid.grid_size(n, 4.0 * cfg["r_max"], 2.0 * cfg["dr"])[0]
         estimate = scalewave.cli.inequality_suite_bytes(nodes, wide_nodes)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scalewave.grid import (
+    grid_size,
     integrate,
     make_radial_grid,
     radial_derivative_into,
@@ -140,6 +141,38 @@ class TestLaplacian:
         for bad in (np.zeros(1), np.zeros(g.num_nodes + 1), np.zeros((2, 2))):
             with pytest.raises(ValueError):
                 g.laplacian(bad)
+
+
+def laplacian_spectrum(g):
+    """Eigenvalues of ``g.laplacian`` as a matrix, from its action on unit vectors."""
+    matrix = np.column_stack([g.laplacian(e) for e in np.eye(g.num_nodes)])
+    return np.linalg.eigvals(matrix)
+
+
+class TestStepUnit:
+    @pytest.mark.parametrize("nodes", [101, 401])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_within_the_leapfrog_bound_and_tight(self, n, nodes):
+        # leapfrog on u'' = L u is stable for dt <= 2/sqrt(rho(L)) when L's spectrum
+        # is real; the step unit per spacing is that bound rounded down (n = 1: its
+        # limit 1, which the finite grid's rho, just below 4/dr^2, keeps)
+        g = make_radial_grid(n, 0.1 * (nodes - 1), 0.1)
+        spectrum = laplacian_spectrum(g)
+        assert np.all(spectrum.imag == 0.0) and np.all(spectrum.real <= 0.0)
+        bound = 2.0 / math.sqrt(np.max(np.abs(spectrum)) * g.dr**2)
+        factor = g.step_unit / g.dr
+        assert factor <= bound
+        assert factor >= bound - (1e-4 if n == 1 else 1e-6)
+        assert grid_size(n, g.r_max, g.dr)[2] == g.step_unit
+        # n = 1 keeps dt = cfl_safety * dr, bit for bit
+        assert n > 1 or g.step_unit == g.dr
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_spectrum_complex_from_six_dimensions(self, n):
+        # no dt is stable there, so runs refuse it; the grid keeps the spacing as its unit
+        g = make_radial_grid(n, 10.0, 0.1)
+        assert np.max(np.abs(laplacian_spectrum(g).imag)) * g.dr**2 > 0.3
+        assert g.step_unit == g.dr
 
 
 def derivative_row(g, u):

@@ -15,7 +15,7 @@ from scalewave.functionals import (
     weighted_lq,
     weighted_quadrature,
 )
-from scalewave.grid import grid_size, integrate, make_radial_grid
+from scalewave.grid import RadialGrid, grid_size, integrate, make_radial_grid
 from scalewave.model import ModelParams, coefficients, discriminant, weight_exponent
 from scalewave.solver import (
     OUTCOME_BLOWUP,
@@ -25,6 +25,7 @@ from scalewave.solver import (
     RunConfig,
     SupportViolationWarning,
     _Recorder,
+    check_run_size,
     init_state,
     leapfrog_kernel,
     run,
@@ -605,6 +606,19 @@ class TestSourceWindow:
         return ref
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class _SpacingUnitGrid(RadialGrid):
+    @property
+    def step_unit(self) -> float:
+        return self.dr
+
+
+def past_the_bound(g):
+    """``g`` with its spacing as its step unit, past the leapfrog bound of n >= 2:
+    at the default cfl_safety 0.9 an n = 3 run on it is unstable (bound 0.816 dr)."""
+    return _SpacingUnitGrid(**{f.name: getattr(g, f.name) for f in dataclasses.fields(g)})
+
+
 def unit_gaussian(r):
     return np.exp(-((r / 0.4) ** 2))
 
@@ -640,7 +654,7 @@ class TestRecorder:
                      RunConfig(params=params(mu1=4.0, p=10.0), t_max=20.0, record_every=1,
                                blowup_threshold=math.inf),
                      bump, bump, OUTCOME_DIVERGED, id="diverged-non-finite-step"),
-        pytest.param(make_radial_grid(3, 40.0, 0.05),
+        pytest.param(past_the_bound(make_radial_grid(3, 40.0, 0.05)),
                      RunConfig(params=params(n=3, mu1=6.0), t_max=20.0, nonlinear=False,
                                record_every=1),
                      unit_gaussian, zero, OUTCOME_DIVERGED, id="diverged-unstable-linear"),
@@ -760,7 +774,7 @@ class TestRunLoop:
         pytest.param(make_radial_grid(1, 60.0, 0.05),
                      RunConfig(params=params(mu1=4.0, p=2.0), t_max=20.0, record_every=7),
                      bump, bump, OUTCOME_BLOWUP, id="blowup"),
-        pytest.param(make_radial_grid(3, 40.0, 0.05),
+        pytest.param(past_the_bound(make_radial_grid(3, 40.0, 0.05)),
                      RunConfig(params=params(n=3, mu1=6.0), t_max=20.0, nonlinear=False,
                                record_every=7),
                      unit_gaussian, zero, OUTCOME_DIVERGED, id="linear-stopped-by-detector"),
@@ -1230,18 +1244,26 @@ class TestRun:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_size_check_counts_the_rows_run_allocates(self, n):
-        # the check before allocation reads grid_size, and run allocates on the built grid
+        # the check before allocation reads grid_size, and run allocates on the built grid;
+        # from n = 6 on, where no dt is stable, both refuse the run
         num_nodes, _, step_unit = grid_size(n, 5.0, 0.07)
         cfg = RunConfig(params=params(n=n, mu1=4.0, p=3.0), t_max=1.3, record_every=3)
         g = make_radial_grid(n, 5.0, 0.07)
-        rep = run(g, bump, zero, cfg)
         assert num_nodes == g.num_nodes and step_unit == g.step_unit
+        if n >= 6:
+            refusal = f"n = {n} cannot run stably: the radial Laplacian has a complex spectrum"
+            with pytest.raises(ValueError, match=refusal):
+                check_run_size(num_nodes, step_unit, cfg)
+            with pytest.raises(ValueError, match=refusal):
+                run(g, bump, zero, cfg)
+            return
+        rep = run(g, bump, zero, cfg)
         assert rep.samples.base.shape[0] == run_bytes(num_nodes, step_unit, cfg)[0]
 
     def test_unstable_linear_run_is_diverged_not_blowup(self):
-        # cfl_safety 0.9 exceeds the leapfrog bound in n = 3 (about 0.816); a
-        # linear solution cannot blow up, so the exploding sup-norm is divergence
-        g = make_radial_grid(3, 40.0, 0.05)
+        # dt = 0.9 dr exceeds the leapfrog bound in n = 3 (0.816 dr); a linear
+        # solution cannot blow up, so the exploding sup-norm is divergence
+        g = past_the_bound(make_radial_grid(3, 40.0, 0.05))
         cfg = RunConfig(params=params(n=3, mu1=6.0), t_max=20.0, nonlinear=False)
         rep = run(g, lambda r: np.exp(-((r / 0.4) ** 2)), zero, cfg)
         assert rep.outcome == OUTCOME_DIVERGED
