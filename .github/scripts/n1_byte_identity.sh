@@ -79,6 +79,14 @@ commands() {
     # a run from s = 1, whose step unit comes from the same per-dimension rule
     sw simulate --set s=1 --set t_max=11 --set r_max=20 --set cfl_safety=0.5 \
         --set record_every=1 --out from-s1.csv
+    # a massive run from s = 0.5, which the mass bound admits
+    sw simulate --set mu1=3 --set mu2sq=1 --set s=0.5 --set dr=0.1 --set t_max=10 \
+        --set r_max=20 --set record_every=1 --out massive-from-s.csv
+    # a coarse massive linear run just inside the mass bound:
+    # (dt/step_unit)² + dt²·m²(s)/4 = 0.877 at cfl_safety 0.35 (5.73 at the default)
+    sw simulate --set mu1=0 --set mu2sq=100 --set nonlinear=false --set dr=0.5 \
+        --set r_max=40 --set t_max=20 --set u0_amplitude=0.01 --set cfl_safety=0.35 \
+        --set record_every=1 --out mass-bound-edge.csv
     # a global-band sweep of slow cells (about 0.35 s each), whose lanes take cells
     # while this process runs its own
     sw sweep --set "p_values=[3.5,4]" --set "amplitudes=[0.5,1]" --set u0_amplitude=0.01 \

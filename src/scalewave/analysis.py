@@ -169,7 +169,7 @@ def sweep(grid: RadialGrid, p_values, amplitudes, config: RunConfig, u0_profile,
     if not all(math.isfinite(a) for a in amplitudes):
         raise ValueError(f"sweep amplitudes must be finite, got {list(amplitudes)}")
     cells = [(float(p), float(a)) for p in p_values for a in amplitudes]
-    count = min(jobs, len(cells), lanes_that_fit(grid.num_nodes, grid.step_unit, config)) - 1
+    count = min(jobs, len(cells), lanes_that_fit(grid, config)) - 1
     pipe = lanes.IndexPipe() if count > 0 and lanes.forks() else None
     serial = iter(range(len(cells)))  # the cells in input order, while no lane forked
 

@@ -31,13 +31,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import fit_decay, sweep
-from .errors import RegimeError
 from .functionals import _gaussian
-from .grid import grid_size, make_radial_grid
+from .grid import make_radial_grid
 from .model import ModelParams, borderline_log_factor, decay_exponents, regime_check
 from .odi import OdiProblem, comparison_check, solve
 from .solver import (
-    OUTCOME_DIVERGED, RUN_BYTES_BUDGET, RunConfig, RunReport, SAMPLE_KEYS, check_run_size, run,
+    OUTCOME_DIVERGED, RUN_BYTES_BUDGET, RunConfig, RunReport, SAMPLE_KEYS, check_run, run,
 )
 from .verify import (
     FAMILY_WIDTHS,
@@ -136,7 +135,7 @@ def load_config(defaults: dict, config_path: str | None, overrides: list[str]) -
     The defaults are the schema: a key is allowed exactly when it has a
     default, and a value is coerced to the type of that default.
     """
-    merged = dict(defaults)
+    pairs = []
     if config_path is not None:
         try:
             raw = json.loads(Path(config_path).read_text())
@@ -144,14 +143,13 @@ def load_config(defaults: dict, config_path: str | None, overrides: list[str]) -
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a flat JSON object")
-        for key, value in raw.items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, value, type(defaults[key]))
+        pairs = list(raw.items())
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
+        pairs.append(item.split("=", 1))
+    merged = dict(defaults)
+    for key, value in pairs:
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = _coerce(key, value, type(defaults[key]))
@@ -263,10 +261,9 @@ def _model_params(cfg: dict) -> ModelParams:
 
 def _build_run(cfg: dict):
     params = _model_params(cfg)
-    num_nodes, _, step_unit = grid_size(cfg["n"], cfg["r_max"], cfg["dr"])
-    config = RunConfig(params=params, **{k: cfg[k] for k in RUN_DEFAULTS})
-    check_run_size(num_nodes, step_unit, config)
     grid = make_radial_grid(cfg["n"], cfg["r_max"], cfg["dr"])
+    config = RunConfig(params=params, **{k: cfg[k] for k in RUN_DEFAULTS})
+    check_run(grid, config)
     u0 = DataProfile(cfg["u0_kind"], cfg["u0_amplitude"], cfg["u0_width"])
     u1 = DataProfile(cfg["u1_kind"], cfg["u1_amplitude"], cfg["u1_width"])
     return grid, config, u0, u1
@@ -342,13 +339,13 @@ def _verify_inequalities(cfg: dict, seed: int) -> list:
     if 2.0 * dr > FAMILY_WIDTHS[0]:
         raise ValueError(f"dr = {dr} too coarse for verify inequalities: the wide grid's "
                          f"spacing 2·dr passes the family's narrowest width {FAMILY_WIDTHS[0]}")
-    nodes, wide_nodes = grid_size(n, r_max, dr)[0], grid_size(n, 4.0 * r_max, 2.0 * dr)[0]
-    need = inequality_suite_bytes(nodes, wide_nodes)
+    grid, wide = make_radial_grid(n, r_max, dr), make_radial_grid(n, 4.0 * r_max, 2.0 * dr)
+    need = inequality_suite_bytes(grid.num_nodes, wide.num_nodes)
     if need > RUN_BYTES_BUDGET:
         raise ValueError(
-            f"verify inequalities too large: {nodes} nodes and {wide_nodes} on the wide grid "
-            f"would hold {need / 2**30:.4g} GiB, over the {RUN_BYTES_BUDGET / 2**30:g} GiB "
-            "budget; coarsen dr or shorten r_max"
+            f"verify inequalities too large: {grid.num_nodes} nodes and {wide.num_nodes} on "
+            f"the wide grid would hold {need / 2**30:.4g} GiB, over the "
+            f"{RUN_BYTES_BUDGET / 2**30:g} GiB budget; coarsen dr or shorten r_max"
         )
     # the largest weight exponent the suite forms, on the wide grid at t = 0
     q_sigma = cfg["q"] * cfg["sigma"]
@@ -356,12 +353,10 @@ def _verify_inequalities(cfg: dict, seed: int) -> list:
         raise ValueError("weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
                          f"inequalities overflows at mu1 = {params.mu1}, q·sigma = {q_sigma:g}")
     family = standard_family(seed=seed)
-    grid = make_radial_grid(n, r_max, dr)
     sigmas = (0.25, 0.5, 1.0)
     times = (0.0, 1.0, 4.0, 9.0)
     checks = [check_weighted_gradient_bound(family, params, sigmas, times, grid),
               *check_embeddings(family, params, cfg["sigma"], times, grid)]
-    wide = make_radial_grid(n, 4.0 * r_max, 2.0 * dr)
     checks.append(gn_ratio_check(family, params, cfg["sigma"], cfg["q"], times, wide))
     return checks
 
@@ -520,7 +515,7 @@ def parse_and_dispatch(argv) -> int:
     try:
         _check_out(args.out or DEFAULT_OUT.get(args.command))
         return args.handler(args)
-    except (ConfigError, RegimeError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and RegimeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as exc:

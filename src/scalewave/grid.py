@@ -6,7 +6,9 @@ carry the surface measure omega_{n-1} r^(n-1) dr with trapezoidal weights
 u_rr + (n-1)/r u_r with the even-extension regularization n*u_rr(0) at the
 origin.  The outer boundary is a homogeneous Dirichlet cut-off: callers
 size r_max so nothing reaches it within the time horizon (finite speed of
-propagation).  Grids are immutable and define the operator.
+propagation).  Grids are immutable and define the operator.  A grid holds
+four fields and forms its arrays on first use, so building one allocates
+nothing and a run can be checked against it first (``solver.check_run``).
 """
 
 from __future__ import annotations
@@ -23,24 +25,31 @@ class RadialGrid:
     n: int
     r_max: float
     dr: float
-    r: np.ndarray
-    quad_weights: np.ndarray
+    num_nodes: int
 
-    @property
-    def num_nodes(self) -> int:
-        return self.r.size
+    @cached_property
+    def r(self) -> np.ndarray:
+        return self.dr * np.arange(self.num_nodes)
+
+    @cached_property
+    def quad_weights(self) -> np.ndarray:
+        """Trapezoidal weights of the measure omega_{n-1} r^(n-1) dr."""
+        weights = surface_measure(self.n) * self.r ** (self.n - 1) * self.dr
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        return weights
 
     @property
     def step_unit(self) -> float:
-        """Stable time step per unit ``cfl_safety``, as ``grid_size`` gives it."""
-        return _step_unit(self.n, self.dr)
+        """Stable time step per unit ``cfl_safety`` (``_STEP_FACTORS``)."""
+        return self.dr * _STEP_FACTORS.get(self.n, 1.0)
 
     @property
     def row_divisor(self) -> float:
         """Largest divisor of a Laplacian row (``solver`` notes, "Shared passes")."""
         return self.dr_sq
 
-    @cached_property  # formed on first use, as are the denominators
+    @cached_property
     def dr_sq(self) -> float:
         return self.dr**2
 
@@ -100,17 +109,16 @@ def surface_measure(n: int) -> float:
 #: Largest stable leapfrog step per unit spacing in n = 1..5: 2/sqrt(rho dr^2) for
 #: the spectral radius rho of ``RadialGrid.laplacian``, rounded down (n = 1 takes
 #: the limit, 1, as the wave speed is 1).  From n = 6 on the spectrum is complex and
-#: no step is stable: runs refuse it (``solver.check_dimension``), and other grids
-#: take 1.
+#: no step is stable: runs refuse it (``solver.check_run``), and other grids take 1.
 _STEP_FACTORS = {1: 1.0, 2: 0.908908, 3: 0.816496, 4: 0.744623, 5: 0.688041}
 
 
-def _step_unit(n: int, spacing: float) -> float:
-    return spacing * _STEP_FACTORS.get(n, 1.0)
+def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
+    """Uniform radial mesh on [0, r_max] with trapezoidal quadrature weights.
 
-
-def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float, float]:
-    """(nodes, spacing, step unit) of ``make_radial_grid(n, r_max, dr)``, allocating nothing."""
+    The requested spacing is snapped minimally so that the last node sits
+    exactly on r_max.  Nothing is allocated until the arrays are first used.
+    """
     if int(n) != n or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if not r_max > 0.0:
@@ -120,29 +128,14 @@ def grid_size(n: int, r_max: float, dr: float) -> tuple[int, float, float]:
     if not 0.0 < dr < r_max:
         raise ValueError(f"need 0 < dr < r_max, got dr={dr}, r_max={r_max}")
     num = int(round(r_max / dr)) + 1
-    spacing = r_max / (num - 1)
-    return num, spacing, _step_unit(n, spacing)
-
-
-def make_radial_grid(n: int, r_max: float, dr: float) -> RadialGrid:
-    """Uniform radial mesh on [0, r_max] with trapezoidal quadrature weights.
-
-    The requested spacing is snapped minimally so that the last node sits
-    exactly on r_max.
-    """
-    num, spacing, _ = grid_size(n, r_max, dr)
-    r = spacing * np.arange(num)
-    weights = surface_measure(int(n)) * r ** (n - 1) * spacing
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return RadialGrid(n=int(n), r_max=float(r_max), dr=float(spacing), r=r, quad_weights=weights)
+    return RadialGrid(n=int(n), r_max=float(r_max), dr=float(r_max / (num - 1)), num_nodes=num)
 
 
 def _nodal(grid: RadialGrid, values) -> np.ndarray:
     """``values`` as a float array, which must hold one value per node of ``grid``."""
     values = np.asarray(values, dtype=float)
-    if values.shape != grid.r.shape:
-        raise ValueError(f"expected {grid.r.size} nodal values, got shape {values.shape}")
+    if values.shape != (grid.num_nodes,):
+        raise ValueError(f"expected {grid.num_nodes} nodal values, got shape {values.shape}")
     return values
 
 

@@ -20,6 +20,13 @@ the detector fires is reported as diverged.  The steps of one run are
 strictly sequential, while its samples may be recorded in lanes (below);
 distinct runs share no mutable state and may execute in parallel.
 
+Mass bound: the leapfrog takes the mass term m^2(t) u explicitly, so the
+frozen-coefficient bound of a step is dt^2 (rho + m^2) <= 4 for the
+spectral radius rho of the discrete Laplacian.  The grid's step unit is at
+most 2/sqrt(rho), so (dt/step_unit)^2 + dt^2 m^2(s)/4 <= 1 implies that
+bound at s, and later, as m^2 only decays; ``check_run`` refuses a massive
+run past it.  The rule is invariant under the equation's scaling.
+
 Active window: the stencil has three points and 0**p == 0, so a node can
 turn nonzero only next to a nonzero node, and the front of nonzero values
 moves at most one node per step.  ``active`` is the length of the prefix
@@ -233,15 +240,15 @@ class RunReport:
 def time_step(step_unit: float, config: RunConfig) -> tuple[int, float]:
     """(steps, dt) of a run: the largest dt <= cfl_safety * step_unit that divides t_max - s.
 
-    ``step_unit`` is the grid's (``grid.grid_size``); ``steps`` steps of dt
-    land exactly on t_max.
+    ``step_unit`` is the grid's (``RadialGrid.step_unit``); ``steps`` steps of
+    dt land exactly on t_max.
     """
     cap = config.cfl_safety * step_unit
     steps = max(1, math.ceil((config.t_max - config.s) / cap - 1e-9))
     return steps, (config.t_max - config.s) / steps
 
 
-#: Most bytes one run may hold at once; ``check_run_size`` rejects a larger run.
+#: Most bytes one run may hold at once; ``check_run`` rejects a larger run.
 RUN_BYTES_BUDGET = 4 * 2**30
 
 #: Slots of the ring through which a run hands sample rows to its lanes (see the
@@ -263,47 +270,57 @@ _ARRAYS_PER_RUN = 3 + 3 + 3 + 9 + 3 + 2 * _RING_SLOTS
 _MASK_BYTES_PER_NODE = 3
 
 
-def run_bytes(num_nodes: int, step_unit: float, config: RunConfig) -> tuple[int, int]:
+def run_bytes(grid: RadialGrid, config: RunConfig) -> tuple[int, int]:
     """(sample rows, bytes) of the most memory one ``run`` holds at once.
 
-    ``num_nodes`` and ``step_unit`` are the grid's (``grid.grid_size``).  The
-    count covers the grid, the node arrays the run allocates
+    The count covers the grid's arrays, the node arrays the run allocates
     (``_ARRAYS_PER_RUN``, which bounds ``init_state``'s as well, and counts
     the ring of a run that forks lanes), the boolean masks and the
     preallocated sample rows, not what the data profiles allocate while
     they are sampled.
     """
-    rows = time_step(step_unit, config)[0] // config.record_every + 2
-    need = 8 * (_ARRAYS_PER_RUN * num_nodes + rows * (1 + len(SAMPLE_KEYS)))
-    return rows, need + _MASK_BYTES_PER_NODE * num_nodes
+    rows = time_step(grid.step_unit, config)[0] // config.record_every + 2
+    need = 8 * (_ARRAYS_PER_RUN * grid.num_nodes + rows * (1 + len(SAMPLE_KEYS)))
+    return rows, need + _MASK_BYTES_PER_NODE * grid.num_nodes
 
 
-def check_dimension(n: int) -> None:
-    """Raise ValueError for n >= 6, where no time step keeps a run stable (``grid._step_unit``)."""
-    if n >= 6:
+def check_run(grid: RadialGrid, config: RunConfig) -> None:
+    """Raise ValueError, allocating nothing, for a run that cannot be sound whatever its data.
+
+    In this order: n >= 6, where no time step is stable (``grid._STEP_FACTORS``);
+    ``run_bytes`` past RUN_BYTES_BUDGET; no safe radius (r_max <= t_max - s),
+    so the outer cut-off reaches every node; a step past the mass bound
+    (module notes).  ``init_state`` holds the refusals that read the data.
+    """
+    if grid.n >= 6:
         raise ValueError(
-            f"n = {n} cannot run stably: the radial Laplacian has a complex spectrum for "
+            f"n = {grid.n} cannot run stably: the radial Laplacian has a complex spectrum for "
             "n >= 6, so no time step is stable (ROADMAP.md item 1, a symmetric flux form, "
-            "would lift this)"
-        )
-
-
-def check_run_size(num_nodes: int, step_unit: float, config: RunConfig) -> None:
-    """Raise ValueError, before anything is allocated, for n >= 6 (``check_dimension``)
-    or if ``run_bytes`` exceeds RUN_BYTES_BUDGET."""
-    check_dimension(config.params.n)
-    rows, need = run_bytes(num_nodes, step_unit, config)
+            "would lift this)")
+    rows, need = run_bytes(grid, config)
     if need > RUN_BYTES_BUDGET:
         raise ValueError(
-            f"run too large: {num_nodes} nodes and {rows} sample rows would preallocate "
+            f"run too large: {grid.num_nodes} nodes and {rows} sample rows would preallocate "
             f"{need / 2**30:.4g} GiB, over the {RUN_BYTES_BUDGET / 2**30:g} GiB budget; "
-            "coarsen dr, shorten r_max or t_max, or raise record_every"
-        )
+            "coarsen dr, shorten r_max or t_max, or raise record_every")
+    span = config.t_max - config.s
+    if grid.r_max <= span:
+        raise ValueError(f"no safe radius: r_max {grid.r_max:g} <= t_max - s = {span:g}, so the "
+                         "outer cut-off reaches every node; enlarge r_max or shorten the run")
+    dt, unit = time_step(grid.step_unit, config)[1], grid.step_unit
+    m_sq = config.params.mu2sq / (1.0 + config.s) ** 2
+    bound = (dt / unit) ** 2 + dt * dt * m_sq / 4.0
+    # without mass dt <= step_unit, up to time_step's rounding, which is no refusal
+    if m_sq > 0.0 and bound > 1.0:
+        raise ValueError(
+            f"time step past the mass bound: dt = {dt:.6g} gives (dt/step_unit)² + dt²·m²(s)/4 "
+            f"= {bound:.6g} > 1, with step_unit {unit:.6g} and m²(s) = mu2sq/(1+s)² = "
+            f"{m_sq:.6g}; lower cfl_safety or dr")
 
 
-def lanes_that_fit(num_nodes: int, step_unit: float, config: RunConfig) -> int:
+def lanes_that_fit(grid: RadialGrid, config: RunConfig) -> int:
     """How many processes can each hold one such run within RUN_BYTES_BUDGET at once."""
-    return RUN_BYTES_BUDGET // run_bytes(num_nodes, step_unit, config)[1]
+    return RUN_BYTES_BUDGET // run_bytes(grid, config)[1]
 
 
 def _sample_profile(profile, r: np.ndarray) -> np.ndarray:
@@ -321,20 +338,15 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
     sampled u0 and u1, the first level at s + dt,
     u0 + dt*u1 + (dt^2/2)*(Lap u0 - b(s) u1 - m^2(s) u0 + [nl] |u0|^p),
     ``active``, one past the last node where u0 or the first level is
-    nonzero, and the sups (max |u0|, max |first level|).  Data
-    must be supported inside r_max - (t_max - s) so the Dirichlet cut-off
-    never influences the solution; a violation only warns, since the
-    caller may knowingly accept a graded tail.  Without a
-    safe radius (r_max <= t_max - s) the cut-off reaches every node whatever
-    the data, and data whose square overflows a float cannot be measured;
-    both raise a ValueError before any step.
+    nonzero, and the sups (max |u0|, max |first level|).  Data must be
+    supported inside the safe radius r_max - (t_max - s) (``check_run``
+    holds it positive) so the Dirichlet cut-off never influences the
+    solution; a violation only warns, since the caller may knowingly accept
+    a graded tail.  Data whose square overflows a float cannot be measured,
+    and data past ``blowup_threshold`` would set the detector off: both
+    raise a ValueError before any step.
     """
     safe_radius = grid.r_max - (config.t_max - config.s)
-    if safe_radius <= 0.0:
-        raise ValueError(
-            f"no safe radius: r_max {grid.r_max:g} <= t_max - s = {config.t_max - config.s:g}, "
-            "so the outer cut-off reaches every node; enlarge r_max or shorten the run"
-        )
     params = config.params
     u0v = _sample_profile(u0, grid.r)
     u1v = _sample_profile(u1, grid.r)
@@ -356,6 +368,12 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
                 SupportViolationWarning,
                 stacklevel=2,
             )
+    if sup_u0 > config.blowup_threshold:
+        raise ValueError(
+            f"initial data past the blow-up threshold: max |u0| = {sup_u0:.4g} > "
+            f"blowup_threshold = {config.blowup_threshold:.4g}; scale the data down or raise "
+            "blowup_threshold"
+        )
 
     b, m_sq = coefficients(params, config.s)
     accel = grid.laplacian(u0v) - b * u1v - m_sq * u0v
@@ -648,15 +666,13 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
     the discriminant is negative and the frame does not exist.  Every
     sample, the first included, records a weighted norm that overflows as
     +inf: data outside the weighted space run, and their weighted columns
-    say so.  A grid of n >= 6 (``check_dimension``) raises ValueError before
-    any step, and so do data whose max |u0| already exceeds
-    ``blowup_threshold``, since the detector would fire on the data
-    themselves.  A level whose sup is not finite ends the run ``diverged``;
-    one whose sup exceeds ``blowup_threshold`` ends it ``blowup`` at that
-    level's time, or ``diverged`` on a linear run: a linear solution cannot
-    blow up, so the scheme is unstable.  The first level, at s + dt, is
-    judged so too, before any step, and a run it ends records the data's
-    row alone.
+    say so.  ``check_run``, before anything is allocated, and then
+    ``init_state`` raise ValueError for what cannot be run.  A level whose
+    sup is not finite ends the run ``diverged``; one whose sup exceeds
+    ``blowup_threshold`` ends it ``blowup`` at that level's time, or
+    ``diverged`` on a linear run: a linear solution cannot blow up, so the
+    scheme is unstable.  The first level, at s + dt, is judged so too,
+    before any step, and a run it ends records the data's row alone.
 
     ``jobs`` counts the processes that may record samples, this one
     included; from 2 on, a run whose samples cost more than its steps
@@ -667,23 +683,17 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
     have reached that sample (the first one once the data have passed the
     checks above), so once per row of the report, in order.
     """
-    check_dimension(grid.n)
+    check_run(grid, config)
     clock = time.perf_counter
     started = clock()
     ring = None
-    # overflow means out-of-range data (a config error, below) or a diverging run,
-    # which ends as such; numpy warns of neither
+    # overflow means out-of-range data (which init_state refuses) or a diverging
+    # run, which ends as such; numpy warns of neither
     with np.errstate(over="ignore", invalid="ignore"), lanes.Lanes() as forked:
         params, every, size = config.params, config.record_every, grid.num_nodes
         steps, dt = time_step(grid.step_unit, config)
         u0v, u1v, u_first, width, (sup_u0, sup_curr) = init_state(grid, u0, u1, config, dt)
         threshold = config.blowup_threshold
-        if sup_u0 > threshold:
-            raise ValueError(
-                f"initial data past the blow-up threshold: max |u0| = {sup_u0:.4g} > "
-                f"blowup_threshold = {threshold:.4g}; scale the data down or raise "
-                "blowup_threshold"
-            )
         outcome, blowup_time = OUTCOME_COMPLETED, None
         if not math.isfinite(sup_curr) or sup_curr > threshold:
             # the first level is judged as the loop judges every later one
@@ -736,7 +746,7 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
                             watch = False
                             # a lane past the ring's slots could only wait for one
                             count = min(jobs, _RING_SLOTS + 1, total_rows - rows,
-                                        lanes_that_fit(size, grid.step_unit, config))
+                                        lanes_that_fit(grid, config))
                             if count > 1:
                                 ring = _Ring(size, samples)
                                 ring.fork(forked, count - 1, record)

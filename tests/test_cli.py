@@ -15,7 +15,6 @@ import pytest
 
 import scalewave.analysis
 import scalewave.cli
-import scalewave.grid
 import scalewave.lanes
 from scalewave.cli import (
     CSV_COLUMNS,
@@ -28,7 +27,7 @@ from scalewave.cli import (
     read_series_csv,
     write_run_csv,
 )
-from scalewave.grid import make_radial_grid
+from scalewave.grid import RadialGrid, make_radial_grid
 from scalewave.model import ModelParams
 from scalewave.solver import RunConfig, RunReport, run
 
@@ -37,7 +36,18 @@ from scalewave.solver import RunConfig, RunReport, run
 def spacing_step_unit(monkeypatch):
     """Every grid's step unit is its spacing, past the leapfrog bound of n >= 2: at
     the default cfl_safety 0.9 an n = 3 run is then unstable (bound 0.816 dr)."""
-    monkeypatch.setattr(scalewave.grid, "_step_unit", lambda n, spacing: spacing)
+    monkeypatch.setattr(RadialGrid, "step_unit", property(lambda grid: grid.dr))
+
+
+@pytest.fixture
+def no_grid_array(monkeypatch):
+    """Forming any grid's radii or weights fails: a command refused before any work
+    allocates no grid array (building a grid allocates none)."""
+    def no_allocation(grid):
+        raise AssertionError("a grid array was allocated")
+
+    for name in ("r", "quad_weights"):
+        monkeypatch.setattr(RadialGrid, name, property(no_allocation))
 
 
 @pytest.fixture(scope="module")
@@ -744,6 +754,31 @@ class TestBadInputsExitConfig:
         assert "ROADMAP.md item 1" in err
         assert list(tmp_path.iterdir()) == []
 
+    MASS_FOUND = ["--set", "mu1=0", "--set", "mu2sq=100", "--set", "dr=0.5", "--set", "r_max=40",
+                  "--set", "t_max=20", "--set", "u0_amplitude=0.01"]
+
+    @pytest.mark.parametrize("argv", [
+        # linear, it reported ``completed`` while its sup grew 24 000-fold
+        ["simulate", "--set", "nonlinear=false", *MASS_FOUND],
+        # with p = 3, the same instability was labelled blow-up at t = 2.67
+        ["simulate", "--set", "p=3", *MASS_FOUND],
+        ["sweep", "--set", "p_values=[3]", "--set", "amplitudes=[1]", "--jobs", "2", *MASS_FOUND],
+    ])
+    def test_step_past_the_mass_bound_rejected_before_any_step(self, argv, tmp_path,
+                                                                monkeypatch, capsys):
+        # at the default cfl_safety, (dt/step_unit)^2 + dt^2 m^2(s)/4 = 5.73 > 1
+        monkeypatch.chdir(tmp_path)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr("scalewave.solver.leapfrog_kernel", no_step)
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: time step past the mass bound: dt = 0.444444 gives "
+                              "(dt/step_unit)² + dt²·m²(s)/4 = 5.7284 > 1") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--set", "dr=1e-12", "--set", "t_max=1"],
         ["simulate", "--set", "t_max=1e9", "--set", "r_max=2e9", "--set", "dr=1e8",
@@ -752,16 +787,15 @@ class TestBadInputsExitConfig:
          "--set", "amplitudes=[0.5,1]", "--jobs", "2"],
     ])
     def test_oversized_run_rejected_before_any_allocation(self, argv, tmp_path, monkeypatch,
-                                                          capsys):
+                                                          capsys, no_grid_array):
         # each asks for far more than 128 TiB: were the check gone, numpy would
         # raise MemoryError at once instead of touching that memory
         monkeypatch.chdir(tmp_path)
         import scalewave.analysis
 
         def no_allocation(*args, **kwargs):
-            raise AssertionError("a grid or a run was allocated")
+            raise AssertionError("a run was started")
 
-        monkeypatch.setattr("scalewave.cli.make_radial_grid", no_allocation)
         monkeypatch.setattr(scalewave.analysis, "run", no_allocation)
         monkeypatch.setattr("scalewave.cli.run", no_allocation)
         assert parse_and_dispatch(argv) == EXIT_CONFIG
@@ -772,15 +806,11 @@ class TestBadInputsExitConfig:
 
     @pytest.mark.parametrize("setting", ["dr=1e-9", "r_max=1e12"])
     def test_oversized_inequality_suite_rejected_before_any_allocation(self, setting, tmp_path,
-                                                                       monkeypatch, capsys):
-        # without the check, numpy raises MemoryError at the first grid ("Unable to
-        # allocate 298. GiB" for dr=1e-9) and the command dies with a traceback
+                                                                       monkeypatch, capsys,
+                                                                       no_grid_array):
+        # without the check, numpy raises MemoryError at the first grid array ("Unable
+        # to allocate 298. GiB" for dr=1e-9) and the command dies with a traceback
         monkeypatch.chdir(tmp_path)
-
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("a grid was allocated")
-
-        monkeypatch.setattr("scalewave.cli.make_radial_grid", no_allocation)
         argv = ["verify", "inequalities", "--set", setting, "--out", "ineq.json"]
         assert parse_and_dispatch(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -804,13 +834,8 @@ class TestBadInputsExitConfig:
                     "inequalities overflows at mu1 = 1.0, q·sigma = 5e+307"),
     ])
     def test_inequality_setting_no_check_can_use_rejected_before_any_grid(
-            self, setting, reason, tmp_path, monkeypatch, capsys):
+            self, setting, reason, tmp_path, monkeypatch, capsys, no_grid_array):
         monkeypatch.chdir(tmp_path)
-
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("a grid was allocated")
-
-        monkeypatch.setattr("scalewave.cli.make_radial_grid", no_allocation)
         argv = ["verify", "inequalities", "--set", setting, "--out", "ineq.json"]
         assert parse_and_dispatch(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -830,8 +855,8 @@ class TestBadInputsExitConfig:
     def test_inequality_suite_bytes_bound_the_suites_peak(self, n):
         # the estimate that gates the suite holds what it allocates, and not much more
         cfg = dict(scalewave.cli.VERIFY_SUITES["inequalities"][0], n=n, dr=0.01)
-        nodes = scalewave.grid.grid_size(n, cfg["r_max"], cfg["dr"])[0]
-        wide_nodes = scalewave.grid.grid_size(n, 4.0 * cfg["r_max"], 2.0 * cfg["dr"])[0]
+        nodes = make_radial_grid(n, cfg["r_max"], cfg["dr"]).num_nodes
+        wide_nodes = make_radial_grid(n, 4.0 * cfg["r_max"], 2.0 * cfg["dr"]).num_nodes
         estimate = scalewave.cli.inequality_suite_bytes(nodes, wide_nodes)
         # the first generator imports numpy.random's lazy modules (secrets, hashlib, ...),
         # about 690 KB that are no part of the suite: import them before tracing starts

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from scalewave.grid import (
-    grid_size,
     integrate,
     make_radial_grid,
     radial_derivative_into,
@@ -54,9 +53,28 @@ class TestConstruction:
         assert "denominators" not in vars(g)
         g.laplacian(np.zeros(g.num_nodes))
         assert np.array_equal(g.denominators, 2.0 * g.dr * g.r)
-        h = replace(g, dr=2.0 * g.dr, r=2.0 * g.r)
+        h = replace(g, dr=2.0 * g.dr, r_max=2.0 * g.r_max)
         assert "denominators" not in vars(h) and h.dr_sq == (2.0 * g.dr) ** 2
+        assert np.array_equal(h.r, 2.0 * g.r)
         assert np.array_equal(h.denominators, 2.0 * h.dr * h.r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_building_allocates_nothing_and_derives_the_arrays_bitwise(self, n):
+        # a grid is its four fields until an array is used, so a run can be checked
+        # against it first; the arrays are the expressions the grid was built with
+        g = make_radial_grid(n, 7.0, 0.03)
+        assert not {"r", "quad_weights", "denominators"} & set(vars(g))
+        num = int(round(7.0 / 0.03)) + 1
+        spacing = 7.0 / (num - 1)
+        assert (g.n, g.r_max, g.dr, g.num_nodes) == (n, 7.0, spacing, num)
+        r = spacing * np.arange(num)
+        weights = surface_measure(n) * r ** (n - 1) * spacing
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        assert g.r.tobytes() == r.tobytes()
+        assert g.quad_weights.tobytes() == weights.tobytes()
+        # formed once
+        assert g.r is g.r and g.quad_weights is g.quad_weights
 
 
 class TestIntegrate:
@@ -163,7 +181,8 @@ class TestStepUnit:
         factor = g.step_unit / g.dr
         assert factor <= bound
         assert factor >= bound - (1e-4 if n == 1 else 1e-6)
-        assert grid_size(n, g.r_max, g.dr)[2] == g.step_unit
+        # the unit is read from the fields, which the derived radii agree with
+        assert (g.r.size, g.r[1]) == (g.num_nodes, g.dr)
         # n = 1 keeps dt = cfl_safety * dr, bit for bit
         assert n > 1 or g.step_unit == g.dr
 

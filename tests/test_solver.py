@@ -15,7 +15,7 @@ from scalewave.functionals import (
     weighted_lq,
     weighted_quadrature,
 )
-from scalewave.grid import RadialGrid, grid_size, integrate, make_radial_grid
+from scalewave.grid import RadialGrid, integrate, make_radial_grid
 from scalewave.model import ModelParams, coefficients, discriminant, weight_exponent
 from scalewave.solver import (
     OUTCOME_BLOWUP,
@@ -25,7 +25,7 @@ from scalewave.solver import (
     RunConfig,
     SupportViolationWarning,
     _Recorder,
-    check_run_size,
+    check_run,
     init_state,
     leapfrog_kernel,
     run,
@@ -366,6 +366,84 @@ class TestTimeStep:
         assert steps * dt == pytest.approx(1.0, rel=1e-14)
 
 
+class TestCheckRun:
+    # the coarse massive grid on which the leapfrog was unstable at the default
+    # cfl_safety while the run reported ``completed`` (linear) or ``blowup`` (p = 3)
+    GRID = make_radial_grid(1, 40.0, 0.5)
+
+    @staticmethod
+    def config(cfl_safety=0.9, nonlinear=False):
+        return RunConfig(params=params(mu2sq=100.0, p=3.0), t_max=20.0, nonlinear=nonlinear,
+                         cfl_safety=cfl_safety, record_every=1)
+
+    @staticmethod
+    def data(r):
+        return 0.01 * np.exp(-((r / 0.4) ** 2))
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    @pytest.mark.parametrize("cfl_safety", [0.38, 0.45, 0.6, 0.9])
+    def test_mass_bound_refuses_before_any_step(self, cfl_safety, nonlinear, monkeypatch):
+        # unchecked, the sup grew 1.9, 25 and 24 000-fold at 0.45, 0.6 and 0.9 while the
+        # run reported ``completed``, and at 0.9 the p = 3 run reported blow-up at t = 2.67
+        import scalewave.solver as solver
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a run past the mass bound was stepped")
+
+        monkeypatch.setattr(solver, "init_state", no_step)
+        monkeypatch.setattr(solver, "leapfrog_kernel", no_step)
+        cfg = self.config(cfl_safety, nonlinear)
+        with pytest.raises(ValueError, match=r"time step past the mass bound: dt = .* > 1"):
+            check_run(self.GRID, cfg)
+        with pytest.raises(ValueError, match="time step past the mass bound"):
+            run(self.GRID, self.data, zero, cfg)
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    @pytest.mark.parametrize("cfl_safety", [0.2, 0.35, 0.37])
+    def test_mass_bound_admits_a_stable_step(self, cfl_safety, nonlinear):
+        # (dt/step_unit)^2 + dt^2 m^2(s)/4 is 0.976 at 0.37 and 1.032 at 0.38; an
+        # admitted run keeps its sup within 1.2 times the data's (1.17 at 0.2)
+        cfg = self.config(cfl_safety, nonlinear)
+        check_run(self.GRID, cfg)
+        rep = run(self.GRID, self.data, zero, cfg)
+        sups = rep.series("sup")[1]
+        assert rep.outcome == OUTCOME_COMPLETED and np.max(sups) <= 1.2 * sups[0]
+
+    def test_mass_bound_read_at_the_initial_time(self):
+        # m^2(s) = mu2sq/(1+s)^2 decays after s: from s = 1 the same step is admitted
+        cfg = dataclasses.replace(self.config(0.45), s=1.0, t_max=21.0)
+        check_run(self.GRID, cfg)
+        with pytest.raises(ValueError, match="mass bound"):
+            check_run(self.GRID, self.config(0.45))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_massless_run_never_refused(self, n):
+        # at cfl_safety 1, time_step may land dt a hair past the step unit; without
+        # mass that is no refusal, and any mass at all is
+        g = make_radial_grid(n, 30.0, 0.1)
+        cfg = RunConfig(params=params(n=n), t_max=50.0 * g.step_unit * (1.0 + 1e-11),
+                        cfl_safety=1.0)
+        assert time_step(g.step_unit, cfg)[1] > g.step_unit
+        check_run(g, cfg)
+        check_run(g, dataclasses.replace(cfg, params=params(n=n, mu2sq=-0.0)))
+        with pytest.raises(ValueError, match="mass bound"):
+            check_run(g, dataclasses.replace(cfg, params=params(n=n, mu2sq=1e-3)))
+
+    def test_refusals_in_order(self):
+        # n >= 6, then the byte budget, then the safe radius, then the mass bound, each
+        # read off a grid that has formed no array
+        big = RunConfig(params=params(mu2sq=100.0), t_max=1e9, record_every=1, cfl_safety=1e-9)
+        for n, cfg, message in (
+                (6, big, "n = 6 cannot run stably"),
+                (1, big, "run too large"),
+                (1, dataclasses.replace(self.config(), t_max=40.0), "no safe radius"),
+                (1, self.config(), "time step past the mass bound")):
+            grid = make_radial_grid(n, 40.0, 0.5)
+            with pytest.raises(ValueError, match=message):
+                check_run(grid, cfg)
+            assert not {"r", "quad_weights"} & set(vars(grid))
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -420,13 +498,22 @@ class TestInitState:
         with pytest.warns(SupportViolationWarning):
             init_state(g, bump, zero, cfg, time_step(g.step_unit, cfg)[1])
 
-    def test_no_safe_radius_rejected(self):
-        # r_max <= t_max - s: the Dirichlet cut-off reaches every node
+    def test_no_safe_radius_rejected(self, monkeypatch):
+        # r_max <= t_max - s: the Dirichlet cut-off reaches every node; refused from the
+        # grid's fields alone, before the data are sampled
+        import scalewave.solver as solver
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("the data were sampled")
+
+        monkeypatch.setattr(solver, "init_state", no_data)
         g = make_radial_grid(1, 10.0, 0.05)
         for s, t_max in ((0.0, 10.0), (0.0, 60.0), (2.0, 12.0)):
             cfg = RunConfig(params=params(), s=s, t_max=t_max)
             with pytest.raises(ValueError, match="no safe radius"):
-                init_state(g, bump, zero, cfg, time_step(g.step_unit, cfg)[1])
+                check_run(g, cfg)
+            with pytest.raises(ValueError, match="no safe radius"):
+                run(g, bump, zero, cfg)
 
     def test_squares_past_the_float_range_rejected(self):
         # 1e160**2 overflows: the error names the datum and its value
@@ -437,7 +524,8 @@ class TestInitState:
         for u0, u1, name in ((huge, zero, "u0"), (bump, huge, "u1")):
             with pytest.raises(ValueError, match=rf"max \|{name}\| = 1e\+160 squares past"):
                 init_state(g, u0, u1, cfg, dt)
-        # just below sqrt(float max) the square is finite
+        # just below sqrt(float max) the square is finite (and below a threshold above it)
+        cfg = dataclasses.replace(cfg, blowup_threshold=1e155)
         init_state(g, lambda r: 1e154 * bump(r), zero, cfg, dt)
 
     def test_initial_time_shifts_clock(self, monkeypatch):
@@ -1148,7 +1236,7 @@ class TestRun:
         # at the dispersion-free step dt = dr the discrete domain of
         # dependence matches the continuum cone exactly in n = 1
         g = make_radial_grid(1, 30.0, 0.02)
-        for mu1, mu2sq in ((0.0, 0.0), (2.0, 0.5)):
+        for mu1, mu2sq in ((0.0, 0.0), (2.0, 0.0)):
             cfg = RunConfig(params=params(mu1=mu1, mu2sq=mu2sq), t_max=5.0,
                             nonlinear=False, cfl_safety=1.0, record_every=10**9)
             rep, calls = run_levels(monkeypatch, g, bump, zero, cfg)
@@ -1156,6 +1244,12 @@ class TestRun:
             assert rep.outcome == OUTCOME_COMPLETED and len(calls) == steps
             beyond = np.abs(calls[-1][1]) > 1e-12
             assert g.r[beyond].max() <= 3.0 + 5.0 + 2.0 * g.dr
+        # with mass, dt = dr is past the leapfrog bound: the top mode has
+        # dt^2 (rho + m^2) = 4.0002 and grows at t = 0, so the run is refused
+        cfg = RunConfig(params=params(mu1=2.0, mu2sq=0.5), t_max=5.0, nonlinear=False,
+                        cfl_safety=1.0, record_every=10**9)
+        with pytest.raises(ValueError, match="time step past the mass bound"):
+            run_levels(monkeypatch, g, bump, zero, cfg)
 
     def test_initial_time_run_completes(self):
         g = make_radial_grid(1, 30.0, 0.05)
@@ -1227,7 +1321,6 @@ class TestRun:
         # 200,001 nodes, so the node arrays dwarf everything of fixed size; the
         # zero u1 leaves the gradient density 0 at the origin, which the first
         # sample's quadrature gathers around
-        num_nodes, _, step_unit = grid_size(n, 20.0, 1e-4)
         cfg = RunConfig(params=params(n=n, mu1=4.0, p=3.0), t_max=2e-3, nonlinear=nonlinear,
                         cfl_safety=0.5, record_every=10)
         gaussian = lambda r: np.exp(-((r / 0.4) ** 2))  # noqa: E731
@@ -1235,30 +1328,31 @@ class TestRun:
         try:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            rep = run(make_radial_grid(n, 20.0, 1e-4), gaussian, zero, cfg)
+            # the grid's arrays are formed inside the run, which counts them
+            g = make_radial_grid(n, 20.0, 1e-4)
+            rep = run(g, gaussian, zero, cfg)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert num_nodes == 200_001 and rep.outcome == OUTCOME_COMPLETED
-        assert peak <= run_bytes(num_nodes, step_unit, cfg)[1]
+        assert g.num_nodes == 200_001 and rep.outcome == OUTCOME_COMPLETED
+        assert peak <= run_bytes(g, cfg)[1]
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_size_check_counts_the_rows_run_allocates(self, n):
-        # the check before allocation reads grid_size, and run allocates on the built grid;
-        # from n = 6 on, where no dt is stable, both refuse the run
-        num_nodes, _, step_unit = grid_size(n, 5.0, 0.07)
+        # the check before allocation reads the grid's fields, and run allocates on the
+        # same grid; from n = 6 on, where no dt is stable, both refuse the run
         cfg = RunConfig(params=params(n=n, mu1=4.0, p=3.0), t_max=1.3, record_every=3)
         g = make_radial_grid(n, 5.0, 0.07)
-        assert num_nodes == g.num_nodes and step_unit == g.step_unit
         if n >= 6:
             refusal = f"n = {n} cannot run stably: the radial Laplacian has a complex spectrum"
             with pytest.raises(ValueError, match=refusal):
-                check_run_size(num_nodes, step_unit, cfg)
+                check_run(g, cfg)
             with pytest.raises(ValueError, match=refusal):
                 run(g, bump, zero, cfg)
+            assert "r" not in vars(g)
             return
         rep = run(g, bump, zero, cfg)
-        assert rep.samples.base.shape[0] == run_bytes(num_nodes, step_unit, cfg)[0]
+        assert rep.samples.base.shape[0] == run_bytes(g, cfg)[0]
 
     def test_unstable_linear_run_is_diverged_not_blowup(self):
         # dt = 0.9 dr exceeds the leapfrog bound in n = 3 (0.816 dr); a linear
@@ -1349,7 +1443,7 @@ class TestLanes:
                                        monkeypatch):
         import scalewave.solver as solver
 
-        need = run_bytes(self.GRID.num_nodes, self.GRID.step_unit, self.DENSE)[1]
+        need = run_bytes(self.GRID, self.DENSE)[1]
         monkeypatch.setattr(solver, "RUN_BYTES_BUDGET", runs_that_fit * need)
         rep = run(self.GRID, bump, bump, self.DENSE, jobs=8)
         assert forks == lanes_forked
