@@ -18,8 +18,8 @@ sweep's lanes, and this process with them, take the index of every cell
 from one such pipe, and each lane sends back the rows of the cells it ran.
 A run's lanes never step and send back nothing: they take the indices of
 the ring slots this process has filled with sample rows from a ready pipe,
-record each row into its slot and hand the slot back through a free pipe,
-from which this process places the row (see the ``solver`` module notes).
+record each row straight into the run's shared row store and hand the slot
+back through a free pipe (see the ``solver`` module notes).
 
 Lanes fork only on Linux (``forks``): CPython calls fork unsafe on macOS,
 and Windows has none.  Elsewhere ``run`` and ``sweep`` run serially, with

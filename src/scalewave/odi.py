@@ -118,7 +118,9 @@ def select_nu(problem: OdiProblem) -> float:
     plain damping-side constraint.  nu is 0.9 times the smaller of the
     positive quadratic root (one always exists for k1 > 0) and the slope
     bound df0*f0^(-(p+1)/2) enforcing G'(0) < F'(0); the 0.9 margin trades
-    a slightly weaker life-span bound for strictness.
+    a slightly weaker life-span bound for strictness.  Where b*b overflows or
+    the slope bound underflows a float, that nu breaks (i) or (ii), and
+    ValueError is raised.
     """
     if problem.k1 <= 0.0:
         raise ValueError("margin selection needs a positive source coefficient k1")
@@ -130,8 +132,11 @@ def select_nu(problem: OdiProblem) -> float:
     nu_quadratic = (-b + math.sqrt(b * b + 4.0 * a * problem.k1)) / (2.0 * a)
     nu_slope = problem.df0 * problem.f0 ** (-0.5 * (problem.p + 1.0))
     nu = 0.9 * min(nu_quadratic, nu_slope)
-    assert nu * (a * nu + b_damping) < problem.k1
-    assert nu * problem.f0 ** (0.5 * (problem.p + 1.0)) < problem.df0
+    if not (nu * (a * nu + b_damping) < problem.k1
+            and nu * problem.f0 ** (0.5 * (problem.p + 1.0)) < problem.df0):
+        raise ValueError(f"no margin parameter: nu = {nu:.6g} fails (i) or (ii), as b*b "
+                         "overflows or the slope bound underflows a float; bring the "
+                         "coefficients nearer 1")
     return nu
 
 

@@ -143,23 +143,24 @@ samples against its steps.  Once the samples have cost more than the steps
 and the run has lasted longer than ``lanes.LANE_START_S``, it forks up to
 ``jobs - 1`` lanes (``lanes.Lanes``; Linux only), capped so that no lane is
 left without a row or a slot of the ring below, and that every lane's run
-fits ``RUN_BYTES_BUDGET`` at once.  Only this process steps.  At a sample
-row it takes a free slot of a ring of ``_RING_SLOTS`` slots in anonymous
-shared memory, without waiting, places the row that slot last came back
-with, copies u into it and forms u_t there with the operations of its own
-samples, writes the slot's header (t, width, sup) and puts the slot's index
-on a ready pipe.  When no slot is free it records the row itself, which
-balances the rows between this process and the lanes with no knob.  A lane
-never steps: it takes slots from the ready pipe, records each row with the
-recorder it was forked with into the slot and puts the slot back.  Once
-the steps are done, this process ends the ready pipe, waits for the lanes
-and places the rows of the slots they put back last; a row handed out that
-never comes back is an error.  So every row comes from the same code on
-the same levels, and the samples are those of a serial run bit for bit,
-for every ``jobs``.  A lane that ends early makes ``run`` raise why, once
-the steps are done; until then, once no lane is left (the free pipe ends,
-or the ready pipe has no reader), this process records every row itself.
-A refused fork keeps the lanes that did fork.
+fits ``RUN_BYTES_BUDGET`` at once.  At the fork the run moves its rows into
+a shared row store, an anonymous mapping with the rows so far copied in,
+and goes on there.  Only this process steps.  At a sample row it takes a
+free slot of a ring of ``_RING_SLOTS`` slots in anonymous shared memory,
+without waiting, copies u into it and forms u_t there with the operations
+of its own samples, writes the slot's header (row, t, width, sup), marks
+the row's t NaN and puts the slot's index on a ready pipe.  When no slot is
+free it records the row itself, which balances the rows between this
+process and the lanes with no knob.  A lane never steps: it takes slots
+from the ready pipe, records each row with the recorder it was forked with
+straight into the row store and puts the slot back.  Once the steps are
+done, this process ends the ready pipe and waits for the lanes; a row whose
+t is still NaN never came back, which is an error.  So every row comes from
+the same code on the same levels, and the samples are those of a serial run
+bit for bit, for every ``jobs``.  A lane that ends early makes ``run`` raise
+why, once the steps are done; until then, once no lane is left (the free
+pipe ends, or the ready pipe has no reader), this process records every row
+itself.  A refused fork keeps the lanes that did fork.
 """
 
 from __future__ import annotations
@@ -241,9 +242,12 @@ def time_step(step_unit: float, config: RunConfig) -> tuple[int, float]:
     """(steps, dt) of a run: the largest dt <= cfl_safety * step_unit that divides t_max - s.
 
     ``step_unit`` is the grid's (``RadialGrid.step_unit``); ``steps`` steps of
-    dt land exactly on t_max.
+    dt land exactly on t_max.  A cap that underflows to 0 raises ValueError.
     """
     cap = config.cfl_safety * step_unit
+    if cap == 0.0:
+        raise ValueError(f"time step cap cfl_safety·step_unit = {config.cfl_safety:g}·"
+                         f"{step_unit:g} underflows to 0; raise cfl_safety")
     steps = max(1, math.ceil((config.t_max - config.s) / cap - 1e-9))
     return steps, (config.t_max - config.s) / steps
 
@@ -537,43 +541,43 @@ def _rate_into(out: np.ndarray, later: np.ndarray, earlier: np.ndarray, span: fl
 class _Ring:
     """The shared slots through which this process hands sample rows to its lanes.
 
-    A slot holds u and u_t of one row on the row's window, a header
-    (t, width, sup) and then the row's recorded values, in anonymous shared
-    memory.  The indices of the free slots wait in one ``lanes.IndexPipe``,
-    and those of the slots filled in another, the ready pipe.  This process
-    takes a free slot without waiting, places the row the slot was filled
-    for last (``held``) into ``samples``, fills the slot and puts it on the
-    ready pipe; a lane takes it from there, records the row into the slot
-    and puts the slot back.  ``handed`` marks the rows handed out and not
-    yet placed.
+    A slot holds u and u_t of one row on the row's window and a header
+    (row, t, width, sup), in anonymous shared memory; the rows themselves
+    live in a shared row store, ``samples``, made with the rows recorded so
+    far copied in, which the run goes on filling.  The indices of the free
+    slots wait in one ``lanes.IndexPipe``, and those of the slots filled in
+    another, the ready pipe.  This process takes a free slot without
+    waiting, fills it, marks the row's t NaN and puts the slot on the ready
+    pipe; a lane takes it from there, records the row into ``samples`` and
+    puts the slot back.  A row whose t is still NaN once the lanes have
+    ended never came back.
     """
 
-    def __init__(self, size: int, samples: np.ndarray) -> None:
+    def __init__(self, size: int, samples: np.ndarray, rows: int) -> None:
         # imported here: only a run that forks lanes needs shared memory
         import mmap
 
-        nodes, columns = _RING_SLOTS * 2 * size, 3 + samples.shape[1]
-        memory = mmap.mmap(-1, 8 * (nodes + _RING_SLOTS * columns))
-        # the memory is unmapped once both views are dropped
+        nodes = _RING_SLOTS * 2 * size
+        memory = mmap.mmap(-1, 8 * (nodes + 4 * _RING_SLOTS))
+        # each mapping is unmapped once every view of it is dropped
         self.nodes = np.frombuffer(memory, count=nodes).reshape(_RING_SLOTS, 2, size)
-        self.heads = np.frombuffer(memory, offset=8 * nodes).reshape(_RING_SLOTS, columns)
+        self.heads = np.frombuffer(memory, offset=8 * nodes).reshape(_RING_SLOTS, 4)
+        self.samples = np.frombuffer(mmap.mmap(-1, samples.nbytes)).reshape(samples.shape)
+        self.samples[:rows] = samples[:rows]
         self.ready = lanes.IndexPipe()
         self.free = lanes.IndexPipe()
         self.free.put(range(_RING_SLOTS))
-        self.samples = samples
-        self.held = [None] * _RING_SLOTS
-        self.handed = np.zeros(len(samples), dtype=bool)
         self.ended = False
 
     def fork(self, forked: lanes.Lanes, count: int, record: _Recorder) -> None:
-        """Fork up to ``count`` lanes that record the rows handed to them into their slots."""
+        """Fork up to ``count`` lanes that record the rows given to them into ``samples``."""
         def sampler() -> None:
             self.ready.close(read=False)
             self.free.close(write=False)
             while (slot := self.ready.take()) is not None:
-                t, width, sup = self.heads[slot, :3].tolist()
+                row, t, width, sup = self.heads[slot].tolist()
                 u, u_t = self.nodes[slot]
-                self.heads[slot, 3:] = record(t, u, u_t, int(width), sup)
+                self.samples[int(row)] = record(t, u, u_t, int(width), sup)
                 self.free.put((slot,))
 
         forked.fork(count, sampler)
@@ -581,13 +585,6 @@ class _Ring:
         self.ready.close(write=False)
         self.free.close(read=False)
         os.set_blocking(self.free.read_end, False)
-
-    def _place(self, slot: int) -> None:
-        """Place the row a lane recorded into ``slot``, if the slot was filled."""
-        row, self.held[slot] = self.held[slot], None
-        if row is not None:
-            self.samples[row] = self.heads[slot, 3:]
-            self.handed[row] = False
 
     def hand(self, row: int, t: float, u: np.ndarray, later: np.ndarray, earlier: np.ndarray,
              span: float, width: int, sup: float) -> bool:
@@ -606,34 +603,29 @@ class _Ring:
         if slot is None:
             self.ended = True
             return False
-        self._place(slot)
         slot_u, slot_ut = self.nodes[slot]
         slot_u[:width] = u[:width]
         _rate_into(slot_ut, later, earlier, span, width)
-        self.heads[slot, :3] = t, width, sup
+        self.heads[slot] = row, t, width, sup
+        self.samples[row, 0] = math.nan
         try:
             self.ready.put((slot,))
         except BrokenPipeError:
             self.ended = True
             return False
-        self.held[slot] = row
-        self.handed[row] = True
         return True
 
     def gather(self, forked: lanes.Lanes) -> None:
-        """End the ready pipe, wait for the lanes and place the rows of the slots they put back.
+        """End the ready pipe and wait for the lanes to record every row given to them.
 
         Raises what ``Lanes.collect`` raises, or RuntimeError for a row
-        handed out that never came back.
+        given out that never came back.
         """
         self.ready.close()
         forked.collect()
-        # every lane has ended, so the free pipe ends after its last slot
-        while (slot := self.free.take()) is not None:
-            self._place(slot)
-        lost = np.flatnonzero(self.handed)
+        lost = np.flatnonzero(np.isnan(self.samples[:, 0]))
         if lost.size:
-            raise RuntimeError(f"{lost.size} rows handed to the lanes never came back, "
+            raise RuntimeError(f"{lost.size} rows given to the lanes never came back, "
                                f"the first is row {lost[0]}")
 
     def close(self) -> None:
@@ -748,7 +740,11 @@ def run(grid: RadialGrid, u0, u1, config: RunConfig, progress=None, jobs: int = 
                             count = min(jobs, _RING_SLOTS + 1, total_rows - rows,
                                         lanes_that_fit(grid, config))
                             if count > 1:
-                                ring = _Ring(size, samples)
+                                # the run goes on in the ring's row store, and the
+                                # private rows are dropped before the fork; the copy
+                                # holds both at once, which fits as two runs do
+                                ring = _Ring(size, samples, rows)
+                                samples = ring.samples
                                 ring.fork(forked, count - 1, record)
                 if index == steps:
                     break

@@ -261,6 +261,9 @@ def energy_identity_terms(ms: ManufacturedSolution, params: ModelParams,
     r_sq = r * r
     w = weight_exponent(params, t, r_sq)
     w_t = weight_exponent_dt(params, t, r_sq)
+    if w_t == 0.0:
+        raise ValueError(f"identity terms need W_t != 0, which underflows at t={t:.6g}, "
+                         f"r={r:.6g} for mu1 = {params.mu1:g}")
     w_r = weight_exponent_dr(params, t, r)
     e2w = math.exp(2.0 * w)
 
@@ -286,19 +289,26 @@ def check_energy_identity(ms: ManufacturedSolution, params: ModelParams,
 
     Points with r == 0 are skipped with a note.  The cancellation term
     (the one proportional to |grad W|^2 + b W_t) must also vanish on its
-    own; its relative size is folded into the worst residual.
+    own; its relative size is folded into the worst residual.  A term that
+    leaves the float range, for settings such as a subnormal mu1 or a huge
+    mu2sq, raises ValueError.
     """
     residuals: list[float] = []
     scales: list[float] = []
     notes: list[str] = []
-    for t, r in points:
-        if r == 0.0:
-            notes.append(f"skipped axis point t={t} (removable singularity)")
-            continue
-        lhs, terms = energy_identity_terms(ms, params, t, r)
-        scale = max(abs(lhs), *(abs(terms[k]) for k in ("t1", "t2", "t4", "t5", "t6")))
-        residuals += [lhs - terms["rhs"], terms["t3"]]
-        scales += [scale, scale]
+    # a term past the float range is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t, r in points:
+            if r == 0.0:
+                notes.append(f"skipped axis point t={t} (removable singularity)")
+                continue
+            lhs, terms = energy_identity_terms(ms, params, t, r)
+            if not _finite(lhs, *terms.values()):
+                raise ValueError(f"energy identity terms leave the float range at t={t:.6g}, "
+                                 f"r={r:.6g} for mu1 = {params.mu1:g}, mu2sq = {params.mu2sq:g}")
+            scale = max(abs(lhs), *(abs(terms[k]) for k in ("t1", "t2", "t4", "t5", "t6")))
+            residuals += [lhs - terms["rhs"], terms["t3"]]
+            scales += [scale, scale]
     worst = _worst_relative(np.array(residuals), np.array(scales))
     return CheckReport("energy-rate-identity", len(scales) // 2, worst, ENERGY_TOLERANCE, notes)
 
@@ -366,15 +376,18 @@ def check_embeddings(family: Sequence[RadialProfile], params: ModelParams,
 
     L1 control: ||f||_L1 <= (pi*(1+t)^2/(sigma*mu1))^(n/4) * ||e^(sW) f||_L2,
     and the trivial L2 control ||f||_L2 <= ||e^(sW) f||_L2 (the weight is
-    >= 1).  The L1 constant is undefined for mu1 = 0; each time's check is
-    then skipped.  The weights of every t are formed once, and one member's
-    values, square and plain integrals at a time serve them all.
+    >= 1).  The L1 constant is undefined for mu1 = 0, or where sigma*mu1
+    underflows to 0; each time's check is then skipped.  The weights of
+    every t are formed once, and one member's values, square and plain
+    integrals at a time serve them all.
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    if params.mu1 == 0.0:
+    if sigma * params.mu1 == 0.0:
+        cause = ("mu1 = 0" if params.mu1 == 0.0
+                 else f"sigma*mu1 = {sigma:g}*{params.mu1:g}, which underflows to 0")
         return [CheckReport("weighted-embeddings", 0, math.nan, INEQUALITY_MARGIN,
-                            ["skipped: L1 embedding constant undefined for mu1 = 0"], skipped=True)
+                            [f"skipped: L1 embedding constant undefined for {cause}"], skipped=True)
                 for _ in times]
     r_sq = grid.r**2
     cases = [((math.pi * (1.0 + t) ** 2 / (sigma * params.mu1)) ** (params.n / 4.0),
@@ -412,11 +425,15 @@ def gn_ratio_check(family: Sequence[RadialProfile], params: ModelParams,
     theta = n*(1/2 - 1/q), is maximized over the members.  Asserted: every
     ratio is finite, and the supremum is stable (relative spread below
     GN_SPREAD_TOLERANCE) across the time list, as it must be when the
-    inequality's time power is exact.  A time where no member gives a
-    positive ratio leaves no supremum, and the check is then skipped.
+    inequality's time power is exact.  A member whose |v|^q or weighted
+    integrals leave the float range is skipped with a note, and a time where
+    no member gives a positive ratio leaves no supremum, and the check is
+    then skipped.  q must be positive, with theta in [0, 1].
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    if not q > 0.0:
+        raise ValueError(f"q must be positive, got {q}")
     theta = params.n * (0.5 - 1.0 / q)
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"q={q} gives interpolation exponent {theta} outside [0, 1]")
@@ -432,10 +449,14 @@ def gn_ratio_check(family: Sequence[RadialProfile], params: ModelParams,
         for k, member in enumerate(family):
             v, v_r, _ = member.dilate(scale).jet(grid.r)
             v_r_sq = v_r * v_r
-            lq = weighted_quadrature(grid, expo_q, _power_source(np.abs(v), q))
+            # |v|^q past the float range is inf, and the member is then skipped
+            with np.errstate(over="ignore"):
+                powered = _power_source(np.abs(v), q)
+            lq = weighted_quadrature(grid, expo_q, powered)
             grad_weighted = math.sqrt(weighted_quadrature(grid, expo_full, v_r_sq))
             if not _finite(lq, grad_weighted):
-                notes.append(f"skipped member {k} at t={t}: weight overflow")
+                cause = "|v|^q overflow" if np.isinf(powered).any() else "weight overflow"
+                notes.append(f"skipped member {k} at t={t}: {cause}")
                 continue
             numerator = lq ** (1.0 / q)
             grad_plain = math.sqrt(max(integrate(grid, v_r_sq), 0.0))

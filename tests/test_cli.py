@@ -676,6 +676,49 @@ class TestBadInputsExitConfig:
         assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        # b*b overflows, or the slope bound underflows, so no margin holds
+        (["odi", "--set", "k0=1e308"], "no margin parameter: nu = 0.9 fails"),
+        (["odi", "--set", "alpha=1e308"], "no margin parameter: nu = nan fails"),
+        (["odi", "--set", "p=1e308"], "no margin parameter: nu = 0.9 fails"),
+        (["odi", "--set", "df0=5e-324"], "no margin parameter: nu = 4.94066e-324 fails"),
+        (["verify", "inequalities", "--set", "q=0"], "q must be positive, got 0.0"),
+        (["verify", "inequalities", "--set", "q=-0.0"], "q must be positive, got -0.0"),
+        (["verify", "inequalities", "--set", "q=-1e308"], "q must be positive, got -1e+308"),
+        (["simulate", "--set", "cfl_safety=5e-324"], "time step cap cfl_safety·step_unit"),
+        (["sweep", "--set", "cfl_safety=5e-324"], "time step cap cfl_safety·step_unit"),
+        (["verify", "identities", "--set", "mu1=5e-324"], "identity terms need W_t != 0"),
+        (["verify", "identities", "--set", "mu2sq=1e308"],
+         "energy identity terms leave the float range"),
+    ])
+    def test_extreme_settings_refused_with_one_error_line(self, argv, message, tmp_path,
+                                                          monkeypatch, capsys):
+        # each of these ended in a traceback or printed numpy warnings
+        monkeypatch.chdir(tmp_path)
+        assert parse_and_dispatch(argv + ["--out", "out"]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("setting, skipped", [
+        # sigma*mu1 underflows to 0: no L1 constant, as for mu1 = 0
+        ("mu1=5e-324", ["weighted-embeddings"] * 4),
+        # |v|^q passes the float range for every member with |v| > 1 at some node
+        ("q=1e20", ["gn-ratio-supremum"]),
+    ])
+    def test_extreme_inequality_settings_skip_with_a_note(self, setting, skipped, tmp_path,
+                                                          capsys):
+        out = tmp_path / "report.json"
+        argv = ["verify", "inequalities", "--set", setting, "--out", str(out)]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["check_id"] for c in checks if c["skipped"]] == skipped
+        notes = [note for c in checks if c["skipped"] for note in c["notes"]]
+        cause = ("sigma*mu1 = 0.5*4.94066e-324, which underflows to 0" if setting.startswith("mu1")
+                 else "|v|^q overflow")
+        assert any(cause in note for note in notes)
+
     def test_decay_fit_missing_csv(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert parse_and_dispatch(["decay-fit", str(missing)]) == EXIT_CONFIG

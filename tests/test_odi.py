@@ -79,6 +79,15 @@ class TestSelectNu:
         with pytest.raises(ValueError):
             select_nu(prob)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k0", 1e308), ("alpha", 1e308), ("p", 1e308), ("df0", 5e-324)])
+    def test_margin_past_the_float_range_rejected(self, field, value):
+        # b*b overflows or the slope bound underflows, and the nu formed breaks a
+        # constraint: a ValueError, which ``python -O`` keeps, unlike an assert
+        prob = dataclasses.replace(STANDARD, **{field: value})
+        with pytest.raises(ValueError, match="no margin parameter"):
+            select_nu(prob)
+
 
 class TestLifeSpan:
     def test_log_case_example(self):

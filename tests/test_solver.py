@@ -358,6 +358,12 @@ class TestTimeStep:
             with pytest.raises(ValueError, match="cfl_safety must lie in"):
                 RunConfig(params=params(), cfl_safety=safety)
 
+    def test_cap_that_underflows_rejected(self):
+        # cfl_safety * step_unit rounds to 0: no step count, rather than a division by 0
+        cfg = RunConfig(params=params(), cfl_safety=5e-324)
+        with pytest.raises(ValueError, match="underflows to 0; raise cfl_safety"):
+            time_step(0.05, cfg)
+
     def test_effective_dt_lands_exactly(self):
         g = make_radial_grid(1, 10.0, 0.1)
         cfg = RunConfig(params=params(), s=0.0, t_max=1.0, cfl_safety=0.9)
@@ -1419,11 +1425,24 @@ class TestLanes:
     GRID = make_radial_grid(1, 40.0, 0.1)
     DENSE = RunConfig(params=params(mu1=4.0, p=2.0), t_max=20.0, record_every=1)
 
-    def test_progress_once_per_row_in_order(self, forks, forced_lanes, no_child_left):
-        serial = run(self.GRID, bump, bump, self.DENSE)
+    @pytest.mark.parametrize("jobs", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["massless", "massive", "diverging"])
+    def test_progress_once_per_row_in_order(self, kind, jobs, forks, forced_lanes,
+                                            no_child_left):
+        # every row of a dense run lands in the shared row store once, whichever
+        # process records it: a massless and a massive run that blow up, and an
+        # undamped one whose sup passes the float range under a threshold of 1e300
+        cfg = {
+            "massless": self.DENSE,
+            "massive": dataclasses.replace(self.DENSE, params=params(mu1=4.0, mu2sq=1.0, p=2.0)),
+            "diverging": dataclasses.replace(self.DENSE, params=params(mu1=0.0, p=2.0),
+                                             blowup_threshold=1e300),
+        }[kind]
+        serial = run(self.GRID, bump, bump, cfg)
         times = []
-        rep = run(self.GRID, bump, bump, self.DENSE, times.append, jobs=3)
-        assert forks == [2]
+        rep = run(self.GRID, bump, bump, cfg, times.append, jobs=jobs)
+        assert forks == [jobs - 1]
+        assert rep.outcome == (OUTCOME_DIVERGED if kind == "diverging" else OUTCOME_BLOWUP)
         no_child_left()
         assert rep.outcome == serial.outcome and rep.blowup_time == serial.blowup_time
         assert rep.samples.tobytes() == serial.samples.tobytes()
@@ -1570,19 +1589,17 @@ class TestLanes:
 
     def test_a_row_that_never_comes_back_is_refused(self, forks, forced_lanes, monkeypatch,
                                                     no_child_left):
-        # the lane records its first row but never puts that slot back, and then ends
-        # cleanly at the end of the ready pipe: the row is lost, not taken as recorded
+        # the lane takes its first slot and ends cleanly without recording that row:
+        # the row is lost, not taken as recorded
         import scalewave.lanes
 
-        parent, plain_put, dropped = os.getpid(), scalewave.lanes.IndexPipe.put, []
+        parent, plain_take = os.getpid(), scalewave.lanes.IndexPipe.take
 
-        def dropping_the_first_in_a_lane(self, indices):
-            if os.getpid() != parent and not dropped:
-                dropped.append(None)
-                return
-            plain_put(self, indices)
+        def ending_after_the_first_in_a_lane(self):
+            slot = plain_take(self)
+            return None if os.getpid() != parent else slot
 
-        monkeypatch.setattr(scalewave.lanes.IndexPipe, "put", dropping_the_first_in_a_lane)
+        monkeypatch.setattr(scalewave.lanes.IndexPipe, "take", ending_after_the_first_in_a_lane)
         with pytest.raises(RuntimeError, match="never came back"):
             run(self.GRID, bump, bump, self.DENSE, jobs=2)
         assert forks == [1]
