@@ -1,10 +1,12 @@
 """Command-line front end: simulations, sweeps, verification suites, fits.
 
 A command's defaults dict, and each verify suite's, is its config schema
-(run defaults are those of ``RunConfig``): it holds exactly the keys its
-handler reads, a key is allowed exactly when it has a default, and a value
-is coerced to that default's type.  A config file is a flat JSON object of
-such keys, overridden by repeated ``--set key=value``; NaN is rejected.
+(run defaults are those of ``RunConfig``; a suite's are its entry in
+``verify.SUITES``, which ``verify`` offers and runs as they stand): it
+holds exactly the keys its handler reads, a key is allowed exactly when it
+has a default, and a value is coerced to that default's type.  A config
+file is a flat JSON object of such keys, overridden by repeated
+``--set key=value``; NaN is rejected.
 CSV and JSON outputs are byte-stable for identical inputs: floats are
 written with 17 significant digits, '.' decimal separator and '\\n' line
 endings, and JSON keys are sorted.
@@ -35,21 +37,8 @@ from .functionals import _gaussian
 from .grid import make_radial_grid
 from .model import ModelParams, borderline_log_factor, decay_exponents, regime_check
 from .odi import OdiProblem, comparison_check, solve
-from .solver import (
-    OUTCOME_DIVERGED, RUN_BYTES_BUDGET, RunConfig, RunReport, SAMPLE_KEYS, check_run, run,
-)
-from .verify import (
-    FAMILY_WIDTHS,
-    bihari_check,
-    check_dissipativity_signs,
-    check_embeddings,
-    check_energy_identity,
-    check_weighted_gradient_bound,
-    check_psi_identities,
-    default_manufactured_solution,
-    gn_ratio_check,
-    standard_family,
-)
+from .solver import OUTCOME_DIVERGED, RunConfig, RunReport, SAMPLE_KEYS, check_run, run
+from .verify import SUITES
 
 log = logging.getLogger("scalewave")
 
@@ -255,7 +244,7 @@ def _report_header(kind: str, seed: int = 0) -> dict:
 
 
 def _model_params(cfg: dict) -> ModelParams:
-    # sweep, verify and decay-fit take no p: none of their cells, checks or fits reads it
+    # sweep and decay-fit take no p: none of their cells or fits reads it
     return ModelParams(n=cfg["n"], mu1=cfg["mu1"], mu2sq=cfg["mu2sq"], p=cfg.get("p", 2.0))
 
 
@@ -299,102 +288,14 @@ def _cmd_sweep(args) -> int:
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 
-def _verify_identities(cfg: dict, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    params = _model_params(cfg)
-    times = rng.uniform(0.0, 5.0, size=1000)
-    radii = rng.uniform(0.0, 3.0, size=1000)
-    checks = [
-        check_psi_identities(params, times, radii),
-        check_dissipativity_signs(params, times, radii),
-    ]
-    ms = default_manufactured_solution()
-    pts = list(zip(rng.uniform(0.0, 5.0, size=100), rng.uniform(0.1, 3.0, size=100)))
-    checks.append(check_energy_identity(ms, params, pts))
-    return checks
-
-
-# float64 arrays of a grid's length that the inequality suite holds at once, one
-# family member at a time: on the first grid 38 (its radii and weights, the weight
-# exponents of the 12 (sigma, t) cases and w_r of the 4 times, one member's jet with
-# its v^2 and v_r^2, and one case's quadrature; the embeddings, with the exponents of
-# the 4 times and one member's values, hold 13); on the wide grid, the first grid's
-# radii and weights and 24 of its own length (its radii and weights, one time's two
-# exponents, one dilated member's jet with its v_r^2 and |v|^q, and one quadrature).
-# tracemalloc measured 37.2 and 22.1 for n = 1, 2 and 3 at dr = 0.01.
-_INEQUALITY_ARRAYS = 38
-_INEQUALITY_WIDE_ARRAYS = 24
-
-
-def inequality_suite_bytes(nodes: int, wide_nodes: int) -> int:
-    """Bytes ``verify inequalities`` holds at once on grids of these node counts."""
-    first = nodes * _INEQUALITY_ARRAYS
-    wide = 2 * nodes + wide_nodes * _INEQUALITY_WIDE_ARRAYS
-    return 8 * max(first, wide)
-
-
-def _verify_inequalities(cfg: dict, seed: int) -> list:
-    params = _model_params(cfg)
-    n, r_max, dr = cfg["n"], cfg["r_max"], cfg["dr"]
-    if 2.0 * dr > FAMILY_WIDTHS[0]:
-        raise ValueError(f"dr = {dr} too coarse for verify inequalities: the wide grid's "
-                         f"spacing 2·dr passes the family's narrowest width {FAMILY_WIDTHS[0]}")
-    grid, wide = make_radial_grid(n, r_max, dr), make_radial_grid(n, 4.0 * r_max, 2.0 * dr)
-    need = inequality_suite_bytes(grid.num_nodes, wide.num_nodes)
-    if need > RUN_BYTES_BUDGET:
-        raise ValueError(
-            f"verify inequalities too large: {grid.num_nodes} nodes and {wide.num_nodes} on "
-            f"the wide grid would hold {need / 2**30:.4g} GiB, over the "
-            f"{RUN_BYTES_BUDGET / 2**30:g} GiB budget; coarsen dr or shorten r_max"
-        )
-    # the largest weight exponent the suite forms, on the wide grid at t = 0
-    q_sigma = cfg["q"] * cfg["sigma"]
-    if not math.isfinite(max(2.0, q_sigma) * params.mu1 * (4.0 * r_max) ** 2 / 2.0):
-        raise ValueError("weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
-                         f"inequalities overflows at mu1 = {params.mu1}, q·sigma = {q_sigma:g}")
-    family = standard_family(seed=seed)
-    sigmas = (0.25, 0.5, 1.0)
-    times = (0.0, 1.0, 4.0, 9.0)
-    checks = [check_weighted_gradient_bound(family, params, sigmas, times, grid),
-              *check_embeddings(family, params, cfg["sigma"], times, grid)]
-    checks.append(gn_ratio_check(family, params, cfg["sigma"], cfg["q"], times, wide))
-    return checks
-
-
-def _verify_bihari(cfg: dict, seed: int) -> list:
-    del cfg, seed  # canonical instantiation needs no knobs
-    sqrt2 = math.sqrt(2.0)
-    g = lambda u: math.sqrt(2.0 * max(u, 0.0))
-    antideriv = lambda u: sqrt2 * math.sqrt(max(u, 0.0))
-    times = np.linspace(0.0, 5.0, 4001)
-    bound = 1.0
-    k_const = np.full_like(times, 0.3)
-    y_eq = 0.5 * (sqrt2 * math.sqrt(bound) + 0.3 * times) ** 2
-    checks = [bihari_check(times, y_eq, k_const, g, bound, antideriv)]
-    k_zero = np.zeros_like(times)
-    y_flat = np.full_like(times, bound)
-    checks.append(bihari_check(times, y_flat, k_zero, g, bound, antideriv, tolerance=0.0))
-    return checks
-
-
-_VERIFY_MODEL = {"n": 1, "mu1": 1.0, "mu2sq": 0.0}
-# each suite's config schema and runner
-VERIFY_SUITES = {
-    "identities": (_VERIFY_MODEL, _verify_identities),
-    "inequalities": ({**_VERIFY_MODEL, "sigma": 0.5, "q": 4.0, "r_max": 40.0, "dr": 0.02},
-                     _verify_inequalities),
-    "bihari": ({}, _verify_bihari),
-}
-
-
 def _cmd_verify(args) -> int:
-    defaults, suite = VERIFY_SUITES[args.suite]
+    defaults, suite = SUITES[args.suite]
     checks = suite(load_config(defaults, args.config, args.set), args.seed)
     payload = _report_header("verify", args.seed)
     payload["suite"] = args.suite
     payload["checks"] = [c.to_dict() for c in checks]
     _write_json(payload, args.out)
-    failed = [c for c in checks if not c.passed and not c.skipped]
+    failed = [c for c in checks if not c.passed]
     for c in checks:
         status = "SKIP" if c.skipped else ("PASS" if c.passed else "FAIL")
         print(f"{status} {c.check_id}: worst={c.worst:.3g} tol={c.tolerance:.3g}")
@@ -493,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"most processes that {work}, this one included (default: usable CPUs; "
                  "1 runs serially; more than 1 forks only on Linux)")
     verify_p = command("verify", _cmd_verify, "identity/inequality/comparison suites")
-    verify_p.add_argument("suite", choices=list(VERIFY_SUITES))
+    verify_p.add_argument("suite", choices=list(SUITES))
     verify_p.add_argument("--seed", type=int, default=0,
                           help="seed of the sampled test points, recorded in the report")
     command("odi", _cmd_odi, "blow-up comparison toolkit report")

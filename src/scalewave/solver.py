@@ -345,10 +345,10 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
     nonzero, and the sups (max |u0|, max |first level|).  Data must be
     supported inside the safe radius r_max - (t_max - s) (``check_run``
     holds it positive) so the Dirichlet cut-off never influences the
-    solution; a violation only warns, since the caller may knowingly accept
-    a graded tail.  Data whose square overflows a float cannot be measured,
-    and data past ``blowup_threshold`` would set the detector off: both
-    raise a ValueError before any step.
+    solution; a violation only warns, at the line that called ``run``, since
+    the caller may knowingly accept a graded tail.  Data whose square
+    overflows a float cannot be measured, and data past ``blowup_threshold``
+    would set the detector off: both raise a ValueError before any step.
     """
     safe_radius = grid.r_max - (config.t_max - config.s)
     params = config.params
@@ -370,7 +370,7 @@ def init_state(grid: RadialGrid, u0, u1, config: RunConfig, dt: float
                 f"initial data carry mass beyond the safe radius {safe_radius:.3g}; "
                 "the outer cut-off may contaminate the run",
                 SupportViolationWarning,
-                stacklevel=2,
+                stacklevel=3,  # the line that called run
             )
     if sup_u0 > config.blowup_threshold:
         raise ValueError(

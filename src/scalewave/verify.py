@@ -12,6 +12,12 @@ from the two (``CheckReport.passed``).  An inequality check leaves out, with
 a note, a case whose weighted integrals are not all finite; a check left
 with nothing to compare is skipped with a note, never passed over 0 cases.
 
+Each suite of ``scalewave verify`` is one entry of ``SUITES``: its config
+defaults, which are the schema the command line parses against, and a
+runner that takes the merged config and the seed and returns the suite's
+reports.  A runner raises ValueError for settings it cannot run; the
+inequality suite does so before it allocates a grid.
+
 Two protocols deserve a note.
 
 * The energy-rate identity check evaluates every term of the pointwise
@@ -41,7 +47,7 @@ import numpy as np
 
 from .checks import CheckReport
 from .functionals import _gaussian, _power_source, weighted_quadrature
-from .grid import RadialGrid, integrate
+from .grid import RadialGrid, integrate, make_radial_grid
 from .model import (
     ModelParams,
     coefficients,
@@ -52,6 +58,7 @@ from .model import (
     weight_exponent_grad_sq,
     weight_exponent_laplacian,
 )
+from .solver import RUN_BYTES_BUDGET
 
 PSI_TOLERANCE = 1e-12
 ENERGY_TOLERANCE = 1e-10
@@ -291,8 +298,13 @@ def check_energy_identity(ms: ManufacturedSolution, params: ModelParams,
     (the one proportional to |grad W|^2 + b W_t) must also vanish on its
     own; its relative size is folded into the worst residual.  A term that
     leaves the float range, for settings such as a subnormal mu1 or a huge
-    mu2sq, raises ValueError.
+    mu2sq, raises ValueError.  For mu1 = 0 the weight derivative W_t
+    vanishes identically, the identity is undefined, and the check is
+    skipped with a note.
     """
+    if params.mu1 == 0.0:
+        return CheckReport("energy-rate-identity", 0, math.nan, ENERGY_TOLERANCE,
+                           ["skipped: W_t vanishes identically for mu1 = 0"], skipped=True)
     residuals: list[float] = []
     scales: list[float] = []
     notes: list[str] = []
@@ -413,6 +425,22 @@ def check_embeddings(family: Sequence[RadialProfile], params: ModelParams,
             for count, value, time_notes in zip(n_cases, worst, notes)]
 
 
+def _interpolation_exponent(n: int, sigma: float, q: float) -> float:
+    """theta = n*(1/2 - 1/q) of the interpolation inequality, for sigma in (0, 1].
+
+    Raises ValueError for a sigma outside (0, 1], a q that is not positive,
+    or a theta outside [0, 1].
+    """
+    if not 0.0 < sigma <= 1.0:
+        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    if not q > 0.0:
+        raise ValueError(f"q must be positive, got {q}")
+    theta = n * (0.5 - 1.0 / q)
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"q={q} gives interpolation exponent {theta} outside [0, 1]")
+    return theta
+
+
 def gn_ratio_check(family: Sequence[RadialProfile], params: ModelParams,
                    sigma: float, q: float, times: Sequence[float],
                    grid: RadialGrid) -> CheckReport:
@@ -428,15 +456,10 @@ def gn_ratio_check(family: Sequence[RadialProfile], params: ModelParams,
     inequality's time power is exact.  A member whose |v|^q or weighted
     integrals leave the float range is skipped with a note, and a time where
     no member gives a positive ratio leaves no supremum, and the check is
-    then skipped.  q must be positive, with theta in [0, 1].
+    then skipped.  ``sigma`` and ``q`` are refused as by
+    ``_interpolation_exponent``.
     """
-    if not 0.0 < sigma <= 1.0:
-        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    if not q > 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    theta = params.n * (0.5 - 1.0 / q)
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"q={q} gives interpolation exponent {theta} outside [0, 1]")
+    theta = _interpolation_exponent(params.n, sigma, q)
     sups = []
     n_cases = 0
     notes: list[str] = []
@@ -524,3 +547,98 @@ def bihari_check(times, y_values, k_values, g: Callable, bound: float,
     lhs = np.asarray([antiderivative(v) for v in y_values], dtype=float)
     rhs = antiderivative(bound) + _cumtrapz(times, k_values)
     return CheckReport("nonlinear-gronwall", times.size, float(np.max(lhs - rhs)), tolerance)
+
+
+# ---------------------------------------------------------------------------
+# Suites
+# ---------------------------------------------------------------------------
+
+def _verify_identities(cfg: dict, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    params = ModelParams(n=cfg["n"], mu1=cfg["mu1"], mu2sq=cfg["mu2sq"], p=2.0)  # p is unread
+    times = rng.uniform(0.0, 5.0, size=1000)
+    radii = rng.uniform(0.0, 3.0, size=1000)
+    checks = [
+        check_psi_identities(params, times, radii),
+        check_dissipativity_signs(params, times, radii),
+    ]
+    ms = default_manufactured_solution()
+    pts = list(zip(rng.uniform(0.0, 5.0, size=100), rng.uniform(0.1, 3.0, size=100)))
+    checks.append(check_energy_identity(ms, params, pts))
+    return checks
+
+
+# float64 arrays of a grid's length that the inequality suite holds at once, one
+# family member at a time: on the first grid 38 (its radii and weights, the weight
+# exponents of the 12 (sigma, t) cases and w_r of the 4 times, one member's jet with
+# its v^2 and v_r^2, and one case's quadrature; the embeddings, with the exponents of
+# the 4 times and one member's values, hold 13); on the wide grid, the first grid's
+# radii and weights and 24 of its own length (its radii and weights, one time's two
+# exponents, one dilated member's jet with its v_r^2 and |v|^q, and one quadrature).
+# tracemalloc measured 37.2 and 22.1 for n = 1, 2 and 3 at dr = 0.01.
+_INEQUALITY_ARRAYS = 38
+_INEQUALITY_WIDE_ARRAYS = 24
+
+
+def inequality_suite_bytes(nodes: int, wide_nodes: int) -> int:
+    """Bytes ``verify inequalities`` holds at once on grids of these node counts."""
+    first = nodes * _INEQUALITY_ARRAYS
+    wide = 2 * nodes + wide_nodes * _INEQUALITY_WIDE_ARRAYS
+    return 8 * max(first, wide)
+
+
+def _verify_inequalities(cfg: dict, seed: int) -> list:
+    params = ModelParams(n=cfg["n"], mu1=cfg["mu1"], mu2sq=cfg["mu2sq"], p=2.0)  # p is unread
+    n, r_max, dr = cfg["n"], cfg["r_max"], cfg["dr"]
+    if 2.0 * dr > FAMILY_WIDTHS[0]:
+        raise ValueError(f"dr = {dr} too coarse for verify inequalities: the wide grid's "
+                         f"spacing 2·dr passes the family's narrowest width {FAMILY_WIDTHS[0]}")
+    grid, wide = make_radial_grid(n, r_max, dr), make_radial_grid(n, 4.0 * r_max, 2.0 * dr)
+    need = inequality_suite_bytes(grid.num_nodes, wide.num_nodes)
+    if need > RUN_BYTES_BUDGET:
+        raise ValueError(
+            f"verify inequalities too large: {grid.num_nodes} nodes and {wide.num_nodes} on "
+            f"the wide grid would hold {need / 2**30:.4g} GiB, over the "
+            f"{RUN_BYTES_BUDGET / 2**30:g} GiB budget; coarsen dr or shorten r_max"
+        )
+    # the largest weight exponent the suite forms, on the wide grid at t = 0
+    q_sigma = cfg["q"] * cfg["sigma"]
+    if not math.isfinite(max(2.0, q_sigma) * params.mu1 * (4.0 * r_max) ** 2 / 2.0):
+        raise ValueError("weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
+                         f"inequalities overflows at mu1 = {params.mu1}, q·sigma = {q_sigma:g}")
+    # the GN check's refusals of sigma and q, before any array
+    _interpolation_exponent(n, cfg["sigma"], cfg["q"])
+    family = standard_family(seed=seed)
+    sigmas = (0.25, 0.5, 1.0)
+    times = (0.0, 1.0, 4.0, 9.0)
+    checks = [check_weighted_gradient_bound(family, params, sigmas, times, grid),
+              *check_embeddings(family, params, cfg["sigma"], times, grid)]
+    checks.append(gn_ratio_check(family, params, cfg["sigma"], cfg["q"], times, wide))
+    return checks
+
+
+def _verify_bihari(cfg: dict, seed: int) -> list:
+    del cfg, seed  # canonical instantiation needs no knobs
+    sqrt2 = math.sqrt(2.0)
+    g = lambda u: math.sqrt(2.0 * max(u, 0.0))
+    antideriv = lambda u: sqrt2 * math.sqrt(max(u, 0.0))
+    times = np.linspace(0.0, 5.0, 4001)
+    bound = 1.0
+    k_const = np.full_like(times, 0.3)
+    y_eq = 0.5 * (sqrt2 * math.sqrt(bound) + 0.3 * times) ** 2
+    checks = [bihari_check(times, y_eq, k_const, g, bound, antideriv)]
+    k_zero = np.zeros_like(times)
+    y_flat = np.full_like(times, bound)
+    checks.append(bihari_check(times, y_flat, k_zero, g, bound, antideriv, tolerance=0.0))
+    return checks
+
+
+_VERIFY_MODEL = {"n": 1, "mu1": 1.0, "mu2sq": 0.0}
+#: Each suite's config schema (its defaults) and runner, by name; a runner takes
+#: the merged config and the seed and returns the suite's CheckReports.
+SUITES = {
+    "identities": (_VERIFY_MODEL, _verify_identities),
+    "inequalities": ({**_VERIFY_MODEL, "sigma": 0.5, "q": 4.0, "r_max": 40.0, "dr": 0.02},
+                     _verify_inequalities),
+    "bihari": ({}, _verify_bihari),
+}

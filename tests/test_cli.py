@@ -16,6 +16,7 @@ import pytest
 import scalewave.analysis
 import scalewave.cli
 import scalewave.lanes
+import scalewave.verify
 from scalewave.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -27,9 +28,11 @@ from scalewave.cli import (
     read_series_csv,
     write_run_csv,
 )
+from scalewave.checks import CheckReport
 from scalewave.grid import RadialGrid, make_radial_grid
 from scalewave.model import ModelParams
 from scalewave.solver import RunConfig, RunReport, run
+from scalewave.verify import SUITES, inequality_suite_bytes
 
 
 @pytest.fixture
@@ -313,6 +316,49 @@ class TestVerifyCli:
             "weight-exponent-identities", "energy-rate-identity"
         }
 
+    def test_identities_without_damping_skip_the_energy_identity(self, tmp_path, schema,
+                                                                  capsys):
+        # mu1 = 0: W vanishes, so the weight-exponent and sign checks hold trivially and
+        # the energy identity, which divides by W_t, is skipped with a note
+        out = tmp_path / "ident.json"
+        argv = ["verify", "identities", "--set", "mu1=0", "--out", str(out)]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        checks = validate(out, schema)["checks"]
+        assert [(c["check_id"], c["passed"], c["skipped"]) for c in checks] == [
+            ("weight-exponent-identities", True, False), ("dissipativity-signs", True, False),
+            ("energy-rate-identity", True, True)]
+        assert checks[-1]["notes"] == ["skipped: W_t vanishes identically for mu1 = 0"]
+        out_text, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split()[0] for line in out_text.splitlines()] == ["PASS", "PASS", "SKIP"]
+
+    def test_a_suite_is_one_entry_of_the_registry(self, tmp_path, monkeypatch, capsys):
+        # an entry added to verify.SUITES is offered, parsed against its own defaults and
+        # reported, with nothing else to change; each shipping suite is also named in
+        # the report schema's suite enum, which this toy suite is not
+        calls = []
+
+        def toy(cfg, seed):
+            calls.append((cfg, seed))
+            return [CheckReport("toy-bound", 3, 0.5, 1.0),
+                    CheckReport("toy-skip", 0, math.nan, 1.0, ["skipped: toy"], skipped=True)]
+
+        monkeypatch.setitem(SUITES, "toy", ({"width": 2.0}, toy))
+        out = tmp_path / "toy.json"
+        argv = ["verify", "toy", "--set", "width=3", "--seed", "5", "--out", str(out)]
+        assert parse_and_dispatch(argv) == EXIT_OK
+        assert calls == [({"width": 3.0}, 5)]
+        payload = json.loads(out.read_text())
+        assert (payload["kind"], payload["suite"], payload["seed"]) == ("verify", "toy", 5)
+        assert payload["checks"] == [c.to_dict() for c in toy({"width": 3.0}, 5)]
+        assert capsys.readouterr() == ("PASS toy-bound: worst=0.5 tol=1\n"
+                                       "SKIP toy-skip: worst=nan tol=1\n", "")
+        assert parse_and_dispatch(["verify", "toy", "--set", "sigma=0.5"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: unknown config key 'sigma'\n")
+        monkeypatch.delitem(SUITES, "toy")
+        assert parse_and_dispatch(["verify", "toy"]) == EXIT_USAGE
+        assert "invalid choice: 'toy'" in capsys.readouterr().err
+
     def test_inequalities_suite_json(self, tmp_path, schema):
         out = tmp_path / "ineq.json"
         code = parse_and_dispatch(["verify", "inequalities", "--out", str(out)])
@@ -456,8 +502,8 @@ class TestErrors:
     @pytest.mark.parametrize("argv, work", [
         (["simulate", "--set", "t_max=2", "--set", "r_max=10"], "run"),
         (["sweep", "--set", "p_values=[2.0]", "--set", "t_max=2", "--set", "r_max=10"], "sweep"),
-        (["verify", "inequalities"], "_verify_inequalities"),
-        (["verify", "bihari"], "_verify_bihari"),
+        (["verify", "inequalities"], "inequalities"),
+        (["verify", "bihari"], "bihari"),
     ], ids=["simulate", "sweep", "verify-inequalities", "verify-bihari"])
     @pytest.mark.parametrize("where, reason", [
         ("missing/out.txt", "[Errno 2] No such file or directory"),
@@ -472,7 +518,11 @@ class TestErrors:
         def refused(*args, **kwargs):
             raise AssertionError(f"{work} called for an unwritable --out")
 
-        monkeypatch.setattr(scalewave.cli, work, refused)
+        if argv[0] == "verify":
+            # the suite's runner, as the registry holds it
+            monkeypatch.setitem(SUITES, work, (SUITES[work][0], refused))
+        else:
+            monkeypatch.setattr(scalewave.cli, work, refused)
         out = tmp_path / where
         assert parse_and_dispatch(argv + ["--out", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
@@ -645,6 +695,23 @@ class TestBadInputsExitConfig:
         argv = ["verify", "inequalities", "--set", f"sigma={sigma}"]
         assert parse_and_dispatch(argv) == EXIT_CONFIG
         assert "sigma must lie in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, error", [
+        ("sigma=0", "error: sigma must lie in (0, 1], got 0.0\n"),
+        ("q=0", "error: q must be positive, got 0.0\n"),
+        ("q=1", "error: q=1.0 gives interpolation exponent -0.5 outside [0, 1]\n"),
+    ])
+    def test_verify_sigma_or_q_refused_before_any_check(self, setting, error, monkeypatch,
+                                                        capsys, no_grid_array):
+        # refused before the family is drawn or a grid array formed, so before the
+        # gradient check that reads neither sigma nor q
+        def no_family(seed=0):
+            raise AssertionError("the test family was drawn")
+
+        monkeypatch.setattr(scalewave.verify, "standard_family", no_family)
+        argv = ["verify", "inequalities", "--set", setting]
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", error)
 
     def test_decay_fit_short_row(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"
@@ -897,16 +964,17 @@ class TestBadInputsExitConfig:
     @pytest.mark.parametrize("n", [1, 3])
     def test_inequality_suite_bytes_bound_the_suites_peak(self, n):
         # the estimate that gates the suite holds what it allocates, and not much more
-        cfg = dict(scalewave.cli.VERIFY_SUITES["inequalities"][0], n=n, dr=0.01)
+        defaults, suite = SUITES["inequalities"]
+        cfg = dict(defaults, n=n, dr=0.01)
         nodes = make_radial_grid(n, cfg["r_max"], cfg["dr"]).num_nodes
         wide_nodes = make_radial_grid(n, 4.0 * cfg["r_max"], 2.0 * cfg["dr"]).num_nodes
-        estimate = scalewave.cli.inequality_suite_bytes(nodes, wide_nodes)
+        estimate = inequality_suite_bytes(nodes, wide_nodes)
         # the first generator imports numpy.random's lazy modules (secrets, hashlib, ...),
         # about 690 KB that are no part of the suite: import them before tracing starts
         np.random.default_rng(0)
         tracemalloc.start()
         try:
-            scalewave.cli._verify_inequalities(cfg, 0)
+            suite(cfg, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

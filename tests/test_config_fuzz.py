@@ -34,15 +34,16 @@ import scalewave.cli as cli
 from scalewave import odi
 from scalewave.cli import (
     CSV_COLUMNS, FIT_DEFAULTS, MODEL_DEFAULTS, ODI_DEFAULTS, SIMULATE_DEFAULTS, SWEEP_DEFAULTS,
-    VERIFY_SUITES, parse_and_dispatch,
+    parse_and_dispatch,
 )
 from scalewave.solver import time_step
+from scalewave.verify import SUITES
 
 EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf)
 HUGE_INTS = (10**30, -(10**30))
 # steps times nodes, over every cell, of the simulate and sweep runs that are kept
 RUN_COST = 400_000
-INEQUALITY_DEFAULTS = VERIFY_SUITES["inequalities"][0]
+INEQUALITY_DEFAULTS = SUITES["inequalities"][0]
 # nodes of the verify inequalities grids that are kept: as many as the default's
 INEQUALITY_NODES = INEQUALITY_DEFAULTS["r_max"] / INEQUALITY_DEFAULTS["dr"]
 ODI_STEPS = 4000
@@ -172,7 +173,7 @@ SEEDS = st.one_of(st.integers(-1, 3), st.sampled_from(HUGE_INTS))
 
 
 @fuzz(60)
-@given(sets=overrides(VERIFY_SUITES["identities"][0]), seed=SEEDS)
+@given(sets=overrides(SUITES["identities"][0]), seed=SEEDS)
 def test_verify_identities(sets, seed, work):
     verify("identities", sets, seed, work)
 

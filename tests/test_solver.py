@@ -504,6 +504,15 @@ class TestInitState:
         with pytest.warns(SupportViolationWarning):
             init_state(g, bump, zero, cfg, time_step(g.step_unit, cfg)[1])
 
+    def test_support_violation_warns_at_the_caller_of_run(self):
+        # the warning names the line that called run, not run's own line in solver.py
+        g = make_radial_grid(1, 10.0, 0.05)
+        # safe radius 1.0 < support 3.0, and a linear run
+        cfg = RunConfig(params=params(), t_max=9.0, nonlinear=False, record_every=100)
+        with pytest.warns(SupportViolationWarning) as caught:
+            run(g, bump, zero, cfg)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_no_safe_radius_rejected(self, monkeypatch):
         # r_max <= t_max - s: the Dirichlet cut-off reaches every node; refused from the
         # grid's fields alone, before the data are sampled

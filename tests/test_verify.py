@@ -214,6 +214,13 @@ class TestEnergyIdentity:
         with pytest.raises(ValueError, match="mu1"):
             energy_identity_terms(ms, params(mu1=0.0), 1.0, 1.0)
 
+    def test_vanishing_damping_skips_the_check(self):
+        # W_t vanishes identically: the identity is undefined, and nothing is evaluated
+        ms = default_manufactured_solution()
+        rep = check_energy_identity(ms, params(mu1=0.0), [(1.0, 1.0), (2.0, 0.5)])
+        assert rep.skipped and rep.passed and rep.n_cases == 0
+        assert rep.notes == ["skipped: W_t vanishes identically for mu1 = 0"]
+
     def test_finite_difference_residual_is_second_order(self):
         # replacing the outer time derivative and divergence with centered
         # differences of the composite density/flux makes the residual O(h^2)
