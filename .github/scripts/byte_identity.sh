@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
-# Run a fixed list of n = 1 commands against two source trees and require
+# Run a fixed list of commands against two source trees and require
 # byte-identical output files, stdout and exit codes.
 #
-# Usage: n1_byte_identity.sh BASE_TREE HEAD_TREE WORK_DIR
+# Usage: byte_identity.sh BASE_TREE HEAD_TREE WORK_DIR
 #
 # Each tree is a checkout whose src/ holds the scalewave package; the
-# commands run with PYTHONPATH pointing at that src/.  Only n = 1 is
-# covered: it is the dimension whose outputs every change so far has kept
-# bit for bit, while n >= 2 outputs may change on purpose.
+# commands run with PYTHONPATH pointing at that src/.  The list guards every
+# n = 1 command, the dimension whose outputs every change so far has kept
+# bit for bit, and `verify inequalities` in n = 2.  A change that means to
+# move n >= 2 outputs sees which of the seed<S>-n2 reports moved.
 set -euo pipefail
 
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 work=$3
 
-# One command per line, in order; later commands may read earlier outputs.
+# One command per `sw` call, in order; later commands may read earlier outputs.
 # Where more than one CPU is usable, a tree with forked lanes forks them in
 # these commands (as measured on a 2-CPU machine): every simulate that
 # records every step, once its samples have cost more than its steps (all
@@ -111,11 +112,17 @@ commands() {
         --set t_max=5 --set r_max=15 --jobs 1 --out negative-delta-sweep.csv
     # the other commands' reports
     sw verify identities --out identities.json
-    sw verify inequalities --out inequalities.json
-    # the Gaussians and powers skipped past their exact zero, beyond seed 0 and the
-    # default q
-    sw verify inequalities --seed 7 --set q=3 --out inequalities-seed7-q3.json
-    sw verify inequalities --seed 123 --set mu1=4 --out inequalities-seed123-mu1.json
+    # verify inequalities for seeds 0, 7 and 123, each at the defaults and with q = 3,
+    # n = 2 and mu1 = 4, into seed<S>-<setting>.json: the Gaussians and powers skipped
+    # past their exact zero, beyond seed 0 and the default q
+    local seed setting extra
+    for seed in 0 7 123; do
+        for setting in default q=3 n=2 mu1=4; do
+            extra=()
+            [ "$setting" = default ] || extra=(--set "$setting")
+            sw verify inequalities --seed "$seed" "${extra[@]}" --out "seed$seed-${setting/=/}.json"
+        done
+    done
     # the largest quadrature term exponent of any passing setting measured, 527.3, just
     # below the e^600 past which the terms are summed scaled: those sums keep every bit
     sw verify inequalities --set mu1=4.6 --out inequalities-mu1-4.6.json
@@ -162,6 +169,7 @@ for file in "$work"/base/*; do
     fi
 done
 if [ "$status" -eq 0 ]; then
-    echo "n = 1 byte identity: $(ls "$work/base" | wc -l) files identical"
+    echo "byte identity: $(ls "$work/base" | wc -l) files identical" \
+        "over $(ls "$work/base"/exit-*.txt | wc -l) commands"
 fi
 exit "$status"

@@ -15,11 +15,11 @@ scale.
 __version__ = "0.1.0"
 
 from .checks import CheckReport
-from .errors import RegimeError
 from .grid import RadialGrid, integrate, make_radial_grid
 from .model import (
     DecayExponentTable,
     ModelParams,
+    RegimeError,
     RegimeReport,
     borderline_log_factor,
     coefficients,

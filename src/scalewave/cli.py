@@ -221,6 +221,8 @@ def read_series_csv(path, column: str):
         raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
     if "t" not in header or column not in header:
         raise ConfigError(f"CSV {path} lacks a 't' or {column!r} column")
+    if not rows:
+        raise ConfigError(f"CSV {path} has no rows")
     if any(len(row) != len(header) for row in rows):
         raise ConfigError(f"CSV {path} has a row whose length differs from its header's")
     ti = header.index("t")

@@ -65,9 +65,8 @@ import math
 
 import numpy as np
 
-from .errors import RegimeError
 from .grid import RadialGrid, _nodal
-from .model import ModelParams, discriminant, weight_exponent
+from .model import ModelParams, RegimeError, discriminant, weight_exponent
 
 # Largest term exponent summed as it is; past it the terms are summed relative to
 # the largest and scaled back, since exp(709.8) overflows a float.

@@ -23,11 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError
-
 # The borderline delta == (n+1)^2 is a measure-zero case users hit only by
 # exact construction; a relative tolerance keeps its detection robust.
 BORDERLINE_RTOL = 1e-12
+
+
+class RegimeError(ValueError):
+    """An operation was asked for outside its parameter regime.
+
+    Typical causes: sqrt of the discriminant requested while it is negative,
+    or the logarithmic borderline correction requested away from the
+    borderline.
+    """
 
 
 @dataclass(frozen=True)

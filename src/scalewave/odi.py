@@ -187,11 +187,11 @@ def comparison_function(problem: OdiProblem, nu: float, t):
 
 
 def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
-                  cutoff: float = BLOWUP_CUTOFF, max_steps: int = MAX_STEPS):
+                  max_steps: int = MAX_STEPS):
     """Integrate the equality version F'' = -k0/(1+t) F' + k1 (1+t)^alpha |F|^p.
 
-    Classical fixed-step RK4 from (f0, df0); stops once F exceeds the
-    cutoff (numerical blow-up), t passes t_max (default 10x the life
+    Classical fixed-step RK4 from (f0, df0); stops once F exceeds
+    BLOWUP_CUTOFF (numerical blow-up), t passes t_max (default 10x the life
     span for the selected margin parameter), or max_steps is hit.
     Returns (t, f, blowup_time) with blowup_time None if the cutoff
     was never reached; then the trajectory reached the horizon if
@@ -204,6 +204,7 @@ def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
         t_max = 10.0 * life_span(problem, select_nu(problem))
     k1, alpha, p = problem.k1, problem.alpha, problem.p
     neg_k0 = -problem.k0
+    cutoff = BLOWUP_CUTOFF  # a local: the loop reads it every step
     half = 0.5 * dt
     sixth = dt / 6.0
     # imported here: the module maps about 0.14 MB that only a trajectory needs

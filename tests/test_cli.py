@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import math
@@ -63,6 +64,19 @@ def validate(path, schema):
     payload = json.loads(path.read_text())
     jsonschema.validate(payload, schema)
     return payload
+
+
+def test_schema_names_every_suite_and_report_kind(schema):
+    # a suite added to verify.SUITES alone is offered and run, but its report fails
+    # the shipped schema until the suite enum names it too
+    verify_kind = next(branch["then"] for branch in schema["allOf"]
+                       if branch["if"]["properties"]["kind"]["const"] == "verify")
+    assert verify_kind["properties"]["suite"]["enum"] == list(SUITES)
+    # every JSON report starts from cli._report_header(kind)
+    tree = ast.parse(Path(scalewave.cli.__file__).read_text())
+    kinds = [node.args[0].value for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_report_header"]
+    assert sorted(schema["properties"]["kind"]["enum"]) == sorted(kinds)
 
 
 class TestInfo:
@@ -334,8 +348,8 @@ class TestVerifyCli:
 
     def test_a_suite_is_one_entry_of_the_registry(self, tmp_path, monkeypatch, capsys):
         # an entry added to verify.SUITES is offered, parsed against its own defaults and
-        # reported, with nothing else to change; each shipping suite is also named in
-        # the report schema's suite enum, which this toy suite is not
+        # reported; the report schema's suite enum must name it too, which
+        # test_schema_names_every_suite_and_report_kind checks for the shipping suites
         calls = []
 
         def toy(cfg, seed):
@@ -718,6 +732,13 @@ class TestBadInputsExitConfig:
         csv.write_text("t,l2\n1,0.5\n2\n")
         assert parse_and_dispatch(["decay-fit", str(csv)]) == EXIT_CONFIG
         assert "length differs from its header" in capsys.readouterr().err
+
+    def test_decay_fit_of_a_header_alone(self, tmp_path, capsys):
+        csv, out = tmp_path / "header.csv", tmp_path / "fit.json"
+        csv.write_text("t,l2\n")
+        assert parse_and_dispatch(["decay-fit", str(csv), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: CSV {csv} has no rows\n")
+        assert not out.exists()
 
     def test_decay_fit_of_a_diverged_run(self, tmp_path, capsys):
         # the last row of a diverging run is inf/nan: the fit refuses it cleanly,
@@ -1330,21 +1351,50 @@ class TestSweepJobs:
         assert parse_and_dispatch(self.ARGS + ["--out", str(tmp_path / "s.csv")]) == EXIT_OK
         assert jobs_passed == [5]
 
-    def test_readme_sweep_loads_no_pool_module(self, tmp_path):
-        # --jobs 2 forks one lane before the first cell; lanes are bare forks, so no
-        # pool module is imported
-        argv = ["sweep", "--set", "p_values=[1.5,2,2.5]", "--set", "amplitudes=[1.0]",
-                "--set", "u0_kind=bump", "--set", "u1_kind=bump", "--set", "u0_width=3",
-                "--set", "u1_width=3", "--set", "r_max=230", "--set", "t_max=200",
-                "--jobs", "2", "--out", str(tmp_path / "sweep.csv")]
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "scalewave.cli", *argv],
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="lanes fork on Linux only")
+    def test_commands_with_jobs_load_no_scipy_and_no_pool(self, tmp_path):
+        # scipy is a test extra, so the runtime may not import it; lanes are bare forks,
+        # and concurrent.futures and multiprocessing cost the pool-based fan-out 2.3 MB
+        # of record-dense peak RSS.  A child interpreter holds only what the CLI loads.
+        # The README sweep forks before its first cell, the dense simulate once its
+        # samples have cost more than its steps.
+        code = """if True:
+            import json, os, sys
+            from scalewave.cli import parse_and_dispatch
+
+            forks = []
+            plain_fork = os.fork
+            def counting_fork():
+                forks.append(None)
+                return plain_fork()
+            os.fork = counting_fork
+
+            def loaded():
+                return sorted(name for name in sys.modules
+                              for banned in ("scipy", "concurrent.futures", "multiprocessing")
+                              if name == banned or name.startswith(banned + "."))
+
+            seen = [["import", loaded()]]
+            for argv in json.loads(sys.argv[1]):
+                forks.clear()
+                status = parse_and_dispatch(argv)
+                seen.append([argv[0], status, bool(forks), loaded()])
+            print(json.dumps(seen))
+        """
+        readme_sweep = ["sweep", "--set", "p_values=[1.5,2,2.5]", "--set", "amplitudes=[1.0]",
+                        "--set", "u0_kind=bump", "--set", "u1_kind=bump", "--set", "u0_width=3",
+                        "--set", "u1_width=3", "--set", "r_max=230", "--set", "t_max=200"]
+        dense = ["simulate", "--set", "mu1=4", "--set", "r_max=230", "--set", "dr=0.05",
+                 "--set", "t_max=100", "--set", "u0_width=0.4", "--set", "nonlinear=false",
+                 "--set", "record_every=1"]
+        argvs = [argv + ["--jobs", "2", "--out", str(tmp_path / name)]
+                 for argv, name in ((readme_sweep, "sweep.csv"), (dense, "dense.csv"))]
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                               capture_output=True, text=True, timeout=120, env=_child_env())
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert proc.stdout.startswith("sweep: 3 rows")
-        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-        assert "scalewave.analysis" in imported
-        assert not [name for name in imported
-                    if name.split(".")[0] in ("concurrent", "multiprocessing")]
+        assert proc.returncode == 0, proc.stderr
+        # [command, exit code, whether it forked a lane, the banned modules loaded]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            ["import", []], ["sweep", EXIT_OK, True, []], ["simulate", EXIT_OK, True, []]]
 
 
 def _child_env() -> dict:

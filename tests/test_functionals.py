@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalewave.errors import RegimeError
 from scalewave.functionals import (
     EXPONENT_BUDGET,
     _gaussian,
@@ -17,7 +16,7 @@ from scalewave.functionals import (
     weighted_quadrature,
 )
 from scalewave.grid import integrate, make_radial_grid, radial_derivative_into
-from scalewave.model import ModelParams, coefficients, weight_exponent
+from scalewave.model import ModelParams, RegimeError, coefficients, weight_exponent
 
 
 def params(n=1, mu1=1.0, mu2sq=0.0, p=2.0):

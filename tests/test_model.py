@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalewave.errors import RegimeError
 from scalewave.model import (
     ModelParams,
+    RegimeError,
     borderline_log_factor,
     coefficients,
     critical_exponent,
