@@ -1,13 +1,11 @@
-"""Experiment layer: decay-rate fits, outcome classification and sweeps.
+"""Experiment layer: decay-rate fits, outcome classification and batches of runs.
 
 The classification label "global-looking" is deliberate: a finite-horizon
 computation cannot certify global existence, so the label encodes the
 epistemic limit of a desk-scale run.  A sweep cell fits its L2 series once,
 in ``classify_run``, and the global-looking verdict and the reported decay
-exponent both come from that fit.  A sweep's cells are (p, amplitude)
-pairs, run in one loop by this process and by the lanes it may fork before
-the first cell, each lane sending back the rows of the cells it ran (see
-``sweep``).
+exponent both come from that fit.  ``run_all`` runs a batch of solver runs,
+on lanes it may fork; a sweep is one batch, of (p, amplitude) cells.
 """
 
 from __future__ import annotations
@@ -125,66 +123,36 @@ class SweepRow:
     regime: RegimeReport
 
 
-def _sweep_one(grid: RadialGrid, config: RunConfig, p: float, amplitude: float, u0_profile,
-               u1_profile) -> SweepRow:
-    params = replace(config.params, p=p)
-    cfg = replace(config, params=params)
-    u0 = (lambda r: amplitude * np.asarray(u0_profile(r), dtype=float))
-    if u1_profile is None:
-        u1 = (lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-    else:
-        u1 = (lambda r: amplitude * np.asarray(u1_profile(r), dtype=float))
-    report = run(grid, u0, u1, cfg)
-    outcome, fit = classify_run(report)
-    return SweepRow(
-        params=params,
-        amplitude=amplitude,
-        outcome=outcome,
-        blowup_time=report.blowup_time,
-        l2_exponent=fit.exponent if fit is not None else None,
-        regime=regime_check(params),
-    )
+def run_all(tasks, reduce, jobs: int = 1) -> list:
+    """``reduce(run(*task))`` for each task ``(grid, u0, u1, config)``, in order.
 
-
-def sweep(grid: RadialGrid, p_values, amplitudes, config: RunConfig, u0_profile,
-          u1_profile=None, jobs: int = 1) -> list[SweepRow]:
-    """One solver run per (p, amplitude) pair, rows in deterministic input order.
-
-    A cell runs ``config`` with its own power p, and with its amplitude times
-    each profile as data.  ``jobs`` counts the processes that run cells, this
-    one included.  Before any cell runs, the sweep forks
-    ``min(jobs, cells, lanes_that_fit(...)) - 1`` lanes (``lanes.Lanes``;
-    Linux only), so that every lane's run fits ``RUN_BYTES_BUDGET`` at once,
-    and writes the index of every cell into one pipe.  This process and
-    every lane then take indices from that pipe, in input order, in one loop
-    until it is empty, and each lane sends back the rows it ran.  With no
-    lane (``jobs`` 1, one cell, another platform or a refused fork), the
-    cells run here in input order.  Every cell runs ``run`` with
-    ``jobs=1``, so each row carries the same bits either way.  A cell that
-    raises takes every index left, so that no cell starts after it; once
-    every lane has ended, the error of the lowest-index raising cell is
-    raised, as a serial sweep would raise it.  A non-finite amplitude is
-    rejected before any cell runs.
+    ``jobs`` counts the processes that run tasks, this one included.  Before
+    the first task, ``run_all`` forks ``min(jobs, tasks, lanes_that_fit(...)
+    of each task) - 1`` lanes (``lanes.Lanes``; Linux only); this process and
+    the lanes then take every task's index from one pipe, in one loop.
+    ``reduce`` runs where its run ran; a lane sends back its values, which
+    must pickle (tasks reach it by fork, so profiles may be lambdas).  With
+    no lane (``jobs`` 1, one task, another platform or a refused fork) the
+    tasks run here.  Each ``run`` has ``jobs=1``, so the values carry the
+    same bits either way.  A raising task takes every index left, so no task
+    starts after it; once the lanes end, the lowest-index raising task's
+    error is raised, as in a serial loop.
     """
-    if not all(math.isfinite(a) for a in amplitudes):
-        raise ValueError(f"sweep amplitudes must be finite, got {list(amplitudes)}")
-    cells = [(float(p), float(a)) for p in p_values for a in amplitudes]
-    count = min(jobs, len(cells), lanes_that_fit(grid, config)) - 1
+    count = min(jobs, len(tasks), *(lanes_that_fit(task[0], task[3]) for task in tasks)) - 1
     pipe = lanes.IndexPipe() if count > 0 and lanes.forks() else None
-    serial = iter(range(len(cells)))  # the cells in input order, while no lane forked
+    serial = iter(range(len(tasks)))  # while no lane forked
 
     def take() -> int | None:
         return next(serial, None) if pipe is None else pipe.take()
 
-    def run_cells() -> tuple[list, tuple | None]:
-        # the cells left, until none is: ([(index, row)], first failure or None)
+    def run_tasks() -> tuple[list, tuple | None]:
+        # the tasks left, until none is: ([(index, value)], first failure or None)
         done = []
         while (index := take()) is not None:
             try:
-                done.append((index, _sweep_one(grid, config, *cells[index], u0_profile,
-                                               u1_profile)))
+                done.append((index, reduce(run(*tasks[index]))))
             except Exception as exc:
-                # no cell starts after a raising one
+                # no task starts after a raising one
                 while take() is not None:
                     pass
                 return done, (index, exc)
@@ -192,27 +160,52 @@ def sweep(grid: RadialGrid, p_values, amplitudes, config: RunConfig, u0_profile,
 
     def lane() -> tuple[list, tuple | None]:
         pipe.close(read=False)
-        return run_cells()
+        return run_tasks()
 
     with lanes.Lanes() as forked:
         try:
             if pipe is not None:
                 if forked.fork(count, lane):
-                    pipe.put(range(len(cells)))
+                    pipe.put(range(len(tasks)))
                     # the loops see the pipe's end once it is empty
                     pipe.close(read=False)
                 else:
                     pipe.close()
                     pipe = None
-            ran = [run_cells()] + forked.collect()
+            ran = [run_tasks()] + forked.collect()
         finally:
             if pipe is not None:
                 pipe.close()
     failures = [failure for _, failure in ran if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    rows: list[SweepRow | None] = [None] * len(cells)
-    for done, _ in ran:
-        for index, row in done:
-            rows[index] = row
-    return rows
+    # each index ran once, so the pairs sort by it alone
+    return [value for _, value in sorted(pair for done, _ in ran for pair in done)]
+
+
+def _outcome(report: RunReport) -> tuple:
+    outcome, fit = classify_run(report)
+    return outcome, report.blowup_time, fit.exponent if fit is not None else None
+
+
+def sweep(grid: RadialGrid, p_values, amplitudes, config: RunConfig, u0_profile,
+          u1_profile=None, jobs: int = 1) -> list[SweepRow]:
+    """One solver run per (p, amplitude) pair, rows in deterministic input order.
+
+    A cell runs ``config`` with its own p and its amplitude times each profile
+    as data, as one task of ``run_all``.  A non-finite amplitude is rejected
+    before any cell runs.
+    """
+    if not all(math.isfinite(a) for a in amplitudes):
+        raise ValueError(f"sweep amplitudes must be finite, got {list(amplitudes)}")
+
+    def task(p: float, amplitude: float) -> tuple:
+        u0 = lambda r: amplitude * np.asarray(u0_profile(r), dtype=float)
+        u1 = ((lambda r: np.zeros_like(np.asarray(r, dtype=float))) if u1_profile is None
+              else (lambda r: amplitude * np.asarray(u1_profile(r), dtype=float)))
+        return grid, u0, u1, replace(config, params=replace(config.params, p=p))
+
+    cells = [(float(p), float(a)) for p in p_values for a in amplitudes]
+    tasks = [task(*cell) for cell in cells]
+    return [SweepRow(cfg.params, a, *value, regime_check(cfg.params)) for (*_, cfg), (_, a), value
+            in zip(tasks, cells, run_all(tasks, _outcome, jobs))]

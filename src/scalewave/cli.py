@@ -216,20 +216,28 @@ def read_series_csv(path, column: str):
     try:
         with open(path, "r", newline="") as handle:
             header = handle.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in handle if line.strip()]
+            rows = [(at, line.strip().split(",")) for at, line in enumerate(handle, 2)
+                    if line.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
     if "t" not in header or column not in header:
         raise ConfigError(f"CSV {path} lacks a 't' or {column!r} column")
     if not rows:
         raise ConfigError(f"CSV {path} has no rows")
-    if any(len(row) != len(header) for row in rows):
+    if any(len(row) != len(header) for _, row in rows):
         raise ConfigError(f"CSV {path} has a row whose length differs from its header's")
-    ti = header.index("t")
-    ci = header.index(column)
-    t = np.array([float(row[ti]) for row in rows])
-    v = np.array([float(row[ci]) for row in rows])
-    return t, v
+
+    def numbers(name: str) -> np.ndarray:
+        i, values = header.index(name), []
+        for at, row in rows:
+            try:
+                values.append(float(row[i]))
+            except ValueError:
+                raise ConfigError(f"CSV {path}, column {name!r}, line {at}: "
+                                  f"{row[i]!r} is not a number") from None
+        return np.array(values)
+
+    return numbers("t"), numbers(column)
 
 
 def _write_json(payload: dict, out_path: str | None) -> None:

@@ -1,7 +1,7 @@
-"""Forked lanes: the one parallel mechanism, shared by ``solver.run`` and ``analysis.sweep``.
+"""Forked lanes: the one parallel mechanism, shared by ``solver.run`` and ``analysis.run_all``.
 
-A lane is a child process forked from this one: by a sweep before its
-first cell, by a run in the middle of its steps.  It inherits the whole
+A lane is a child process forked from this one: by ``run_all`` before its
+first task, by a run in the middle of its steps.  It inherits the whole
 state of the computation at that point, runs a body and sends back the
 value the body returns, pickled, through a pipe of its own.  Every child
 leaves through ``os._exit`` in a ``finally``, so it never unwinds into the
@@ -13,17 +13,15 @@ exception instead, which ``Lanes.collect`` raises here.  The owner uses
 yet collected, so no lane outlives the call that forked it, whether that
 call returns or raises (an interrupt included).
 
-Work reaches the lanes as 4-byte indices through an ``IndexPipe``.  A
-sweep's lanes, and this process with them, take the index of every cell
-from one such pipe, and each lane sends back the rows of the cells it ran.
-A run's lanes never step and send back nothing: they take the indices of
-the ring slots this process has filled with sample rows from a ready pipe,
-record each row straight into the run's shared row store and hand the slot
-back through a free pipe (see the ``solver`` module notes).
+Work reaches the lanes as 4-byte indices through an ``IndexPipe``.
+``run_all``'s lanes take run indices from one, as this process does, and
+send back their values.  A run's lanes never step and send back nothing:
+they record the sample rows of ring slots in place, taking the slots from
+a ready pipe (see the ``solver`` module notes).
 
 Lanes fork only on Linux (``forks``): CPython calls fork unsafe on macOS,
-and Windows has none.  Elsewhere ``run`` and ``sweep`` run serially, with
-the same outputs.
+and Windows has none.  Elsewhere ``run`` and ``run_all`` run serially,
+with the same outputs.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ import sys
 #: pipe and join of a 40 MB process took 3.5-3.7 ms on a 2-core Linux VM
 #: (Python 3.11, numpy 2.4), against 8.6 ms to start a one-worker process
 #: pool plus 24.5 ms to import it.  Only ``run`` reads it: a run forks lanes
-#: only once it has lasted longer than this, while a sweep forks its lanes
-#: before its first cell.
+#: once it has lasted longer than this (``run_all`` forks before its first task).
 LANE_START_S = 0.004
 
 # the signal number of SIGKILL on Linux, the only platform that forks lanes;

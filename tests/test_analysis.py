@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import scalewave.analysis
+import scalewave.solver
 from scalewave.analysis import (
     GLOBAL_LOOKING,
     UNDECIDED,
     classify_run,
     fit_decay,
+    run_all,
     sweep,
 )
 from scalewave.grid import make_radial_grid
@@ -19,6 +21,7 @@ from scalewave.solver import (
     RunConfig,
     RunReport,
     run,
+    run_bytes,
 )
 
 
@@ -189,6 +192,59 @@ class TestSweep:
         assert [r.outcome for r in rows] == [GLOBAL_LOOKING] * 4
         assert all(r.l2_exponent < 0.0 for r in rows)
         assert calls == [(0.8, 8.0)] * 4
+
+
+def _three_tasks():
+    # three grids and three configs: n = 1 linear, n = 3 at cfl_safety 0.5, n = 2 massive;
+    # the last task holds the most bytes, more than twice either other's
+    linear = RunConfig(params=ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0), t_max=4.0,
+                       nonlinear=False, record_every=4)
+    careful = RunConfig(params=ModelParams(n=3, mu1=4.0, mu2sq=0.0, p=2.0), t_max=4.0,
+                        cfl_safety=0.5, record_every=4)
+    massive = RunConfig(params=ModelParams(n=2, mu1=4.0, mu2sq=2.0, p=2.0), t_max=6.0,
+                        record_every=2)
+    return [(make_radial_grid(1, 12.0, 0.1), _unit_bump, _unit_bump, linear),
+            (make_radial_grid(3, 12.0, 0.1), _unit_bump, lambda r: 0.0 * r, careful),
+            (make_radial_grid(2, 30.0, 0.05), lambda r: 0.5 * _unit_bump(r), _unit_bump, massive)]
+
+
+def _outcome_and_bits(report):
+    return report.outcome, report.samples.tobytes()
+
+
+class TestRunAll:
+    def test_lanes_return_what_one_process_returns(self, forks, no_child_left):
+        tasks = _three_tasks()
+        serial = run_all(tasks, _outcome_and_bits)
+        assert forks == []
+        assert run_all(tasks, _outcome_and_bits, jobs=3) == serial
+        assert forks == [2]
+        assert [outcome for outcome, _ in serial] == [OUTCOME_COMPLETED] * 3
+        no_child_left()
+
+    def test_the_largest_task_caps_the_lanes(self, forks, monkeypatch):
+        tasks = _three_tasks()
+        serial = run_all(tasks, _outcome_and_bits)
+        sizes = [run_bytes(grid, config)[1] for grid, _, _, config in tasks]
+        assert max(sizes) == sizes[2] > 2 * max(sizes[:2])
+        monkeypatch.setattr(scalewave.solver, "RUN_BYTES_BUDGET", sizes[2])
+        assert run_all(tasks, _outcome_and_bits, jobs=3) == serial
+        assert forks == []
+
+    def test_the_lowest_raising_task_raises(self, forks, no_child_left):
+        def reduce(report):
+            if report.config.params.n != 3:
+                raise ValueError(f"task with n = {report.config.params.n}")
+            return report.outcome
+
+        with pytest.raises(ValueError, match="task with n = 1"):
+            run_all(_three_tasks(), reduce, jobs=2)
+        assert forks == [1]
+        no_child_left()
+
+    def test_no_task(self, forks):
+        assert run_all([], _outcome_and_bits, jobs=3) == []
+        assert forks == []
 
 
 def _unit_bump(r):

@@ -733,6 +733,15 @@ class TestBadInputsExitConfig:
         assert parse_and_dispatch(["decay-fit", str(csv)]) == EXIT_CONFIG
         assert "length differs from its header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, text", [("t", "t,l2\n1,0.5\nabc,0.4\n"),
+                                              ("l2", "t,l2\n1,0.5\n2,abc\n")], ids=["t", "l2"])
+    def test_decay_fit_names_a_cell_that_is_not_a_number(self, column, text, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        assert parse_and_dispatch(["decay-fit", str(csv)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"error: CSV {csv}, column {column!r}, line 3: 'abc' is not a number\n")
+
     def test_decay_fit_of_a_header_alone(self, tmp_path, capsys):
         csv, out = tmp_path / "header.csv", tmp_path / "fit.json"
         csv.write_text("t,l2\n")
