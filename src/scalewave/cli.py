@@ -101,8 +101,10 @@ def _coerce(key: str, value, target_type):
                 return False
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as a boolean")
     if target_type is list:
-        if isinstance(value, str):
-            value = json.loads(value)
+        try:
+            value = json.loads(value) if isinstance(value, str) else value
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"key {key!r}: cannot parse {value!r} as a list") from exc
         if not isinstance(value, list):
             raise ConfigError(f"key {key!r}: expected a list, got {value!r}")
         return [_coerce(key, v, float) for v in value]

@@ -186,13 +186,11 @@ def comparison_function(problem: OdiProblem, nu: float, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
-                  max_steps: int = MAX_STEPS):
+def integrate_odi(problem: OdiProblem, dt: float, t_max: float, max_steps: int = MAX_STEPS):
     """Integrate the equality version F'' = -k0/(1+t) F' + k1 (1+t)^alpha |F|^p.
 
     Classical fixed-step RK4 from (f0, df0); stops once F exceeds
-    BLOWUP_CUTOFF (numerical blow-up), t passes t_max (default 10x the life
-    span for the selected margin parameter), or max_steps is hit.
+    BLOWUP_CUTOFF (numerical blow-up), t passes t_max, or max_steps is hit.
     Returns (t, f, blowup_time) with blowup_time None if the cutoff
     was never reached; then the trajectory reached the horizon if
     t[-1] >= t_max, and stopped at the step cap otherwise.  F' is carried
@@ -200,8 +198,6 @@ def integrate_odi(problem: OdiProblem, dt: float, t_max: float | None = None,
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    if t_max is None:
-        t_max = 10.0 * life_span(problem, select_nu(problem))
     k1, alpha, p = problem.k1, problem.alpha, problem.p
     neg_k0 = -problem.k0
     cutoff = BLOWUP_CUTOFF  # a local: the loop reads it every step

@@ -1,7 +1,13 @@
+import functools
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 
 import scalewave.analysis
+import scalewave.lanes
 import scalewave.solver
 from scalewave.analysis import (
     GLOBAL_LOOKING,
@@ -164,18 +170,6 @@ class TestSweep:
         assert by_cell[(4.0, 1.0)].regime.global_existence_applicable
         assert by_cell[(1.5, 1.0)].regime.blowup_range_applicable
 
-    def test_parallel_matches_serial(self, forks):
-        # two jobs fork one lane before the first cell
-        grid = make_radial_grid(1, 12.0, 0.1)
-        base = ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0)
-        cfg = RunConfig(params=base, t_max=4.0, record_every=4)
-        serial = sweep(grid, [1.5, 2.0, 4.0], [0.5], cfg, _unit_bump)
-        parallel = sweep(grid, [1.5, 2.0, 4.0], [0.5], cfg, _unit_bump, jobs=2)
-        assert forks == [1]
-        assert [r.outcome for r in serial] == [r.outcome for r in parallel]
-        assert [r.blowup_time for r in serial] == [r.blowup_time for r in parallel]
-        assert serial == parallel
-
     def test_one_decay_fit_per_cell(self, monkeypatch):
         calls = []
         original = scalewave.analysis.fit_decay
@@ -208,19 +202,78 @@ def _three_tasks():
             (make_radial_grid(2, 30.0, 0.05), lambda r: 0.5 * _unit_bump(r), _unit_bump, massive)]
 
 
+def _scaled_bump(k, r):
+    # the data of task k of _tasks: (k + 1) / 10 times the unit bump
+    return 0.1 * (k + 1) * _unit_bump(r)
+
+
+def _tasks(count):
+    # ``count`` short nonlinear runs on one grid; task k's u0 is a partial whose
+    # ``args[0]`` is k, so a run tells which task it is
+    grid = make_radial_grid(1, 8.0, 0.1)
+    config = RunConfig(params=ModelParams(n=1, mu1=4.0, mu2sq=0.0, p=2.0), t_max=2.0,
+                       record_every=4)
+    return [(grid, functools.partial(_scaled_bump, k), lambda r: 0.0 * r, config)
+            for k in range(count)]
+
+
 def _outcome_and_bits(report):
     return report.outcome, report.samples.tobytes()
 
 
+def _patch_run(monkeypatch, before):
+    """Have each run, in any process, call ``before(k, in_lane)`` first, k being its task of
+    ``_tasks`` and ``in_lane`` whether the process is a forked lane."""
+    plain_run, parent = scalewave.analysis.run, os.getpid()
+
+    def patched(grid, u0, u1, config, progress=None):
+        before(u0.args[0], os.getpid() != parent)
+        return plain_run(grid, u0, u1, config, progress)
+
+    monkeypatch.setattr(scalewave.analysis, "run", patched)
+
+
+def _logging_run(monkeypatch, log, slow):
+    """Have every process append "pid k" to ``log`` as it starts task k, then sleep 0.3 s
+    before the run where ``slow(in_lane)`` holds."""
+    def before(k, in_lane):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {k}\n")
+        if slow(in_lane):
+            time.sleep(0.3)
+
+    _patch_run(monkeypatch, before)
+
+
+def _tasks_by_process(log) -> dict:
+    # {pid: the tasks that process started, in the order it started them}
+    started = {}
+    for line in log.read_text().splitlines():
+        pid, k = map(int, line.split())
+        started.setdefault(pid, []).append(k)
+    return started
+
+
 class TestRunAll:
+    """run_all's rules, on direct calls: the lanes' values are those of one process."""
+
     def test_lanes_return_what_one_process_returns(self, forks, no_child_left):
         tasks = _three_tasks()
         serial = run_all(tasks, _outcome_and_bits)
         assert forks == []
         assert run_all(tasks, _outcome_and_bits, jobs=3) == serial
-        assert forks == [2]
+        assert run_all(tasks, _outcome_and_bits, jobs=2) == serial
+        assert forks == [2, 1]
         assert [outcome for outcome, _ in serial] == [OUTCOME_COMPLETED] * 3
         no_child_left()
+
+    @pytest.mark.parametrize("count, jobs, lanes", [
+        (3, 64, 2), (2, 8, 1), (1, 8, 0), (0, 3, 0), (3, 1, 0)])
+    def test_lanes_never_outnumber_the_tasks_but_one(self, count, jobs, lanes, forks):
+        # this process runs tasks too, so one task, no task or one job forks nothing
+        tasks = _tasks(count)
+        assert run_all(tasks, _outcome_and_bits, jobs=jobs) == run_all(tasks, _outcome_and_bits)
+        assert forks == ([lanes] if lanes else [])
 
     def test_the_largest_task_caps_the_lanes(self, forks, monkeypatch):
         tasks = _three_tasks()
@@ -231,19 +284,135 @@ class TestRunAll:
         assert run_all(tasks, _outcome_and_bits, jobs=3) == serial
         assert forks == []
 
-    def test_the_lowest_raising_task_raises(self, forks, no_child_left):
-        def reduce(report):
-            if report.config.params.n != 3:
-                raise ValueError(f"task with n = {report.config.params.n}")
+    def test_lanes_fork_before_the_first_task(self, forks, monkeypatch):
+        # a task takes milliseconds, far below this lane-start cost, which only a run reads
+        monkeypatch.setattr(scalewave.lanes, "LANE_START_S", 10.0)
+        seen_here = []
+
+        def seeing(k, in_lane):
+            if in_lane:
+                time.sleep(0.2)  # so that this process takes a task too
+            else:
+                seen_here.append(list(forks))
+
+        _patch_run(monkeypatch, seeing)
+        run_all(_tasks(3), _outcome_and_bits, jobs=8)
+        assert forks == [2] and seen_here and all(seen == [2] for seen in seen_here)
+
+    def test_lanes_take_tasks_in_input_order(self, forks, tmp_path, monkeypatch):
+        # one pipe hands out every task, in input order; every process starts its
+        # tasks in that order, and each task runs once
+        log = tmp_path / "tasks.log"
+        # once lanes have forked, this process is slow, so the lanes start tasks too
+        _logging_run(monkeypatch, log, lambda in_lane: bool(forks) and not in_lane)
+        tasks = _tasks(8)
+        serial = run_all(tasks, _outcome_and_bits)
+        log.unlink()
+        assert run_all(tasks, _outcome_and_bits, jobs=3) == serial
+        assert forks == [2]
+        started = _tasks_by_process(log)
+        assert len(started) >= 2
+        for ks in started.values():
+            assert ks == sorted(ks)
+        assert sorted(k for ks in started.values() for k in ks) == list(range(8))
+
+    def test_this_process_stays_a_lane(self, forks, tmp_path, monkeypatch):
+        # a slow lane starts one task at most, and this process takes every task the
+        # lane has not taken
+        log = tmp_path / "tasks.log"
+        _logging_run(monkeypatch, log, lambda in_lane: in_lane)
+        assert len(run_all(_tasks(8), _outcome_and_bits, jobs=2)) == 8
+        assert forks == [1]
+        started = _tasks_by_process(log)
+        here = started.pop(os.getpid())
+        assert len(here) >= 7
+        assert sorted(here + [k for ks in started.values() for k in ks]) == list(range(8))
+
+    def test_lanes_reduce_under_the_callers_numpy_error_state(self, forks, tmp_path):
+        # a run ignores overflow; lanes forked inside one would inherit that state,
+        # and a RuntimeWarning in them would go unseen
+        caller, parent = np.geterr(), os.getpid()
+        reduced = tmp_path / "reduced.log"
+
+        def checking(report):
+            if np.geterr() != caller:
+                raise ValueError(f"reduced under {np.geterr()}")
+            if os.getpid() == parent:
+                time.sleep(0.2)  # so that the lane takes the other tasks
+            with open(reduced, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
             return report.outcome
 
-        with pytest.raises(ValueError, match="task with n = 1"):
-            run_all(_three_tasks(), reduce, jobs=2)
+        run_all(_tasks(4), checking, jobs=2)
         assert forks == [1]
+        assert {int(pid) for pid in reduced.read_text().split()} - {parent}
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_raising_task_raises_as_serially_and_leaves_no_lane(self, jobs, forks,
+                                                                   no_child_left):
+        # task 2's data are past the blow-up threshold; the other tasks are fine
+        tasks = _tasks(5)
+        grid, _, u1, config = tasks[2]
+        tasks[2] = (grid, lambda r: 1e140 * _unit_bump(r), u1, config)
+        with pytest.raises(ValueError, match="past the blow-up threshold") as serial:
+            run_all(tasks, _outcome_and_bits)
+        with pytest.raises(ValueError) as fanned:
+            run_all(tasks, _outcome_and_bits, jobs=jobs)
+        assert (type(fanned.value), str(fanned.value)) == (type(serial.value), str(serial.value))
+        assert forks == [jobs - 1]
         no_child_left()
 
-    def test_no_task(self, forks):
-        assert run_all([], _outcome_and_bits, jobs=3) == []
+    def test_the_lowest_raising_task_raises(self, forks, monkeypatch, no_child_left):
+        # task 2 raises late, in a lane, and task 3 at once: a serial loop raises task
+        # 2's error, and so do the lanes
+        def raising(k, in_lane):
+            if k == 1:
+                time.sleep(0.2)  # the first lane holds this task while the next take theirs
+            if k == 2:
+                time.sleep(0.3)
+                raise ValueError("task 2")
+            if k == 3:
+                raise ValueError("task 3")
+
+        _patch_run(monkeypatch, raising)
+        for jobs in (1, 3):
+            with pytest.raises(ValueError, match="^task 2$"):
+                run_all(_tasks(5), _outcome_and_bits, jobs=jobs)
+        assert forks == [2]
+        no_child_left()
+
+    def test_an_interrupt_leaves_no_lane(self, forks, monkeypatch, no_child_left):
+        # this process is interrupted in a later task while a lane sleeps in its own
+        def interrupted(k, in_lane):
+            if in_lane:
+                time.sleep(30.0)
+            elif k:
+                raise KeyboardInterrupt
+
+        _patch_run(monkeypatch, interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_all(_tasks(5), _outcome_and_bits, jobs=2)
+        assert forks == [1]
+        no_child_left()
+        assert time.perf_counter() - start < 10.0
+
+    def test_a_refused_fork_runs_the_tasks_here(self, forks, monkeypatch, no_child_left):
+        def refused():
+            raise BlockingIOError("no more processes")
+
+        tasks = _tasks(3)
+        serial = run_all(tasks, _outcome_and_bits)
+        monkeypatch.setattr(os, "fork", refused)
+        assert run_all(tasks, _outcome_and_bits, jobs=3) == serial
+        assert forks == [0]
+        no_child_left()
+
+    def test_no_lanes_off_linux(self, forks, monkeypatch):
+        tasks = _tasks(3)
+        serial = run_all(tasks, _outcome_and_bits)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert run_all(tasks, _outcome_and_bits, jobs=4) == serial
         assert forks == []
 
 

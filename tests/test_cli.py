@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -16,7 +15,6 @@ import pytest
 
 import scalewave.analysis
 import scalewave.cli
-import scalewave.lanes
 import scalewave.verify
 from scalewave.cli import (
     CSV_COLUMNS,
@@ -727,6 +725,18 @@ class TestBadInputsExitConfig:
         assert parse_and_dispatch(argv) == EXIT_CONFIG
         assert capsys.readouterr() == ("", error)
 
+    @pytest.mark.parametrize("route", ["--set", "--config"])
+    @pytest.mark.parametrize("key, text", [("p_values", "[1,"), ("amplitudes", "[0.5")])
+    def test_malformed_list_names_its_key_and_text(self, key, text, route, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        source = f"{key}={text}"
+        if route == "--config":
+            source = tmp_path / "cfg.json"
+            source.write_text(json.dumps({key: text}))
+        assert parse_and_dispatch(["sweep", route, str(source), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: key {key!r}: cannot parse {text!r} as a list\n")
+        assert not out.exists()
+
     def test_decay_fit_short_row(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"
         csv.write_text("t,l2\n1,0.5\n2\n")
@@ -1118,218 +1128,17 @@ class TestSweepJobs:
     ARGS = ["sweep", "--set", "p_values=[1.5,2.0,2.5]", "--set", "amplitudes=[1.0]",
             "--set", "t_max=2", "--set", "r_max=8", "--set", "dr=0.1"]
 
-    def test_lanes_never_outnumber_the_cells_left(self, forks, tmp_path):
-        # this process takes a cell too, so there is at most one lane for each cell
-        # but one, however many jobs are allowed
+    def test_raising_cell_exits_config_with_its_message(self, forks, tmp_path, capsys):
+        # the third cell's data are past the blow-up threshold: the error run_all raises
+        # (test_analysis.py::TestRunAll) is one line, and no CSV is written
         out = tmp_path / "sweep.csv"
-        assert parse_and_dispatch(self.ARGS + ["--jobs", "64", "--out", str(out)]) == EXIT_OK
-        assert forks == [2]
-        assert len(out.read_text().splitlines()) == 4
-
-    def test_lanes_fork_before_the_first_cell(self, forks, tmp_path, monkeypatch):
-        # each cell takes milliseconds, far below this lane-start cost, which only a
-        # run reads: the sweep forks its lanes before any cell runs
-        monkeypatch.setattr(scalewave.lanes, "LANE_START_S", 10.0)
-        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
-        assert parse_and_dispatch(self.ARGS + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
-        assert forks == []
-        assert parse_and_dispatch(self.ARGS + ["--jobs", "8", "--out", str(fanout)]) == EXIT_OK
-        assert forks == [2]
-        assert serial.read_bytes() == fanout.read_bytes()
-
-    def test_single_cell_forks_nothing(self, forks, tmp_path):
-        argv = self.ARGS[:2] + ["p_values=[2.0]"] + self.ARGS[3:]
-        out = tmp_path / "sweep.csv"
-        assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
-        assert forks == []
-
-    def test_one_cell_after_a_slow_first_goes_to_one_lane(self, forks, tmp_path):
-        # two cells fork one lane, which runs one cell while this process runs the other
-        argv = self.ARGS[:2] + ["p_values=[2.0,2.5]"] + self.ARGS[3:]
-        out = tmp_path / "sweep.csv"
-        assert parse_and_dispatch(argv + ["--jobs", "8", "--out", str(out)]) == EXIT_OK
-        assert forks == [1]
-        assert len(out.read_text().splitlines()) == 3
-
-    @staticmethod
-    def logging_run(monkeypatch, log, slow):
-        """Have every process append "pid p amplitude" to ``log`` as it starts a cell.
-
-        A process then sleeps 0.3 s before the cell runs where ``slow(in_lanes)``
-        holds, ``in_lanes`` being whether this is a forked lane.
-        """
-        plain_run = scalewave.analysis.run
-        parent = os.getpid()
-
-        def logged(grid, u0, u1, config, progress=None):
-            # unit Gaussian data, so u0(0) is the cell's amplitude
-            line = f"{os.getpid()} {config.params.p} {float(u0(np.zeros(1))[0])}\n"
-            with open(log, "a") as handle:
-                handle.write(line)
-            if slow(os.getpid() != parent):
-                time.sleep(0.3)
-            return plain_run(grid, u0, u1, config, progress)
-
-        monkeypatch.setattr(scalewave.analysis, "run", logged)
-
-    @staticmethod
-    def cells_by_process(log) -> dict:
-        started = {}
-        for line in log.read_text().splitlines():
-            pid, p, amplitude = line.split()
-            started.setdefault(int(pid), []).append((float(p), float(amplitude)))
-        return started
-
-    EIGHT_CELLS = (ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0]", "--set", "amplitudes=[0.5,1.0]"]
-                   + ARGS[5:])
-    CELLS = [(p, a) for p in (1.5, 2.0, 2.5, 3.0) for a in (0.5, 1.0)]
-
-    def test_lanes_take_cells_in_input_order(self, forks, tmp_path, monkeypatch):
-        # one pipe hands out every cell, in input order; every process starts its
-        # cells in that order, and each cell runs once
-        log = tmp_path / "cells.log"
-        # once lanes have forked, this process is slow, so the lanes start cells too
-        self.logging_run(monkeypatch, log, lambda in_lanes: bool(forks) and not in_lanes)
-        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
-        assert parse_and_dispatch(self.EIGHT_CELLS + ["--jobs", "1", "--out", str(serial)]) == 0
-        log.unlink()
-        assert parse_and_dispatch(self.EIGHT_CELLS + ["--jobs", "3", "--out", str(fanout)]) == 0
-        assert forks == [2]
-        started = self.cells_by_process(log)
-        assert len(started) >= 2
-        for cells in started.values():
-            assert cells == sorted(cells, key=self.CELLS.index)
-        assert sorted(cell for cells in started.values() for cell in cells) == self.CELLS
-        assert serial.read_bytes() == fanout.read_bytes()
-
-    def test_this_process_stays_a_lane(self, forks, tmp_path, monkeypatch):
-        # a slow lane: it starts one cell at most, and this process takes every cell
-        # the lane has not taken
-        log = tmp_path / "cells.log"
-        self.logging_run(monkeypatch, log, lambda in_lanes: in_lanes)
-        out = tmp_path / "sweep.csv"
-        assert parse_and_dispatch(self.EIGHT_CELLS + ["--jobs", "2", "--out", str(out)]) == 0
-        assert forks == [1]
-        started = self.cells_by_process(log)
-        here = started.pop(os.getpid())
-        assert len(here) >= 7
-        assert sorted(here + [cell for cells in started.values() for cell in cells]) == self.CELLS
-        assert len(out.read_text().splitlines()) == 9
-
-    def test_lanes_classify_under_the_callers_numpy_error_state(self, forks, tmp_path,
-                                                                monkeypatch):
-        # a run ignores overflow; lanes forked inside one would inherit that state,
-        # and a RuntimeWarning in them would go unseen
-        plain_classify = scalewave.analysis.classify_run
-        caller, parent = np.geterr(), os.getpid()
-        classified = tmp_path / "classified.log"
-
-        def checking_classify(report):
-            if np.geterr() != caller:
-                raise ValueError(f"classified under {np.geterr()}")
-            if os.getpid() == parent and report.config.params.p == 1.5:
-                time.sleep(0.2)  # so that the lanes take the other cells
-            with open(classified, "a") as handle:
-                handle.write(f"{os.getpid()}\n")
-            return plain_classify(report)
-
-        monkeypatch.setattr(scalewave.analysis, "classify_run", checking_classify)
-        argv = self.ARGS[:2] + ["p_values=[1.5,2.0,2.5,3.0]"] + self.ARGS[3:]
-        out = tmp_path / "sweep.csv"
-        assert parse_and_dispatch(argv + ["--jobs", "2", "--out", str(out)]) == EXIT_OK
-        assert forks == [1]
-        assert {int(pid) for pid in classified.read_text().split()} - {parent}
-
-    RAISING = ["sweep", "--set", "mu1=0", "--set", "p_values=[2.0]",
-               "--set", "amplitudes=[1.0,0.5,1e140,0.25,0.125]", "--set", "t_max=2",
-               "--set", "r_max=8", "--set", "dr=0.1"]
-
-    @pytest.mark.parametrize("jobs", ["2", "3"])
-    def test_raising_cell_exits_as_serially_and_leaves_no_lane(self, jobs, forks, tmp_path,
-                                                               capsys, no_child_left):
-        # the third cell's data are past the blow-up threshold; the other cells are fine
-        argv = self.RAISING + ["--out", str(tmp_path / "sweep.csv")]
-        assert parse_and_dispatch(argv + ["--jobs", "1"]) == EXIT_CONFIG
-        serial = capsys.readouterr()
-        assert serial.err.startswith("error: initial data past the blow-up threshold")
-        assert parse_and_dispatch(argv + ["--jobs", jobs]) == EXIT_CONFIG
-        assert capsys.readouterr() == serial
-        assert forks == [int(jobs) - 1]
-        no_child_left()
-        assert not (tmp_path / "sweep.csv").exists()
-
-    def test_lowest_raising_cell_wins(self, forks, tmp_path, monkeypatch, capsys,
-                                      no_child_left):
-        # the third cell raises late, in a lane, and the fourth at once: a serial
-        # sweep raises the third cell's error, and so do the lanes
-        plain_run = scalewave.analysis.run
-
-        def raising(grid, u0, u1, config, progress=None):
-            amplitude = float(u0(np.zeros(1))[0])
-            if amplitude == 0.5:
-                time.sleep(0.2)  # the first lane holds this cell while the next take theirs
-            if amplitude == 1e-3:
-                time.sleep(0.3)
-                raise ValueError("the third cell")
-            if amplitude == 0.25:
-                raise ValueError("the fourth cell")
-            return plain_run(grid, u0, u1, config, progress)
-
-        monkeypatch.setattr(scalewave.analysis, "run", raising)
-        argv = [arg.replace("1e140", "1e-3") for arg in self.RAISING]
-        assert parse_and_dispatch(argv + ["--jobs", "1"]) == EXIT_CONFIG
-        serial = capsys.readouterr()
-        assert serial.err == "error: the third cell\n"
-        assert parse_and_dispatch(argv + ["--jobs", "3"]) == EXIT_CONFIG
-        assert capsys.readouterr() == serial
-        assert forks == [2]
-        no_child_left()
-
-    def test_interrupt_leaves_no_lane(self, forks, tmp_path, monkeypatch, no_child_left):
-        # this process is interrupted in a later cell while a lane sleeps in its own
-        plain_run = scalewave.analysis.run
-        parent = os.getpid()
-
-        def interrupted(grid, u0, u1, config, progress=None):
-            if os.getpid() != parent:
-                time.sleep(30.0)
-            elif float(u0(np.zeros(1))[0]) != 1.0:
-                raise KeyboardInterrupt
-            return plain_run(grid, u0, u1, config, progress)
-
-        monkeypatch.setattr(scalewave.analysis, "run", interrupted)
-        start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            parse_and_dispatch(self.RAISING + ["--jobs", "2", "--out", str(tmp_path / "s.csv")])
-        assert forks == [1]
-        no_child_left()
-        assert time.perf_counter() - start < 10.0
-
-    def test_a_refused_fork_runs_the_cells_here(self, forks, tmp_path, monkeypatch,
-                                                no_child_left):
-        def refused():
-            raise BlockingIOError("no more processes")
-
-        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
-        assert parse_and_dispatch(self.ARGS + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
-        monkeypatch.setattr(os, "fork", refused)
-        assert parse_and_dispatch(self.ARGS + ["--jobs", "3", "--out", str(fanout)]) == EXIT_OK
-        assert forks == [0]
-        no_child_left()
-        assert serial.read_bytes() == fanout.read_bytes()
-
-    def test_one_job_runs_serially(self, forks, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert parse_and_dispatch(self.ARGS + ["--jobs", "1", "--out", str(out)]) == EXIT_OK
-        assert forks == []
-
-    def test_no_lanes_off_linux(self, forks, tmp_path, monkeypatch):
-        monkeypatch.setattr(sys, "platform", "darwin")
-        serial, fanout = tmp_path / "serial.csv", tmp_path / "fanout.csv"
-        assert parse_and_dispatch(self.ARGS + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
-        assert parse_and_dispatch(self.ARGS + ["--jobs", "4", "--out", str(fanout)]) == EXIT_OK
-        assert forks == []
-        assert serial.read_bytes() == fanout.read_bytes()
+        argv = ["sweep", "--set", "mu1=0", "--set", "p_values=[2.0]",
+                "--set", "amplitudes=[1.0,0.5,1e140,0.25,0.125]", "--set", "t_max=2",
+                "--set", "r_max=8", "--set", "dr=0.1", "--jobs", "2", "--out", str(out)]
+        assert parse_and_dispatch(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial data past the blow-up threshold")
+        assert err.count("\n") == 1 and forks == [1] and not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, jobs, forks):

@@ -3,12 +3,13 @@
 Each command's defaults dict is its config schema, so a config is drawn
 from it: one of its keys at an extreme of its default's type (+-0, the
 smallest subnormal, 1e308, the infinities, integers past 64 bits, empty
-lists, words no key takes), and up to two more keys at any value of their
-types.  The command runs in-process through ``parse_and_dispatch``, and
-the draws are derandomized.  Every command must exit 0, 2 or 3, no
-exception and no RuntimeWarning may escape (the ``error::RuntimeWarning``
-filter of pyproject.toml makes a warning raise), and a JSON report written
-on exit 0 must validate against ``report.schema.json``.
+lists, list text that is not JSON, words no key takes), and up to two more
+keys at any value of their types.  The command runs in-process through
+``parse_and_dispatch``, and the draws are derandomized.  Every command must
+exit 0, 2 or 3, no exception and no RuntimeWarning may escape (the
+``error::RuntimeWarning`` filter of pyproject.toml makes a warning raise),
+no other warning but a ``SupportViolationWarning`` may be given, and a JSON
+report written on exit 0 must validate against ``report.schema.json``.
 
 Only the cost is bounded: ``--jobs`` is 1 or 2, a list holds at most 3
 items, a ``simulate`` or ``sweep`` config that would be admitted is kept
@@ -23,6 +24,7 @@ import functools
 import io
 import json
 import math
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -36,7 +38,7 @@ from scalewave.cli import (
     CSV_COLUMNS, FIT_DEFAULTS, MODEL_DEFAULTS, ODI_DEFAULTS, SIMULATE_DEFAULTS, SWEEP_DEFAULTS,
     parse_and_dispatch,
 )
-from scalewave.solver import time_step
+from scalewave.solver import SupportViolationWarning, time_step
 from scalewave.verify import SUITES
 
 EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf)
@@ -67,7 +69,9 @@ def extreme_like(key: str, default):
     if isinstance(default, float):
         return st.sampled_from(EXTREME_FLOATS + HUGE_INTS)
     if isinstance(default, list):
-        return st.lists(extreme_like(key, default[0]), max_size=3)
+        # or text that is not JSON
+        return st.one_of(st.lists(extreme_like(key, default[0]), max_size=3),
+                         st.sampled_from(["[1,", "[0.5", "1]"]))
     return st.sampled_from(["", "cone"])
 
 
@@ -119,10 +123,17 @@ def work(tmp_path_factory):
 
 
 def dispatch(argv, out=None) -> None:
-    """Run one command in-process; check its exit code and, on exit 0, its JSON report."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    """Run one command in-process; check its exit code and, on exit 0, its JSON report.
+
+    The one warning a command may give is a ``SupportViolationWarning``, for data
+    reaching past the safe radius; a RuntimeWarning still raises.
+    """
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()),
+          warnings.catch_warnings(record=True) as caught):
         code = parse_and_dispatch(argv)
     assert code in (0, 2, 3), argv
+    assert all(issubclass(w.category, SupportViolationWarning) for w in caught), (
+        argv, [str(w.message) for w in caught])
     if code == 0 and out is not None:
         REPORT.validate(json.loads(out.read_text()))
 

@@ -11,7 +11,7 @@ from scalewave.grid import (
     surface_measure,
 )
 
-from frozen import parent_radial_derivative
+from frozen import parent_laplacian_apply, parent_radial_derivative
 
 
 class TestConstruction:
@@ -153,6 +153,31 @@ class TestLaplacian:
             u = np.where(np.arange(size) < m, 1.5 + np.cos(3.0 * g.r), 0.0)
             full = g.laplacian(u)
             assert g.laplacian(u[:m]).tobytes() == full[:m].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_frozen_operator_bitwise(self, n):
+        # laplacian, and laplacian_into on a row and a full-length scratch row holding
+        # NaN, against the frozen stencil: prefixes of signed values from 1e-300 to
+        # 1e300, a fifth of them +-0, +-inf or NaN.  Only a NaN's sign may differ: where
+        # the frozen last row adds -NaN to NaN, the live one, on Python floats, keeps
+        # the first operand's sign.
+        def bits(x):
+            return np.where(np.isnan(x), math.nan, x).tobytes()
+
+        g = make_radial_grid(n, 5.0, 0.05)
+        size = g.num_nodes
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            u = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+            picks = rng.random(size) < 0.2
+            u[picks] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], int(picks.sum()))
+            for m in (2, 3, 17, size // 2, size):
+                out, scratch = np.full(m, np.nan), np.full(size, np.nan)
+                with np.errstate(all="ignore"):
+                    want = parent_laplacian_apply(g, u[:m])
+                    g.laplacian_into(u[:m], 2.0 * u[:m], out, scratch)
+                    assert g.laplacian(u[:m]).tobytes() == out.tobytes()
+                assert bits(out) == bits(want)
 
     def test_prefix_length_checked(self):
         g = make_radial_grid(1, 1.0, 0.1)

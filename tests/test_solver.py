@@ -76,7 +76,7 @@ def c_p(p):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Levels:
-    # two consecutive levels as the frozen oracles step them: u_prev at t - dt, u_curr at t;
+    # two consecutive levels as reference_step steps them: u_prev at t - dt, u_curr at t;
     # nodes from ``active`` on are 0 in both (None: the whole grid may be nonzero)
     t: float
     dt: float
@@ -126,7 +126,8 @@ def run_levels(monkeypatch, grid, u0, u1, config):
 
 
 def reference_step(state, grid, config):
-    # the windowed step as it was before the source window and the carried sup
+    # the step oracle of the run loop: every term formed afresh, from the live
+    # grid.laplacian (pinned in test_grid.py) and the plain |u|**p
     params = config.params
     b, m_sq = coefficients(params, state.t)
     h = 0.5 * b * state.dt
@@ -139,67 +140,6 @@ def reference_step(state, grid, config):
         forcing = grid.laplacian(u_curr) - m_sq * u_curr
         if config.nonlinear:
             forcing = forcing + np.abs(u_curr) ** params.p
-        u_next[:width] = (
-            2.0 * u_curr
-            - u_prev
-            + h * u_prev
-            + state.dt**2 * forcing
-        ) / (1.0 + h)
-    u_next[-1] = 0.0
-    diverged = not bool(np.isfinite(u_next[:width]).all())
-    return Levels(
-        t=state.t + state.dt,
-        dt=state.dt,
-        u_prev=state.u_curr,
-        u_curr=u_next,
-        step_index=state.step_index + 1,
-        diverged=diverged,
-        active=width,
-    )
-
-
-def parent_laplacian_apply(grid, u):
-    # grid.laplacian_apply as it was before the per-run step kernel
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or not 2 <= u.size <= grid.num_nodes:
-        raise ValueError(f"expected 2 to {grid.num_nodes} nodal values, got shape {u.shape}")
-    n, dr, r = grid.n, grid.dr, grid.r[: u.size]
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
-    if n > 1:
-        out[1:-1] += (n - 1) * (u[2:] - u[:-2]) / (2.0 * dr * r[1:-1])
-    out[0] = 2.0 * n * (u[1] - u[0]) / dr**2
-    out[-1] = (-2.0 * u[-1] + u[-2]) / dr**2
-    if n > 1:
-        out[-1] += (n - 1) * (-u[-2]) / (2.0 * dr * r[-1])
-    return out
-
-
-def parent_power_source(u, p):
-    # solver._power_source as it was before the per-run step kernel
-    src = np.abs(u)
-    below = src < 2.0 ** (-1100.0 / p)  # NaN compares false, so it counts as inside
-    # one past the last node not below c_p (a numpy bool is the byte 0 or 1)
-    end = below.tobytes().rfind(b"\x00") + 1
-    src[end:] = 0.0
-    src[:end] **= p
-    return src
-
-
-def parent_step(state, grid, config):
-    # solver.step as it was before the per-run step kernel: the frozen oracle of the run loop
-    params = config.params
-    b, m_sq = coefficients(params, state.t)
-    h = 0.5 * b * state.dt
-    size = grid.num_nodes
-    width = size if state.active is None else min(max(state.active + 1, 2), size)
-    u_curr, u_prev = state.u_curr[:width], state.u_prev[:width]
-    u_next = np.zeros_like(state.u_curr)
-    # overflow here means the run is diverging; it is flagged below, not raised
-    with np.errstate(over="ignore", invalid="ignore"):
-        forcing = parent_laplacian_apply(grid, u_curr) - m_sq * u_curr
-        if config.nonlinear:
-            forcing = forcing + parent_power_source(u_curr, params.p)
         u_next[:width] = (
             2.0 * u_curr
             - u_prev
@@ -264,7 +204,7 @@ def reference_record(grid, params, t, u, u_t, frame_ok):
 
 def reference_run(grid, u0, u1, config):
     # (samples, outcome, blowup_time) of the run loop as it was before the
-    # recorder's active window, stepping with parent_step
+    # recorder's active window, stepping with reference_step
     params = config.params
     state = first_levels(grid, u0, u1, config)
     dt = state.dt
@@ -275,7 +215,7 @@ def reference_run(grid, u0, u1, config):
     outcome, blowup_time = OUTCOME_COMPLETED, None
     while True:
         final = state.step_index >= steps
-        nxt = parent_step(state, grid, config)
+        nxt = reference_step(state, grid, config)
         if state.step_index % config.record_every == 0 or final:
             if nxt.diverged:
                 u_t = (state.u_curr - state.u_prev) / dt
@@ -318,11 +258,11 @@ def written_levels(monkeypatch, grid, u0, u1, config):
     return levels
 
 
-def assert_parent_levels(levels, grid, u0, u1, config):
-    # the levels are those parent_step writes from the run's first levels on
+def assert_reference_levels(levels, grid, u0, u1, config):
+    # the levels are those reference_step writes from the run's first levels on
     st = first_levels(grid, u0, u1, config)
     for level in levels:
-        st = parent_step(st, grid, config)
+        st = reference_step(st, grid, config)
         assert level == st.u_curr.tobytes()
 
 
@@ -331,13 +271,13 @@ def reference_samples(grid, u0, u1, config):
 
 
 def blowup_states():
-    """Levels of a bump run past blow-up, by parent_step, until a few steps after it diverged."""
+    """Levels of a bump run past blow-up, by reference_step, until a few steps after it diverged."""
     g = make_radial_grid(1, 30.0, 0.05)
     cfg = RunConfig(params=params(mu1=4.0, p=2.0), t_max=20.0)
     st = first_levels(g, bump, bump, cfg)
     after = 0
     while after < 3:
-        st = parent_step(st, g, cfg)
+        st = reference_step(st, g, cfg)
         after += st.diverged
         yield g, cfg, st
 
@@ -687,7 +627,7 @@ class TestSourceWindow:
         cfg = RunConfig(params=params(mu1=4.0, p=4.0), t_max=30.0)
         st = first_levels(g, gaussian, zero, cfg)
         for _ in range(200):
-            st = parent_step(st, g, cfg)
+            st = reference_step(st, g, cfg)
         window = np.abs(st.u_curr[: st.active])
         tail = np.flatnonzero((window > 0.0) & (window < c_p(4.0)))
         index = {"front": 0, "tail": tail[tail.size // 2], "last": st.active - 1,
@@ -701,11 +641,11 @@ class TestSourceWindow:
 
     @staticmethod
     def assert_same_step(state, g, cfg):
-        # the kernel's level, window and divergence against the reference's, which steps on
+        # the kernel's level, window and sup against reference_step's levels, returned to step on
         out, width, sup = kernel_level(state, g, cfg)
         ref = reference_step(state, g, cfg)
-        assert out.tobytes() == ref.u_curr.tobytes()
-        assert (width, not math.isfinite(sup)) == (ref.active, ref.diverged)
+        assert out.tobytes() == ref.u_curr.tobytes() and width == ref.active
+        assert np.array_equal(sup, ref.sup, equal_nan=True)
         return ref
 
 
@@ -845,7 +785,7 @@ def negative_bump(r):
 
 
 class TestRunLoop:
-    """run() against the parent's step and sample loop, bit for bit."""
+    """run() against reference_run's step and sample loop, bit for bit."""
 
     @pytest.mark.parametrize("g, cfg, u0, u1, outcome", [
         pytest.param(make_radial_grid(1, 10.0, 0.05),
@@ -937,13 +877,13 @@ class TestRunLoop:
                                            (2, zero, zero)])
     def test_levels_match_parent_steps_bitwise(self, n, u0, u1, monkeypatch):
         # every written level, beyond the window too (signs of zeros included), is
-        # the level parent_step writes into a fresh array
+        # the level reference_step writes into a fresh array
         g = make_radial_grid(n, 12.0, 0.05)
         cfg = RunConfig(params=params(n=n, mu1=4.0, mu2sq=0.5, p=2.0), t_max=8.0,
                         cfl_safety=0.5, record_every=50)
         levels = written_levels(monkeypatch, g, u0, u1, cfg)
         assert len(levels) > 100  # the bump data blow up before t_max
-        assert_parent_levels(levels, g, u0, u1, cfg)
+        assert_reference_levels(levels, g, u0, u1, cfg)
 
     def test_two_runs_give_identical_bytes(self):
         g = make_radial_grid(3, 20.0, 0.05)
@@ -967,7 +907,7 @@ def coarse_negative_gaussian(r):
 class TestSharedPasses:
     """The step's shared passes: 2u formed once, the zero mass term skipped, |u+| reused.
 
-    Each test compares levels with parent_step, which forms every term afresh.
+    Each test compares levels with reference_step, which forms every term afresh.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -989,7 +929,7 @@ class TestSharedPasses:
         # the steps ran over a tail of negative subnormals
         first = np.frombuffer(levels[0])
         assert ((first < 0.0) & (first > -2.0**-1022)).any()
-        assert_parent_levels(levels, g, u0, zero, cfg)
+        assert_reference_levels(levels, g, u0, zero, cfg)
 
     @pytest.mark.parametrize("dr", [1.4, 1.5])
     def test_mass_pass_kept_where_the_laplacian_underflows(self, dr):
@@ -1012,7 +952,7 @@ class TestSharedPasses:
         laplacian = g.laplacian(written)[width]
         assert np.signbit(laplacian) and (laplacian == 0.0) == (g.row_divisor >= 2.0)
         st = Levels(t=1.0 + dt, dt=dt, u_prev=u_curr, u_curr=written, step_index=2)
-        assert later.tobytes() == parent_step(st, g, cfg).u_curr.tobytes()
+        assert later.tobytes() == reference_step(st, g, cfg).u_curr.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("nonlinear", [False, True])
@@ -1030,7 +970,7 @@ class TestSharedPasses:
             out = np.zeros(g.num_nodes)
             with np.errstate(over="ignore", invalid="ignore"):
                 _, sup = advance(st.t, u_prev, u_curr, out, st.active)
-            st = parent_step(st, g, cfg)
+            st = reference_step(st, g, cfg)
             assert out.tobytes() == st.u_curr.tobytes() and st.diverged
             assert np.array_equal(sup, st.sup, equal_nan=True)
             u_prev, u_curr = u_curr, out
@@ -1055,7 +995,7 @@ class TestSharedPasses:
             active = g.num_nodes if st.active is None else st.active
             out = np.zeros(g.num_nodes)
             advance(st.t, st.u_prev, u_curr, out, active)
-            nxt = parent_step(st, g, cfg)
+            nxt = reference_step(st, g, cfg)
             assert out.tobytes() == nxt.u_curr.tobytes()
             states[pick] = dataclasses.replace(nxt, u_curr=out,
                                                active=None if st.active is None else nxt.active)
@@ -1176,11 +1116,11 @@ class TestDetectBlowup:
 
     def test_stepped_state_carries_the_sup(self):
         # the kernel's sup is max |u+| over the whole level, NaN included: the one pass
-        # the rule reads, and the sup the frozen oracle carries
+        # the rule reads, and the sup reference_step carries
         for g, cfg, st in blowup_states():
             out, _, sup = kernel_level(st, g, cfg)
             assert np.array_equal(sup, np.max(np.abs(out)), equal_nan=True)
-            assert np.array_equal(sup, parent_step(st, g, cfg).sup, equal_nan=True)
+            assert np.array_equal(sup, reference_step(st, g, cfg).sup, equal_nan=True)
 
 
 class TestRun:
