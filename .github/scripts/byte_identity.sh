@@ -7,8 +7,9 @@
 # Each tree is a checkout whose src/ holds the scalewave package; the
 # commands run with PYTHONPATH pointing at that src/.  The list guards every
 # n = 1 command, the dimension whose outputs every change so far has kept
-# bit for bit, and `verify inequalities` in n = 2.  A change that means to
-# move n >= 2 outputs sees which of the seed<S>-n2 reports moved.
+# bit for bit, and `verify inequalities` in n = 2 and n = 3.  A change that
+# means to move n >= 2 outputs sees which of the seed<S>-n2 reports, and the
+# inequalities-n3 one, moved.
 set -euo pipefail
 
 base=$(cd "$1" && pwd)
@@ -126,6 +127,9 @@ commands() {
     # the largest quadrature term exponent of any passing setting measured, 527.3, just
     # below the e^600 past which the terms are summed scaled: those sums keep every bit
     sw verify inequalities --set mu1=4.6 --out inequalities-mu1-4.6.json
+    # the global theorem's case delta = 16 = (n+1)^2 in n = 3, whose largest term
+    # exponent, 637.8, is past e^600: the scaled sums keep every bit too
+    sw verify inequalities --set n=3 --set mu1=5 --out inequalities-n3-mu1-5.json
     sw verify bihari --out bihari.json
     sw odi --out odi.json
     # odi runs whose checked samples span many of the dominance check's slices: 49555

@@ -16,7 +16,9 @@ Each suite of ``scalewave verify`` is one entry of ``SUITES``: its config
 defaults, which are the schema the command line parses against, and a
 runner that takes the merged config and the seed and returns the suite's
 reports.  A runner raises ValueError for settings it cannot run; the
-inequality suite does so before it allocates a grid.
+inequality suite, which integrates on two grids its test family fixes
+(``INEQUALITY_GRID`` and ``INEQUALITY_WIDE_GRID``), does so before it
+allocates either.
 
 Two protocols deserve a note.
 
@@ -58,7 +60,6 @@ from .model import (
     weight_exponent_grad_sq,
     weight_exponent_laplacian,
 )
-from .solver import RUN_BYTES_BUDGET
 
 PSI_TOLERANCE = 1e-12
 ENERGY_TOLERANCE = 1e-10
@@ -68,6 +69,18 @@ FAMILY_BASES = 10
 FAMILY_DEGREES = (0, 1, 2, 3, 4)
 #: The range ``standard_family`` draws its members' widths from.
 FAMILY_WIDTHS = (0.35, 0.8)
+# The inequality suite's grids, as (r_max, dr).  The family fixes them, so they are
+# no settings: every member lies within r <= 8 (``standard_family``) and is at least
+# FAMILY_WIDTHS[0] = 0.35 wide, and the GN check dilates it by up to 1 + 9 = 10, to
+# within r <= 80.  The first grid spans five support radii, with 17.5 nodes across the
+# narrowest width; the wide grid, at twice the spacing, spans the most dilated support
+# twice.  A grid that cuts members short reads as a false inequality (r_max = 2 and 5
+# did), and a coarser one leaves the narrowest members between its nodes.
+INEQUALITY_GRID = (40.0, 0.02)
+INEQUALITY_WIDE_GRID = (160.0, 0.04)
+#: The largest n the inequality suite takes: from n = 141 on, r^(n-1) at the wide
+#: grid's last node overflows a float, and so do its quadrature weights.
+INEQUALITY_MAX_N = 140
 
 
 def _radial_laplacian(r, f_r, f_rr, n: int):
@@ -568,52 +581,26 @@ def _verify_identities(cfg: dict, seed: int) -> list:
     return checks
 
 
-# float64 arrays of a grid's length that the inequality suite holds at once, one
-# family member at a time: on the first grid 38 (its radii and weights, the weight
-# exponents of the 12 (sigma, t) cases and w_r of the 4 times, one member's jet with
-# its v^2 and v_r^2, and one case's quadrature; the embeddings, with the exponents of
-# the 4 times and one member's values, hold 13); on the wide grid, the first grid's
-# radii and weights and 24 of its own length (its radii and weights, one time's two
-# exponents, one dilated member's jet with its v_r^2 and |v|^q, and one quadrature).
-# tracemalloc measured 37.2 and 22.1 for n = 1, 2 and 3 at dr = 0.01.
-_INEQUALITY_ARRAYS = 38
-_INEQUALITY_WIDE_ARRAYS = 24
-
-
-def inequality_suite_bytes(nodes: int, wide_nodes: int) -> int:
-    """Bytes ``verify inequalities`` holds at once on grids of these node counts."""
-    first = nodes * _INEQUALITY_ARRAYS
-    wide = 2 * nodes + wide_nodes * _INEQUALITY_WIDE_ARRAYS
-    return 8 * max(first, wide)
-
-
 def _verify_inequalities(cfg: dict, seed: int) -> list:
-    params = ModelParams(n=cfg["n"], mu1=cfg["mu1"], mu2sq=cfg["mu2sq"], p=2.0)  # p is unread
-    n, r_max, dr = cfg["n"], cfg["r_max"], cfg["dr"]
-    if 2.0 * dr > FAMILY_WIDTHS[0]:
-        raise ValueError(f"dr = {dr} too coarse for verify inequalities: the wide grid's "
-                         f"spacing 2·dr passes the family's narrowest width {FAMILY_WIDTHS[0]}")
-    grid, wide = make_radial_grid(n, r_max, dr), make_radial_grid(n, 4.0 * r_max, 2.0 * dr)
-    need = inequality_suite_bytes(grid.num_nodes, wide.num_nodes)
-    if need > RUN_BYTES_BUDGET:
-        raise ValueError(
-            f"verify inequalities too large: {grid.num_nodes} nodes and {wide.num_nodes} on "
-            f"the wide grid would hold {need / 2**30:.4g} GiB, over the "
-            f"{RUN_BYTES_BUDGET / 2**30:g} GiB budget; coarsen dr or shorten r_max"
-        )
+    params = ModelParams(n=cfg["n"], mu1=cfg["mu1"], mu2sq=0.0, p=2.0)  # mu2sq and p are unread
+    n, sigma, q = cfg["n"], cfg["sigma"], cfg["q"]
+    if n > INEQUALITY_MAX_N:
+        raise ValueError(f"n = {n} too large for verify inequalities: its wide grid's quadrature "
+                         f"weights overflow a float past n = {INEQUALITY_MAX_N}")
     # the largest weight exponent the suite forms, on the wide grid at t = 0
-    q_sigma = cfg["q"] * cfg["sigma"]
-    if not math.isfinite(max(2.0, q_sigma) * params.mu1 * (4.0 * r_max) ** 2 / 2.0):
-        raise ValueError("weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
+    q_sigma, wide_r_max = q * sigma, INEQUALITY_WIDE_GRID[0]
+    if not math.isfinite(max(2.0, q_sigma) * params.mu1 * wide_r_max**2 / 2.0):
+        raise ValueError(f"weight exponent max(2, q·sigma)·mu1·{wide_r_max:g}²/2 of verify "
                          f"inequalities overflows at mu1 = {params.mu1}, q·sigma = {q_sigma:g}")
     # the GN check's refusals of sigma and q, before any array
-    _interpolation_exponent(n, cfg["sigma"], cfg["q"])
+    _interpolation_exponent(n, sigma, q)
+    grid, wide = make_radial_grid(n, *INEQUALITY_GRID), make_radial_grid(n, *INEQUALITY_WIDE_GRID)
     family = standard_family(seed=seed)
     sigmas = (0.25, 0.5, 1.0)
     times = (0.0, 1.0, 4.0, 9.0)
     checks = [check_weighted_gradient_bound(family, params, sigmas, times, grid),
-              *check_embeddings(family, params, cfg["sigma"], times, grid)]
-    checks.append(gn_ratio_check(family, params, cfg["sigma"], cfg["q"], times, wide))
+              *check_embeddings(family, params, sigma, times, grid)]
+    checks.append(gn_ratio_check(family, params, sigma, q, times, wide))
     return checks
 
 
@@ -633,12 +620,12 @@ def _verify_bihari(cfg: dict, seed: int) -> list:
     return checks
 
 
-_VERIFY_MODEL = {"n": 1, "mu1": 1.0, "mu2sq": 0.0}
 #: Each suite's config schema (its defaults) and runner, by name; a runner takes
-#: the merged config and the seed and returns the suite's CheckReports.
+#: the merged config and the seed and returns the suite's CheckReports.  A schema
+#: holds only what the suite's checks read: no inequality check reads mu2sq, and
+#: the inequality suite's grids are fixed (``INEQUALITY_GRID``).
 SUITES = {
-    "identities": (_VERIFY_MODEL, _verify_identities),
-    "inequalities": ({**_VERIFY_MODEL, "sigma": 0.5, "q": 4.0, "r_max": 40.0, "dr": 0.02},
-                     _verify_inequalities),
+    "identities": ({"n": 1, "mu1": 1.0, "mu2sq": 0.0}, _verify_identities),
+    "inequalities": ({"n": 1, "mu1": 1.0, "sigma": 0.5, "q": 4.0}, _verify_inequalities),
     "bihari": ({}, _verify_bihari),
 }

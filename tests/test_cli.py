@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from scalewave.checks import CheckReport
 from scalewave.grid import RadialGrid, make_radial_grid
 from scalewave.model import ModelParams
 from scalewave.solver import RunConfig, RunReport, run
-from scalewave.verify import SUITES, inequality_suite_bytes
+from scalewave.verify import INEQUALITY_MAX_N, INEQUALITY_WIDE_GRID, SUITES
 
 
 @pytest.fixture
@@ -579,8 +578,8 @@ SCHEMA = {
     # each cell runs one of p_values: there is no p of its own
     "sweep": {**_VERIFY_MODEL, **_RUN, **_GRID, **_DATA, "p_values": list, "amplitudes": list},
     "verify identities": _VERIFY_MODEL,
-    "verify inequalities": {**_VERIFY_MODEL, "sigma": float, "q": float, "r_max": float,
-                            "dr": float},
+    # its grids are fixed, and none of its checks reads mu2sq
+    "verify inequalities": {"n": int, "mu1": float, "sigma": float, "q": float},
     "verify bihari": {},
     "odi": {"k0": float, "k1": float, "alpha": float, "p": float, "f0": float,
             "df0": float, "dt": float},
@@ -633,7 +632,6 @@ class TestConfigSchema:
     CHEAP = {
         "simulate": ["--set", "t_max=1", "--set", "r_max=5", "--set", "dr=0.1"],
         "sweep": ["--set", "t_max=1", "--set", "r_max=5", "--set", "dr=0.1", "--jobs", "1"],
-        "verify inequalities": ["--set", "r_max=10", "--set", "dr=0.05"],
         "decay-fit": ["--set", "log_corrected=true", "--set", "mu1=4"],
     }
 
@@ -665,6 +663,30 @@ class TestConfigSchema:
         assert parse_and_dispatch(argv) == EXIT_OK
         assert schema == set(SCHEMA[command]) and schema <= read
 
+    # another valid value of each key of each verify suite
+    OTHER_VALUES = {
+        "identities": {"n": "2", "mu1": "2", "mu2sq": "1"},
+        "inequalities": {"n": "2", "mu1": "2", "sigma": "1", "q": "3"},
+        "bihari": {},
+    }
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_every_verify_key_moves_the_report(self, suite, tmp_path):
+        # a key the handler indexes only to hand to no check passes the test above (so
+        # did inequalities' mu2sq); a verify report echoes no config, so each key's other
+        # value must change the report's bytes or the exit code
+        assert set(self.OTHER_VALUES[suite]) == set(SUITES[suite][0])
+        out = tmp_path / "report.json"
+
+        def report(*sets):
+            out.unlink(missing_ok=True)
+            code = parse_and_dispatch(["verify", suite, *sets, "--out", str(out)])
+            return code, out.read_bytes() if out.exists() else None
+
+        default = report()
+        for key, value in self.OTHER_VALUES[suite].items():
+            assert report("--set", f"{key}={value}") != default, key
+
 
 class TestNonFiniteSettings:
     @pytest.mark.parametrize("argv", [
@@ -676,7 +698,6 @@ class TestNonFiniteSettings:
         ["info", "--set", "p=inf"],
         ["sweep", "--set", "p_values=[2.0, NaN]"],
         ["sweep", "--set", "p_values=[Infinity]"],
-        ["verify", "inequalities", "--set", "r_max=inf"],
     ])
     def test_rejected_as_config_error(self, argv, tmp_path, monkeypatch):
         # no --out: info then prints to stdout, and the others would write here
@@ -702,14 +723,9 @@ class TestNonFiniteSettings:
 
 
 class TestBadInputsExitConfig:
-    @pytest.mark.parametrize("sigma", ["0", "-0.5"])
-    def test_verify_sigma_outside_unit_interval(self, sigma, capsys):
-        argv = ["verify", "inequalities", "--set", f"sigma={sigma}"]
-        assert parse_and_dispatch(argv) == EXIT_CONFIG
-        assert "sigma must lie in (0, 1]" in capsys.readouterr().err
-
     @pytest.mark.parametrize("setting, error", [
         ("sigma=0", "error: sigma must lie in (0, 1], got 0.0\n"),
+        ("sigma=-0.5", "error: sigma must lie in (0, 1], got -0.5\n"),
         ("q=0", "error: q must be positive, got 0.0\n"),
         ("q=1", "error: q=1.0 gives interpolation exponent -0.5 outside [0, 1]\n"),
     ])
@@ -954,33 +970,21 @@ class TestBadInputsExitConfig:
         assert " nodes and " in err and " sample rows would preallocate " in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("setting", ["dr=1e-9", "r_max=1e12"])
-    def test_oversized_inequality_suite_rejected_before_any_allocation(self, setting, tmp_path,
-                                                                       monkeypatch, capsys,
-                                                                       no_grid_array):
-        # without the check, numpy raises MemoryError at the first grid array ("Unable
-        # to allocate 298. GiB" for dr=1e-9) and the command dies with a traceback
-        monkeypatch.chdir(tmp_path)
-        argv = ["verify", "inequalities", "--set", setting, "--out", "ineq.json"]
-        assert parse_and_dispatch(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: verify inequalities too large: ") and err.count("\n") == 1
-        assert " GiB budget; coarsen dr or shorten r_max" in err
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("setting, reason", [
-        # the wide grid's spacing 2 dr passes the family's narrowest width 0.35, and the
-        # suite would read a grid too coarse for its members as a false inequality
-        # (dr = 10 gave three FAILs)
-        ("dr=0.18", "dr = 0.18 too coarse for verify inequalities: "),
-        ("dr=10", "dr = 10.0 too coarse for verify inequalities: "),
+        # the wide grid's weights r^(n-1) overflow (with q = 2, numpy warned and the GN
+        # check read FAIL with worst=inf), and from n = 344 Gamma(n/2) too (a value
+        # overflowed); n is refused first, so at the default q too
+        ("n=141", "n = 141 too large for verify inequalities: its wide grid's quadrature "
+                  "weights overflow a float past n = 140"),
+        ("n=344", "n = 344 too large for verify inequalities: its wide grid's quadrature "
+                  "weights overflow a float past n = 140"),
         # the weight exponent overflows a float (numpy warned, and every check skipped)
-        ("mu1=1e304", "weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
+        ("mu1=1e304", "weight exponent max(2, q·sigma)·mu1·160²/2 of verify "
                       "inequalities overflows at mu1 = 1e+304, q·sigma = 2"),
-        ("mu1=1e308", "weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
+        ("mu1=1e308", "weight exponent max(2, q·sigma)·mu1·160²/2 of verify "
                       "inequalities overflows at mu1 = 1e+308, q·sigma = 2"),
-        ("q=1e308", "weight exponent max(2, q·sigma)·mu1·(4·r_max)²/2 of verify "
+        ("q=1e308", "weight exponent max(2, q·sigma)·mu1·160²/2 of verify "
                     "inequalities overflows at mu1 = 1.0, q·sigma = 5e+307"),
     ])
     def test_inequality_setting_no_check_can_use_rejected_before_any_grid(
@@ -993,32 +997,21 @@ class TestBadInputsExitConfig:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("setting", ["dr=0.175", "mu1=1e303"])
-    def test_inequality_settings_at_the_edge_run_clean(self, setting, tmp_path, capsys):
-        # the coarsest dr and the largest mu1 the suite takes: no warning, and no FAIL
+    @pytest.mark.parametrize("sets", [["--set", "n=140", "--set", "q=2"], ["--set", "mu1=1e303"]],
+                             ids=["n=140-q=2", "mu1=1e303"])
+    def test_inequality_settings_at_the_edge_run_clean(self, sets, tmp_path, capsys):
+        # the largest n and the largest mu1 the suite takes: no warning, and no FAIL
         out = tmp_path / "ineq.json"
-        argv = ["verify", "inequalities", "--set", setting, "--out", str(out)]
+        argv = ["verify", "inequalities", *sets, "--out", str(out)]
         assert parse_and_dispatch(argv) == EXIT_OK
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_inequality_suite_bytes_bound_the_suites_peak(self, n):
-        # the estimate that gates the suite holds what it allocates, and not much more
-        defaults, suite = SUITES["inequalities"]
-        cfg = dict(defaults, n=n, dr=0.01)
-        nodes = make_radial_grid(n, cfg["r_max"], cfg["dr"]).num_nodes
-        wide_nodes = make_radial_grid(n, 4.0 * cfg["r_max"], 2.0 * cfg["dr"]).num_nodes
-        estimate = inequality_suite_bytes(nodes, wide_nodes)
-        # the first generator imports numpy.random's lazy modules (secrets, hashlib, ...),
-        # about 690 KB that are no part of the suite: import them before tracing starts
-        np.random.default_rng(0)
-        tracemalloc.start()
-        try:
-            suite(cfg, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= estimate <= 1.2 * peak
+    def test_inequality_max_n_is_the_last_with_finite_wide_weights(self):
+        def finite(n):
+            with np.errstate(over="ignore"):
+                return np.isfinite(make_radial_grid(n, *INEQUALITY_WIDE_GRID).quad_weights).all()
+
+        assert finite(INEQUALITY_MAX_N) and not finite(INEQUALITY_MAX_N + 1)
 
     @pytest.mark.parametrize("argv", [
         # width-3 Gaussian data at mu1 = 40: e^{2W} u^2 passes e^600 at t = s

@@ -13,10 +13,9 @@ report written on exit 0 must validate against ``report.schema.json``.
 
 Only the cost is bounded: ``--jobs`` is 1 or 2, a list holds at most 3
 items, a ``simulate`` or ``sweep`` config that would be admitted is kept
-only when its steps times nodes over all cells stay small, a ``verify
-inequalities`` grid only when it is no larger than the default's, and
-``odi`` integrates at most ``ODI_STEPS`` RK4 steps (``odi.solve``'s own
-step cap, lowered).
+only when its steps times nodes over all cells stay small, and ``odi``
+integrates at most ``ODI_STEPS`` RK4 steps (``odi.solve``'s own step cap,
+lowered).
 """
 
 import contextlib
@@ -45,9 +44,6 @@ EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf
 HUGE_INTS = (10**30, -(10**30))
 # steps times nodes, over every cell, of the simulate and sweep runs that are kept
 RUN_COST = 400_000
-INEQUALITY_DEFAULTS = SUITES["inequalities"][0]
-# nodes of the verify inequalities grids that are kept: as many as the default's
-INEQUALITY_NODES = INEQUALITY_DEFAULTS["r_max"] / INEQUALITY_DEFAULTS["dr"]
 ODI_STEPS = 4000
 _SCHEMA = json.loads(resources.files("scalewave").joinpath("schemas/report.schema.json").read_text())
 # the validator of report.schema.json, built once
@@ -190,15 +186,8 @@ def test_verify_identities(sets, seed, work):
 
 
 @fuzz(50)
-@given(sets=overrides(INEQUALITY_DEFAULTS), seed=SEEDS)
+@given(sets=overrides(SUITES["inequalities"][0]), seed=SEEDS)
 def test_verify_inequalities(sets, seed, work):
-    try:
-        cfg = cli.load_config(INEQUALITY_DEFAULTS, None, sets[1::2])
-        nodes = cfg["r_max"] / cfg["dr"]
-    except Exception:
-        nodes = 0.0
-    # past about 1e7 nodes the suite is refused before it builds a grid
-    assume(not INEQUALITY_NODES < nodes < 1e8)
     verify("inequalities", sets, seed, work)
 
 
