@@ -8,11 +8,13 @@ the weight may be astronomically large wherever the integrand is not.
 Overflow is judged on that combined exponent, never on the weight alone.
 The one rule: past a budget, the terms are summed relative to the largest
 one and scaled back, so a weighted integral is represented up to the float
-range and is +inf beyond it; nothing raises.  The recorder records such a
-norm as +inf at every sample of a run, the first included, so data the
-weight cannot represent still run and only their weighted columns say so;
-the verify suites leave out a case whose weighted integrals are not all
-finite, with a note.
+range and is +inf beyond it; nothing raises or warns.  Terms within the
+budget are scaled the same way where the quadrature weights, huge in high
+dimension, could carry their sum past the float range.  The recorder
+records such a norm as +inf at every sample of a run, the first included,
+so data the weight cannot represent still run and only their weighted
+columns say so; the verify suites leave out a case whose weighted
+integrals are not all finite, with a note.
 
 The recorder's three weighted quantities, the L2 norm of u, the norm of
 the pair (grad u, u_t) and the energy, all integrate squares against
@@ -71,6 +73,7 @@ from .model import ModelParams, RegimeError, discriminant, weight_exponent
 # Largest term exponent summed as it is; past it the terms are summed relative to
 # the largest and scaled back, since exp(709.8) overflows a float.
 EXPONENT_BUDGET = 600.0
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def weighted_quadrature(grid: RadialGrid, expo, density) -> float:
@@ -111,7 +114,9 @@ def _log_quadrature(weights: np.ndarray, expo: np.ndarray, density: np.ndarray,
     terms = terms[:density.size]
     np.add(expo, np.log(density, terms), terms)
     peak = float(np.maximum.reduce(terms)) if terms.size else -math.inf
-    if not peak > EXPONENT_BUDGET:
+    # a grid's weights grow with r up to its halved last one: none is over twice the last
+    if not peak > EXPONENT_BUDGET and not (
+            terms.size and 2.0 * terms.size * weights.item(-1) * math.exp(peak) > _FLOAT_MAX):
         return float(weights @ np.exp(terms, terms))
     if peak == math.inf:
         return math.inf

@@ -17,6 +17,7 @@ from scalewave.functionals import (
 )
 from scalewave.grid import integrate, make_radial_grid, radial_derivative_into
 from scalewave.model import ModelParams, RegimeError, coefficients, weight_exponent
+from scalewave.verify import INEQUALITY_WIDE_GRID
 
 
 def params(n=1, mu1=1.0, mu2sq=0.0, p=2.0):
@@ -81,6 +82,23 @@ class TestPastTheBudget:
         want = float(g.quad_weights[density != 0.0] @ np.exp(terms))
         assert _log_quadrature(g.quad_weights, expo, density) == want
         assert weighted_quadrature(g, expo, density) == want
+
+    @pytest.mark.parametrize("log_sum", [705.0, 712.0])
+    @pytest.mark.parametrize("n", [30, 140])
+    def test_heavy_weights_within_the_budget_are_summed_scaled(self, n, log_sum):
+        # on the verify suite's wide grid the weights reach 1e64 (n = 30) and 1e241 (n = 140):
+        # terms within the budget whose sum is e^log_sum, just inside or past the float
+        # range, are summed relative to the largest and scaled back, with no warning
+        g = make_radial_grid(n, *INEQUALITY_WIDE_GRID)
+        expo = np.full(g.num_nodes, log_sum - math.log(math.fsum(g.quad_weights)))
+        got = weighted_quadrature(g, expo, np.ones(g.num_nodes))
+        assert expo[0] < EXPONENT_BUDGET
+        if log_sum < 709.7:
+            assert got == pytest.approx(math.exp(log_sum), rel=1e-12)
+            half = math.exp(0.5 * expo[0])
+            assert got == float(g.quad_weights @ np.exp(expo - expo[0])) * half * half
+        else:
+            assert got == math.inf
 
     def test_infinite_or_unrepresentable_integral_is_inf(self):
         g = make_radial_grid(1, 4.0, 1.0)
