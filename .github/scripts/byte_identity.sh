@@ -132,11 +132,14 @@ commands() {
     sw verify inequalities --set n=3 --set mu1=5 --out inequalities-n3-mu1-5.json
     sw verify bihari --out bihari.json
     sw odi --out odi.json
-    # odi runs whose checked samples span many of the dominance check's slices: 49555
-    # samples at dt = 1e-4, blowing up at t = 4.96 before the life span of 7.64, and
-    # 82242 at the default dt, blowing up at t = 4.62 before 5.62
+    # odi runs whose checked samples span many of the trajectory's chunks of 4096,
+    # folded into the dominance check one at a time: 49555 samples at dt = 1e-4,
+    # blowing up at t = 4.96 before the life span of 7.64, and 82242 at the default
+    # dt, blowing up at t = 4.62 before 5.62
     sw odi --set k0=2 --set alpha=-1 --set p=2 --set dt=1e-4 --out odi-dt.json
     sw odi --set alpha=-0.5 --set p=2 --out odi-alpha.json
+    # and one that never leaves the first chunk: 15 samples, blowing up at t = 7.5
+    sw odi --set dt=0.5 --out odi-one-chunk.json
     sw info --set mu1=4 --set p=2 --out info.json
     # delta < 0: no sqrt(delta), no p_crit and a null decay table
     sw info --set mu1=1 --set mu2sq=1 --out info-negative.json

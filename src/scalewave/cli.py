@@ -318,8 +318,7 @@ def _cmd_odi(args) -> int:
     cfg = load_config(ODI_DEFAULTS, args.config, args.set)
     problem = OdiProblem(k0=cfg["k0"], k1=cfg["k1"], alpha=cfg["alpha"], p=cfg["p"],
                          f0=cfg["f0"], df0=cfg["df0"])
-    dt = cfg["dt"] if cfg["dt"] > 0.0 else None
-    solution = solve(problem, dt)
+    solution = solve(problem, cfg["dt"] or None)  # dt = 0: the automatic step
     check = comparison_check(solution)
     payload = _report_header("odi")
     payload["problem"] = asdict(problem)

@@ -35,14 +35,10 @@ A step ends unless ``(f - f) + (df - df) == 0.0 and f <= cutoff``: x - x is
 when both are finite, and for a finite f, ``f <= cutoff`` fails exactly when
 ``f > cutoff`` holds.
 
-Memory is 16 bytes a step: 8 for F and 8 for the times, which are rebuilt
-in place in their own buffer, so about 320 MB at the MAX_STEPS cap.
-``comparison_check`` streams over the trajectory in slices of CHECK_CHUNK
-samples, so its temporaries do not grow with it.  The chunking keeps every
-bit: each sample's deficit (G - F)/G takes the same operations on the same
-operands, a chunk's maximum is one of its deficits, and np.maximum combines
-the chunk maxima to the largest deficit, or to NaN if any deficit is NaN, as
-np.max over the whole prefix does.
+Memory does not grow with the steps: ``solve`` folds each chunk of
+CHECK_CHUNK samples into the dominance check as it comes.  That keeps every
+bit: a chunk's largest deficit (G - F)/G is one of its deficits, and
+np.maximum combines them as np.max over the whole trajectory does, NaN too.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ from .checks import CheckReport
 
 BLOWUP_CUTOFF = 1e12
 COMPARISON_SLACK = 1e-6
-# samples per slice of comparison_check's streamed maximum
+# samples per chunk of the trajectory
 CHECK_CHUNK = 4096
 MAX_STEPS = 20_000_000
 # why an integrated trajectory ends
@@ -186,18 +182,15 @@ def comparison_function(problem: OdiProblem, nu: float, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def integrate_odi(problem: OdiProblem, dt: float, t_max: float, max_steps: int = MAX_STEPS):
+def _trajectory(problem: OdiProblem, dt: float, t_max: float, max_steps: int):
     """Integrate the equality version F'' = -k0/(1+t) F' + k1 (1+t)^alpha |F|^p.
 
     Classical fixed-step RK4 from (f0, df0); stops once F exceeds
     BLOWUP_CUTOFF (numerical blow-up), t passes t_max, or max_steps is hit.
-    Returns (t, f, blowup_time) with blowup_time None if the cutoff
-    was never reached; then the trajectory reached the horizon if
-    t[-1] >= t_max, and stopped at the step cap otherwise.  F' is carried
-    from step to step but not kept: no caller reads it.
+    Yields (t, f) chunks of CHECK_CHUNK samples, the last shorter, and returns
+    the blow-up time, None if the cutoff was never reached.  F' is carried
+    from step to step but not kept.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
     k1, alpha, p = problem.k1, problem.alpha, problem.p
     neg_k0 = -problem.k0
     cutoff = BLOWUP_CUTOFF  # a local: the loop reads it every step
@@ -206,71 +199,88 @@ def integrate_odi(problem: OdiProblem, dt: float, t_max: float, max_steps: int =
     # imported here: the module maps about 0.14 MB that only a trajectory needs
     from array import array
 
-    # the float64 buffer F is returned a view of, 8 bytes a step
-    fs = array("d", [problem.f0])
-    append_f = fs.append
     t, f, df = 0.0, problem.f0, problem.df0
     # acceleration coefficients at the step's start: -k0/(1+t) and k1 (1+t)^alpha
     damp, gain = neg_k0 / (1.0 + t), k1 * (1.0 + t) ** alpha
-    blowup_time = None
-    for _ in range(max_steps):
-        if not t < t_max:
-            break
-        t_next = t + dt
-        # each stage value x is powered as |x|^p, spelled so that x > 0 skips abs()
-        try:
-            k1d = damp * df + gain * (f if f > 0.0 else abs(f)) ** p
-            mid = 1.0 + (t + half)
-            damp_mid, gain_mid = neg_k0 / mid, k1 * mid ** alpha
-            k2f = df + half * k1d
-            x = f + half * df
-            k2d = damp_mid * k2f + gain_mid * (x if x > 0.0 else abs(x)) ** p
-            k3f = df + half * k2d
-            x = f + half * k2f
-            k3d = damp_mid * k3f + gain_mid * (x if x > 0.0 else abs(x)) ** p
-            k4f = df + dt * k3d
-            end = 1.0 + t_next
-            damp, gain = neg_k0 / end, k1 * end ** alpha
-            x = f + dt * k3f
-            k4d = damp * k4f + gain * (x if x > 0.0 else abs(x)) ** p
-        except OverflowError:
-            # a stage value left the float range: the step is blowing up
-            blowup_time = t_next
-            break
-        f = f + sixth * (df + 2.0 * k2f + 2.0 * k3f + k4f)
-        df = df + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        t = t_next
-        # x - x is 0.0 only for a finite x: NaN and the infinities fail the sum
-        if not ((f - f) + (df - df) == 0.0 and f <= cutoff):
-            blowup_time = t
-            break
-        append_f(f)
-    # the times t = t + dt from 0, rebuilt in place: accumulate adds in sequence,
-    # so bit for bit, and needs no second buffer
-    times = np.full(len(fs), dt)
-    times[0] = 0.0
-    return np.add.accumulate(times, out=times), np.frombuffer(fs), blowup_time
+    blowup_time, left = None, max_steps
+    # the chunk's first time, and the float64 buffer of its F
+    first, fs = t, array("d", [f])
+    while True:
+        append_f = fs.append
+        run = min(CHECK_CHUNK - len(fs), left)
+        left -= run
+        for _ in range(run):
+            if not t < t_max:
+                break
+            t_next = t + dt
+            # each stage value x is powered as |x|^p, spelled so that x > 0 skips abs()
+            try:
+                k1d = damp * df + gain * (f if f > 0.0 else abs(f)) ** p
+                mid = 1.0 + (t + half)
+                damp_mid, gain_mid = neg_k0 / mid, k1 * mid ** alpha
+                k2f = df + half * k1d
+                x = f + half * df
+                k2d = damp_mid * k2f + gain_mid * (x if x > 0.0 else abs(x)) ** p
+                k3f = df + half * k2d
+                x = f + half * k2f
+                k3d = damp_mid * k3f + gain_mid * (x if x > 0.0 else abs(x)) ** p
+                k4f = df + dt * k3d
+                end = 1.0 + t_next
+                damp, gain = neg_k0 / end, k1 * end ** alpha
+                x = f + dt * k3f
+                k4d = damp * k4f + gain * (x if x > 0.0 else abs(x)) ** p
+            except OverflowError:
+                # a stage value left the float range: the step is blowing up
+                blowup_time = t_next
+                break
+            f = f + sixth * (df + 2.0 * k2f + 2.0 * k3f + k4f)
+            df = df + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            t = t_next
+            # x - x is 0.0 only for a finite x: NaN and the infinities fail the sum
+            if not ((f - f) + (df - df) == 0.0 and f <= cutoff):
+                blowup_time = t
+                break
+            append_f(f)
+        if fs:
+            # t = t + dt from the chunk's first time, summed in place: accumulate
+            # adds in sequence, so these are the loop's t bit for bit
+            times = np.full(len(fs), dt)
+            times[0] = first
+            yield np.add.accumulate(times, out=times), np.frombuffer(fs)
+        if not (left and t < t_max and blowup_time is None):
+            return blowup_time
+        first, fs = t + dt, array("d")
 
 
 @dataclass
 class OdiSolution:
-    """Selected margin parameter, life span, and the integrated trajectory."""
+    """Margin parameter, life span, and how F compared with G."""
 
     problem: OdiProblem
     nu: float
     life_span: float
-    t: np.ndarray
-    f: np.ndarray
     blowup_time: float | None
     stop: str  # STOP_BLOWUP, STOP_HORIZON or STOP_STEP_CAP
+    n_cases: int  # samples before the life span, each checked
+    worst: float  # largest (G - F)/G over them, NaN if any is
 
-    def comparison_at(self, t):
-        return comparison_function(self.problem, self.nu, t)
+
+def _fold(problem: OdiProblem, nu: float, cut: float, worst, count: int, t, f):
+    """Fold a chunk's samples before cut into the running (worst, count).
+
+    np.maximum merges their largest (G - F)/G in, so a NaN stays.  A first
+    chunk with none raises numpy's zero-size ValueError; a later one adds none.
+    """
+    k = int(np.searchsorted(t, cut))
+    if k or not count:
+        g = comparison_function(problem, nu, t[:k])
+        worst = np.maximum(worst, np.max((g - f[:k]) / g))
+    return worst, count + k
 
 
 def solve(problem: OdiProblem, dt: float | None = None,
           max_steps: int = MAX_STEPS) -> OdiSolution:
-    """Select the margin parameter, build the comparison data, integrate the trajectory.
+    """Select the margin parameter, integrate the trajectory and compare it with G.
 
     The default step resolves both the damping layer near t = 0 (absolute
     cap 1e-3) and the approach to the life span.  The trajectory runs to
@@ -281,49 +291,37 @@ def solve(problem: OdiProblem, dt: float | None = None,
     t0 = life_span(problem, nu)
     if dt is None:
         dt = min(1e-3, t0 / 1e5)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     horizon = 10.0 * t0
-    t, f, blowup_time = integrate_odi(problem, dt, t_max=horizon, max_steps=max_steps)
-    if blowup_time is not None:
-        stop = STOP_BLOWUP
-    else:
-        stop = STOP_HORIZON if t[-1] >= horizon else STOP_STEP_CAP
-    return OdiSolution(problem=problem, nu=nu, life_span=t0, t=t, f=f,
-                       blowup_time=blowup_time, stop=stop)
-
-
-def _max_deficit(solution: OdiSolution, start: int, count: int):
-    """Largest (G - F)/G over CHECK_CHUNK samples from start, none past count; NaN if any is."""
-    chunk = slice(start, min(start + CHECK_CHUNK, count))
-    g = solution.comparison_at(solution.t[chunk])
-    return np.max((g - solution.f[chunk]) / g)
+    # Samples before the life span are checked.  A cut at the blow-up time B
+    # too would remove none: the last sample is dt below B, and 1e-12 * B < dt
+    # for any max_steps below about 1e11.
+    cut = t0 * (1.0 - 1e-12)
+    chunks = _trajectory(problem, dt, horizon, max_steps)
+    worst, count = -math.inf, 0
+    try:
+        while True:
+            t, f = next(chunks)
+            worst, count = _fold(problem, nu, cut, worst, count, t, f)
+    except StopIteration as done:
+        blowup_time = done.value
+    stop = (STOP_BLOWUP if blowup_time is not None
+            else STOP_HORIZON if t[-1] >= horizon else STOP_STEP_CAP)
+    return OdiSolution(problem=problem, nu=nu, life_span=t0, blowup_time=blowup_time,
+                       stop=stop, n_cases=count, worst=float(worst))
 
 
 def comparison_check(solution: OdiSolution) -> CheckReport:
-    """Assert F(t) >= G(t)*(1 - COMPARISON_SLACK) at all samples before min(blow-up, life span).
+    """Assert F(t) >= G(t)*(1 - COMPARISON_SLACK) at all samples before the life span.
 
-    Checks the trajectory of an already solved problem (see ``solve``); G is
-    positive, so the deficit is relative to G.  The times never decrease, so
-    the samples checked are a prefix; its deficits are formed CHECK_CHUNK at a
-    time, and a NaN deficit makes the worst NaN, as np.max over it would.
+    Reports what ``solve`` folded along the trajectory; G is positive, so
+    the deficit is relative to G.
     """
     blowup_time = solution.blowup_time
-    limit = solution.life_span if blowup_time is None else min(blowup_time, solution.life_span)
-    count = int(np.searchsorted(solution.t, limit * (1.0 - 1e-12)))
-    # the first slice alone is taken by np.max, which rejects an empty prefix
-    deficit = _max_deficit(solution, 0, count)
-    for start in range(CHECK_CHUNK, count, CHECK_CHUNK):
-        deficit = np.maximum(deficit, _max_deficit(solution, start, count))
-    notes = [
-        f"nu={solution.nu:.12g}",
-        f"life_span={solution.life_span:.12g}",
-        "trajectory blow-up at "
-        + (f"{blowup_time:.12g}" if blowup_time is not None
-           else f"none ({solution.stop} reached)"),
-    ]
-    return CheckReport(
-        check_id="odi-comparison-dominance",
-        n_cases=count,
-        worst=float(deficit),
-        tolerance=COMPARISON_SLACK,
-        notes=notes,
-    )
+    stopped = (f"{blowup_time:.12g}" if blowup_time is not None
+               else f"none ({solution.stop} reached)")
+    notes = [f"nu={solution.nu:.12g}", f"life_span={solution.life_span:.12g}",
+             f"trajectory blow-up at {stopped}"]
+    return CheckReport(check_id="odi-comparison-dominance", n_cases=solution.n_cases,
+                       worst=solution.worst, tolerance=COMPARISON_SLACK, notes=notes)

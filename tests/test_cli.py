@@ -753,6 +753,23 @@ class TestBadInputsExitConfig:
         assert capsys.readouterr() == ("", f"error: key {key!r}: cannot parse {text!r} as a list\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["dt=-0.5", "dt=-5e-324"])
+    def test_odi_negative_dt(self, setting, tmp_path, capsys):
+        # it ran silently with the automatic step, exit 0 and the default's report
+        out = tmp_path / "odi.json"
+        assert parse_and_dispatch(["odi", "--set", setting, "--out", str(out)]) == EXIT_CONFIG
+        value = float(setting.partition("=")[2])
+        assert capsys.readouterr() == ("", f"error: dt must be finite and positive, got {value}\n")
+        assert not out.exists()
+
+    def test_odi_zero_dt_is_the_automatic_step(self, tmp_path):
+        reports = []
+        for extra in ([], ["--set", "dt=0"], ["--set", "dt=-0.0"]):
+            out = tmp_path / f"odi-{len(reports)}.json"
+            assert parse_and_dispatch(["odi", *extra, "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_decay_fit_short_row(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"
         csv.write_text("t,l2\n1,0.5\n2\n")

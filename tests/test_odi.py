@@ -8,14 +8,15 @@ from scipy.integrate import solve_ivp
 
 from scalewave.odi import (
     CHECK_CHUNK,
+    MAX_STEPS,
     STOP_BLOWUP,
     STOP_HORIZON,
     STOP_STEP_CAP,
     OdiProblem,
-    OdiSolution,
+    _fold,
+    _trajectory,
     comparison_check,
     comparison_function,
-    integrate_odi,
     life_span,
     select_nu,
     solve,
@@ -157,11 +158,30 @@ class TestComparisonFunction:
             assert np.max(np.abs(closed - adaptive) / np.abs(adaptive)) <= 1e-8
 
 
-class TestIntegrateOdi:
+def integrate(problem, dt, t_max, max_steps=MAX_STEPS):
+    """The chunks of ``_trajectory`` concatenated, and the blow-up time it returns.
+
+    Every chunk but the last holds CHECK_CHUNK samples, and none is empty.
+    """
+    chunks = _trajectory(problem, dt, t_max, max_steps)
+    ts, fs = [], []
+    try:
+        while True:
+            t, f = next(chunks)
+            ts.append(t)
+            fs.append(f)
+    except StopIteration as done:
+        blowup_time = done.value
+    assert all(t.size == CHECK_CHUNK for t in ts[:-1]) and 0 < ts[-1].size <= CHECK_CHUNK
+    assert [f.size for f in fs] == [t.size for t in ts]
+    return np.concatenate(ts), np.concatenate(fs), blowup_time
+
+
+class TestTrajectory:
     def test_zero_source_linear_oracle(self):
         # k1 = 0: F' = df0 (1+t)^(-k0), so F = f0 + df0 ((1+t)^(1-k0) - 1)/(1-k0)
         prob = OdiProblem(k0=4.0, k1=0.0, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
-        t, f, blow = integrate_odi(prob, dt=1e-3, t_max=5.0)
+        t, f, blow = integrate(prob, dt=1e-3, t_max=5.0)
         assert blow is None
         exact = 1.0 + (1.0 - (1.0 + t) ** (-3.0)) / 3.0
         assert np.max(np.abs(f - exact)) <= 1e-6
@@ -169,35 +189,20 @@ class TestIntegrateOdi:
 
     def test_blowup_earlier_for_larger_slope(self):
         base = dict(k0=4.0, k1=1.0, alpha=-2.0, p=3.0, f0=1.0)
-        _, _, blow_small = integrate_odi(OdiProblem(df0=0.5, **base), dt=1e-3, t_max=500.0)
-        _, _, blow_large = integrate_odi(OdiProblem(df0=5.0, **base), dt=1e-3, t_max=500.0)
+        _, _, blow_small = integrate(OdiProblem(df0=0.5, **base), dt=1e-3, t_max=500.0)
+        _, _, blow_large = integrate(OdiProblem(df0=5.0, **base), dt=1e-3, t_max=500.0)
         assert blow_small is not None and blow_large is not None
         assert blow_large < blow_small
 
-    def test_trajectory_holds_float64_buffers(self):
-        # 8 bytes a step for F (a list of float objects holds 32; F' is not kept), and
-        # 8 for the times, summed in place, plus the slack of F's last regrowth:
-        # 16.4 a step measured, within 17
-        steps = 20_000
+    def test_chunks_are_float64_arrays(self):
+        # F is a view of the chunk's own float64 buffer (a list of float objects
+        # would hold 32 bytes a sample), and the times are float64 too
         slow = OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
-        # a short untraced run first, as in test_solve_and_check_hold_16_bytes_a_step:
-        # without it the traced run is several times slower
-        integrate_odi(slow, dt=1e-3, t_max=1e3, max_steps=500)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            t, f, blow = integrate_odi(slow, dt=1e-3, t_max=1e3, max_steps=steps)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert blow is None and t.size == f.size == steps + 1
-        assert f.dtype == np.float64
-        assert peak <= 17 * steps
-
-    def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            integrate_odi(STANDARD, dt=0.0, t_max=5.0)
+        sizes = []
+        for t, f in _trajectory(slow, dt=1e-3, t_max=1e3, max_steps=20_000):
+            assert t.dtype == f.dtype == np.float64 and f.base is not None
+            sizes.append(f.size)
+        assert sizes == [CHECK_CHUNK] * 4 + [20_001 - 4 * CHECK_CHUNK]
 
 
 class TestComparisonCheck:
@@ -232,72 +237,89 @@ class TestComparisonCheck:
                       / comparison_function(STANDARD, nu, ts)) <= 1e-8
 
 
-# The dominance check's deficit as it stood, over the whole prefix at once, kept
-# as the bitwise reference for the chunked maximum: (samples checked, worst).
-def reference_deficit(solution):
-    blowup_time = solution.blowup_time
-    limit = solution.life_span if blowup_time is None else min(blowup_time, solution.life_span)
-    mask = solution.t < limit * (1.0 - 1e-12)
-    g = solution.comparison_at(solution.t[mask])
-    f = solution.f[mask]
-    return int(mask.sum()), np.max((g - f) / g)
-
-
-def hand_built(problem, t, f=None, blowup_time=None, stop=STOP_STEP_CAP):
-    """A solution whose trajectory is given: by default G itself, 1e-9 short at every
-    third sample, wherever G is defined."""
+# The dominance check's deficit as it stood, over the whole trajectory at once and
+# cut at min(blow-up, life span), kept as the bitwise reference for the folded
+# chunks: (samples checked, worst).
+def reference_deficit(problem, t, f, blowup_time=None):
     nu = select_nu(problem)
     span = life_span(problem, nu)
-    if f is None:
-        f = np.ones_like(t)
-        inside = t < span * (1.0 - 1e-12)
-        f[inside] = comparison_function(problem, nu, t[inside])
-        f[::3] *= 1.0 - 1e-9
-    return OdiSolution(problem=problem, nu=nu, life_span=span, t=t, f=f,
-                       blowup_time=blowup_time, stop=stop)
+    limit = span if blowup_time is None else min(blowup_time, span)
+    mask = t < limit * (1.0 - 1e-12)
+    g = comparison_function(problem, nu, t[mask])
+    return int(mask.sum()), np.max((g - f[mask]) / g)
+
+
+def fold_chunks(problem, t, f):
+    """``_fold`` over CHECK_CHUNK slices of a hand-built trajectory, as ``solve``
+    folds its chunks: (samples checked, worst)."""
+    nu = select_nu(problem)
+    cut = life_span(problem, nu) * (1.0 - 1e-12)
+    worst, count = -math.inf, 0
+    for start in range(0, t.size, CHECK_CHUNK):
+        chunk = slice(start, start + CHECK_CHUNK)
+        worst, count = _fold(problem, nu, cut, worst, count, t[chunk], f[chunk])
+    return count, worst
+
+
+def hand_built(problem, t):
+    """F of a hand-built trajectory: G itself, 1e-9 short at every third sample,
+    wherever G is defined, and 1 past the life span."""
+    nu = select_nu(problem)
+    span = life_span(problem, nu)
+    f = np.ones_like(t)
+    inside = t < span * (1.0 - 1e-12)
+    f[inside] = comparison_function(problem, nu, t[inside])
+    f[::3] *= 1.0 - 1e-9
+    return f
 
 
 class TestChunkedComparisonCheck:
     SPAN = life_span(STANDARD, select_nu(STANDARD))
 
     @staticmethod
-    def assert_matches_reference(solution):
-        rep = comparison_check(solution)
-        n_ref, worst_ref = reference_deficit(solution)
-        assert rep.n_cases == n_ref
-        assert np.float64(rep.worst).tobytes() == np.float64(worst_ref).tobytes()
-        return rep
+    def assert_matches_reference(problem, t, f):
+        count, worst = fold_chunks(problem, t, f)
+        n_ref, worst_ref = reference_deficit(problem, t, f)
+        assert count == n_ref
+        assert np.float64(worst).tobytes() == np.float64(worst_ref).tobytes()
+        return count, worst
 
     @pytest.mark.parametrize("samples", [1, 100, CHECK_CHUNK - 1, CHECK_CHUNK, CHECK_CHUNK + 1,
                                          3 * CHECK_CHUNK, 3 * CHECK_CHUNK + 17])
     def test_prefix_of_any_length(self, samples):
         # every sample lies before the life span: the prefix is the whole trajectory
         t = np.linspace(0.0, 0.9 * self.SPAN, samples)
-        rep = self.assert_matches_reference(hand_built(STANDARD, t))
-        assert rep.n_cases == samples and rep.worst == pytest.approx(1e-9, rel=1e-6)
+        count, worst = self.assert_matches_reference(STANDARD, t, hand_built(STANDARD, t))
+        assert count == samples and worst == pytest.approx(1e-9, rel=1e-6)
 
     @pytest.mark.parametrize("cut", [17, CHECK_CHUNK, 2 * CHECK_CHUNK + 1000])
-    def test_blowup_inside_a_chunk(self, cut):
-        # the trajectory blows up before the life span, between two samples; the
-        # samples past it fall short of G by far more, and must not count
-        t = np.linspace(0.0, 0.5 * self.SPAN, 3 * CHECK_CHUNK)
-        solution = hand_built(STANDARD, t, blowup_time=0.5 * (t[cut - 1] + t[cut]),
-                              stop=STOP_BLOWUP)
-        solution.f[cut:] *= 0.5
-        rep = self.assert_matches_reference(solution)
-        assert rep.n_cases == cut and rep.worst < 1e-6
+    def test_life_span_inside_a_chunk(self, cut):
+        # the life span falls between samples cut - 1 and cut; G is not defined past
+        # it, so the samples there must not count, nor their chunks be evaluated
+        t = self.SPAN * np.arange(3 * CHECK_CHUNK) / (cut - 0.5)
+        count, worst = self.assert_matches_reference(STANDARD, t, hand_built(STANDARD, t))
+        assert count == cut and worst < 1e-6
 
     def test_life_span_cuts_a_step_cap_trajectory(self):
         # a trajectory carried past the life span without blowing up is checked up to it
         t = np.linspace(0.0, 1.4 * self.SPAN, 3 * CHECK_CHUNK)
-        rep = self.assert_matches_reference(hand_built(STANDARD, t))
-        assert rep.n_cases == np.count_nonzero(t < self.SPAN * (1.0 - 1e-12)) > 2 * CHECK_CHUNK
+        count, _ = self.assert_matches_reference(STANDARD, t, hand_built(STANDARD, t))
+        assert count == np.count_nonzero(t < self.SPAN * (1.0 - 1e-12)) > 2 * CHECK_CHUNK
 
-    def test_solved_step_cap_trajectory(self):
-        sol = solve(OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0),
-                    max_steps=2 * CHECK_CHUNK + 5)
-        assert sol.stop == STOP_STEP_CAP
-        assert self.assert_matches_reference(sol).n_cases == 2 * CHECK_CHUNK + 6
+    @pytest.mark.parametrize("problem, max_steps", [
+        (OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0), 2 * CHECK_CHUNK + 5),
+        (STANDARD, MAX_STEPS),
+    ], ids=["step cap", "blow-up"])
+    def test_solved_trajectory(self, problem, max_steps):
+        # solve's folded check against the reference loop's whole trajectory, cut at
+        # min(blow-up, life span): the blow-up half of that cut removes no sample
+        sol = solve(problem, max_steps=max_steps)
+        t, f, blow = reference_integrate_odi(problem, min(1e-3, sol.life_span / 1e5),
+                                             10.0 * sol.life_span, max_steps=max_steps)
+        assert blow == sol.blowup_time
+        n_ref, worst_ref = reference_deficit(problem, t, f, blow)
+        assert sol.n_cases == n_ref == t.size
+        assert np.float64(sol.worst).tobytes() == np.float64(worst_ref).tobytes()
 
     def test_overflowing_comparison_function_gives_nan(self):
         # at p = 1.01 G = h^-200 overflows to inf well before the life span, and
@@ -306,44 +328,41 @@ class TestChunkedComparisonCheck:
         nu = select_nu(problem)
         span = life_span(problem, nu)
         t = np.linspace(0.0, 0.9999 * span, 3 * CHECK_CHUNK)
-        solution = hand_built(problem, t, f=np.ones_like(t))
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isinf(solution.comparison_at(t[-1]))
-            assert np.isfinite(solution.comparison_at(t[-CHECK_CHUNK]))
-            assert math.isnan(self.assert_matches_reference(solution).worst)
+            assert np.isinf(comparison_function(problem, nu, t[-1]))
+            assert np.isfinite(comparison_function(problem, nu, t[-CHECK_CHUNK]))
+            assert math.isnan(self.assert_matches_reference(problem, t, np.ones_like(t))[1])
 
     def test_nan_in_an_early_chunk_survives_later_chunks(self):
         t = np.linspace(0.0, 0.9 * self.SPAN, 3 * CHECK_CHUNK)
-        solution = hand_built(STANDARD, t)
-        solution.f[10] = math.nan
-        assert math.isnan(self.assert_matches_reference(solution).worst)
+        f = hand_built(STANDARD, t)
+        f[10] = math.nan
+        assert math.isnan(self.assert_matches_reference(STANDARD, t, f)[1])
 
     def test_empty_prefix_is_rejected_as_before(self):
-        solution = hand_built(STANDARD, np.linspace(0.0, 1.0, 5), blowup_time=0.0,
-                              stop=STOP_BLOWUP)
+        t = np.linspace(self.SPAN, 2.0 * self.SPAN, 5)
         with pytest.raises(ValueError, match="zero-size array"):
-            reference_deficit(solution)
+            reference_deficit(STANDARD, t, np.ones_like(t))
         with pytest.raises(ValueError, match="zero-size array"):
-            comparison_check(solution)
+            fold_chunks(STANDARD, t, np.ones_like(t))
 
-    def test_solve_and_check_hold_16_bytes_a_step(self):
-        # F and the times, 8 bytes a step each, and the slack of F's last regrowth
-        # (16.97 a step measured); the check's slices add a fixed amount.  With the
-        # prefix's temporaries formed whole, the peak was 41.5 a step.
-        steps = 200_000
+    @pytest.mark.parametrize("steps", [20_000, 200_000])
+    def test_solve_and_check_run_in_constant_memory(self, steps):
+        # a chunk's F and times, and the temporaries of its fold, at any length; a
+        # stored trajectory, 16 bytes a step, would take 3.2 MB at 2e5 steps
         problem = OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
-        # a short untraced run first: without it the traced run took about 18 s, not 2
+        # a short untraced run first: without it the traced run of 2e5 steps took
+        # 5-10 s, not 1.7, when run alone (2e4 steps: 1.1 s, not 0.16)
         solve(problem, max_steps=500)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            sol = solve(problem, max_steps=steps)
-            rep = comparison_check(sol)
+            rep = comparison_check(solve(problem, max_steps=steps))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert sol.stop == STOP_STEP_CAP and rep.n_cases == steps + 1
-        assert peak <= 17 * steps + 8 * (8 * CHECK_CHUNK)
+        assert rep.n_cases == steps + 1
+        assert peak < 16 * 8 * CHECK_CHUNK
 
 
 class TestSolve:
@@ -352,7 +371,7 @@ class TestSolve:
         prob = OdiProblem(k0=4.0, k1=0.01, alpha=-2.0, p=3.0, f0=1.0, df0=1.0)
         sol = solve(prob, max_steps=1000)
         assert sol.blowup_time is None and sol.stop == STOP_STEP_CAP
-        assert sol.t.size == 1001 and sol.t[-1] < 10.0 * sol.life_span
+        assert sol.n_cases == 1001
         assert comparison_check(sol).notes[-1] == "trajectory blow-up at none (step cap reached)"
         # the horizon is reported as the horizon
         reached = dataclasses.replace(sol, stop=STOP_HORIZON)
@@ -369,13 +388,20 @@ class TestSolve:
         assert sol.nu == pytest.approx(select_nu(STANDARD))
         assert sol.blowup_time is not None
         assert sol.blowup_time <= sol.life_span  # dominance forces earlier blow-up
-        assert sol.t.size == sol.f.size
-        assert sol.comparison_at(0.0) == pytest.approx(STANDARD.f0)
+        # every sample, one a step of life_span/1e5 up to the blow-up, is checked
+        assert sol.n_cases == round(sol.blowup_time / (sol.life_span / 1e5))
+        assert comparison_function(STANDARD, sol.nu, 0.0) == pytest.approx(STANDARD.f0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -0.5, math.inf])
+    def test_dt_validation(self, dt):
+        # None is the automatic step; any given dt must be finite and positive
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            solve(STANDARD, dt=dt)
 
 
 # The RK4 loop as it stood before its coefficients were computed once per
-# distinct time, kept as the bitwise reference for integrate_odi; F' is carried
-# but, as there, not returned.
+# distinct time, kept as the bitwise reference for the concatenated chunks of
+# _trajectory; F' is carried but, as there, not returned.
 def _acceleration(problem: OdiProblem, t: float, f: float, df: float) -> float:
     try:
         source = problem.k1 * (1.0 + t) ** problem.alpha * abs(f) ** problem.p
@@ -425,6 +451,12 @@ class TestRk4KernelBitwise:
                  dict(dt=1e-2, t_max=20.0)),
         "t_max cut": (STANDARD, dict(dt=7e-3, t_max=2.5)),
         "max_steps cut": (STANDARD, dict(dt=1e-3, max_steps=1234)),
+        # step caps that fill the first chunk, and pass it by one and two samples
+        "max_steps chunk-1": (STANDARD, dict(dt=1e-3, max_steps=CHECK_CHUNK - 1)),
+        "max_steps chunk": (STANDARD, dict(dt=1e-3, max_steps=CHECK_CHUNK)),
+        "max_steps chunk+1": (STANDARD, dict(dt=1e-3, max_steps=CHECK_CHUNK + 1)),
+        # a blow-up in the first step of the second chunk, which holds no sample
+        "blow-up at a chunk's start": (STANDARD, dict(dt=0.00165894)),
         "overflow exit": (OVERFLOWING, dict(dt=0.01, t_max=10.0)),
     }
 
@@ -435,21 +467,28 @@ class TestRk4KernelBitwise:
             kwargs = {**kwargs, "t_max": 10.0 * life_span(problem, select_nu(problem))}
         # each step forms F from the F' before it, so F's bits check every F'
         # but the last, whose finiteness the blow-up time checks
-        t, f, blow = integrate_odi(problem, **kwargs)
+        t, f, blow = integrate(problem, **kwargs)
         t_ref, f_ref, blow_ref = reference_integrate_odi(problem, **kwargs)
         assert t.tobytes() == t_ref.tobytes()
         assert f.tobytes() == f_ref.tobytes()
         assert blow == blow_ref
 
     def test_cut_offs_stop_where_documented(self):
-        t, _, blow = integrate_odi(STANDARD, dt=7e-3, t_max=2.5)
+        t, _, blow = integrate(STANDARD, dt=7e-3, t_max=2.5)
         assert blow is None and t[-2] < 2.5 <= t[-1]
-        t, _, blow = integrate_odi(STANDARD, dt=1e-3, t_max=1e3, max_steps=1234)
+        t, _, blow = integrate(STANDARD, dt=1e-3, t_max=1e3, max_steps=1234)
         assert blow is None and t.size == 1235
+        # a horizon reached by the first chunk's last sample ends the trajectory there
+        t, _, _ = integrate(STANDARD, dt=1e-3, t_max=1e3, max_steps=CHECK_CHUNK - 1)
+        t, _, blow = integrate(STANDARD, dt=1e-3, t_max=t[-1])
+        assert blow is None and t.size == CHECK_CHUNK
+        # a blow-up in the first step of a chunk leaves that chunk empty, unyielded
+        t, _, blow = integrate(STANDARD, dt=0.00165894, t_max=1e3)
+        assert t.size == CHECK_CHUNK and blow == t[-1] + 0.00165894
 
     def test_stage_overflow_ends_the_trajectory_one_step_on(self):
         # |F|^p overflows inside the step from t = 1.04; nothing of that step is kept
-        t, f, blow = integrate_odi(OVERFLOWING, dt=0.01, t_max=10.0)
+        t, f, blow = integrate(OVERFLOWING, dt=0.01, t_max=10.0)
         assert t.size == f.size == 105
         assert blow == 1.0500000000000007
         assert blow == t[-1] + 0.01
